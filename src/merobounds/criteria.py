@@ -21,7 +21,9 @@ MEMBERSHIP_TOL = 1e-12
 CRITERION_TOL = 1e-12
 SCAN_FLOOR = 1e-9
 COLLISION_TOL = 1e-4
-_PAIR_CHUNK = 256
+_BLOCK = 4
+_PAIR_BATCH = 256
+_PRUNE_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -190,18 +192,94 @@ def disk_subordination_check(F: TruncatedSeries, c: complex,
     )
 
 
+def _block_members(radial: int, angular: int) -> np.ndarray:
+    """Grid indices of each ``_BLOCK`` x ``_BLOCK`` tile of the polar grid.
+
+    Row ``b`` lists the points of block ``b`` in increasing order; the last
+    tile along each axis is padded by repeating its last index.
+    """
+    def tiles(count: int) -> np.ndarray:
+        idx = np.arange(-(-count // _BLOCK) * _BLOCK)
+        return np.minimum(idx, count - 1).reshape(-1, _BLOCK)
+
+    rows, cols = tiles(radial), tiles(angular)
+    members = rows[:, None, :, None] * angular + cols[None, :, None, :]
+    return members.reshape(-1, _BLOCK * _BLOCK)
+
+
+def _box(values: np.ndarray, members: np.ndarray):
+    """Per-block bounding box ``[(lo, hi) of the real part, (lo, hi) of the
+    imaginary part]`` of the finite ``values``; an empty box has lo = +inf
+    and hi = -inf."""
+    ok = np.isfinite(values)[members]
+    return [(np.where(ok, part[members], np.inf).min(axis=1),
+             np.where(ok, part[members], -np.inf).max(axis=1))
+            for part in (values.real, values.imag)]
+
+
+class _PairMinimum:
+    """Running minimum of ``|w_i - w_j| / |z_i - z_j|`` over pairs i < j.
+
+    Ties go to the smallest ``(i, j)`` in lexicographic order.  A NaN
+    quotient (both images infinite) counts as +inf, and the initial key
+    (0, 0) wins every tie at +inf.
+    """
+
+    def __init__(self, z: np.ndarray, w: np.ndarray):
+        self.z, self.w = z, w
+        self.finite = bool(np.isfinite(w).all())
+        self.value = float("inf")
+        self.key = 0
+
+    def scan(self, i: np.ndarray, j: np.ndarray, distinct: bool) -> None:
+        """Scan the pairs of the broadcast index arrays ``i`` and ``j``.
+
+        Unless ``distinct``, entries with ``i >= j`` are skipped.  The
+        order of a pair does not change its quotient, because rounding is
+        symmetric: fl(b - a) = -fl(a - b).
+        """
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            q = np.abs(self.w[i] - self.w[j]) / np.abs(self.z[i] - self.z[j])
+        if not distinct:
+            q[i >= j] = np.inf
+        if not self.finite:
+            q[np.isnan(q)] = np.inf
+        q = q.ravel()
+        value = float(q.min())
+        if value > self.value:
+            return
+        ties = np.flatnonzero(q == value)
+        shape = np.broadcast_shapes(i.shape, j.shape)
+        i = np.broadcast_to(i, shape).flat[ties]
+        j = np.broadcast_to(j, shape).flat[ties]
+        key = int((np.minimum(i, j) * self.z.size + np.maximum(i, j)).min())
+        if value < self.value or key < self.key:
+            self.value, self.key = value, key
+
+
 def injectivity_oracle(f: PoleFunction, grid: DiskGrid | None = None,
                        collision_tolerance: float = COLLISION_TOL) -> CriterionVerdict:
-    """Scan pairwise difference quotients of f for evidence of a collision.
+    """Find the floor of the difference quotients of f over grid pairs.
 
-    ``value`` is ``min |f(z1) - f(z2)| / |z1 - z2|`` over distinct grid
-    pairs; the oracle holds when that floor stays above
-    ``collision_tolerance``.  The default tolerance is calibrated on the
-    default grid for poles in roughly [0.1, 0.95]: univalent extremal
-    functions floor near 4e-4 there while a function with an actual
-    collision drops below 5e-5.  Poles close to 0 push genuine floors
-    under the default, so refine the grid before trusting a failure in
-    that regime.
+    ``value`` is exactly ``min |f(z1) - f(z2)| / |z1 - z2|`` over distinct
+    grid pairs, and the witness pair is the minimising pair of grid indices
+    (i, j), i < j, that comes first in lexicographic order.  The oracle
+    holds when that floor stays above ``collision_tolerance``.
+    The default tolerance is calibrated on the default grid for poles in
+    roughly [0.1, 0.95]: univalent extremal functions floor near 4e-4
+    there while a function with an actual collision drops below 5e-5.
+    Poles close to 0 push genuine floors under the default, so refine the
+    grid before trusting a failure in that regime.
+
+    The floor is found by branch and bound rather than a full pair scan.
+    The grid is tiled into ``_BLOCK`` x ``_BLOCK`` blocks.  Pairs inside a
+    block give a first upper bound on the floor.  For two blocks, the gap
+    between their image boxes over the widest distance between their
+    sample boxes bounds every cross quotient from below; block pairs are
+    scanned in increasing order of that bound until it exceeds the best
+    quotient found.  A pair is skipped only when its bound exceeds the best
+    by the relative margin ``_PRUNE_MARGIN``, far above rounding error, so
+    a skipped pair can never tie the floor.
     """
     if collision_tolerance <= 0.0:
         raise BadParameter("collision_tolerance must be positive")
@@ -211,27 +289,33 @@ def injectivity_oracle(f: PoleFunction, grid: DiskGrid | None = None,
     if z.size < 2:
         return CriterionVerdict(holds=True, value=float("inf"),
                                 threshold=collision_tolerance)
-    w = z / f.inv_series.evaluate(z)
-    index = np.arange(z.size)
-    best = float("inf")
-    best_i = best_j = 0
-    for start in range(0, z.size, _PAIR_CHUNK):
-        zi = z[start:start + _PAIR_CHUNK]
-        wi = w[start:start + _PAIR_CHUNK]
-        dz = np.abs(zi[:, None] - z[None, :])
-        dw = np.abs(wi[:, None] - w[None, :])
-        # keep each unordered pair exactly once (row index < column index)
-        mask = index[start:start + _PAIR_CHUNK, None] < index[None, :]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            quotients = np.where(mask, dw / dz, np.inf)
-        flat = int(np.argmin(quotients))
-        i, j = np.unravel_index(flat, quotients.shape)
-        if quotients[i, j] < best:
-            best = float(quotients[i, j])
-            best_i, best_j = start + int(i), int(j)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = z / f.inv_series.evaluate(z)
+    best = _PairMinimum(z, w)
+
+    members = _block_members(grid.radii().size, grid.angular_count)
+    best.scan(members[:, :, None], members[:, None, :], distinct=False)
+
+    a, b = np.triu_indices(len(members), 1)
+    with np.errstate(over="ignore"):
+        gap = np.hypot(*(np.maximum(np.maximum(lo[b] - hi[a], lo[a] - hi[b]), 0.0)
+                         for lo, hi in _box(w, members)))
+        span = np.hypot(*(np.maximum(hi[b] - lo[a], hi[a] - lo[b])
+                          for lo, hi in _box(z, members)))
+        lower = gap / span
+    keep = lower <= best.value * (1.0 + _PRUNE_MARGIN)
+    order = np.argsort(lower[keep], kind="stable")
+    a, b, lower = a[keep][order], b[keep][order], lower[keep][order]
+    for start in range(0, a.size, _PAIR_BATCH):
+        if lower[start] > best.value * (1.0 + _PRUNE_MARGIN):
+            break
+        best.scan(members[a[start:start + _PAIR_BATCH]][:, :, None],
+                  members[b[start:start + _PAIR_BATCH]][:, None, :], distinct=True)
+
+    best_i, best_j = divmod(best.key, z.size)
     return CriterionVerdict(
-        holds=best > collision_tolerance,
-        value=best,
+        holds=best.value > collision_tolerance,
+        value=best.value,
         threshold=collision_tolerance,
         witness=complex(z[best_i]),
         witness_partner=complex(z[best_j]),

@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -80,6 +81,16 @@ class IntegralResult:
     r: float
     kind: IntegralKind
     truncation_tail_estimate: Optional[float] = None
+
+
+@lru_cache(maxsize=16)
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per count
+    and returned read-only because every caller shares them."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
 
 
 def _check_radius(r: float) -> None:
@@ -146,7 +157,7 @@ def dirichlet_quadrature(
     else:
         raise BadParameter("integrand must be a TruncatedSeries or a callable")
 
-    x, w = np.polynomial.legendre.leggauss(config.radial_nodes)
+    x, w = _gauss_legendre(config.radial_nodes)
     rho = 0.5 * r * (x + 1.0)
     radial_weights = 0.5 * r * w
     theta = 2.0 * np.pi * np.arange(config.angular_nodes) / config.angular_nodes

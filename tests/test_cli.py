@@ -1,6 +1,7 @@
 import csv
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -52,6 +53,15 @@ def test_verify_output_is_deterministic(capsys):
     _, first, _ = run_cli(capsys, "verify", "--suite", "criteria")
     _, second, _ = run_cli(capsys, "verify", "--suite", "criteria")
     assert first == second
+
+
+def test_verify_all_matches_the_golden_output(capsys):
+    # tests/data/verify_all.txt holds the stdout of the reference
+    # implementation; every verdict and printed figure must stay identical
+    code, out, _ = run_cli(capsys, "verify", "--suite", "all")
+    golden = (Path(__file__).parent / "data" / "verify_all.txt").read_text()
+    assert code == 0
+    assert out == golden
 
 
 def test_grids_cover_the_documented_ranges():

@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from merobounds.criteria import (
     COLLISION_TOL,
     CriterionVerdict,
     DiskGrid,
+    _default_grid,
     disk_subordination_check,
     injectivity_oracle,
     u_functional,
@@ -280,6 +281,140 @@ def test_single_point_grid_is_vacuously_injective():
 def test_injectivity_rejects_nonpositive_tolerance():
     with pytest.raises(BadParameter):
         injectivity_oracle(from_inverse_coefficients([]), collision_tolerance=0.0)
+
+
+def reference_injectivity(f, grid=None, collision_tolerance=COLLISION_TOL):
+    """The full O(M^2) pair scan that injectivity_oracle replaces.
+
+    Rows are scanned in chunks of 256 grid points; within a chunk argmin
+    takes the first minimiser and a later chunk wins only on a strictly
+    smaller quotient, so ties go to the smallest (i, j).  A NaN quotient
+    (two infinite images) makes argmin return it and drops its whole
+    chunk, so cases with NaN are checked without this reference.
+    """
+    chunk = 256
+    if grid is None:
+        grid = _default_grid(f)
+    z = grid.points()
+    if z.size < 2:
+        return CriterionVerdict(holds=True, value=float("inf"),
+                                threshold=collision_tolerance)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = z / f.inv_series.evaluate(z)
+    index = np.arange(z.size)
+    best = float("inf")
+    best_i = best_j = 0
+    for start in range(0, z.size, chunk):
+        zi = z[start:start + chunk]
+        wi = w[start:start + chunk]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dz = np.abs(zi[:, None] - z[None, :])
+            dw = np.abs(wi[:, None] - w[None, :])
+            mask = index[start:start + chunk, None] < index[None, :]
+            quotients = np.where(mask, dw / dz, np.inf)
+        flat = int(np.argmin(quotients))
+        i, j = np.unravel_index(flat, quotients.shape)
+        if quotients[i, j] < best:
+            best = float(quotients[i, j])
+            best_i, best_j = start + int(i), int(j)
+    return CriterionVerdict(
+        holds=best > collision_tolerance,
+        value=best,
+        threshold=collision_tolerance,
+        witness=complex(z[best_i]),
+        witness_partner=complex(z[best_j]),
+    )
+
+
+def assert_same_scan(f, grid=None):
+    got = injectivity_oracle(f, grid)
+    want = reference_injectivity(f, grid)
+    assert (got.holds, got.value, got.witness, got.witness_partner) == \
+        (want.holds, want.value, want.witness, want.witness_partner)
+    assert got.threshold == want.threshold
+    return got
+
+
+def test_identity_map_tie_goes_to_the_first_grid_pair():
+    # every quotient is exactly 1.0, so the witness pair is decided by the
+    # tie rule alone: grid points 0 and 1
+    grid = DiskGrid()
+    verdict = assert_same_scan(from_inverse_coefficients([]), grid)
+    assert verdict.value == 1.0
+    z = grid.points()
+    assert (verdict.witness, verdict.witness_partner) == (z[0], z[1])
+
+
+def test_collision_matches_the_full_scan():
+    verdict = assert_same_scan(from_inverse_coefficients([0.0, 5.0]))
+    assert not verdict.holds
+
+
+def test_image_at_infinity_counts_as_an_infinite_quotient():
+    # z/f = 1 - z/0.495 vanishes at the grid point 0.495, where w = inf+nanj
+    f = from_inverse_coefficients([-1.0 / 0.495])
+    z = DiskGrid().points()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        assert not np.all(np.isfinite(z / f.inv_series.evaluate(z)))
+    verdict = assert_same_scan(f)
+    assert math.isfinite(verdict.value)
+
+
+def test_pair_of_images_at_infinity_counts_as_infinite():
+    # z/f vanishes exactly at the grid points a and b, so w(a) - w(b) is NaN;
+    # that pair counts as +inf like every other pair touching a or b
+    grid = DiskGrid(radial_count=32, angular_count=8)
+    a, b = grid.radii()[4], grid.radii()[7]
+    f = from_inverse_coefficients([-(1.0 / a + 1.0 / b), 1.0 / (a * b)])
+    z = grid.points()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = z / f.inv_series.evaluate(z)
+        assert np.sum(~np.isfinite(w)) == 2
+        q = np.abs(w[:, None] - w[None, :]) / np.abs(z[:, None] - z[None, :])
+    q[np.isnan(q) | ~np.triu(np.ones(q.shape, dtype=bool), 1)] = np.inf
+    i, j = np.unravel_index(int(np.argmin(q)), q.shape)
+    verdict = injectivity_oracle(f, grid)
+    assert (verdict.value, verdict.witness, verdict.witness_partner) == \
+        (q[i, j], z[i], z[j])
+
+
+def test_all_pairs_infinite_reports_the_first_grid_point_twice():
+    f = from_inverse_coefficients([-1.0 / 0.495])
+    grid = DiskGrid(radius=0.495, radial_count=1, angular_count=2)
+    verdict = assert_same_scan(f, grid)
+    assert verdict.value == float("inf")
+    assert verdict.witness == verdict.witness_partner == 0.495
+
+
+@pytest.mark.parametrize("p", [0.02, 0.05, 0.2, 0.5, 0.8, 0.95])
+def test_extremal_scans_match_the_full_scan(p):
+    assert_same_scan(build_kp(p))
+    assert_same_scan(build_fp(p, 1.0))
+
+
+@given(log_p=st.floats(min_value=math.log(0.02), max_value=math.log(0.98)),
+       degree=st.integers(min_value=1, max_value=40),
+       scale=st.floats(min_value=0.01, max_value=3.0),
+       seed=st.integers(min_value=0, max_value=2**32 - 1),
+       radial=st.integers(min_value=1, max_value=40),
+       angular=st.integers(min_value=1, max_value=80),
+       guarded=st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_injectivity_scan_matches_the_full_scan(log_p, degree, scale, seed,
+                                                 radial, angular, guarded):
+    # z/f = (1 - z/p) h(z) with a random h of the given degree, h(0) = 1
+    p = math.exp(log_p)
+    rng = np.random.default_rng(seed)
+    h = np.ones(degree + 1, dtype=np.complex128)
+    h[1:] = scale * (rng.standard_normal(degree) + 1j * rng.standard_normal(degree))
+    h[1:] /= np.arange(1, degree + 1)
+    f = from_inverse_coefficients(np.convolve([1.0, -1.0 / p], h)[1:], pole=p)
+    try:
+        grid = DiskGrid(radial_count=radial, angular_count=angular,
+                        pole=p if guarded else None)
+    except BadParameter:
+        assume(False)
+    assert_same_scan(f, grid)
 
 
 def test_verdict_fields_round_trip():

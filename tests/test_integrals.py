@@ -28,6 +28,7 @@ from merobounds.integrals import (
     dirichlet_series,
     l1_mean_quadrature,
     l1_mean_series,
+    _gauss_legendre,
 )
 from merobounds.series import TruncatedSeries
 
@@ -120,6 +121,15 @@ def test_quadrature_matches_series_for_polynomial_data(p, r):
     got = dirichlet_quadrature(inv, r).value
     want = dirichlet_series(inv, r).value
     assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_gauss_legendre_nodes_are_cached_read_only_and_exact():
+    x, w = _gauss_legendre(64)
+    ref_x, ref_w = np.polynomial.legendre.leggauss(64)
+    assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
+    assert _gauss_legendre(64)[0] is x
+    with pytest.raises(ValueError):
+        x[0] = 0.0
 
 
 def test_quadrature_callable_route_against_closed_form():
