@@ -16,9 +16,11 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import BadParameter, BadRadius, ClassMismatch, NoPole, RadiusBeyondPole
+from .errors import (BadParameter, BadRadius, NoPole, check_inside_pole, check_lambda,
+                     check_pole, check_radius)
 from .functions import ClassKind, ClassSpec, PoleFunction, mu
-from .integrals import dirichlet_series, l1_mean_series
+from .integrals import (dirichlet_f_over_z_series, dirichlet_f_series, dirichlet_series,
+                        l1_mean_series)
 
 #: Absolute slack below which a bound still counts as satisfied.
 SATISFACTION_TOL = 1e-9
@@ -75,8 +77,7 @@ def jenkins_bound(n: int, p: float) -> float:
     (1 + p**2 + ... + p**(2n-2)) / p**(n-1) in closed form."""
     if n < 2:
         raise BadParameter("coefficient bounds start at n = 2")
-    if not 0.0 < p < 1.0:
-        raise BadParameter(f"pole location {p!r} outside (0, 1)")
+    check_pole(p)
     return (1.0 - p ** (2 * n)) / ((1.0 - p * p) * p ** (n - 1))
 
 
@@ -100,10 +101,8 @@ def lemma1_check(f: PoleFunction, lam: float, t: float, r: float) -> BoundReport
     f stays below lam*mu on the disk."""
     if t > 2.0:
         raise BadParameter("the weighted tail bound only holds for t <= 2")
-    if not 0.0 < lam <= 1.0:
-        raise BadParameter(f"lambda {lam!r} outside (0, 1]")
-    if not 0.0 < r <= 1.0:
-        raise BadRadius(f"radius {r!r} outside (0, 1]")
+    check_lambda(lam)
+    check_radius(r)
     if f.pole is None:
         raise NoPole("the weighted tail bound needs the pole to set its scale")
     computed = f.inv_series.weighted_coefficient_sum(t, r, start_index=2)
@@ -116,39 +115,25 @@ def lemma1_check(f: PoleFunction, lam: float, t: float, r: float) -> BoundReport
 def max_dirichlet_zf_sigma_p(r: float, p: float) -> float:
     """Largest Dirichlet integral of z/f over univalent f with pole p:
     pi r**2 ((1/p + p)**2 + 2 r**2)."""
-    if not 0.0 < p < 1.0:
-        raise BadParameter(f"pole location {p!r} outside (0, 1)")
-    if not 0.0 < r <= 1.0:
-        raise BadRadius(f"radius {r!r} outside (0, 1]")
+    check_pole(p)
+    check_radius(r)
     return math.pi * r * r * ((1.0 / p + p) ** 2 + 2.0 * r * r)
 
 
 def max_dirichlet_zf_up_lambda(r: float, p: float, lam: float) -> float:
     """Largest Dirichlet integral of z/f over the residual-functional class:
     pi r**2 ((1/p + lam*mu*p)**2 + 2 (lam*mu)**2 r**2)."""
-    if not 0.0 < lam <= 1.0:
-        raise BadParameter(f"lambda {lam!r} outside (0, 1]")
-    if not 0.0 < p < 1.0:
-        raise BadParameter(f"pole location {p!r} outside (0, 1)")
-    if not 0.0 < r <= 1.0:
-        raise BadRadius(f"radius {r!r} outside (0, 1]")
+    check_lambda(lam)
+    check_pole(p)
+    check_radius(r)
     m = lam * mu(p)
     return math.pi * r * r * ((1.0 / p + m * p) ** 2 + 2.0 * m * m * r * r)
-
-
-def _check_inside_pole(r: float, p: float) -> None:
-    if not 0.0 < p < 1.0:
-        raise BadParameter(f"pole location {p!r} outside (0, 1)")
-    if r <= 0.0:
-        raise BadRadius(f"radius {r!r} outside (0, 1]")
-    if r >= p:
-        raise RadiusBeyondPole(f"radius {r!r} reaches the pole at {p!r}")
 
 
 def max_dirichlet_f_over_z(r: float, p: float) -> float:
     """Largest Dirichlet integral of f/z over univalent f with pole p,
     for radii strictly inside the pole."""
-    _check_inside_pole(r, p)
+    check_inside_pole(r, p)
     lead = math.pi * p * p * r * r / (1.0 - p * p) ** 2
     return lead * (
         1.0 / (p * p - r * r) ** 2
@@ -160,7 +145,7 @@ def max_dirichlet_f_over_z(r: float, p: float) -> float:
 def max_dirichlet_f(r: float, p: float) -> float:
     """Largest Dirichlet integral of f itself over univalent f with pole p,
     for radii strictly inside the pole."""
-    _check_inside_pole(r, p)
+    check_inside_pole(r, p)
     lead = math.pi * p * p * r * r / (1.0 - p * p) ** 2
     return lead * (
         p * p / (p * p - r * r) ** 2
@@ -174,8 +159,7 @@ def max_dirichlet_f(r: float, p: float) -> float:
 def s_class_dirichlet_zf_max(r: float) -> float:
     """Largest Dirichlet integral of z/f over the analytic univalent class:
     2 pi r**2 (r**2 + 2), the limit of the pole-class bound as p -> 1."""
-    if not 0.0 < r <= 1.0:
-        raise BadRadius(f"radius {r!r} outside (0, 1]")
+    check_radius(r)
     return 2.0 * math.pi * r * r * (r * r + 2.0)
 
 
@@ -198,59 +182,65 @@ def s_class_dirichlet_f_max(r: float) -> float:
 # ---- integral-mean bounds ----------------------------------------------------------
 
 def l1_bound(class_spec: ClassSpec, r: float) -> float:
-    """Sharp upper bound for the quadratic integral mean at radius r.
-
-    The concave and starlike pole classes sit inside the univalent pole
-    class and inherit its bound.
-    """
-    if not 0.0 < r <= 1.0:
-        raise BadRadius(f"radius {r!r} outside (0, 1]")
+    """Sharp upper bound for the quadratic integral mean at radius r."""
+    check_radius(r)
     kind = class_spec.kind
     if kind is ClassKind.S:
         return 1.0 + 4.0 * r * r + r**4
     if kind is ClassKind.U_P_LAMBDA:
         m = class_spec.lam * mu(class_spec.p)
         return 1.0 + (1.0 / class_spec.p + m * class_spec.p) ** 2 * r * r + m * m * r**4
-    # SIGMA_P, CO_P, SIGMA_STAR_P
     return 1.0 + (1.0 / class_spec.p + class_spec.p) ** 2 * r * r + r**4
 
 
 # ---- dispatching check ---------------------------------------------------------------
 
+#: Series route of each quantity.  The routes are looked up by name at call
+#: time, so a wrapper installed on this module sees every call.
+_SERIES_ROUTES = {
+    BoundQuantity.DIRICHLET_ZF: lambda f, r: dirichlet_series(f.inv_series, r),
+    BoundQuantity.DIRICHLET_F: lambda f, r: dirichlet_f_series(f, r),
+    BoundQuantity.DIRICHLET_F_OVER_Z: lambda f, r: dirichlet_f_over_z_series(f, r),
+    BoundQuantity.L1: lambda f, r: l1_mean_series(f, r),
+}
+
+#: Sharp maximum of each (class, quantity) pair the paper gives, as a
+#: function of (class_spec, r).
+_SHARP_MAXIMA = {
+    (ClassKind.SIGMA_P, BoundQuantity.DIRICHLET_ZF):
+        lambda c, r: max_dirichlet_zf_sigma_p(r, c.p),
+    (ClassKind.U_P_LAMBDA, BoundQuantity.DIRICHLET_ZF):
+        lambda c, r: max_dirichlet_zf_up_lambda(r, c.p, c.lam),
+    (ClassKind.S, BoundQuantity.DIRICHLET_ZF): lambda c, r: s_class_dirichlet_zf_max(r),
+    (ClassKind.SIGMA_P, BoundQuantity.DIRICHLET_F): lambda c, r: max_dirichlet_f(r, c.p),
+    (ClassKind.S, BoundQuantity.DIRICHLET_F): lambda c, r: s_class_dirichlet_f_max(r),
+    (ClassKind.SIGMA_P, BoundQuantity.DIRICHLET_F_OVER_Z):
+        lambda c, r: max_dirichlet_f_over_z(r, c.p),
+    (ClassKind.S, BoundQuantity.DIRICHLET_F_OVER_Z):
+        lambda c, r: s_class_dirichlet_f_over_z_max(r),
+    **{(kind, BoundQuantity.L1): l1_bound for kind in ClassKind},
+}
+
+
 def check_bound(
     f: PoleFunction, class_spec: ClassSpec, quantity: BoundQuantity, r: float
 ) -> BoundReport:
-    """Compute a quantity for f via the series routes and compare it against
-    the sharp bound of the asserted class.
+    """Compute a quantity for f via its series route and compare it against
+    the sharp maximum of the asserted class.
 
     Raises:
         ClassMismatch: when the function's pole and the class's pole differ
             (or one has a pole where the other forbids it).
-        BadParameter: for quantities without a dispatchable bound here
-            (only DIRICHLET_ZF and L1 are comparable across every class).
+        BadParameter: when the paper gives no sharp maximum of the quantity
+            over the class (Dirichlet integrals of f and f/z over U_P_LAMBDA).
+        RadiusBeyondPole: for the f and f/z integrals at r >= p.
     """
     quantity = BoundQuantity(quantity)
-    if class_spec.kind is ClassKind.S:
-        if f.pole is not None:
-            raise ClassMismatch("an analytic-class check cannot accept a function with a pole")
-    else:
-        if f.pole is None:
-            raise ClassMismatch(f"class {class_spec.kind.value} requires a pole at {class_spec.p!r}")
-        if abs(f.pole - class_spec.p) > 1e-12:
-            raise ClassMismatch(
-                f"function pole {f.pole!r} differs from class pole {class_spec.p!r}"
-            )
-    if quantity is BoundQuantity.DIRICHLET_ZF:
-        computed = dirichlet_series(f.inv_series, r).value
-        if class_spec.kind is ClassKind.S:
-            bound = s_class_dirichlet_zf_max(r)
-        elif class_spec.kind is ClassKind.U_P_LAMBDA:
-            bound = max_dirichlet_zf_up_lambda(r, class_spec.p, class_spec.lam)
-        else:
-            bound = max_dirichlet_zf_sigma_p(r, class_spec.p)
-    elif quantity is BoundQuantity.L1:
-        computed = l1_mean_series(f, r).value
-        bound = l1_bound(class_spec, r)
-    else:
-        raise BadParameter(f"no class-wise bound dispatch for {quantity.value}")
-    return build_report(quantity.value, computed, bound, r=r, class_spec=class_spec)
+    class_spec.match(f)
+    maximum = _SHARP_MAXIMA.get((class_spec.kind, quantity))
+    if maximum is None:
+        raise BadParameter(
+            f"no sharp bound for {quantity.value} over class {class_spec.kind.value}")
+    computed = _SERIES_ROUTES[quantity](f, r).value
+    return build_report(quantity.value, computed, maximum(class_spec, r), r=r,
+                        class_spec=class_spec)

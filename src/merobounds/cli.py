@@ -17,10 +17,10 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from collections import Counter
 
 from .bounds import (
     BoundQuantity,
-    build_report,
     check_bound,
     gronwall_check,
     jenkins_bound,
@@ -40,7 +40,7 @@ from .criteria import (
     univalence_criterion,
     up_lambda_membership,
 )
-from .errors import BadParameter, MeroboundsError
+from .errors import BadParameter, MeroboundsError, RadiusBeyondPole, check_radius
 from .functions import (
     ClassKind,
     ClassSpec,
@@ -54,8 +54,6 @@ from .functions import (
 )
 from .integrals import (
     QuadratureConfig,
-    dirichlet_f_over_z_series,
-    dirichlet_f_series,
     dirichlet_quadrature,
     dirichlet_series,
     l1_mean_quadrature,
@@ -68,11 +66,20 @@ R_GRID = tuple(k / 20.0 for k in range(1, 21))
 LAMBDA_GRID = (0.25, 0.5, 1.0)
 
 _TABLE_HEADER = "quantity,class,p,lambda,r,computed,bound,slack,sharp"
-_POLE_MATCH_TOL = 1e-12
+
+#: The classes whose extremal function ``table`` sweeps for each quantity:
+#: U_P_LAMBDA has no f or f/z maximum, and the analytic class S is shown for L1 only.
+_TABLE_CLASSES = {
+    BoundQuantity.DIRICHLET_ZF: (ClassKind.SIGMA_P, ClassKind.U_P_LAMBDA),
+    BoundQuantity.DIRICHLET_F: (ClassKind.SIGMA_P,),
+    BoundQuantity.DIRICHLET_F_OVER_Z: (ClassKind.SIGMA_P,),
+    BoundQuantity.L1: (ClassKind.SIGMA_P, ClassKind.U_P_LAMBDA, ClassKind.S),
+}
 
 
 def _fmt(x) -> str:
-    """12 significant digits; scientific notation once |x| drops under 1e-4."""
+    """12 significant digits; scientific notation once |x| drops under 1e-4
+    or reaches 1e12."""
     if x is None:
         return ""
     if isinstance(x, bool):
@@ -90,54 +97,42 @@ def _rel(value: float, reference: float) -> float:
 
 # ---- verify suites -------------------------------------------------------------
 
+def _kp_member(p: float, order: int = DEFAULT_ORDER):
+    return ClassSpec(ClassKind.SIGMA_P, p=p), build_kp(p, order)
+
+
+def _fp_member(p: float, lam: float, order: int = DEFAULT_ORDER):
+    return ClassSpec(ClassKind.U_P_LAMBDA, p=p, lam=lam), build_fp(p, lam, order)
+
+
+def _worst(quantity: BoundQuantity, members, radii) -> float:
+    """Largest relative gap between computed value and sharp bound over
+    (class, function) members and radii."""
+    reports = (check_bound(f, spec, quantity, r) for spec, f in members for r in radii)
+    return max(_rel(report.computed, report.bound) for report in reports)
+
+
 def _suite_sharpness():
     checks = []
-    for p in P_GRID:
-        f = build_kp(p)
-        worst = max(
-            _rel(dirichlet_series(f.inv_series, r).value, max_dirichlet_zf_sigma_p(r, p))
-            for r in R_GRID)
-        checks.append((f"sharpness/zf-kp p={_fmt(p)}", worst <= 1e-9,
-                       f"max rel slack {_fmt(worst)}"))
-    for p in P_GRID:
-        worst = max(
-            _rel(dirichlet_series(build_fp(p, lam).inv_series, r).value,
-                 max_dirichlet_zf_up_lambda(r, p, lam))
-            for lam in LAMBDA_GRID for r in R_GRID)
-        checks.append((f"sharpness/zf-fp p={_fmt(p)}", worst <= 1e-9,
-                       f"max rel slack over lambda {_fmt(worst)}"))
-    for p in P_GRID:
-        f = build_kp(p)
-        spec = ClassSpec(ClassKind.SIGMA_P, p=p)
-        worst = max(_rel(l1_mean_series(f, r).value, l1_bound(spec, r)) for r in R_GRID)
-        checks.append((f"sharpness/l1-kp p={_fmt(p)}", worst <= 1e-9,
-                       f"max rel slack {_fmt(worst)}"))
-    for p in P_GRID:
-        worst = max(
-            _rel(l1_mean_series(build_fp(p, lam), r).value,
-                 l1_bound(ClassSpec(ClassKind.U_P_LAMBDA, p=p, lam=lam), r))
-            for lam in LAMBDA_GRID for r in R_GRID)
-        checks.append((f"sharpness/l1-fp p={_fmt(p)}", worst <= 1e-9,
-                       f"max rel slack over lambda {_fmt(worst)}"))
-    koebe = build_koebe_rotation(0.0)
-    worst = max(
-        _rel(l1_mean_series(koebe, r).value, l1_bound(ClassSpec(ClassKind.S), r))
-        for r in R_GRID)
+    for name, quantity in (("zf", BoundQuantity.DIRICHLET_ZF), ("l1", BoundQuantity.L1)):
+        for p in P_GRID:
+            worst = _worst(quantity, [_kp_member(p)], R_GRID)
+            checks.append((f"sharpness/{name}-kp p={_fmt(p)}", worst <= 1e-9,
+                           f"max rel slack {_fmt(worst)}"))
+        for p in P_GRID:
+            worst = _worst(quantity, [_fp_member(p, lam) for lam in LAMBDA_GRID], R_GRID)
+            checks.append((f"sharpness/{name}-fp p={_fmt(p)}", worst <= 1e-9,
+                           f"max rel slack over lambda {_fmt(worst)}"))
+    worst = _worst(BoundQuantity.L1, [(ClassSpec(ClassKind.S), build_koebe_rotation(0.0))],
+                   R_GRID)
     checks.append(("sharpness/l1-koebe", worst <= 1e-9, f"max rel slack {_fmt(worst)}"))
-    for p in P_GRID:
-        f = build_kp(p, order=128)
-        worst = max(
-            _rel(dirichlet_f_over_z_series(f, c * p).value, max_dirichlet_f_over_z(c * p, p))
-            for c in (0.2, 0.5, 0.8))
-        checks.append((f"sharpness/f-over-z-kp p={_fmt(p)}", worst <= 1e-8,
-                       f"max rel slack {_fmt(worst)}"))
-    for p in P_GRID:
-        f = build_kp(p, order=128)
-        worst = max(
-            _rel(dirichlet_f_series(f, c * p).value, max_dirichlet_f(c * p, p))
-            for c in (0.2, 0.5, 0.8))
-        checks.append((f"sharpness/f-kp p={_fmt(p)}", worst <= 1e-8,
-                       f"max rel slack {_fmt(worst)}"))
+    for name, quantity in (("f-over-z", BoundQuantity.DIRICHLET_F_OVER_Z),
+                           ("f", BoundQuantity.DIRICHLET_F)):
+        for p in P_GRID:
+            worst = _worst(quantity, [_kp_member(p, order=128)],
+                           [c * p for c in (0.2, 0.5, 0.8)])
+            checks.append((f"sharpness/{name}-kp p={_fmt(p)}", worst <= 1e-8,
+                           f"max rel slack {_fmt(worst)}"))
     margin = min(
         max_dirichlet_zf_sigma_p(r, p) - max_dirichlet_zf_up_lambda(r, p, 1.0)
         for p in P_GRID for r in R_GRID)
@@ -240,19 +235,15 @@ def _suite_criteria():
 def _suite_limits():
     p, r = 0.999, 0.5
     checks = []
-    gap = _rel(max_dirichlet_zf_sigma_p(r, p), s_class_dirichlet_zf_max(r))
-    checks.append(("limits/zf-approaches-analytic-class", gap <= 2e-3,
-                   f"rel gap {_fmt(gap)} at p={_fmt(p)}"))
-    gap = _rel(max_dirichlet_f_over_z(r, p), s_class_dirichlet_f_over_z_max(r))
-    checks.append(("limits/f-over-z-approaches-analytic-class", gap <= 1e-2,
-                   f"rel gap {_fmt(gap)} at p={_fmt(p)}"))
-    gap = _rel(max_dirichlet_f(r, p), s_class_dirichlet_f_max(r))
-    checks.append(("limits/f-approaches-analytic-class", gap <= 1e-2,
-                   f"rel gap {_fmt(gap)} at p={_fmt(p)}"))
-    gap = _rel(l1_bound(ClassSpec(ClassKind.SIGMA_P, p=p), r),
-               l1_bound(ClassSpec(ClassKind.S), r))
-    checks.append(("limits/l1-approaches-analytic-class", gap <= 1e-5,
-                   f"rel gap {_fmt(gap)} at p={_fmt(p)}"))
+    for name, pole_class, analytic, tolerance in (
+            ("zf", max_dirichlet_zf_sigma_p(r, p), s_class_dirichlet_zf_max(r), 2e-3),
+            ("f-over-z", max_dirichlet_f_over_z(r, p), s_class_dirichlet_f_over_z_max(r), 1e-2),
+            ("f", max_dirichlet_f(r, p), s_class_dirichlet_f_max(r), 1e-2),
+            ("l1", l1_bound(ClassSpec(ClassKind.SIGMA_P, p=p), r),
+             l1_bound(ClassSpec(ClassKind.S), r), 1e-5)):
+        gap = _rel(pole_class, analytic)
+        checks.append((f"limits/{name}-approaches-analytic-class", gap <= tolerance,
+                       f"rel gap {_fmt(gap)} at p={_fmt(p)}"))
     return checks
 
 
@@ -282,61 +273,29 @@ def _cmd_verify(args) -> int:
 
 def _cmd_table(args) -> int:
     quantities = [BoundQuantity(q.upper()) for q in args.quantity]
-    for p in args.p:
-        if not 0.0 < p < 1.0:
-            print(f"error: pole {p!r} outside (0, 1)", file=sys.stderr)
-            return 2
-    for r in args.r:
-        if not 0.0 < r <= 1.0:
-            print(f"error: radius {r!r} outside (0, 1]", file=sys.stderr)
-            return 2
-    for lam in args.lam:
-        if not 0.0 < lam <= 1.0:
-            print(f"error: lambda {lam!r} outside (0, 1]", file=sys.stderr)
-            return 2
-    if args.order < 2:
-        print("error: order must be at least 2", file=sys.stderr)
+    try:  # the class specs and builders validate p, lambda and the order
+        members = []
+        for p in args.p:
+            members.append(_kp_member(p, args.order))
+            members.extend(_fp_member(p, lam, args.order) for lam in args.lam)
+        members.append((ClassSpec(ClassKind.S), build_koebe_rotation(0.0, args.order)))
+        for r in args.r:
+            check_radius(r)
+    except BadParameter as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
 
     rows = []
-    skipped: dict[str, int] = {}
+    skipped = Counter()
     for quantity in quantities:
-        if quantity in (BoundQuantity.DIRICHLET_ZF, BoundQuantity.L1):
-            for p in args.p:
-                kp = build_kp(p, args.order)
-                spec = ClassSpec(ClassKind.SIGMA_P, p=p)
-                for r in args.r:
-                    rows.append((quantity.value, ClassKind.SIGMA_P.value, p, None, r,
-                                 check_bound(kp, spec, quantity, r)))
-                for lam in args.lam:
-                    fp = build_fp(p, lam, args.order)
-                    spec_l = ClassSpec(ClassKind.U_P_LAMBDA, p=p, lam=lam)
-                    for r in args.r:
-                        rows.append((quantity.value, ClassKind.U_P_LAMBDA.value, p, lam, r,
-                                     check_bound(fp, spec_l, quantity, r)))
-            if quantity is BoundQuantity.L1:
-                koebe = build_koebe_rotation(0.0, args.order)
-                spec_s = ClassSpec(ClassKind.S)
-                for r in args.r:
-                    rows.append((quantity.value, ClassKind.S.value, None, None, r,
-                                 check_bound(koebe, spec_s, quantity, r)))
-        else:
-            # f-route integrals only make sense strictly inside the pole
-            for p in args.p:
-                kp = build_kp(p, args.order)
-                spec = ClassSpec(ClassKind.SIGMA_P, p=p)
-                for r in args.r:
-                    if r >= p:
-                        skipped[quantity.value] = skipped.get(quantity.value, 0) + 1
-                        continue
-                    if quantity is BoundQuantity.DIRICHLET_F:
-                        computed = dirichlet_f_series(kp, r).value
-                        bound = max_dirichlet_f(r, p)
-                    else:
-                        computed = dirichlet_f_over_z_series(kp, r).value
-                        bound = max_dirichlet_f_over_z(r, p)
-                    rows.append((quantity.value, ClassKind.SIGMA_P.value, p, None, r,
-                                 build_report(quantity.value, computed, bound, r, spec)))
+        for spec, f in members:
+            if spec.kind not in _TABLE_CLASSES[quantity]:
+                continue
+            for r in args.r:
+                try:
+                    rows.append(check_bound(f, spec, quantity, r))
+                except RadiusBeyondPole:  # the f and f/z integrals need r < p
+                    skipped[quantity.value] += 1
 
     for name in sorted(skipped):
         print(f"note: {name} requires r < p; skipped {skipped[name]} combinations",
@@ -345,15 +304,16 @@ def _cmd_table(args) -> int:
         print("error: the sweep produced no rows", file=sys.stderr)
         return 2
 
-    rows.sort(key=lambda row: (row[0], row[1],
-                               -1.0 if row[2] is None else row[2],
-                               -1.0 if row[3] is None else row[3], row[4]))
+    rows.sort(key=lambda rep: (rep.quantity, rep.class_spec.kind.value,
+                               -1.0 if rep.class_spec.p is None else rep.class_spec.p,
+                               -1.0 if rep.class_spec.lam is None else rep.class_spec.lam,
+                               rep.r))
     lines = [_TABLE_HEADER]
-    for quantity, kind, p, lam, r, report in rows:
+    for rep in rows:
+        spec = rep.class_spec
         lines.append(",".join([
-            quantity, kind, _fmt(p), _fmt(lam), _fmt(r),
-            _fmt(report.computed), _fmt(report.bound), _fmt(report.slack),
-            _fmt(report.sharp),
+            rep.quantity, spec.kind.value, _fmt(spec.p), _fmt(spec.lam), _fmt(rep.r),
+            _fmt(rep.computed), _fmt(rep.bound), _fmt(rep.slack), _fmt(rep.sharp),
         ]))
     text = "\n".join(lines) + "\n"
     if args.out is None:
@@ -370,13 +330,9 @@ def _cmd_table(args) -> int:
 
 # ---- check ---------------------------------------------------------------------
 
-_POLE_KINDS = (ClassKind.SIGMA_P, ClassKind.U_P_LAMBDA, ClassKind.CO_P,
-               ClassKind.SIGMA_STAR_P)
-
-
 def _cmd_check(args) -> int:
     try:
-        spec = ClassSpec(ClassKind(args.klass.upper()), p=args.p, lam=args.lam, w0=args.w0)
+        spec = ClassSpec(ClassKind(args.klass.upper()), p=args.p, lam=args.lam)
     except (ValueError, MeroboundsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -393,20 +349,12 @@ def _cmd_check(args) -> int:
     functions = []
     for i, row in enumerate(raw, start=1):
         try:
-            functions.append(from_csv_row(row))
+            f = from_csv_row(row)
+            spec.match(f)
         except MeroboundsError as exc:
             print(f"error: row {i}: {exc}", file=sys.stderr)
             return 2
-    for i, f in enumerate(functions, start=1):
-        if spec.kind is ClassKind.S:
-            if f.pole is not None:
-                print(f"error: row {i} declares a pole but class S forbids one",
-                      file=sys.stderr)
-                return 2
-        elif f.pole is None or abs(f.pole - spec.p) > _POLE_MATCH_TOL:
-            print(f"error: row {i} pole {f.pole!r} does not match class pole {spec.p!r}",
-                  file=sys.stderr)
-            return 2
+        functions.append(f)
 
     disproved = False
     for i, f in enumerate(functions, start=1):
@@ -433,7 +381,7 @@ def _cmd_check(args) -> int:
             else:
                 print(f"row {i} WARN membership: sup ratio {_fmt(member.value)} > "
                       f"{_fmt(member.threshold)} near {_fmtc(member.witness)}")
-        if spec.kind in _POLE_KINDS:
+        if spec.p is not None:
             try:
                 crit = univalence_criterion(f)
             except BadParameter as exc:
@@ -489,7 +437,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        choices=[k.value.lower() for k in ClassKind])
     check.add_argument("--p", type=float, default=None)
     check.add_argument("--lambda", dest="lam", type=float, default=None)
-    check.add_argument("--w0", type=float, default=None)
     check.set_defaults(func=_cmd_check)
     return parser
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadParameter, NoPole
+from .errors import BadParameter, NoPole, check_lambda, check_pole
 from .functions import NO_POLE, PoleFunction, mu
 from .series import TruncatedSeries
 
@@ -49,8 +49,8 @@ class DiskGrid:
             raise BadParameter("radial_count must be at least 1")
         if self.angular_count < 1:
             raise BadParameter("angular_count must be at least 1")
-        if self.pole is not None and not 0.0 < self.pole < 1.0:
-            raise BadParameter(f"pole must lie in (0, 1), got {self.pole}")
+        if self.pole is not None:
+            check_pole(self.pole)
         if self.pole_guard < 0.0:
             raise BadParameter("pole_guard must be nonnegative")
         if self.radii().size == 0:
@@ -119,8 +119,7 @@ def up_lambda_membership(f: PoleFunction, lam: float,
     """
     if f.pole is NO_POLE:
         raise NoPole("membership scan needs a declared pole")
-    if not 0.0 < lam <= 1.0:
-        raise BadParameter(f"lambda must lie in (0, 1], got {lam}")
+    check_lambda(lam)
     if grid is None:
         grid = DiskGrid(pole=f.pole)
     z = grid.points()

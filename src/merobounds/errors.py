@@ -43,3 +43,34 @@ class NoPole(MeroboundsError, ValueError):
 
 class ClassMismatch(MeroboundsError, ValueError):
     """Function data is inconsistent with the asserted function class."""
+
+
+# ---- domain validators: each test reads ``not <in range>``, so NaN fails it too ----
+
+def check_pole(p: float) -> None:
+    if not 0.0 < p < 1.0:
+        raise BadParameter(f"pole location {p!r} outside (0, 1)")
+
+
+def check_radius(r: float) -> None:
+    if not 0.0 < r <= 1.0:
+        raise BadRadius(f"radius {r!r} outside (0, 1]")
+
+
+def check_lambda(lam: float) -> None:
+    if not 0.0 < lam <= 1.0:
+        raise BadParameter(f"lambda {lam!r} outside (0, 1]")
+
+
+def check_order(order: int) -> None:
+    if not order >= 2:
+        raise BadParameter("order must be at least 2 to hold the z/f polynomial")
+
+
+def check_inside_pole(r: float, p: float) -> None:
+    """A radius strictly inside the pole, where expansions of f converge."""
+    check_pole(p)
+    if not 0.0 < r:
+        raise BadRadius(f"radius {r!r} outside (0, 1]")
+    if not r < p:
+        raise RadiusBeyondPole(f"radius {r!r} reaches the pole at {p!r}")

@@ -16,7 +16,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import BadParameter, PoleMismatch
+from .errors import (BadParameter, ClassMismatch, PoleMismatch, check_lambda, check_order,
+                     check_pole)
 from .series import DEFAULT_ORDER, TruncatedSeries
 
 #: Sentinel for functions with no pole (analytic on the whole disk).
@@ -25,14 +26,16 @@ NO_POLE = None
 #: Absolute tolerance for "the declared pole is a root of z/f".
 POLE_RESIDUAL_TOL = 1e-8
 
+#: Largest distance between a function's pole and its class's pole.
+POLE_MATCH_TOL = 1e-12
+
 
 def mu(p: float) -> float:
     """Pole-dependent criterion constant ((1 - p) / (1 + p))**2.
 
     Strictly decreasing in p, with values in (0, 1) for p in (0, 1).
     """
-    if not 0.0 < p < 1.0:
-        raise BadParameter(f"pole location {p!r} outside (0, 1)")
+    check_pole(p)
     return ((1.0 - p) / (1.0 + p)) ** 2
 
 
@@ -42,25 +45,22 @@ class ClassKind(str, Enum):
     SIGMA_P = "SIGMA_P"            # univalent, one simple pole at p
     U_P_LAMBDA = "U_P_LAMBDA"      # pole at p, residual functional below lambda * mu
     S = "S"                        # analytic univalent, no pole
-    CO_P = "CO_P"                  # concave univalent with pole at p
-    SIGMA_STAR_P = "SIGMA_STAR_P"  # starlike w.r.t. an omitted value w0
 
 
-_POLE_KINDS = {ClassKind.SIGMA_P, ClassKind.U_P_LAMBDA, ClassKind.CO_P, ClassKind.SIGMA_STAR_P}
+_POLE_KINDS = {ClassKind.SIGMA_P, ClassKind.U_P_LAMBDA}
 
 
 @dataclass(frozen=True)
 class ClassSpec:
     """A function class together with its parameters.
 
-    ``lam`` is present exactly for U_P_LAMBDA (0 < lam <= 1), ``w0`` exactly
-    for SIGMA_STAR_P, where it must lie in [-p/(1-p)**2, -p/(1+p)**2].
+    ``p`` is present exactly for the pole classes (0 < p < 1), ``lam``
+    exactly for U_P_LAMBDA (0 < lam <= 1).
     """
 
     kind: ClassKind
     p: Optional[float] = None
     lam: Optional[float] = None
-    w0: Optional[float] = None
 
     def __post_init__(self):
         kind = ClassKind(self.kind)
@@ -68,26 +68,24 @@ class ClassSpec:
         if kind in _POLE_KINDS:
             if self.p is None:
                 raise BadParameter(f"class {kind.value} needs a pole location")
-            if not 0.0 < self.p < 1.0:
-                raise BadParameter(f"pole location {self.p!r} outside (0, 1)")
+            check_pole(self.p)
         elif self.p is not None:
             raise BadParameter("class S admits no pole parameter")
         if kind is ClassKind.U_P_LAMBDA:
             if self.lam is None:
                 raise BadParameter("class U_P_LAMBDA needs lambda")
-            if not 0.0 < self.lam <= 1.0:
-                raise BadParameter(f"lambda {self.lam!r} outside (0, 1]")
+            check_lambda(self.lam)
         elif self.lam is not None:
             raise BadParameter(f"class {kind.value} admits no lambda parameter")
-        if kind is ClassKind.SIGMA_STAR_P:
-            if self.w0 is None:
-                raise BadParameter("class SIGMA_STAR_P needs the omitted value w0")
-            lo = -self.p / (1.0 - self.p) ** 2
-            hi = -self.p / (1.0 + self.p) ** 2
-            if not lo <= self.w0 <= hi:
-                raise BadParameter(f"w0 {self.w0!r} outside [{lo!r}, {hi!r}]")
-        elif self.w0 is not None:
-            raise BadParameter(f"class {kind.value} admits no w0 parameter")
+
+    def match(self, f: "PoleFunction") -> None:
+        """Raise ClassMismatch unless f has this class's pole (within
+        POLE_MATCH_TOL), or no pole for class S."""
+        if self.p is None:
+            if f.pole is not None:
+                raise ClassMismatch(f"function has a pole at {f.pole!r} but class S forbids one")
+        elif f.pole is None or abs(f.pole - self.p) > POLE_MATCH_TOL:
+            raise ClassMismatch(f"function pole {f.pole!r} does not match class pole {self.p!r}")
 
 
 @dataclass(frozen=True)
@@ -106,8 +104,7 @@ class PoleFunction:
         if self.inv_series[0] != 1.0 + 0.0j:
             raise BadParameter("z/f series must start with constant term 1")
         if self.pole is not None:
-            if not 0.0 < self.pole < 1.0:
-                raise BadParameter(f"pole location {self.pole!r} outside (0, 1)")
+            check_pole(self.pole)
             residual = abs(self.inv_series.evaluate(self.pole))
             if residual > POLE_RESIDUAL_TOL:
                 raise PoleMismatch(
@@ -132,22 +129,17 @@ def build_kp(p: float, order: int = DEFAULT_ORDER) -> PoleFunction:
     Maps the disk onto the complement of a straight slit and attains the
     sharp coefficient and Dirichlet-growth bounds for the pole class.
     """
-    if not 0.0 < p < 1.0:
-        raise BadParameter(f"pole location {p!r} outside (0, 1)")
-    if order < 2:
-        raise BadParameter("order must be at least 2 to hold the z/f polynomial")
+    check_pole(p)
+    check_order(order)
     return PoleFunction(_padded([1.0, -(1.0 / p + p), 1.0], order), pole=p)
 
 
 def build_fp(p: float, lam: float, order: int = DEFAULT_ORDER) -> PoleFunction:
     """Extremal member of the residual-functional class:
     z/f = 1 - (1/p + lam*mu*p) z + lam*mu z**2."""
-    if not 0.0 < p < 1.0:
-        raise BadParameter(f"pole location {p!r} outside (0, 1)")
-    if not 0.0 < lam <= 1.0:
-        raise BadParameter(f"lambda {lam!r} outside (0, 1]")
-    if order < 2:
-        raise BadParameter("order must be at least 2 to hold the z/f polynomial")
+    check_pole(p)
+    check_lambda(lam)
+    check_order(order)
     m = lam * mu(p)
     return PoleFunction(_padded([1.0, -(1.0 / p + m * p), m], order), pole=p)
 
@@ -159,8 +151,7 @@ def build_koebe_rotation(theta: float, order: int = DEFAULT_ORDER) -> PoleFuncti
     """
     if not math.isfinite(theta):
         raise BadParameter("rotation angle must be finite")
-    if order < 2:
-        raise BadParameter("order must be at least 2 to hold the z/f polynomial")
+    check_order(order)
     w = cmath.exp(1j * theta)
     return PoleFunction(_padded([1.0, -2.0 * w, w * w], order), pole=NO_POLE)
 

@@ -29,10 +29,11 @@ import numpy as np
 
 from .errors import (
     BadParameter,
-    BadRadius,
     CircleThroughPole,
     PoleInDomain,
-    RadiusBeyondPole,
+    check_inside_pole,
+    check_pole,
+    check_radius,
 )
 from .functions import PoleFunction, f_over_z_series
 from .series import TruncatedSeries
@@ -93,11 +94,6 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _check_radius(r: float) -> None:
-    if not 0.0 < r <= 1.0:
-        raise BadRadius(f"radius {r!r} outside (0, 1]")
-
-
 def _dirichlet_tail(coeffs: np.ndarray, r: float, ratio: float) -> float:
     """pi * (N+1) |c_N|^2 r^(2N+2) / (1 - ratio), the geometric-decay tail
     scale for sum n |c_n|^2 r^(2n); ratio is the term-to-term factor."""
@@ -114,7 +110,7 @@ def _dirichlet_tail(coeffs: np.ndarray, r: float, ratio: float) -> float:
 
 def dirichlet_series(g: TruncatedSeries, r: float) -> IntegralResult:
     """Coefficient-sum route: pi * sum n |c_n|^2 r^(2n)."""
-    _check_radius(r)
+    check_radius(r)
     value = 0.0 if g.order == 0 else math.pi * g.weighted_coefficient_sum(1.0, r, start_index=1)
     tail = _dirichlet_tail(g.coefficients, r, r * r)
     return IntegralResult(value, Method.SERIES, r, IntegralKind.DIRICHLET, tail)
@@ -135,12 +131,11 @@ def dirichlet_quadrature(
     location may be declared; the integration disk of radius r plus the
     configured guard band must not reach it.
     """
-    _check_radius(r)
+    check_radius(r)
     if config is None:
         config = QuadratureConfig()
     if pole is not None:
-        if not 0.0 < pole < 1.0:
-            raise BadParameter(f"pole location {pole!r} outside (0, 1)")
+        check_pole(pole)
         if r + config.pole_exclusion_radius > pole:
             raise PoleInDomain(
                 f"disk of radius {r!r} plus guard {config.pole_exclusion_radius!r} "
@@ -168,15 +163,25 @@ def dirichlet_quadrature(
     return IntegralResult(value, Method.QUADRATURE, r, IntegralKind.DIRICHLET)
 
 
-def _require_inside_pole(f: PoleFunction, r: float) -> None:
-    if r <= 0.0:
-        raise BadRadius(f"radius {r!r} outside (0, 1]")
-    if f.pole is not None and r >= f.pole:
-        raise RadiusBeyondPole(
-            f"radius {r!r} reaches the pole at {f.pole!r}; "
-            "the expansion of f only converges strictly inside it"
-        )
-    _check_radius(r)
+def _dirichlet_f_route(
+    f: PoleFunction, r: float, order: Optional[int], shift: int
+) -> IntegralResult:
+    """Dirichlet integral of z**shift * (f/z) via its Taylor coefficients:
+    shift 0 gives f/z, shift 1 gives f = z * (f/z).  For functions with a
+    pole the radius must stay strictly below it, where the expansion of f
+    converges."""
+    if f.pole is None:
+        check_radius(r)
+        ratio = r * r
+    else:
+        check_inside_pole(r, f.pole)
+        ratio = (r / f.pole) ** 2
+    g = f_over_z_series(f, order)
+    if shift:
+        g = TruncatedSeries(np.concatenate((np.zeros(shift), g.coefficients)))
+    value = math.pi * g.weighted_coefficient_sum(1.0, r, start_index=1)
+    tail = _dirichlet_tail(g.coefficients, r, ratio)
+    return IntegralResult(value, Method.SERIES, r, IntegralKind.DIRICHLET, tail)
 
 
 def dirichlet_f_over_z_series(
@@ -186,32 +191,19 @@ def dirichlet_f_over_z_series(
 
     For functions with a pole the radius must stay strictly below it.
     """
-    _require_inside_pole(f, r)
-    d = f_over_z_series(f, order)
-    value = math.pi * d.weighted_coefficient_sum(1.0, r, start_index=1)
-    ratio = (r / f.pole) ** 2 if f.pole is not None else r * r
-    tail = _dirichlet_tail(d.coefficients, r, ratio)
-    return IntegralResult(value, Method.SERIES, r, IntegralKind.DIRICHLET, tail)
+    return _dirichlet_f_route(f, r, order, shift=0)
 
 
 def dirichlet_f_series(f: PoleFunction, r: float, order: Optional[int] = None) -> IntegralResult:
     """Dirichlet integral of f itself via its Taylor coefficients."""
-    _require_inside_pole(f, r)
-    d = f_over_z_series(f, order)
-    shifted = np.zeros(len(d.coefficients) + 1, dtype=np.complex128)
-    shifted[1:] = d.coefficients
-    g = TruncatedSeries(shifted)
-    value = math.pi * g.weighted_coefficient_sum(1.0, r, start_index=1)
-    ratio = (r / f.pole) ** 2 if f.pole is not None else r * r
-    tail = _dirichlet_tail(g.coefficients, r, ratio)
-    return IntegralResult(value, Method.SERIES, r, IntegralKind.DIRICHLET, tail)
+    return _dirichlet_f_route(f, r, order, shift=1)
 
 
 # ---- quadratic integral mean ---------------------------------------------------
 
 def l1_mean_series(f: PoleFunction, r: float) -> IntegralResult:
     """Parseval route: 1 + sum_{n>=1} |b_n|^2 r^(2n) over the z/f coefficients."""
-    _check_radius(r)
+    check_radius(r)
     value = 1.0 + f.inv_series.weighted_coefficient_sum(0.0, r, start_index=1)
     coeffs = f.inv_series.coefficients
     n = len(coeffs) - 1
@@ -239,7 +231,7 @@ def l1_mean_quadrature(
     the mean of r^2/|f|^2 is formed from f directly; that diagnostic route
     refuses circles inside the guard band around the pole.
     """
-    _check_radius(r)
+    check_radius(r)
     if config is None:
         config = QuadratureConfig()
     theta = 2.0 * np.pi * np.arange(config.angular_nodes) / config.angular_nodes

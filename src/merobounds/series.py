@@ -12,7 +12,7 @@ from typing import Iterable, Union
 
 import numpy as np
 
-from .errors import BadParameter, BadRadius, NearZeroConstantTerm, OrderUnderflow
+from .errors import BadParameter, NearZeroConstantTerm, OrderUnderflow, check_radius
 
 #: Truncation order used by the canonical constructors.
 DEFAULT_ORDER = 64
@@ -126,12 +126,6 @@ class TruncatedSeries:
             c = c[1:] * np.arange(1, len(c), dtype=np.float64)
         return TruncatedSeries(c)
 
-    def antiderivative(self) -> "TruncatedSeries":
-        """Term-by-term antiderivative with zero constant term."""
-        out = np.zeros(len(self._coeffs) + 1, dtype=np.complex128)
-        out[1:] = self._coeffs / np.arange(1, len(self._coeffs) + 1, dtype=np.float64)
-        return TruncatedSeries(out)
-
     def truncate(self, order: int) -> "TruncatedSeries":
         """Drop every coefficient past ``order`` (which must not exceed the
         current order: unknown tail coefficients are never fabricated)."""
@@ -162,8 +156,7 @@ class TruncatedSeries:
             BadRadius: if r is outside (0, 1].
             BadParameter: if ``start_index`` is outside [0, order].
         """
-        if not 0.0 < r <= 1.0:
-            raise BadRadius(f"radius {r!r} outside (0, 1]")
+        check_radius(r)
         if not 0 <= start_index <= self.order:
             raise BadParameter(
                 f"start index {start_index} outside [0, {self.order}]"

@@ -21,6 +21,7 @@ from merobounds.functions import (
 )
 from merobounds.integrals import dirichlet_f_over_z_series, dirichlet_f_series, dirichlet_series, l1_mean_series
 from merobounds.bounds import (
+    _SHARP_MAXIMA,
     BoundQuantity,
     build_report,
     check_bound,
@@ -207,8 +208,6 @@ def test_l1_bound_dispatch():
     sigma = ClassSpec(ClassKind.SIGMA_P, p=0.5)
     want_sigma = 1.0 + 6.25 * 0.25 + 0.0625
     assert l1_bound(sigma, r) == pytest.approx(want_sigma, rel=1e-15)
-    assert l1_bound(ClassSpec(ClassKind.CO_P, p=0.5), r) == l1_bound(sigma, r)
-    assert l1_bound(ClassSpec(ClassKind.SIGMA_STAR_P, p=0.5, w0=-0.5), r) == l1_bound(sigma, r)
     assert l1_bound(ClassSpec(ClassKind.S), r) == pytest.approx(2.0625, rel=1e-15)
     u = ClassSpec(ClassKind.U_P_LAMBDA, p=0.5, lam=0.5)
     m = 0.5 * mu(0.5)
@@ -296,7 +295,42 @@ def test_check_bound_class_mismatch():
                     BoundQuantity.L1, 0.5)
 
 
-def test_check_bound_quantity_dispatch_guard():
-    with pytest.raises(BadParameter):
-        check_bound(build_kp(0.5), ClassSpec(ClassKind.SIGMA_P, p=0.5),
-                    BoundQuantity.DIRICHLET_F, 0.2)
+# each class's extremal function, at order 128 so that the f and f/z series
+# are exact to roundoff at the radii below
+EXTREMALS = {
+    ClassKind.SIGMA_P: (ClassSpec(ClassKind.SIGMA_P, p=0.5), build_kp(0.5, order=128)),
+    ClassKind.U_P_LAMBDA: (ClassSpec(ClassKind.U_P_LAMBDA, p=0.5, lam=0.5),
+                           build_fp(0.5, 0.5, order=128)),
+    ClassKind.S: (ClassSpec(ClassKind.S), build_koebe_rotation(0.0, order=128)),
+}
+F_ROUTES = (BoundQuantity.DIRICHLET_F, BoundQuantity.DIRICHLET_F_OVER_Z)
+
+
+def test_check_bound_reports_sharp_for_every_dispatch_pair():
+    assert set(_SHARP_MAXIMA) == (
+        {(kind, q) for kind in (ClassKind.SIGMA_P, ClassKind.S) for q in BoundQuantity}
+        | {(ClassKind.U_P_LAMBDA, BoundQuantity.DIRICHLET_ZF),
+           (ClassKind.U_P_LAMBDA, BoundQuantity.L1)})
+    for kind, quantity in _SHARP_MAXIMA:
+        spec, f = EXTREMALS[kind]
+        for r in (0.1, 0.25, 0.4) if kind is not ClassKind.S else (0.25, 0.5):
+            rep = check_bound(f, spec, quantity, r)
+            assert rep.quantity == quantity.value and rep.class_spec == spec
+            assert rep.sharp, (kind, quantity, r, rep)
+
+
+def test_check_bound_has_no_f_route_bound_for_the_residual_class():
+    spec, f = EXTREMALS[ClassKind.U_P_LAMBDA]
+    for quantity in F_ROUTES:
+        for r in (0.2, 0.75):
+            with pytest.raises(BadParameter) as info:
+                check_bound(f, spec, quantity, r)
+            assert not isinstance(info.value, RadiusBeyondPole)
+
+
+def test_check_bound_f_routes_refuse_radii_beyond_the_pole():
+    spec, f = EXTREMALS[ClassKind.SIGMA_P]
+    for quantity in F_ROUTES:
+        for r in (0.5, 0.75, 1.0):
+            with pytest.raises(RadiusBeyondPole):
+                check_bound(f, spec, quantity, r)

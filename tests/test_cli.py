@@ -27,6 +27,8 @@ def test_fmt_uses_scientific_below_the_threshold():
     assert _fmt(5e-5) == "5e-05"
     assert _fmt(0.0001234) == "0.0001234"
     assert _fmt(0.2) == "0.2"
+    assert _fmt(999999999999.0) == "999999999999"
+    assert _fmt(1e12) == "1e+12"
 
 
 def test_fmt_keeps_twelve_significant_digits():
@@ -83,6 +85,18 @@ def test_table_emits_the_documented_header(capsys):
     assert all(line.endswith(",true") for line in lines[1:])
 
 
+def test_table_matches_the_golden_output(capsys):
+    # every quantity x class row, mixed lambda, r = 1 and both f-route
+    # skip notes; the data files hold the reference implementation's output
+    code, out, err = run_cli(capsys, "table", "--p", "0.35", "0.8",
+                             "--r", "0.1", "0.3", "0.5", "0.7", "1.0",
+                             "--lambda", "0.5", "1.0", "--order", "128")
+    data = Path(__file__).parent / "data"
+    assert code == 0
+    assert out == (data / "table_sweep.txt").read_text()
+    assert err == (data / "table_sweep_stderr.txt").read_text()
+
+
 def test_table_rows_are_sorted_and_stable(capsys):
     args = ("table", "--p", "0.65", "0.2", "--r", "0.75", "0.25", "--lambda", "1.0",
             "--quantity", "l1")
@@ -134,6 +148,9 @@ def test_table_unwritable_path_fails(capsys):
     ("table", "--r", "1.2"),
     ("table", "--lambda", "0.0"),
     ("table", "--order", "1"),
+    ("table", "--p", "nan"),
+    ("table", "--r", "nan"),
+    ("table", "--lambda", "nan"),
 ])
 def test_table_validates_numeric_arguments(argv, capsys):
     code, _, err = run_cli(capsys, *argv)
@@ -202,6 +219,7 @@ def test_check_s_class_skips_pole_criteria(tmp_path, capsys):
     (("check", "--in", "/nonexistent.csv", "--class", "s"), "cannot read"),
     (("check", "--in", "IN", "--class", "sigma_p"), "error:"),       # missing --p
     (("check", "--in", "IN", "--class", "s", "--p", "0.5"), "error:"),
+    (("check", "--in", "IN", "--class", "sigma_p", "--p", "nan"), "outside (0, 1)"),
 ])
 def test_check_rejects_bad_invocations(argv, needle, tmp_path, capsys):
     path = write_rows(tmp_path / "f.csv", [to_csv_row(build_koebe_rotation(0.0))])

@@ -176,8 +176,6 @@ def test_class_spec_happy_paths():
     ClassSpec(ClassKind.SIGMA_P, p=0.5)
     ClassSpec(ClassKind.U_P_LAMBDA, p=0.5, lam=1.0)
     ClassSpec(ClassKind.S)
-    ClassSpec(ClassKind.CO_P, p=0.25)
-    ClassSpec(ClassKind.SIGMA_STAR_P, p=0.5, w0=-0.5)
 
 
 @pytest.mark.parametrize(
@@ -190,22 +188,16 @@ def test_class_spec_happy_paths():
         dict(kind=ClassKind.U_P_LAMBDA, p=0.5, lam=0.0),            # lambda out of range
         dict(kind=ClassKind.U_P_LAMBDA, p=0.5, lam=1.5),
         dict(kind=ClassKind.S, p=0.5),                              # S has no pole
-        dict(kind=ClassKind.S, w0=-1.0),
-        dict(kind=ClassKind.CO_P, p=0.5, w0=-1.0),                  # stray w0
-        dict(kind=ClassKind.SIGMA_STAR_P, p=0.5),                   # missing w0
-        dict(kind=ClassKind.SIGMA_STAR_P, p=0.5, w0=-3.0),          # w0 below range
-        dict(kind=ClassKind.SIGMA_STAR_P, p=0.5, w0=-0.1),          # w0 above range
+        dict(kind=ClassKind.SIGMA_P, p=float("nan")),               # NaN fails every bound
+        dict(kind=ClassKind.U_P_LAMBDA, p=0.5, lam=float("nan")),
+        dict(kind=ClassKind.SIGMA_P, p=0.0),                        # open-interval endpoints
+        dict(kind=ClassKind.SIGMA_P, p=1.0),
+        dict(kind=ClassKind.S, lam=0.5),                            # S has no lambda
     ],
 )
 def test_class_spec_rejects(kwargs):
     with pytest.raises(BadParameter):
         ClassSpec(**kwargs)
-
-
-def test_sigma_star_w0_interval_endpoints():
-    p = 0.5
-    ClassSpec(ClassKind.SIGMA_STAR_P, p=p, w0=-p / (1 - p) ** 2)
-    ClassSpec(ClassKind.SIGMA_STAR_P, p=p, w0=-p / (1 + p) ** 2)
 
 
 # ---- CSV row form ------------------------------------------------------------------

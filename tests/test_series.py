@@ -134,7 +134,7 @@ def test_reciprocal_roundtrip_scale_relative():
         assert rel.max() <= 1e-12
 
 
-# ---- differentiate / antiderivative ---------------------------------------
+# ---- differentiate ---------------------------------------------------------
 
 def test_differentiate_matches_term_rule():
     rng = np.random.default_rng(3)
@@ -157,27 +157,6 @@ def test_differentiate_order_underflow():
         s.differentiate(times=2)
     with pytest.raises(BadParameter):
         s.differentiate(times=-1)
-
-
-def test_antiderivative_then_differentiate_roundtrip():
-    # c -> c/(n+1) -> back costs at most one rounding per component.
-    rng = np.random.default_rng(11)
-    for _ in range(50):
-        n = int(rng.integers(1, 70))
-        c = (rng.normal(size=n) + 1j * rng.normal(size=n)) * 10.0 ** rng.integers(-4, 5)
-        s = TruncatedSeries(c)
-        back = s.antiderivative().differentiate()
-        assert back.order == s.order
-        diff = np.abs(back.coefficients - s.coefficients)
-        tol = 2.0 * np.spacing(np.abs(s.coefficients))
-        assert np.all(diff <= tol)
-
-
-def test_antiderivative_constant_term_is_zero():
-    s = TruncatedSeries([3.0, 4.0]).antiderivative()
-    assert s[0] == 0j
-    assert s[1] == 3.0 + 0j
-    assert s[2] == 2.0 + 0j
 
 
 # ---- evaluate --------------------------------------------------------------
