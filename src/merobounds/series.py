@@ -34,16 +34,19 @@ class TruncatedSeries:
         BadParameter: on an empty vector or any non-finite entry.
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_coeffs", "_recip")
 
     def __init__(self, coefficients: Iterable[ComplexLike]):
-        arr = np.array(list(coefficients), dtype=np.complex128)
+        if not isinstance(coefficients, np.ndarray):
+            coefficients = list(coefficients)
+        arr = np.array(coefficients, dtype=np.complex128)
         if arr.ndim != 1 or arr.size == 0:
             raise BadParameter("a series needs a one-dimensional, non-empty coefficient vector")
         if not np.all(np.isfinite(arr)):
             raise BadParameter("series coefficients must be finite")
         arr.setflags(write=False)
         self._coeffs = arr
+        self._recip = None
 
     # ---- basic introspection -------------------------------------------
 
@@ -82,20 +85,20 @@ class TruncatedSeries:
         prod = np.convolve(self._coeffs, other._coeffs)[: order + 1]
         return TruncatedSeries(prod)
 
-    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return self.multiply(other)
-
     def reciprocal(self) -> "TruncatedSeries":
         """Multiplicative inverse to the same truncation order.
 
         Uses the standard recurrence r[0] = 1/c[0] and
-        ``r[n] = -(1/c[0]) * sum_{k=1..n} c[k] r[n-k]``.
+        ``r[n] = -(1/c[0]) * sum_{k=1..n} c[k] r[n-k]``.  The series is
+        immutable, so the result is kept and returned by later calls; a
+        call that raises keeps nothing.
 
         Raises:
             NearZeroConstantTerm: if ``|c[0]| < RECIPROCAL_FLOOR``.
+            BadParameter: if the recurrence overflows.
         """
+        if self._recip is not None:
+            return self._recip
         c = self._coeffs
         if abs(c[0]) < RECIPROCAL_FLOOR:
             raise NearZeroConstantTerm(
@@ -106,7 +109,8 @@ class TruncatedSeries:
         out[0] = lead
         for n in range(1, len(c)):
             out[n] = -lead * np.dot(c[1 : n + 1], out[n - 1 :: -1])
-        return TruncatedSeries(out)
+        self._recip = TruncatedSeries(out)
+        return self._recip
 
     def differentiate(self, times: int = 1) -> "TruncatedSeries":
         """Term-by-term derivative, dropping ``times`` orders.
@@ -128,19 +132,32 @@ class TruncatedSeries:
 
     def truncate(self, order: int) -> "TruncatedSeries":
         """Drop every coefficient past ``order`` (which must not exceed the
-        current order: unknown tail coefficients are never fabricated)."""
+        current order: unknown tail coefficients are never fabricated).
+        Truncating to the current order returns the series itself."""
         if not 0 <= order <= self.order:
             raise BadParameter(f"cannot truncate order-{self.order} series to order {order}")
+        if order == self.order:
+            return self
         return TruncatedSeries(self._coeffs[: order + 1])
 
     # ---- evaluation and coefficient functionals -------------------------
 
     def evaluate(self, z):
-        """Horner evaluation at a complex point or ndarray of points."""
+        """Horner evaluation at a complex point or ndarray of points.
+
+        Arrays of two or more points are stepped in place.  A single point
+        keeps the out-of-place step: numpy can round a one-element product
+        differently in place, and the result must not change in the last bit.
+        """
         pts = np.asarray(z, dtype=np.complex128)
         acc = np.full(pts.shape, self._coeffs[-1])
-        for c in self._coeffs[-2::-1]:
-            acc = acc * pts + c
+        if pts.size == 1:
+            for c in self._coeffs[-2::-1]:
+                acc = acc * pts + c
+        else:
+            for c in self._coeffs[-2::-1]:
+                acc *= pts
+                acc += c
         if np.ndim(z) == 0:
             return complex(acc)
         return acc

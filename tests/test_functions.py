@@ -146,6 +146,31 @@ def test_f_over_z_order_handling():
         f_over_z_series(f, order=11)
 
 
+def test_f_over_z_is_formed_once_per_function():
+    f = build_kp(0.35, order=128)
+    d = f_over_z_series(f)
+    assert f_over_z_series(f) is d
+    assert f_over_z_series(f, order=f.order) is d
+    fresh = TruncatedSeries(f.inv_series.coefficients.copy()).reciprocal()
+    assert np.array_equal(d.coefficients, fresh.coefficients)
+
+
+def test_f_over_z_lower_order_is_a_prefix_of_the_full_series():
+    f = build_fp(0.6, 0.5)
+    full = f_over_z_series(f)
+    part = f_over_z_series(f, 40)
+    assert part.order == 40
+    assert np.array_equal(part.coefficients, full.coefficients[:41])
+
+
+def test_f_over_z_overflow_raises_on_every_call():
+    # 1/p**n overflows before n = 450 at p = 0.2
+    f = build_kp(0.2, order=450)
+    for _ in range(2):
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(BadParameter):
+            f_over_z_series(f)
+
+
 def test_f_over_z_roundtrip_scale_relative():
     # (z/f) * (f/z) = 1, checked relative to the convolution term size since
     # the reciprocal coefficients grow like p**(-n).

@@ -78,8 +78,8 @@ def test_multiply_against_nested_loop():
 def test_multiply_truncates_to_shorter():
     a = TruncatedSeries([1, 1, 1, 1, 1])
     b = TruncatedSeries([1, -1])
-    assert (a * b).order == 1
-    assert np.allclose((a * b).coefficients, [1, 0])
+    assert a.multiply(b).order == 1
+    assert np.allclose(a.multiply(b).coefficients, [1, 0])
 
 
 @settings(max_examples=60, deadline=None)
@@ -87,7 +87,7 @@ def test_multiply_truncates_to_shorter():
        st.lists(bounded_complex, min_size=1, max_size=12))
 def test_multiply_commutes(xs, ys):
     a, b = TruncatedSeries(xs), TruncatedSeries(ys)
-    assert np.allclose((a * b).coefficients, (b * a).coefficients, rtol=0, atol=1e-12)
+    assert np.allclose(a.multiply(b).coefficients, b.multiply(a).coefficients, rtol=0, atol=1e-12)
 
 
 # ---- reciprocal -----------------------------------------------------------
@@ -134,6 +134,29 @@ def test_reciprocal_roundtrip_scale_relative():
         assert rel.max() <= 1e-12
 
 
+def test_reciprocal_is_kept_on_its_series():
+    rng = np.random.default_rng(29)
+    c = rng.normal(size=65) + 1j * rng.normal(size=65)
+    s = TruncatedSeries(c)
+    first = s.reciprocal()
+    assert s.reciprocal() is first
+    # the kept result is exactly what a fresh series computes
+    for fresh in (TruncatedSeries(c), TruncatedSeries(list(c))):
+        assert np.array_equal(first.coefficients, fresh.reciprocal().coefficients)
+
+
+def test_reciprocal_that_raises_keeps_nothing():
+    s = TruncatedSeries([1e-10, 1.0])
+    for _ in range(2):
+        with pytest.raises(NearZeroConstantTerm):
+            s.reciprocal()
+    # coefficients growing like 1e200**n overflow at n = 2
+    big = TruncatedSeries([1.0, -1e200, 0.0])
+    for _ in range(2):
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(BadParameter):
+            big.reciprocal()
+
+
 # ---- differentiate ---------------------------------------------------------
 
 def test_differentiate_matches_term_rule():
@@ -160,6 +183,32 @@ def test_differentiate_order_underflow():
 
 
 # ---- evaluate --------------------------------------------------------------
+
+def out_of_place_horner(coeffs, z):
+    """The Horner step as ``acc = acc * pts + c``, allocating every step."""
+    pts = np.asarray(z, dtype=np.complex128)
+    acc = np.full(pts.shape, coeffs[-1])
+    for c in coeffs[-2::-1]:
+        acc = acc * pts + c
+    return acc
+
+
+def test_evaluate_matches_out_of_place_horner_bit_for_bit():
+    rng = np.random.default_rng(31)
+    for _ in range(300):
+        n = int(rng.integers(1, 82))  # orders 0-80
+        s = TruncatedSeries(rng.normal(size=n) + 1j * rng.normal(size=n))
+        shape = (int(rng.integers(1, 40)),) if rng.random() < 0.5 else tuple(rng.integers(1, 12, size=2))
+        pts = rng.uniform(-1.2, 1.2, size=shape) + 1j * rng.uniform(-1.2, 1.2, size=shape)
+        for z in (pts, pts.T, pts.ravel()[:1]):
+            got = s.evaluate(z)
+            assert isinstance(got, np.ndarray) and got.shape == z.shape
+            assert np.array_equal(got, out_of_place_horner(s.coefficients, z))
+        z = complex(pts.flat[0])
+        got = s.evaluate(z)
+        assert type(got) is complex
+        assert got == complex(out_of_place_horner(s.coefficients, z))
+
 
 def test_evaluate_against_power_sum():
     rng = np.random.default_rng(5)
@@ -203,6 +252,21 @@ def test_truncate():
         s.truncate(9)
     with pytest.raises(BadParameter):
         s.truncate(-1)
+
+
+def test_truncate_to_own_order_is_the_series_itself():
+    s = TruncatedSeries([1, 2, 3, 4])
+    assert s.truncate(s.order) is s
+    assert s.truncate(2) is not s
+
+
+def test_array_input_is_copied_with_the_same_values():
+    arr = np.array([1.0, -2.5, 1.0], dtype=np.complex128)
+    s = TruncatedSeries(arr)
+    assert np.array_equal(s.coefficients, TruncatedSeries(list(arr)).coefficients)
+    assert s.coefficients.dtype == np.complex128
+    arr[0] = 7.0
+    assert s[0] == 1.0
 
 
 # ---- weighted coefficient sum ------------------------------------------------
