@@ -61,10 +61,9 @@ def build_report(
     bound: float,
     r: float,
     class_spec: Optional[ClassSpec] = None,
-    tolerance: float = SATISFACTION_TOL,
 ) -> BoundReport:
     slack = bound - computed
-    satisfied = slack >= -tolerance
+    satisfied = slack >= -SATISFACTION_TOL
     sharp = satisfied and abs(slack) <= SHARPNESS_RTOL * abs(bound)
     return BoundReport(quantity, computed, bound, slack, satisfied, sharp, r, class_spec)
 
@@ -81,18 +80,14 @@ def jenkins_bound(n: int, p: float) -> float:
     return (1.0 - p ** (2 * n)) / ((1.0 - p * p) * p ** (n - 1))
 
 
-def gronwall_check(f: PoleFunction, tolerance: float = SATISFACTION_TOL) -> BoundReport:
+def gronwall_check(f: PoleFunction) -> BoundReport:
     """Area-theorem consequence sum_{n>=2} (n-1) |b_n|**2 <= 1 on the z/f
-    coefficients.  A violation certifies that f is not univalent on the
-    disk, whatever its pole situation."""
+    coefficients (the empty sum 0 below order 2).  A violation certifies
+    that f is not univalent on the disk, whatever its pole situation."""
     coeffs = f.inv_series.coefficients
-    if len(coeffs) > 2:
-        weights = np.arange(1, len(coeffs) - 1, dtype=np.float64)
-        computed = float(np.sum(weights * np.abs(coeffs[2:]) ** 2))
-    else:
-        computed = 0.0
-    return build_report("GRONWALL", computed, 1.0, r=1.0,
-                        class_spec=None, tolerance=tolerance)
+    weights = np.arange(1, len(coeffs) - 1, dtype=np.float64)
+    computed = float(np.sum(weights * np.abs(coeffs[2:]) ** 2))
+    return build_report("GRONWALL", computed, 1.0, r=1.0)
 
 
 def lemma1_check(f: PoleFunction, lam: float, t: float, r: float) -> BoundReport:

@@ -144,32 +144,20 @@ def _suite_sharpness():
 def _suite_oracles():
     checks = []
     radii = (0.25, 0.5, 0.75, 0.95)
-    for p in P_GRID:
-        f = build_kp(p)
-        worst = max(
-            _rel(dirichlet_quadrature(f.inv_series, r).value,
-                 dirichlet_series(f.inv_series, r).value)
-            for r in radii)
-        checks.append((f"oracles/zf-quadrature-kp p={_fmt(p)}", worst <= 1e-8,
-                       f"max rel gap {_fmt(worst)}"))
-    for p in P_GRID:
-        f = build_kp(p)
-        worst = max(
-            _rel(l1_mean_quadrature(f, r).value, l1_mean_series(f, r).value)
-            for r in radii)
-        checks.append((f"oracles/l1-quadrature-kp p={_fmt(p)}", worst <= 1e-10,
-                       f"max rel gap {_fmt(worst)}"))
-    koebe = build_koebe_rotation(0.0)
-    worst = max(
-        _rel(l1_mean_quadrature(koebe, r).value, l1_mean_series(koebe, r).value)
-        for r in radii)
-    checks.append(("oracles/l1-quadrature-koebe", worst <= 1e-10,
-                   f"max rel gap {_fmt(worst)}"))
+    zf = (lambda f, r: dirichlet_quadrature(f.inv_series, r),
+          lambda f, r: dirichlet_series(f.inv_series, r))
+    l1 = (l1_mean_quadrature, l1_mean_series)
+    cases = [*((f"zf-quadrature-kp p={_fmt(p)}", zf, build_kp(p), 1e-8) for p in P_GRID),
+             *((f"l1-quadrature-kp p={_fmt(p)}", l1, build_kp(p), 1e-10) for p in P_GRID),
+             ("l1-quadrature-koebe", l1, build_koebe_rotation(0.0), 1e-10)]
+    for name, (quadrature, series), f, tolerance in cases:
+        worst = max(_rel(quadrature(f, r).value, series(f, r).value) for r in radii)
+        checks.append((f"oracles/{name}", worst <= tolerance, f"max rel gap {_fmt(worst)}"))
     dense = QuadratureConfig(radial_nodes=160, angular_nodes=256)
     for p in P_GRID:
         f = build_kp(p, order=128)
         r = 0.5 * p
-        quad = dirichlet_quadrature(f_over_z_series(f, 128), r, dense, pole=f.pole).value
+        quad = dirichlet_quadrature(f_over_z_series(f), r, dense, pole=f.pole).value
         gap = _rel(quad, max_dirichlet_f_over_z(r, p))
         checks.append((f"oracles/f-over-z-quadrature-kp p={_fmt(p)}", gap <= 1e-8,
                        f"rel gap {_fmt(gap)} at r={_fmt(r)}"))

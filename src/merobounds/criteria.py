@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadParameter, NoPole, check_lambda, check_pole
-from .functions import NO_POLE, PoleFunction, mu
+from .functions import NO_POLE, POLE_GUARD, PoleFunction, mu
 from .series import TruncatedSeries
 
 MEMBERSHIP_TOL = 1e-12
@@ -40,7 +40,7 @@ class DiskGrid:
     radial_count: int = 32
     angular_count: int = 64
     pole: float | None = None
-    pole_guard: float = 0.02
+    pole_guard: float = POLE_GUARD
 
     def __post_init__(self) -> None:
         if not 0.0 < self.radius < 1.0:
@@ -97,15 +97,12 @@ def u_functional(f: PoleFunction, z):
     the same quantity without forming f itself.
     """
     inv = f.inv_series
-    if inv.order == 0:
-        if np.ndim(z) == 0:
-            return 0j
-        return np.zeros(np.shape(z), dtype=np.complex128)
-    dinv = inv.differentiate()
-    if np.ndim(z) == 0:
-        return inv.evaluate(z) - z * dinv.evaluate(z) - 1.0
     zz = np.asarray(z, dtype=np.complex128)
-    return inv.evaluate(zz) - zz * dinv.evaluate(zz) - 1.0
+    if inv.order == 0:  # z/f = 1, so U vanishes
+        u = np.zeros(zz.shape, dtype=np.complex128)
+    else:
+        u = inv.evaluate(zz) - zz * inv.differentiate().evaluate(zz) - 1.0
+    return complex(u) if zz.ndim == 0 else u
 
 
 def up_lambda_membership(f: PoleFunction, lam: float,
@@ -256,18 +253,17 @@ class _PairMinimum:
             self.value, self.key = value, key
 
 
-def injectivity_oracle(f: PoleFunction, grid: DiskGrid | None = None,
-                       collision_tolerance: float = COLLISION_TOL) -> CriterionVerdict:
+def injectivity_oracle(f: PoleFunction, grid: DiskGrid | None = None) -> CriterionVerdict:
     """Find the floor of the difference quotients of f over grid pairs.
 
     ``value`` is exactly ``min |f(z1) - f(z2)| / |z1 - z2|`` over distinct
     grid pairs, and the witness pair is the minimising pair of grid indices
     (i, j), i < j, that comes first in lexicographic order.  The oracle
-    holds when that floor stays above ``collision_tolerance``.
-    The default tolerance is calibrated on the default grid for poles in
+    holds when that floor stays above ``COLLISION_TOL``.
+    The tolerance is calibrated on the default grid for poles in
     roughly [0.1, 0.95]: univalent extremal functions floor near 4e-4
     there while a function with an actual collision drops below 5e-5.
-    Poles close to 0 push genuine floors under the default, so refine the
+    Poles close to 0 push genuine floors under it, so refine the
     grid before trusting a failure in that regime.
 
     The floor is found by branch and bound rather than a full pair scan.
@@ -280,14 +276,11 @@ def injectivity_oracle(f: PoleFunction, grid: DiskGrid | None = None,
     by the relative margin ``_PRUNE_MARGIN``, far above rounding error, so
     a skipped pair can never tie the floor.
     """
-    if collision_tolerance <= 0.0:
-        raise BadParameter("collision_tolerance must be positive")
     if grid is None:
         grid = _default_grid(f)
     z = grid.points()
     if z.size < 2:
-        return CriterionVerdict(holds=True, value=float("inf"),
-                                threshold=collision_tolerance)
+        return CriterionVerdict(holds=True, value=float("inf"), threshold=COLLISION_TOL)
     with np.errstate(divide="ignore", invalid="ignore"):
         w = z / f.inv_series.evaluate(z)
     best = _PairMinimum(z, w)
@@ -313,9 +306,9 @@ def injectivity_oracle(f: PoleFunction, grid: DiskGrid | None = None,
 
     best_i, best_j = divmod(best.key, z.size)
     return CriterionVerdict(
-        holds=best.value > collision_tolerance,
+        holds=best.value > COLLISION_TOL,
         value=best.value,
-        threshold=collision_tolerance,
+        threshold=COLLISION_TOL,
         witness=complex(z[best_i]),
         witness_partner=complex(z[best_j]),
     )

@@ -33,10 +33,6 @@ class PoleInDomain(MeroboundsError, ValueError):
     """The integration region contains, or nearly contains, a singularity."""
 
 
-class CircleThroughPole(MeroboundsError, ValueError):
-    """An integration circle passes through the guard band around a pole."""
-
-
 class NoPole(MeroboundsError, ValueError):
     """The operation requires a function with a declared pole."""
 

@@ -27,15 +27,8 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .errors import (
-    BadParameter,
-    CircleThroughPole,
-    PoleInDomain,
-    check_inside_pole,
-    check_pole,
-    check_radius,
-)
-from .functions import PoleFunction, f_over_z_series
+from .errors import BadParameter, PoleInDomain, check_inside_pole, check_pole, check_radius
+from .functions import POLE_GUARD, PoleFunction, f_over_z_series
 from .series import TruncatedSeries
 
 
@@ -51,20 +44,17 @@ class IntegralKind(str, Enum):
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Node counts for disk quadrature: Gauss-Legendre radially, a uniform
-    trapezoid rule in angle, plus a guard band kept around any pole."""
+    """Node counts for disk quadrature: Gauss-Legendre radially and a
+    uniform trapezoid rule in angle."""
 
     radial_nodes: int = 64
     angular_nodes: int = 256
-    pole_exclusion_radius: float = 0.02
 
     def __post_init__(self):
         if self.radial_nodes < 8:
             raise BadParameter("at least 8 radial nodes are required")
         if self.angular_nodes < 16:
             raise BadParameter("at least 16 angular nodes are required")
-        if self.pole_exclusion_radius < 0.0:
-            raise BadParameter("pole exclusion radius must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -94,16 +84,24 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _dirichlet_tail(coeffs: np.ndarray, r: float, ratio: float) -> float:
-    """pi * (N+1) |c_N|^2 r^(2N+2) / (1 - ratio), the geometric-decay tail
-    scale for sum n |c_n|^2 r^(2n); ratio is the term-to-term factor."""
-    n = len(coeffs) - 1
+def _tail(coeffs: np.ndarray, r: float, ratio: float, weight: float) -> float:
+    """weight * |c_N|^2 r^(2N+2) / (1 - ratio), the geometric-decay estimate
+    of the Parseval terms past the truncation order N; ratio is the
+    term-to-term factor and weight the term's factor at index N + 1."""
     top = abs(coeffs[-1]) ** 2
     if top == 0.0:
         return 0.0
     if ratio >= 1.0:
         return math.inf
-    return math.pi * (n + 1) * top * r ** (2 * n + 2) / (1.0 - ratio)
+    return weight * top * r ** (2 * len(coeffs)) / (1.0 - ratio)
+
+
+def _dirichlet(g: TruncatedSeries, r: float, ratio: float) -> IntegralResult:
+    """pi * sum_{n>=1} n |c_n|^2 r^(2n) with its tail (an order-0 series
+    gives the empty sum 0); the caller validates r and supplies the ratio."""
+    value = math.pi * g.weighted_coefficient_sum(1.0, r, start_index=1)
+    tail = _tail(g.coefficients, r, ratio, math.pi * len(g))
+    return IntegralResult(value, Method.SERIES, r, IntegralKind.DIRICHLET, tail)
 
 
 # ---- Dirichlet integral ------------------------------------------------------
@@ -111,9 +109,7 @@ def _dirichlet_tail(coeffs: np.ndarray, r: float, ratio: float) -> float:
 def dirichlet_series(g: TruncatedSeries, r: float) -> IntegralResult:
     """Coefficient-sum route: pi * sum n |c_n|^2 r^(2n)."""
     check_radius(r)
-    value = 0.0 if g.order == 0 else math.pi * g.weighted_coefficient_sum(1.0, r, start_index=1)
-    tail = _dirichlet_tail(g.coefficients, r, r * r)
-    return IntegralResult(value, Method.SERIES, r, IntegralKind.DIRICHLET, tail)
+    return _dirichlet(g, r, r * r)
 
 
 def dirichlet_quadrature(
@@ -129,17 +125,16 @@ def dirichlet_quadrature(
     ``g`` is either a TruncatedSeries (differentiated internally) or any
     callable, in which case ``gprime`` must supply the derivative.  A pole
     location may be declared; the integration disk of radius r plus the
-    configured guard band must not reach it.
+    guard band POLE_GUARD must not reach it.
     """
     check_radius(r)
     if config is None:
         config = QuadratureConfig()
     if pole is not None:
         check_pole(pole)
-        if r + config.pole_exclusion_radius > pole:
+        if r + POLE_GUARD > pole:
             raise PoleInDomain(
-                f"disk of radius {r!r} plus guard {config.pole_exclusion_radius!r} "
-                f"reaches the pole at {pole!r}"
+                f"disk of radius {r!r} plus guard {POLE_GUARD!r} reaches the pole at {pole!r}"
             )
     if isinstance(g, TruncatedSeries):
         if g.order == 0:
@@ -163,9 +158,7 @@ def dirichlet_quadrature(
     return IntegralResult(value, Method.QUADRATURE, r, IntegralKind.DIRICHLET)
 
 
-def _dirichlet_f_route(
-    f: PoleFunction, r: float, order: Optional[int], shift: int
-) -> IntegralResult:
+def _dirichlet_f_route(f: PoleFunction, r: float, shift: int) -> IntegralResult:
     """Dirichlet integral of z**shift * (f/z) via its Taylor coefficients:
     shift 0 gives f/z, shift 1 gives f = z * (f/z).  For functions with a
     pole the radius must stay strictly below it, where the expansion of f
@@ -176,27 +169,23 @@ def _dirichlet_f_route(
     else:
         check_inside_pole(r, f.pole)
         ratio = (r / f.pole) ** 2
-    g = f_over_z_series(f, order)
+    g = f_over_z_series(f)
     if shift:
         g = TruncatedSeries(np.concatenate((np.zeros(shift), g.coefficients)))
-    value = math.pi * g.weighted_coefficient_sum(1.0, r, start_index=1)
-    tail = _dirichlet_tail(g.coefficients, r, ratio)
-    return IntegralResult(value, Method.SERIES, r, IntegralKind.DIRICHLET, tail)
+    return _dirichlet(g, r, ratio)
 
 
-def dirichlet_f_over_z_series(
-    f: PoleFunction, r: float, order: Optional[int] = None
-) -> IntegralResult:
+def dirichlet_f_over_z_series(f: PoleFunction, r: float) -> IntegralResult:
     """Dirichlet integral of f/z via its Taylor coefficients.
 
     For functions with a pole the radius must stay strictly below it.
     """
-    return _dirichlet_f_route(f, r, order, shift=0)
+    return _dirichlet_f_route(f, r, shift=0)
 
 
-def dirichlet_f_series(f: PoleFunction, r: float, order: Optional[int] = None) -> IntegralResult:
+def dirichlet_f_series(f: PoleFunction, r: float) -> IntegralResult:
     """Dirichlet integral of f itself via its Taylor coefficients."""
-    return _dirichlet_f_route(f, r, order, shift=1)
+    return _dirichlet_f_route(f, r, shift=1)
 
 
 # ---- quadratic integral mean ---------------------------------------------------
@@ -204,47 +193,22 @@ def dirichlet_f_series(f: PoleFunction, r: float, order: Optional[int] = None) -
 def l1_mean_series(f: PoleFunction, r: float) -> IntegralResult:
     """Parseval route: 1 + sum_{n>=1} |b_n|^2 r^(2n) over the z/f coefficients."""
     check_radius(r)
-    value = 1.0 + f.inv_series.weighted_coefficient_sum(0.0, r, start_index=1)
-    coeffs = f.inv_series.coefficients
-    n = len(coeffs) - 1
-    top = abs(coeffs[-1]) ** 2
-    if top == 0.0:
-        tail = 0.0
-    elif r == 1.0:
-        tail = math.inf
-    else:
-        tail = top * r ** (2 * n + 2) / (1.0 - r * r)
+    inv = f.inv_series
+    value = 1.0 + inv.weighted_coefficient_sum(0.0, r, start_index=1)
+    tail = _tail(inv.coefficients, r, r * r, 1.0)
     return IntegralResult(value, Method.SERIES, r, IntegralKind.L1_MEAN, tail)
 
 
 def l1_mean_quadrature(
-    f: PoleFunction,
-    r: float,
-    config: Optional[QuadratureConfig] = None,
-    *,
-    through_f: bool = False,
+    f: PoleFunction, r: float, config: Optional[QuadratureConfig] = None
 ) -> IntegralResult:
-    """Circle-average route.
-
-    The default evaluates the z/f series on the circle and averages its
-    squared modulus, which is stable at every radius.  With ``through_f``
-    the mean of r^2/|f|^2 is formed from f directly; that diagnostic route
-    refuses circles inside the guard band around the pole.
-    """
+    """Circle-average route: evaluates the z/f series on the circle and
+    averages its squared modulus, which is stable at every radius, the
+    pole's included."""
     check_radius(r)
     if config is None:
         config = QuadratureConfig()
     theta = 2.0 * np.pi * np.arange(config.angular_nodes) / config.angular_nodes
     pts = r * np.exp(1j * theta)
-    inv_vals = f.inv_series.evaluate(pts)
-    if through_f:
-        if f.pole is not None and abs(r - f.pole) < config.pole_exclusion_radius:
-            raise CircleThroughPole(
-                f"circle of radius {r!r} passes within {config.pole_exclusion_radius!r} "
-                f"of the pole at {f.pole!r}"
-            )
-        f_vals = pts / inv_vals
-        value = float(np.mean(r * r / np.abs(f_vals) ** 2))
-    else:
-        value = float(np.mean(np.abs(inv_vals) ** 2))
+    value = float(np.mean(np.abs(f.inv_series.evaluate(pts)) ** 2))
     return IntegralResult(value, Method.QUADRATURE, r, IntegralKind.L1_MEAN)

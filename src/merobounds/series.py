@@ -167,16 +167,17 @@ class TruncatedSeries:
 
         The n = 0 term is taken to be ``|c[0]|**2`` when t = 0 and zero for
         any other t (the only finite reading of ``0**t`` for t < 0, and the
-        standard convention for t > 0).
+        standard convention for t > 0).  ``start_index = order + 1`` gives
+        the empty sum, 0.
 
         Raises:
             BadRadius: if r is outside (0, 1].
-            BadParameter: if ``start_index`` is outside [0, order].
+            BadParameter: if ``start_index`` is outside [0, order + 1].
         """
         check_radius(r)
-        if not 0 <= start_index <= self.order:
+        if not 0 <= start_index <= self.order + 1:
             raise BadParameter(
-                f"start index {start_index} outside [0, {self.order}]"
+                f"start index {start_index} outside [0, {self.order + 1}]"
             )
         n = np.arange(start_index, self.order + 1, dtype=np.float64)
         if t == 0:

@@ -181,6 +181,15 @@ def test_check_runs_class_inequalities_for_residual_class(tmp_path, capsys):
     assert "[at-threshold]" in out  # sup |(z/f)''| = 2 * 0.5 * mu lands on mu
 
 
+def test_check_order_one_row_has_an_empty_tail(tmp_path, capsys):
+    # z/f = 1 - 2z, a Moebius map in every U_p(lambda): the n >= 2 tail is empty
+    path = write_rows(tmp_path / "f.csv", [["0.5", "1", "-2.0", "0"]])
+    code, out, _ = run_cli(capsys, "check", "--in", path, "--class", "u_p_lambda",
+                           "--p", "0.5", "--lambda", "1.0")
+    assert code == 0
+    assert "row 1 PASS tail-inequality: 0 <= " in out
+
+
 def test_check_flags_a_membership_violation_without_failing(tmp_path, capsys):
     # kp satisfies every univalence check but is not in the residual class
     path = write_rows(tmp_path / "f.csv", [to_csv_row(build_kp(0.5))])

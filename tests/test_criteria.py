@@ -278,11 +278,6 @@ def test_single_point_grid_is_vacuously_injective():
     assert verdict.witness is None
 
 
-def test_injectivity_rejects_nonpositive_tolerance():
-    with pytest.raises(BadParameter):
-        injectivity_oracle(from_inverse_coefficients([]), collision_tolerance=0.0)
-
-
 def reference_injectivity(f, grid=None, collision_tolerance=COLLISION_TOL):
     """The full O(M^2) pair scan that injectivity_oracle replaces.
 

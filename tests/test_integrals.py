@@ -6,7 +6,6 @@ import pytest
 from merobounds.errors import (
     BadParameter,
     BadRadius,
-    CircleThroughPole,
     PoleInDomain,
     RadiusBeyondPole,
 )
@@ -167,8 +166,6 @@ def test_quadrature_config_validation():
         QuadratureConfig(radial_nodes=4)
     with pytest.raises(BadParameter):
         QuadratureConfig(angular_nodes=8)
-    with pytest.raises(BadParameter):
-        QuadratureConfig(pole_exclusion_radius=-0.1)
 
 
 # ---- dirichlet of f and f/z via coefficients ----------------------------------------
@@ -202,6 +199,14 @@ def test_f_series_identity_map_any_radius():
     f = from_inverse_coefficients([0.0, 0.0])
     for r in (0.3, 0.9, 1.0):
         assert dirichlet_f_series(f, r).value == pytest.approx(math.pi * r * r, rel=1e-14)
+
+
+@pytest.mark.parametrize("r", [0.3, 0.9, 1.0])
+def test_order_zero_identity_map_sums_are_empty(r):
+    # f = z stored at order 0: f/z = 1 has zero area and z/f = 1 mean 1
+    f = from_inverse_coefficients([])
+    assert dirichlet_f_over_z_series(f, r).value == 0.0
+    assert l1_mean_series(f, r).value == 1.0
 
 
 def test_f_over_z_quadrature_cross_check():
@@ -251,19 +256,9 @@ def test_l1_quadrature_matches_series():
             assert got == pytest.approx(want, rel=1e-12)
 
 
-def test_l1_quadrature_through_f_agrees():
-    f = build_kp(0.5)
-    direct = l1_mean_quadrature(f, 0.8, through_f=True).value
-    stable = l1_mean_quadrature(f, 0.8).value
-    assert direct == pytest.approx(stable, rel=1e-11)
-
-
 def test_l1_through_f_guards_pole_circle():
-    f = build_kp(0.5)
-    with pytest.raises(CircleThroughPole):
-        l1_mean_quadrature(f, 0.505, through_f=True)
-    # the stable route has no such restriction
-    assert l1_mean_quadrature(f, 0.505).value > 0
+    # the z/f route needs no guard band on a circle next to the pole
+    assert l1_mean_quadrature(build_kp(0.5), 0.505).value > 0
 
 
 def test_l1_parseval_consistency_random_series():

@@ -313,6 +313,15 @@ def test_weighted_sum_validation():
         s.weighted_coefficient_sum(1.0, 0.5, start_index=5)
 
 
+@pytest.mark.parametrize("coeffs", [[2.0], [1.0, -2.0], [1.0, 0.5, 0.25]])
+@pytest.mark.parametrize("t", [-1.0, 0.0, 2.0])
+def test_weighted_sum_past_the_order_is_empty(coeffs, t):
+    s = TruncatedSeries(coeffs)
+    assert s.weighted_coefficient_sum(t, 0.5, start_index=s.order + 1) == 0.0
+    with pytest.raises(BadParameter):
+        s.weighted_coefficient_sum(t, 0.5, start_index=s.order + 2)
+
+
 def test_zero_series_weighted_sum():
     s = TruncatedSeries([0.0] * 6)
     assert s.weighted_coefficient_sum(2.0, 0.9) == 0.0
