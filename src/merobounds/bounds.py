@@ -77,7 +77,11 @@ def jenkins_bound(n: int, p: float) -> float:
     if n < 2:
         raise BadParameter("coefficient bounds start at n = 2")
     check_pole(p)
-    return (1.0 - p ** (2 * n)) / ((1.0 - p * p) * p ** (n - 1))
+    denominator = (1.0 - p * p) * p ** (n - 1)
+    bound = (1.0 - p ** (2 * n)) / denominator if denominator > 0.0 else math.inf
+    if bound == math.inf:
+        raise BadParameter(f"coefficient bound at n = {n}, p = {p!r} exceeds the float range")
+    return bound
 
 
 def gronwall_check(f: PoleFunction) -> BoundReport:
@@ -217,6 +221,21 @@ _SHARP_MAXIMA = {
 }
 
 
+def sharp_maximum(class_spec: ClassSpec, quantity: BoundQuantity, r: float) -> float:
+    """The paper's sharp maximum of a quantity over a class at radius r.
+
+    Raises BadParameter where the paper gives none (Dirichlet integrals of
+    f and f/z over U_P_LAMBDA) and for r outside the closed form's domain,
+    RadiusBeyondPole for the f and f/z maxima of a pole class at r >= p.
+    """
+    quantity = BoundQuantity(quantity)
+    maximum = _SHARP_MAXIMA.get((class_spec.kind, quantity))
+    if maximum is None:
+        raise BadParameter(
+            f"no sharp bound for {quantity.value} over class {class_spec.kind.value}")
+    return maximum(class_spec, r)
+
+
 def check_bound(
     f: PoleFunction, class_spec: ClassSpec, quantity: BoundQuantity, r: float
 ) -> BoundReport:
@@ -226,16 +245,12 @@ def check_bound(
     Raises:
         ClassMismatch: when the function's pole and the class's pole differ
             (or one has a pole where the other forbids it).
-        BadParameter: when the paper gives no sharp maximum of the quantity
-            over the class (Dirichlet integrals of f and f/z over U_P_LAMBDA).
+        BadParameter: from :func:`sharp_maximum`, and when the series route
+            overflows.
         RadiusBeyondPole: for the f and f/z integrals at r >= p.
     """
     quantity = BoundQuantity(quantity)
     class_spec.match(f)
-    maximum = _SHARP_MAXIMA.get((class_spec.kind, quantity))
-    if maximum is None:
-        raise BadParameter(
-            f"no sharp bound for {quantity.value} over class {class_spec.kind.value}")
+    bound = sharp_maximum(class_spec, quantity, r)
     computed = _SERIES_ROUTES[quantity](f, r).value
-    return build_report(quantity.value, computed, maximum(class_spec, r), r=r,
-                        class_spec=class_spec)
+    return build_report(quantity.value, computed, bound, r=r, class_spec=class_spec)

@@ -19,27 +19,9 @@ import csv
 import sys
 from collections import Counter
 
-from .bounds import (
-    BoundQuantity,
-    check_bound,
-    gronwall_check,
-    jenkins_bound,
-    l1_bound,
-    lemma1_check,
-    max_dirichlet_f,
-    max_dirichlet_f_over_z,
-    max_dirichlet_zf_sigma_p,
-    max_dirichlet_zf_up_lambda,
-    s_class_dirichlet_f_max,
-    s_class_dirichlet_f_over_z_max,
-    s_class_dirichlet_zf_max,
-)
-from .criteria import (
-    disk_subordination_check,
-    injectivity_oracle,
-    univalence_criterion,
-    up_lambda_membership,
-)
+from .bounds import (BoundQuantity, check_bound, gronwall_check, jenkins_bound, lemma1_check,
+                     sharp_maximum)
+from .criteria import injectivity_oracle, univalence_criterion, up_lambda_membership
 from .errors import BadParameter, MeroboundsError, RadiusBeyondPole, check_radius
 from .functions import (
     ClassKind,
@@ -50,7 +32,6 @@ from .functions import (
     f_over_z_series,
     from_csv_row,
     from_inverse_coefficients,
-    mu,
 )
 from .integrals import (
     QuadratureConfig,
@@ -59,7 +40,7 @@ from .integrals import (
     l1_mean_quadrature,
     l1_mean_series,
 )
-from .series import DEFAULT_ORDER, TruncatedSeries
+from .series import DEFAULT_ORDER
 
 P_GRID = (0.2, 0.35, 0.5, 0.65, 0.8)
 R_GRID = tuple(k / 20.0 for k in range(1, 21))
@@ -133,9 +114,10 @@ def _suite_sharpness():
                            [c * p for c in (0.2, 0.5, 0.8)])
             checks.append((f"sharpness/{name}-kp p={_fmt(p)}", worst <= 1e-8,
                            f"max rel slack {_fmt(worst)}"))
-    margin = min(
-        max_dirichlet_zf_sigma_p(r, p) - max_dirichlet_zf_up_lambda(r, p, 1.0)
-        for p in P_GRID for r in R_GRID)
+    zf = BoundQuantity.DIRICHLET_ZF
+    margin = min(sharp_maximum(ClassSpec(ClassKind.SIGMA_P, p=p), zf, r)
+                 - sharp_maximum(ClassSpec(ClassKind.U_P_LAMBDA, p=p, lam=1.0), zf, r)
+                 for p in P_GRID for r in R_GRID)
     checks.append(("sharpness/class-nesting", margin > 1e-12,
                    f"min bound gap {_fmt(margin)}"))
     return checks
@@ -155,10 +137,10 @@ def _suite_oracles():
         checks.append((f"oracles/{name}", worst <= tolerance, f"max rel gap {_fmt(worst)}"))
     dense = QuadratureConfig(radial_nodes=160, angular_nodes=256)
     for p in P_GRID:
-        f = build_kp(p, order=128)
+        spec, f = _kp_member(p, order=128)
         r = 0.5 * p
         quad = dirichlet_quadrature(f_over_z_series(f), r, dense, pole=f.pole).value
-        gap = _rel(quad, max_dirichlet_f_over_z(r, p))
+        gap = _rel(quad, sharp_maximum(spec, BoundQuantity.DIRICHLET_F_OVER_Z, r))
         checks.append((f"oracles/f-over-z-quadrature-kp p={_fmt(p)}", gap <= 1e-8,
                        f"rel gap {_fmt(gap)} at r={_fmt(r)}"))
     for p in P_GRID:
@@ -175,61 +157,51 @@ def _suite_oracles():
     return checks
 
 
+def _criterion(name: str, verdict, holds: bool, detail: str, tolerance=None):
+    """One criteria-suite check: the scan's ``holds`` must equal ``holds`` and,
+    given a tolerance, its value must lie within it of the threshold.
+    ``detail`` formats the scan's {value} and {threshold}."""
+    ok = verdict.holds == holds and (
+        tolerance is None or abs(verdict.value - verdict.threshold) <= tolerance)
+    return (f"criteria/{name}", ok,
+            detail.format(value=_fmt(verdict.value), threshold=_fmt(verdict.threshold)))
+
+
 def _suite_criteria():
-    checks = []
-    for p in P_GRID:
-        verdict = up_lambda_membership(build_fp(p, 1.0), 1.0)
-        ok = verdict.holds and abs(verdict.value - mu(p)) <= 1e-9
-        checks.append((f"criteria/membership-fp p={_fmt(p)}", ok,
-                       f"sup ratio {_fmt(verdict.value)} vs {_fmt(verdict.threshold)}"))
-    verdict = up_lambda_membership(build_kp(0.5), 1.0)
-    checks.append(("criteria/membership-rejects-kp", not verdict.holds,
-                   f"sup ratio {_fmt(verdict.value)} above {_fmt(verdict.threshold)}"))
-    low = univalence_criterion(build_fp(0.5, 0.49))
-    checks.append(("criteria/second-derivative-lambda-0.49", low.holds,
-                   f"sup {_fmt(low.value)} vs {_fmt(low.threshold)}"))
-    mid = univalence_criterion(build_fp(0.5, 0.5))
-    checks.append(("criteria/second-derivative-lambda-0.50",
-                   mid.holds and abs(mid.value - mid.threshold) <= 1e-12,
-                   f"sup {_fmt(mid.value)} meets {_fmt(mid.threshold)}"))
-    high = univalence_criterion(build_fp(0.5, 0.51))
-    checks.append(("criteria/second-derivative-lambda-0.51", not high.holds,
-                   f"sup {_fmt(high.value)} vs {_fmt(high.threshold)}"))
     kp = build_kp(0.5)
-    crit = univalence_criterion(kp)
-    checks.append(("criteria/kp-fails-second-derivative", not crit.holds,
-                   f"sup {_fmt(crit.value)} vs {_fmt(crit.threshold)}"))
-    inj = injectivity_oracle(kp)
-    gron = gronwall_check(kp)
-    checks.append(("criteria/kp-still-injective", inj.holds and gron.sharp,
-                   f"quotient floor {_fmt(inj.value)}, coefficient sum {_fmt(gron.computed)}"))
-    folded = injectivity_oracle(from_inverse_coefficients([0.0, 5.0]))
-    checks.append(("criteria/collision-detected", not folded.holds,
-                   f"quotient floor {_fmt(folded.value)} below {_fmt(folded.threshold)}"))
-    m = mu(0.5)
-    series = TruncatedSeries([1.0, 0.0, -m])
-    checks.append(("criteria/subordination-at-scale",
-                   disk_subordination_check(series, m).holds, f"scale {_fmt(m)}"))
-    checks.append(("criteria/subordination-below-scale",
-                   not disk_subordination_check(series, m / 2.0).holds,
-                   f"scale {_fmt(m / 2.0)}"))
-    for p in P_GRID:
-        verdict = injectivity_oracle(build_fp(p, 1.0))
-        checks.append((f"criteria/injectivity-fp p={_fmt(p)}", verdict.holds,
-                       f"quotient floor {_fmt(verdict.value)}"))
-    return checks
+    inj, gron = injectivity_oracle(kp), gronwall_check(kp)
+    sup = "sup {value} vs {threshold}"
+    return [
+        *(_criterion(f"membership-fp p={_fmt(p)}", up_lambda_membership(build_fp(p, 1.0), 1.0),
+                     True, "sup ratio {value} vs {threshold}", tolerance=1e-9)
+          for p in P_GRID),
+        _criterion("membership-rejects-kp", up_lambda_membership(kp, 1.0), False,
+                   "sup ratio {value} above {threshold}"),
+        _criterion("second-derivative-lambda-0.49", univalence_criterion(build_fp(0.5, 0.49)),
+                   True, sup),
+        _criterion("second-derivative-lambda-0.50", univalence_criterion(build_fp(0.5, 0.5)),
+                   True, "sup {value} meets {threshold}", tolerance=1e-12),
+        _criterion("second-derivative-lambda-0.51", univalence_criterion(build_fp(0.5, 0.51)),
+                   False, sup),
+        _criterion("kp-fails-second-derivative", univalence_criterion(kp), False, sup),
+        ("criteria/kp-still-injective", inj.holds and gron.sharp,
+         f"quotient floor {_fmt(inj.value)}, coefficient sum {_fmt(gron.computed)}"),
+        _criterion("collision-detected", injectivity_oracle(from_inverse_coefficients([0.0, 5.0])),
+                   False, "quotient floor {value} below {threshold}"),
+        *(_criterion(f"injectivity-fp p={_fmt(p)}", injectivity_oracle(build_fp(p, 1.0)), True,
+                     "quotient floor {value}") for p in P_GRID),
+    ]
 
 
 def _suite_limits():
     p, r = 0.999, 0.5
+    pole_class, analytic = ClassSpec(ClassKind.SIGMA_P, p=p), ClassSpec(ClassKind.S)
     checks = []
-    for name, pole_class, analytic, tolerance in (
-            ("zf", max_dirichlet_zf_sigma_p(r, p), s_class_dirichlet_zf_max(r), 2e-3),
-            ("f-over-z", max_dirichlet_f_over_z(r, p), s_class_dirichlet_f_over_z_max(r), 1e-2),
-            ("f", max_dirichlet_f(r, p), s_class_dirichlet_f_max(r), 1e-2),
-            ("l1", l1_bound(ClassSpec(ClassKind.SIGMA_P, p=p), r),
-             l1_bound(ClassSpec(ClassKind.S), r), 1e-5)):
-        gap = _rel(pole_class, analytic)
+    for name, quantity, tolerance in (("zf", BoundQuantity.DIRICHLET_ZF, 2e-3),
+                                      ("f-over-z", BoundQuantity.DIRICHLET_F_OVER_Z, 1e-2),
+                                      ("f", BoundQuantity.DIRICHLET_F, 1e-2),
+                                      ("l1", BoundQuantity.L1, 1e-5)):
+        gap = _rel(sharp_maximum(pole_class, quantity, r), sharp_maximum(analytic, quantity, r))
         checks.append((f"limits/{name}-approaches-analytic-class", gap <= tolerance,
                        f"rel gap {_fmt(gap)} at p={_fmt(p)}"))
     return checks

@@ -15,7 +15,6 @@ import numpy as np
 
 from .errors import BadParameter, NoPole, check_lambda, check_pole
 from .functions import NO_POLE, POLE_GUARD, PoleFunction, mu
-from .series import TruncatedSeries
 
 MEMBERSHIP_TOL = 1e-12
 CRITERION_TOL = 1e-12
@@ -32,7 +31,7 @@ class DiskGrid:
 
     Radii are ``radius * k / radial_count`` for ``k = 1 .. radial_count``
     and angles are uniform over ``[0, 2*pi)``.  When ``pole`` is set,
-    radii within ``pole_guard`` of it are dropped so no sample lands next
+    radii within ``POLE_GUARD`` of it are dropped so no sample lands next
     to the singularity.
     """
 
@@ -40,7 +39,6 @@ class DiskGrid:
     radial_count: int = 32
     angular_count: int = 64
     pole: float | None = None
-    pole_guard: float = POLE_GUARD
 
     def __post_init__(self) -> None:
         if not 0.0 < self.radius < 1.0:
@@ -51,15 +49,13 @@ class DiskGrid:
             raise BadParameter("angular_count must be at least 1")
         if self.pole is not None:
             check_pole(self.pole)
-        if self.pole_guard < 0.0:
-            raise BadParameter("pole_guard must be nonnegative")
         if self.radii().size == 0:
             raise BadParameter("pole guard excluded every radius of the grid")
 
     def radii(self) -> np.ndarray:
         rho = self.radius * np.arange(1, self.radial_count + 1) / self.radial_count
         if self.pole is not None:
-            rho = rho[np.abs(rho - self.pole) >= self.pole_guard]
+            rho = rho[np.abs(rho - self.pole) >= POLE_GUARD]
         return rho
 
     def points(self) -> np.ndarray:
@@ -72,9 +68,9 @@ class CriterionVerdict:
     """Outcome of a grid scan.
 
     ``value`` is the extremal sampled statistic (a supremum for the
-    membership/criterion/subordination scans, a minimum for the
-    injectivity scan) and ``witness`` is a grid point realising it.
-    ``witness_partner`` is only set by the pairwise injectivity scan.
+    membership and criterion scans, a minimum for the injectivity scan)
+    and ``witness`` is a grid point realising it.  ``witness_partner`` is
+    only set by the pairwise injectivity scan.
     """
 
     holds: bool
@@ -82,12 +78,6 @@ class CriterionVerdict:
     threshold: float
     witness: complex | None = None
     witness_partner: complex | None = None
-
-
-def _default_grid(f: PoleFunction) -> DiskGrid:
-    if f.pole is NO_POLE:
-        return DiskGrid()
-    return DiskGrid(pole=f.pole)
 
 
 def u_functional(f: PoleFunction, z):
@@ -159,31 +149,6 @@ def univalence_criterion(f: PoleFunction,
         holds=bool(vals[k] <= bound + CRITERION_TOL),
         value=float(vals[k]),
         threshold=bound,
-        witness=complex(z[k]),
-    )
-
-
-def disk_subordination_check(F: TruncatedSeries, c: complex,
-                             grid: DiskGrid | None = None) -> CriterionVerdict:
-    """Check whether ``(F - 1) / c`` maps the grid into the open unit disk.
-
-    ``F`` must satisfy F(0) = 1 so that the quotient is a candidate
-    Schwarz-type factor; ``c`` sets the disk scale and must be nonzero.
-    """
-    c = complex(c)
-    if c == 0:
-        raise BadParameter("subordination scale c must be nonzero")
-    if abs(complex(F.coefficients[0]) - 1.0) > 1e-12:
-        raise BadParameter("F(0) must equal 1 for the subordination check")
-    if grid is None:
-        grid = DiskGrid()
-    z = grid.points()
-    vals = np.abs(F.evaluate(z) - 1.0)
-    k = int(np.argmax(vals))
-    return CriterionVerdict(
-        holds=bool(vals[k] < abs(c)),
-        value=float(vals[k]),
-        threshold=abs(c),
         witness=complex(z[k]),
     )
 
@@ -277,7 +242,7 @@ def injectivity_oracle(f: PoleFunction, grid: DiskGrid | None = None) -> Criteri
     a skipped pair can never tie the floor.
     """
     if grid is None:
-        grid = _default_grid(f)
+        grid = DiskGrid(pole=f.pole)
     z = grid.points()
     if z.size < 2:
         return CriterionVerdict(holds=True, value=float("inf"), threshold=COLLISION_TOL)

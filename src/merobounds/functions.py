@@ -205,7 +205,7 @@ def from_csv_row(fields: Sequence[str]) -> PoleFunction:
         values = [float(x) for x in fields[2:]]
     except ValueError as exc:
         raise BadParameter(f"unparseable function row: {exc}") from exc
-    if order < 1 or len(values) != 2 * order:
+    if order < 0 or len(values) != 2 * order:
         raise BadParameter(
             f"function row declares order {order} but carries {len(values)} coefficient fields"
         )

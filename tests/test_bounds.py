@@ -36,6 +36,7 @@ from merobounds.bounds import (
     s_class_dirichlet_f_max,
     s_class_dirichlet_f_over_z_max,
     s_class_dirichlet_zf_max,
+    sharp_maximum,
 )
 
 P_GRID = (0.2, 0.35, 0.5, 0.65, 0.8)
@@ -66,6 +67,14 @@ def test_jenkins_validation():
         jenkins_bound(1, 0.5)
     with pytest.raises(BadParameter):
         jenkins_bound(3, 1.0)
+
+
+@pytest.mark.parametrize("n", [442, 500])
+def test_jenkins_refuses_bounds_beyond_the_float_range(n):
+    # p**(n-1) is subnormal at n = 442 (the quotient overflows to inf) and
+    # underflows to 0.0 at n = 500 (the quotient divides by zero)
+    with pytest.raises(BadParameter, match="float range"):
+        jenkins_bound(n, 0.2)
 
 
 def test_jenkins_attained_by_extremal_coefficients():
@@ -316,6 +325,7 @@ def test_check_bound_reports_sharp_for_every_dispatch_pair():
         for r in (0.1, 0.25, 0.4) if kind is not ClassKind.S else (0.25, 0.5):
             rep = check_bound(f, spec, quantity, r)
             assert rep.quantity == quantity.value and rep.class_spec == spec
+            assert sharp_maximum(spec, quantity, r) == rep.bound
             assert rep.sharp, (kind, quantity, r, rep)
 
 
@@ -326,6 +336,17 @@ def test_check_bound_has_no_f_route_bound_for_the_residual_class():
             with pytest.raises(BadParameter) as info:
                 check_bound(f, spec, quantity, r)
             assert not isinstance(info.value, RadiusBeyondPole)
+            with pytest.raises(BadParameter) as info:
+                sharp_maximum(spec, quantity, r)
+            assert not isinstance(info.value, RadiusBeyondPole)
+
+
+def test_every_public_name_resolves():
+    import merobounds
+
+    assert "sharp_maximum" in merobounds.__all__
+    for name in merobounds.__all__:
+        assert hasattr(merobounds, name), name
 
 
 def test_check_bound_f_routes_refuse_radii_beyond_the_pole():

@@ -9,8 +9,6 @@ from merobounds.criteria import (
     COLLISION_TOL,
     CriterionVerdict,
     DiskGrid,
-    _default_grid,
-    disk_subordination_check,
     injectivity_oracle,
     u_functional,
     univalence_criterion,
@@ -24,7 +22,6 @@ from merobounds.functions import (
     from_inverse_coefficients,
     mu,
 )
-from merobounds.series import TruncatedSeries
 
 
 def perturbed_member(p, rng, tail_count=5, scale=0.03, order=64):
@@ -72,8 +69,7 @@ def test_pole_guard_drops_nearby_radii():
     {"angular_count": 0},
     {"pole": 1.2},
     {"pole": 0.0},
-    {"pole_guard": -0.1},
-    {"pole": 0.5, "pole_guard": 2.0},  # guard swallows every radius
+    {"pole": 0.98, "radial_count": 1},  # the guard swallows the only radius, 0.99
 ])
 def test_grid_rejects_bad_parameters(kwargs):
     with pytest.raises(BadParameter):
@@ -221,33 +217,6 @@ def test_criterion_requires_a_pole():
         univalence_criterion(build_koebe_rotation(1.0))
 
 
-# --- subordination ---
-
-def test_subordination_holds_at_the_class_scale():
-    p, lam = 0.5, 1.0
-    F = TruncatedSeries([1.0, 0.0, -lam * mu(p)])
-    verdict = disk_subordination_check(F, lam * mu(p))
-    assert verdict.holds
-    assert abs(verdict.value - lam * mu(p) * 0.99 ** 2) < 1e-12
-    assert abs(abs(verdict.witness) - 0.99) < 1e-12
-
-
-def test_subordination_fails_at_half_the_scale():
-    p, lam = 0.5, 1.0
-    F = TruncatedSeries([1.0, 0.0, -lam * mu(p)])
-    assert not disk_subordination_check(F, lam * mu(p) / 2.0).holds
-
-
-def test_subordination_rejects_zero_scale():
-    with pytest.raises(BadParameter):
-        disk_subordination_check(TruncatedSeries([1.0, 0.5]), 0.0)
-
-
-def test_subordination_rejects_wrong_constant_term():
-    with pytest.raises(BadParameter):
-        disk_subordination_check(TruncatedSeries([1.0 + 1e-6, 0.5]), 0.3)
-
-
 # --- injectivity ---
 
 @pytest.mark.parametrize("p", [0.2, 0.5, 0.8])
@@ -289,7 +258,7 @@ def reference_injectivity(f, grid=None, collision_tolerance=COLLISION_TOL):
     """
     chunk = 256
     if grid is None:
-        grid = _default_grid(f)
+        grid = DiskGrid(pole=f.pole)
     z = grid.points()
     if z.size < 2:
         return CriterionVerdict(holds=True, value=float("inf"),

@@ -252,9 +252,23 @@ def test_csv_roundtrip_without_pole():
         ["0.5", "2", "1.0"],            # wrong coefficient count
         ["0.5", "x", "1.0", "0.0"],     # unparseable order
         ["oops", "1", "1.0", "0.0"],    # unparseable pole
-        ["0.5", "0"],                   # zero order carries no coefficients
     ],
 )
 def test_csv_rejects_malformed(fields):
     with pytest.raises(BadParameter):
         from_csv_row(fields)
+
+
+def test_csv_roundtrip_of_the_identity_map():
+    f = from_inverse_coefficients([])
+    row = to_csv_row(f)
+    assert row == ["", "0"]
+    g = from_csv_row(row)
+    assert g.pole is NO_POLE
+    assert np.array_equal(g.inv_series.coefficients, f.inv_series.coefficients)
+
+
+def test_csv_order_zero_row_with_a_pole_is_a_pole_mismatch():
+    # z/f = 1 has no root, so it cannot carry the declared pole
+    with pytest.raises(PoleMismatch):
+        from_csv_row(["0.5", "0"])
