@@ -69,6 +69,7 @@ def test_pole_guard_drops_nearby_radii():
     {"angular_count": 0},
     {"pole": 1.2},
     {"pole": 0.0},
+    {"pole": -0.4},
     {"pole": 0.98, "radial_count": 1},  # the guard swallows the only radius, 0.99
 ])
 def test_grid_rejects_bad_parameters(kwargs):
