@@ -66,6 +66,21 @@ def test_verify_all_matches_the_golden_output(capsys):
     assert out == golden
 
 
+def test_check_matches_the_golden_output(capsys):
+    # tests/data/check_rows.csv holds seven rows with pole 0.5: fp(0.5, 1),
+    # fp(0.5, 0.5), the order-1 row 1 - 2z, a perturbed member, the two
+    # rows (1 - 2z)(1 - s mu p z + c z^40) with (s, c) = (0.8, 2e-4) and
+    # (0.4, 5e-6), whose membership and criterion sups sit just above mu(p)
+    # on |z| = 1, and (1 - 2z)(1 - z/0.309375), whose second root lies on
+    # the injectivity grid.  Row 7 fails the coefficient sum, so the exit
+    # code is 1.
+    data = Path(__file__).parent / "data"
+    code, out, _ = run_cli(capsys, "check", "--in", str(data / "check_rows.csv"),
+                           "--class", "u_p_lambda", "--p", "0.5", "--lambda", "1.0")
+    assert code == 1
+    assert out == (data / "check_rows.txt").read_text()
+
+
 def test_grids_cover_the_documented_ranges():
     assert P_GRID == (0.2, 0.35, 0.5, 0.65, 0.8)
     assert len(R_GRID) == 20 and R_GRID[0] == 0.05 and R_GRID[-1] == 1.0
