@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (BadParameter, BadRadius, NoPole, check_inside_pole, check_lambda,
+from .errors import (BadParameter, NoPole, check_inside_pole, check_lambda, check_open_radius,
                      check_pole, check_radius)
 from .functions import ClassKind, ClassSpec, PoleFunction, mu
 from .integrals import (dirichlet_f_over_z_series, dirichlet_f_series, dirichlet_series,
@@ -98,7 +98,7 @@ def lemma1_check(f: PoleFunction, lam: float, t: float, r: float) -> BoundReport
     """Weighted tail inequality sum_{n>=2} n**t |b_n|**2 r**(2n) <= 2**t
     (lam*mu)**2 r**4, valid for t <= 2 whenever the residual functional of
     f stays below lam*mu on the disk."""
-    if t > 2.0:
+    if not t <= 2.0:
         raise BadParameter("the weighted tail bound only holds for t <= 2")
     check_lambda(lam)
     check_radius(r)
@@ -165,16 +165,14 @@ def s_class_dirichlet_zf_max(r: float) -> float:
 def s_class_dirichlet_f_over_z_max(r: float) -> float:
     """Largest Dirichlet integral of f/z over the analytic univalent class:
     2 pi r**2 (r**2 + 2) / (1 - r**2)**4."""
-    if not 0.0 < r < 1.0:
-        raise BadRadius(f"radius {r!r} outside (0, 1)")
+    check_open_radius(r)
     return 2.0 * math.pi * r * r * (r * r + 2.0) / (1.0 - r * r) ** 4
 
 
 def s_class_dirichlet_f_max(r: float) -> float:
     """Largest Dirichlet integral of f over the analytic univalent class:
     pi r**2 (r**4 + 4 r**2 + 1) / (1 - r**2)**4."""
-    if not 0.0 < r < 1.0:
-        raise BadRadius(f"radius {r!r} outside (0, 1)")
+    check_open_radius(r)
     return math.pi * r * r * (r**4 + 4.0 * r * r + 1.0) / (1.0 - r * r) ** 4
 
 

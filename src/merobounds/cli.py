@@ -342,20 +342,15 @@ def _cmd_check(args) -> int:
                 print(f"row {i} WARN membership: sup ratio {_fmt(member.value)} > "
                       f"{_fmt(member.threshold)} near {_fmtc(member.witness)}")
         if spec.p is not None:
-            try:
-                crit = univalence_criterion(f)
-            except BadParameter as exc:
-                print(f"row {i} WARN univalence-criterion: {exc}")
+            crit = univalence_criterion(f)
+            if crit.holds:
+                near = " [at-threshold]" if abs(crit.value - crit.threshold) <= 1e-12 else ""
+                print(f"row {i} PASS univalence-criterion: sup {_fmt(crit.value)} <= "
+                      f"{_fmt(crit.threshold)}{near}")
             else:
-                if crit.holds:
-                    near = (" [at-threshold]"
-                            if abs(crit.value - crit.threshold) <= 1e-12 else "")
-                    print(f"row {i} PASS univalence-criterion: sup {_fmt(crit.value)} <= "
-                          f"{_fmt(crit.threshold)}{near}")
-                else:
-                    print(f"row {i} INCONCLUSIVE univalence-criterion: sup "
-                          f"{_fmt(crit.value)} > {_fmt(crit.threshold)}, "
-                          "proves nothing either way")
+                print(f"row {i} INCONCLUSIVE univalence-criterion: sup "
+                      f"{_fmt(crit.value)} > {_fmt(crit.threshold)}, "
+                      "proves nothing either way")
         collision = injectivity_oracle(f)
         if collision.holds:
             print(f"row {i} PASS injectivity: quotient floor {_fmt(collision.value)}")

@@ -53,6 +53,11 @@ def check_radius(r: float) -> None:
         raise BadRadius(f"radius {r!r} outside (0, 1]")
 
 
+def check_open_radius(r: float) -> None:
+    if not 0.0 < r < 1.0:
+        raise BadRadius(f"radius {r!r} outside (0, 1)")
+
+
 def check_lambda(lam: float) -> None:
     if not 0.0 < lam <= 1.0:
         raise BadParameter(f"lambda {lam!r} outside (0, 1]")

@@ -27,7 +27,8 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .errors import BadParameter, PoleInDomain, check_inside_pole, check_pole, check_radius
+from .errors import (BadParameter, PoleInDomain, check_inside_pole, check_open_radius, check_pole,
+                     check_radius)
 from .functions import POLE_GUARD, PoleFunction, f_over_z_series
 from .series import TruncatedSeries
 
@@ -160,10 +161,12 @@ def dirichlet_quadrature(
 
 def _dirichlet_f_route(f: PoleFunction, r: float, shift: int) -> IntegralResult:
     """Dirichlet integral of z**shift * (f/z) via its Taylor coefficients:
-    shift 0 gives f/z, shift 1 gives f = z * (f/z).  For functions with a
-    pole the radius must stay strictly below it, where the expansion of f
-    converges."""
+    shift 0 gives f/z, shift 1 gives f = z * (f/z).  The radius must stay
+    below the pole, or below 1 without one unless f = z, where the
+    integral converges."""
     if f.pole is None:
+        if f.inv_series.coefficients[1:].any():
+            check_open_radius(r)
         check_radius(r)
         ratio = r * r
     else:
@@ -178,7 +181,7 @@ def _dirichlet_f_route(f: PoleFunction, r: float, shift: int) -> IntegralResult:
 def dirichlet_f_over_z_series(f: PoleFunction, r: float) -> IntegralResult:
     """Dirichlet integral of f/z via its Taylor coefficients.
 
-    For functions with a pole the radius must stay strictly below it.
+    The radius must stay below the pole, or below 1 without one unless f = z.
     """
     return _dirichlet_f_route(f, r, shift=0)
 

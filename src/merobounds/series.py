@@ -172,9 +172,11 @@ class TruncatedSeries:
 
         Raises:
             BadRadius: if r is outside (0, 1].
-            BadParameter: if ``start_index`` is outside [0, order + 1].
+            BadParameter: if t is not finite or ``start_index`` is outside [0, order + 1].
         """
         check_radius(r)
+        if not np.isfinite(t):
+            raise BadParameter(f"exponent t {t!r} is not finite")
         if not 0 <= start_index <= self.order + 1:
             raise BadParameter(
                 f"start index {start_index} outside [0, {self.order + 1}]"

@@ -147,6 +147,12 @@ def test_lemma_tail_validation():
         lemma1_check(build_koebe_rotation(0.0), 1.0, 1.0, 0.5)
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf])
+def test_lemma_tail_rejects_a_non_finite_exponent(t):
+    with pytest.raises(BadParameter):
+        lemma1_check(build_fp(0.5, 0.5), 0.5, t, 0.5)
+
+
 # ---- closed-form maxima --------------------------------------------------------------
 
 def test_zf_sigma_bound_hand_value():

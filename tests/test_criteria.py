@@ -9,6 +9,7 @@ from merobounds.criteria import (
     COLLISION_TOL,
     CriterionVerdict,
     DiskGrid,
+    _circle_sup,
     injectivity_oracle,
     u_functional,
     univalence_criterion,
@@ -165,10 +166,74 @@ def test_membership_rejects_bad_lambda(lam):
         up_lambda_membership(build_kp(0.5), lam)
 
 
-def test_membership_witness_is_a_grid_point():
-    verdict = up_lambda_membership(build_kp(0.4), 1.0)
-    grid = DiskGrid(pole=0.4)
-    assert verdict.witness in set(grid.points().tolist())
+def test_membership_witness_lies_on_the_unit_circle():
+    assert up_lambda_membership(build_kp(0.4), 1.0).witness == 1 + 0j  # constant U/z^2
+    f = perturbed_member(0.4, np.random.default_rng(11))
+    verdict = up_lambda_membership(f, 1.0)
+    assert abs(abs(verdict.witness) - 1.0) < 1e-15
+    sample = abs(u_functional(f, verdict.witness))
+    assert sample <= verdict.value <= 1.0007 * sample
+
+
+def reproduction(s, k, c, p=0.5):
+    """z/f = (1 - z/p)(1 - s mu(p) p z + c z**k): its membership and
+    criterion sups peak on |z| = 1, beyond the reach of the old disk grid."""
+    h = np.zeros(k + 1)
+    h[0], h[1], h[k] = 1.0, -s * mu(p) * p, c
+    return from_inverse_coefficients(np.convolve(h, [1.0, -1.0 / p])[1:], pole=p)
+
+
+@pytest.mark.parametrize("k", [40, 80, 120])
+def test_membership_sees_a_supremum_the_disk_grid_misses(k):
+    f = reproduction(0.8, k, 2e-4)
+    z = DiskGrid(pole=0.5).points()
+    verdict = up_lambda_membership(f, 1.0)
+    assert np.max(np.abs(u_functional(f, z)) / np.abs(z) ** 2) < verdict.threshold
+    assert not verdict.holds
+    assert verdict.value > 1.01 * verdict.threshold
+
+
+@pytest.mark.parametrize("k,c", [(40, 5e-6), (80, 2e-6), (120, 1e-6)])
+def test_criterion_sees_a_supremum_the_disk_grid_misses(k, c):
+    f = reproduction(0.4, k, c)
+    z = DiskGrid(pole=0.5).points()
+    verdict = univalence_criterion(f)
+    assert np.max(np.abs(f.inv_series.differentiate(times=2).evaluate(z))) < verdict.threshold
+    assert not verdict.holds
+    assert verdict.value > 1.01 * verdict.threshold
+
+
+@pytest.mark.parametrize("p", [0.2, 0.5, 0.8])
+def test_sups_match_dense_samples_on_the_unit_circle(p):
+    f = perturbed_member(p, np.random.default_rng(int(100 * p)))
+    z = np.exp(2j * np.pi * np.arange(1 << 14) / (1 << 14))
+    for verdict, values in (
+            (up_lambda_membership(f, 1.0), u_functional(f, z)),
+            (univalence_criterion(f), f.inv_series.differentiate(times=2).evaluate(z))):
+        dense = float(np.max(np.abs(values)))
+        assert dense <= verdict.value <= 1.0007 * dense
+
+
+# --- circle bound ---
+
+@given(st.integers(min_value=1, max_value=64), st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_circle_sup_is_a_tight_upper_bound(degree, seed):
+    rng = np.random.default_rng(seed)
+    q = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
+    fine = float(np.max(np.abs(np.fft.fft(q, 1 << 18))))
+    bound, witness = _circle_sup(q)
+    assert fine <= bound <= 1.0007 * fine
+    assert abs(abs(witness) - 1.0) < 1e-15
+
+
+def test_circle_sup_of_a_constant_is_exact():
+    assert _circle_sup(np.array([-0.25 + 0j, 0.0, 0.0])) == (0.25, 1 + 0j)
+
+
+def test_circle_sup_of_zero_is_zero():
+    assert _circle_sup(np.zeros(3, dtype=np.complex128)) == (0.0, None)
+    assert _circle_sup(np.zeros(0, dtype=np.complex128)) == (0.0, None)
 
 
 # --- univalence criterion ---
@@ -198,12 +263,14 @@ def test_kp_fails_the_criterion_despite_being_univalent():
     assert abs(verdict.value - 2.0) < 1e-12
 
 
-def test_criterion_detects_a_second_zero_on_the_grid():
-    z0 = 0.99 * 10 / 32  # sits exactly on the default grid
-    p = 0.7
-    f = from_inverse_coefficients([-(1.0 / z0 + 1.0 / p), 1.0 / (z0 * p)], pole=p)
-    with pytest.raises(BadParameter):
-        univalence_criterion(f)
+def test_criterion_fails_without_raising_on_a_second_zero_in_the_disk():
+    # z/f = (1 - z/p)(1 - z/z0): z0 = 0.309375 sits on the default grid,
+    # z0 = 0.7 lies beyond the pole; (z/f)'' = 2 / (p z0) is far above mu(p)
+    for z0, p in ((0.99 * 10 / 32, 0.7), (0.7, 0.5)):
+        f = from_inverse_coefficients([-(1.0 / z0 + 1.0 / p), 1.0 / (z0 * p)], pole=p)
+        verdict = univalence_criterion(f)
+        assert not verdict.holds
+        assert abs(verdict.value - 2.0 / (p * z0)) < 1e-12
 
 
 def test_criterion_is_trivial_for_first_order_inverse():

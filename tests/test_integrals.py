@@ -193,6 +193,15 @@ def test_f_routes_reject_radius_at_or_beyond_pole():
             dirichlet_f_series(f, r)
 
 
+@pytest.mark.parametrize("route", [dirichlet_f_series, dirichlet_f_over_z_series])
+def test_f_routes_of_a_pole_free_function_reject_radius_one(route):
+    # the Koebe map's f and f/z integrals diverge as r -> 1
+    f = build_koebe_rotation(0.0)
+    with pytest.raises(BadRadius):
+        route(f, 1.0)
+    assert math.isfinite(route(f, 0.9).value)
+
+
 def test_f_series_identity_map_any_radius():
     # with no pole declared the full radius range is available; f = z has
     # Dirichlet integral pi r^2

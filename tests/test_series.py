@@ -303,6 +303,12 @@ def test_weighted_sum_zero_index_conventions():
     assert s.weighted_coefficient_sum(-1.0, 0.5) == pytest.approx(9.0 * 0.25)
 
 
+@pytest.mark.parametrize("t", [float("nan"), float("inf"), float("-inf")])
+def test_weighted_sum_rejects_a_non_finite_exponent(t):
+    with pytest.raises(BadParameter):
+        TruncatedSeries([1.0, -2.5, 1.0]).weighted_coefficient_sum(t, 0.5)
+
+
 def test_weighted_sum_validation():
     s = TruncatedSeries([1.0, 1.0])
     with pytest.raises(BadRadius):
