@@ -341,8 +341,10 @@ def _cmd_check(args) -> int:
             else:
                 print(f"row {i} WARN membership: sup ratio {_fmt(member.value)} > "
                       f"{_fmt(member.threshold)} near {_fmtc(member.witness)}")
+        criterion_holds = False
         if spec.p is not None:
             crit = univalence_criterion(f)
+            criterion_holds = crit.holds
             if crit.holds:
                 near = " [at-threshold]" if abs(crit.value - crit.threshold) <= 1e-12 else ""
                 print(f"row {i} PASS univalence-criterion: sup {_fmt(crit.value)} <= "
@@ -351,6 +353,13 @@ def _cmd_check(args) -> int:
                 print(f"row {i} INCONCLUSIVE univalence-criterion: sup "
                       f"{_fmt(crit.value)} > {_fmt(crit.threshold)}, "
                       "proves nothing either way")
+        # a certificate already settles injectivity, so the grid scan is skipped
+        if not report.satisfied:
+            print(f"row {i} FAIL injectivity: implied by coefficient-sum")
+            continue
+        if criterion_holds:
+            print(f"row {i} PASS injectivity: implied by univalence-criterion")
+            continue
         collision = injectivity_oracle(f)
         if collision.holds:
             print(f"row {i} PASS injectivity: quotient floor {_fmt(collision.value)}")

@@ -67,13 +67,16 @@ class CriterionVerdict:
     """Outcome of a check: ``value`` bounds the supremum over the disk from
     above for the membership and criterion checks, peaking at ``witness``
     on |z| = 1, and is the minimum quotient over grid pairs for the
-    injectivity scan, realised at ``witness`` and ``witness_partner``."""
+    injectivity scan, realised at ``witness`` and ``witness_partner``.
+    ``pairs`` counts the quotients the injectivity scan formed; the other
+    checks leave it at 0."""
 
     holds: bool
     value: float
     threshold: float
     witness: complex | None = None
     witness_partner: complex | None = None
+    pairs: int = 0
 
 
 def _circle_sup(q) -> tuple[float, complex | None]:
@@ -175,12 +178,26 @@ def _box(values: np.ndarray, members: np.ndarray):
             for part in (values.real, values.imag)]
 
 
+def _quotient_bound(z_a, w_a, a, z_b, w_b, b) -> np.ndarray:
+    """Lower bound of ``|w_i - w_j| / |z_i - z_j|`` over i in A and j in B:
+    the gap between the image boxes over the widest distance between the
+    sample boxes.  A's boxes are entries ``a`` of ``z_a`` and ``w_a``, laid
+    out as by :func:`_box`, and B's are entries ``b`` of ``z_b`` and ``w_b``;
+    a single point is the box with lo = hi."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        gap = np.hypot(*(np.maximum(np.maximum(lo_b[b] - hi_a[a], lo_a[a] - hi_b[b]), 0.0)
+                         for (lo_a, hi_a), (lo_b, hi_b) in zip(w_a, w_b)))
+        span = np.hypot(*(np.maximum(hi_b[b] - lo_a[a], hi_a[a] - lo_b[b])
+                          for (lo_a, hi_a), (lo_b, hi_b) in zip(z_a, z_b)))
+        return gap / span
+
+
 class _PairMinimum:
     """Running minimum of ``|w_i - w_j| / |z_i - z_j|`` over pairs i < j.
 
     Ties go to the smallest ``(i, j)`` in lexicographic order.  A NaN
     quotient (both images infinite) counts as +inf, and the initial key
-    (0, 0) wins every tie at +inf.
+    (0, 0) wins every tie at +inf.  ``pairs`` counts the quotients formed.
     """
 
     def __init__(self, z: np.ndarray, w: np.ndarray):
@@ -188,6 +205,7 @@ class _PairMinimum:
         self.finite = bool(np.isfinite(w).all())
         self.value = float("inf")
         self.key = 0
+        self.pairs = 0
 
     def scan(self, i: np.ndarray, j: np.ndarray, distinct: bool) -> None:
         """Scan the pairs of the broadcast index arrays ``i`` and ``j``.
@@ -203,6 +221,9 @@ class _PairMinimum:
         if not self.finite:
             q[np.isnan(q)] = np.inf
         q = q.ravel()
+        self.pairs += q.size
+        if q.size == 0:
+            return
         value = float(q.min())
         if value > self.value:
             return
@@ -237,6 +258,15 @@ def injectivity_oracle(f: PoleFunction, grid: DiskGrid | None = None) -> Criteri
     quotient found.  A pair is skipped only when its bound exceeds the best
     by the relative margin ``_PRUNE_MARGIN``, far above rounding error, so
     a skipped pair can never tie the floor.
+
+    For each kept block pair (A, B) a second level bounds each point i of A
+    against all of B: the distance from w_i to B's image box over the
+    widest distance from z_i to B's sample box is at most every quotient of
+    i with a point of B.  Each point of B is bounded against A the same
+    way, and the quotient of (i, j) is formed only when neither point bound
+    exceeds the best by the same margin, so the same rounding argument
+    holds.  A NaN or infinite bound is kept while the best is +inf, so the
+    tie rule at +inf sees every pair it saw before.
     """
     if grid is None:
         grid = DiskGrid(pole=f.pole)
@@ -251,20 +281,26 @@ def injectivity_oracle(f: PoleFunction, grid: DiskGrid | None = None) -> Criteri
     best.scan(members[:, :, None], members[:, None, :], distinct=False)
 
     a, b = np.triu_indices(len(members), 1)
-    with np.errstate(over="ignore"):
-        gap = np.hypot(*(np.maximum(np.maximum(lo[b] - hi[a], lo[a] - hi[b]), 0.0)
-                         for lo, hi in _box(w, members)))
-        span = np.hypot(*(np.maximum(hi[b] - lo[a], hi[a] - lo[b])
-                          for lo, hi in _box(z, members)))
-        lower = gap / span
+    z_box, w_box = _box(z, members), _box(w, members)
+    lower = _quotient_bound(z_box, w_box, a, z_box, w_box, b)
     keep = lower <= best.value * (1.0 + _PRUNE_MARGIN)
     order = np.argsort(lower[keep], kind="stable")
     a, b, lower = a[keep][order], b[keep][order], lower[keep][order]
+    z_points = [(x, x) for x in (z.real[members], z.imag[members])]
+    w_points = [(x, x) for x in (w.real[members], w.imag[members])]
+    # each point of one block against the whole other block
+    bound_a = _quotient_bound(z_points, w_points, a, z_box, w_box, b[:, None])
+    bound_b = _quotient_bound(z_points, w_points, b, z_box, w_box, a[:, None])
+    n = members.shape[1]
     for start in range(0, a.size, _PAIR_BATCH):
-        if lower[start] > best.value * (1.0 + _PRUNE_MARGIN):
+        limit = best.value * (1.0 + _PRUNE_MARGIN)
+        if lower[start] > limit:
             break
-        best.scan(members[a[start:start + _PAIR_BATCH]][:, :, None],
-                  members[b[start:start + _PAIR_BATCH]][:, None, :], distinct=True)
+        batch = slice(start, start + _PAIR_BATCH)
+        keep = ~(bound_a[batch] > limit)[:, :, None] & ~(bound_b[batch] > limit)[:, None, :]
+        pair = np.flatnonzero(keep)  # k n**2 + s n + t for point s of a[k], t of b[k]
+        best.scan(members[a[batch]].ravel()[pair // n],
+                  members[b[batch]].ravel()[pair // (n * n) * n + pair % n], distinct=True)
 
     best_i, best_j = divmod(best.key, z.size)
     return CriterionVerdict(
@@ -273,4 +309,5 @@ def injectivity_oracle(f: PoleFunction, grid: DiskGrid | None = None) -> Criteri
         threshold=COLLISION_TOL,
         witness=complex(z[best_i]),
         witness_partner=complex(z[best_j]),
+        pairs=best.pairs,
     )

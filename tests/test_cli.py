@@ -5,8 +5,11 @@ from pathlib import Path
 
 import pytest
 
-from merobounds.cli import LAMBDA_GRID, P_GRID, R_GRID, _fmt, main
-from merobounds.functions import build_fp, build_koebe_rotation, build_kp, to_csv_row
+from merobounds import cli
+from merobounds.cli import LAMBDA_GRID, P_GRID, R_GRID, _fmt, _fmtc, main
+from merobounds.criteria import DiskGrid
+from merobounds.functions import (build_fp, build_koebe_rotation, build_kp,
+                                  from_inverse_coefficients, to_csv_row)
 
 
 def run_cli(capsys, *argv):
@@ -73,7 +76,8 @@ def test_check_matches_the_golden_output(capsys):
     # (0.4, 5e-6), whose membership and criterion sups sit just above mu(p)
     # on |z| = 1, and (1 - 2z)(1 - z/0.309375), whose second root lies on
     # the injectivity grid.  Row 7 fails the coefficient sum, so the exit
-    # code is 1.
+    # code is 1, and its injectivity verdict comes from that sum.  Rows 2
+    # and 3 meet the univalence criterion, which settles theirs.
     data = Path(__file__).parent / "data"
     code, out, _ = run_cli(capsys, "check", "--in", str(data / "check_rows.csv"),
                            "--class", "u_p_lambda", "--p", "0.5", "--lambda", "1.0")
@@ -225,10 +229,38 @@ def test_check_disproves_univalence_via_coefficient_sum(tmp_path, capsys):
 
 
 def test_check_disproves_univalence_via_collision(tmp_path, capsys):
+    # z/f = 1 + 5z^2 has coefficient sum 25, which settles injectivity
     path = write_rows(tmp_path / "f.csv", [["", "2", "0", "0", "5", "0"]])
     code, out, _ = run_cli(capsys, "check", "--in", path, "--class", "s")
     assert code == 1
-    assert "FAIL injectivity: collision between" in out
+    assert "row 1 FAIL injectivity: implied by coefficient-sum" in out
+    # z/f = 1 + b3 z^3 maps the adjacent outer grid points z1, z2 to one
+    # image when b3 z1 z2 (z1 + z2) = 1; its coefficient sum 2|b3|^2 is
+    # about 0.53, so only the scan can disprove it
+    z = DiskGrid().points()
+    z1, z2 = z[-64], z[-63]
+    f = from_inverse_coefficients([0.0, 0.0, 1.0 / (z1 * z2 * (z1 + z2))])
+    path = write_rows(tmp_path / "g.csv", [to_csv_row(f)])
+    code, out, _ = run_cli(capsys, "check", "--in", path, "--class", "s")
+    assert code == 1
+    assert "row 1 PASS coefficient-sum" in out
+    assert f"row 1 FAIL injectivity: collision between {_fmtc(z1)} and {_fmtc(z2)}" in out
+
+
+def test_check_skips_the_scan_on_a_settled_row(tmp_path, capsys, monkeypatch):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("injectivity_oracle called on a settled row")
+
+    monkeypatch.setattr(cli, "injectivity_oracle", no_scan)
+    # fp(0.5, 0.5) meets the univalence criterion; the second row's
+    # coefficient sum is 1.44
+    path = write_rows(tmp_path / "f.csv", [to_csv_row(build_fp(0.5, 0.5)),
+                                           ["0.5", "2", "-2.6", "0", "1.2", "0"]])
+    code, out, _ = run_cli(capsys, "check", "--in", path, "--class", "sigma_p",
+                           "--p", "0.5")
+    assert code == 1
+    assert "row 1 PASS injectivity: implied by univalence-criterion" in out
+    assert "row 2 FAIL injectivity: implied by coefficient-sum" in out
 
 
 def test_check_s_class_skips_pole_criteria(tmp_path, capsys):

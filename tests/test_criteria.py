@@ -424,6 +424,32 @@ def test_extremal_scans_match_the_full_scan(p):
     assert_same_scan(build_fp(p, 1.0))
 
 
+@pytest.mark.parametrize("p", [0.75, 0.85, 0.95])
+def test_perturbed_scans_at_large_poles_match_the_full_scan(p):
+    # large floors, where block pairs with touching image boxes are pruned
+    # point by point
+    rng = np.random.default_rng(int(100 * p))
+    for _ in range(3):
+        assert_same_scan(perturbed_member(p, rng))
+
+
+@pytest.mark.parametrize("lam", [0.25, 0.5])
+@pytest.mark.parametrize("p", [0.05, 0.2, 0.5, 0.8, 0.95])
+def test_criterion_pass_agrees_with_the_full_scan(p, lam):
+    # check skips the scan on a criterion PASS; the scan must agree there
+    f = build_fp(p, lam)
+    assert univalence_criterion(f).holds
+    assert assert_same_scan(f).holds
+
+
+def test_pruned_scan_forms_few_pairs():
+    # the single-level branch and bound formed 356,608 quotients here,
+    # of 2.0e6 grid pairs; the point-to-block bound leaves about 98,000
+    verdict = injectivity_oracle(build_fp(0.9, 1.0))
+    assert verdict.holds
+    assert 0 < verdict.pairs < 150_000
+
+
 @given(log_p=st.floats(min_value=math.log(0.02), max_value=math.log(0.98)),
        degree=st.integers(min_value=1, max_value=40),
        scale=st.floats(min_value=0.01, max_value=3.0),
@@ -453,3 +479,4 @@ def test_verdict_fields_round_trip():
     v = CriterionVerdict(holds=True, value=0.5, threshold=1.0, witness=0.1 + 0.2j)
     assert v.holds and v.value == 0.5 and v.threshold == 1.0
     assert v.witness_partner is None
+    assert v.pairs == 0
