@@ -14,15 +14,7 @@ from .bounds import (
     check_bound,
     gronwall_check,
     jenkins_bound,
-    l1_bound,
     lemma1_check,
-    max_dirichlet_f,
-    max_dirichlet_f_over_z,
-    max_dirichlet_zf_sigma_p,
-    max_dirichlet_zf_up_lambda,
-    s_class_dirichlet_f_max,
-    s_class_dirichlet_f_over_z_max,
-    s_class_dirichlet_zf_max,
     sharp_maximum,
 )
 from .criteria import (
@@ -115,18 +107,10 @@ __all__ = [
     "gronwall_check",
     "injectivity_oracle",
     "jenkins_bound",
-    "l1_bound",
     "l1_mean_quadrature",
     "l1_mean_series",
     "lemma1_check",
-    "max_dirichlet_f",
-    "max_dirichlet_f_over_z",
-    "max_dirichlet_zf_sigma_p",
-    "max_dirichlet_zf_up_lambda",
     "mu",
-    "s_class_dirichlet_f_max",
-    "s_class_dirichlet_f_over_z_max",
-    "s_class_dirichlet_zf_max",
     "sharp_maximum",
     "to_csv_row",
     "u_functional",

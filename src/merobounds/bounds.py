@@ -1,10 +1,11 @@
-"""Sharp bounds and coefficient inequalities, with slack reporting.
+"""The paper's sharp maxima, coefficient inequalities and bound reports.
 
-The closed forms collected here are the extremal values of Dirichlet
-integrals, integral means and coefficient moduli over the function classes
-in :mod:`merobounds.functions`.  Each check produces a BoundReport whose
-slack is ``bound - computed``; the canonical extremal functions must land
-on zero slack up to roundoff, everything else strictly inside.
+:func:`sharp_maximum` is the one public source of a sharp bound: the largest
+Dirichlet integral of z/f, f or f/z, or L1 mean, over a class of
+:mod:`merobounds.functions` at radius r, read from ``_SHARP_MAXIMA``, with r
+checked once.  :func:`check_bound` compares a series-route value with it.
+Each check produces a BoundReport whose slack is ``bound - computed``; the
+canonical extremal functions land on zero slack up to roundoff.
 """
 
 from __future__ import annotations
@@ -109,85 +110,83 @@ def lemma1_check(f: PoleFunction, lam: float, t: float, r: float) -> BoundReport
     return build_report("LEMMA_TAIL", computed, bound, r=r)
 
 
-# ---- closed-form maxima --------------------------------------------------------
+# ---- the paper's sharp maxima -------------------------------------------------------
 
-def max_dirichlet_zf_sigma_p(r: float, p: float) -> float:
-    """Largest Dirichlet integral of z/f over univalent f with pole p:
-    pi r**2 ((1/p + p)**2 + 2 r**2)."""
-    check_pole(p)
-    check_radius(r)
-    return math.pi * r * r * ((1.0 / p + p) ** 2 + 2.0 * r * r)
-
-
-def max_dirichlet_zf_up_lambda(r: float, p: float, lam: float) -> float:
-    """Largest Dirichlet integral of z/f over the residual-functional class:
-    pi r**2 ((1/p + lam*mu*p)**2 + 2 (lam*mu)**2 r**2)."""
-    check_lambda(lam)
-    check_pole(p)
-    check_radius(r)
-    m = lam * mu(p)
-    return math.pi * r * r * ((1.0 / p + m * p) ** 2 + 2.0 * m * m * r * r)
-
-
-def max_dirichlet_f_over_z(r: float, p: float) -> float:
-    """Largest Dirichlet integral of f/z over univalent f with pole p,
-    for radii strictly inside the pole."""
-    check_inside_pole(r, p)
+def _inside_pole(p: float, r: float, near: float, far: float) -> float:
+    """Largest Dirichlet integral of f (near = far = p**2) or f/z (near = 1,
+    far = p**4) over univalent f with pole p, at radius r < p."""
     lead = math.pi * p * p * r * r / (1.0 - p * p) ** 2
-    return lead * (
-        1.0 / (p * p - r * r) ** 2
-        - 2.0 / (1.0 - r * r) ** 2
-        + p**4 / (1.0 - p * p * r * r) ** 2
-    )
+    return lead * (near / (p * p - r * r) ** 2 - 2.0 / (1.0 - r * r) ** 2
+                   + far / (1.0 - p * p * r * r) ** 2)
 
 
-def max_dirichlet_f(r: float, p: float) -> float:
-    """Largest Dirichlet integral of f itself over univalent f with pole p,
-    for radii strictly inside the pole."""
-    check_inside_pole(r, p)
-    lead = math.pi * p * p * r * r / (1.0 - p * p) ** 2
-    return lead * (
-        p * p / (p * p - r * r) ** 2
-        - 2.0 / (1.0 - r * r) ** 2
-        + p * p / (1.0 - p * p * r * r) ** 2
-    )
+def _residual_zf(c: ClassSpec, r: float) -> float:
+    """pi r**2 ((1/p + lam*mu*p)**2 + 2 (lam*mu)**2 r**2)."""
+    m = c.lam * mu(c.p)
+    return math.pi * r * r * ((1.0 / c.p + m * c.p) ** 2 + 2.0 * m * m * r * r)
 
 
-# ---- pole-free (analytic class) reference values ---------------------------------
-
-def s_class_dirichlet_zf_max(r: float) -> float:
-    """Largest Dirichlet integral of z/f over the analytic univalent class:
-    2 pi r**2 (r**2 + 2), the limit of the pole-class bound as p -> 1."""
-    check_radius(r)
-    return 2.0 * math.pi * r * r * (r * r + 2.0)
+def _residual_l1(c: ClassSpec, r: float) -> float:
+    """1 + (1/p + lam*mu*p)**2 r**2 + (lam*mu)**2 r**4."""
+    m = c.lam * mu(c.p)
+    return 1.0 + (1.0 / c.p + m * c.p) ** 2 * r * r + m * m * r**4
 
 
-def s_class_dirichlet_f_over_z_max(r: float) -> float:
-    """Largest Dirichlet integral of f/z over the analytic univalent class:
-    2 pi r**2 (r**2 + 2) / (1 - r**2)**4."""
-    check_open_radius(r)
-    return 2.0 * math.pi * r * r * (r * r + 2.0) / (1.0 - r * r) ** 4
+#: Sharp maximum of each (class, quantity) pair the paper gives, as a
+#: function of (class_spec, r).  Each class's form is written out on its
+#: own, so the p -> 1 limit and class-nesting checks of ``verify`` compare
+#: independent expressions.
+_SHARP_MAXIMA = {
+    (ClassKind.SIGMA_P, BoundQuantity.DIRICHLET_ZF):  # pi r**2 ((1/p + p)**2 + 2 r**2)
+        lambda c, r: math.pi * r * r * ((1.0 / c.p + c.p) ** 2 + 2.0 * r * r),
+    (ClassKind.U_P_LAMBDA, BoundQuantity.DIRICHLET_ZF): _residual_zf,
+    (ClassKind.S, BoundQuantity.DIRICHLET_ZF):  # 2 pi r**2 (r**2 + 2)
+        lambda c, r: 2.0 * math.pi * r * r * (r * r + 2.0),
+    (ClassKind.SIGMA_P, BoundQuantity.DIRICHLET_F):
+        lambda c, r: _inside_pole(c.p, r, c.p * c.p, c.p * c.p),
+    (ClassKind.S, BoundQuantity.DIRICHLET_F):  # pi r**2 (r**4 + 4 r**2 + 1) / (1 - r**2)**4
+        lambda c, r: math.pi * r * r * (r**4 + 4.0 * r * r + 1.0) / (1.0 - r * r) ** 4,
+    (ClassKind.SIGMA_P, BoundQuantity.DIRICHLET_F_OVER_Z):
+        lambda c, r: _inside_pole(c.p, r, 1.0, c.p**4),
+    (ClassKind.S, BoundQuantity.DIRICHLET_F_OVER_Z):  # 2 pi r**2 (r**2 + 2) / (1 - r**2)**4
+        lambda c, r: 2.0 * math.pi * r * r * (r * r + 2.0) / (1.0 - r * r) ** 4,
+    (ClassKind.SIGMA_P, BoundQuantity.L1):
+        lambda c, r: 1.0 + (1.0 / c.p + c.p) ** 2 * r * r + r**4,
+    (ClassKind.U_P_LAMBDA, BoundQuantity.L1): _residual_l1,
+    (ClassKind.S, BoundQuantity.L1): lambda c, r: 1.0 + 4.0 * r * r + r**4,
+}
 
 
-def s_class_dirichlet_f_max(r: float) -> float:
-    """Largest Dirichlet integral of f over the analytic univalent class:
-    pi r**2 (r**4 + 4 r**2 + 1) / (1 - r**2)**4."""
-    check_open_radius(r)
-    return math.pi * r * r * (r**4 + 4.0 * r * r + 1.0) / (1.0 - r * r) ** 4
+def sharp_maximum(class_spec: ClassSpec, quantity: BoundQuantity, r: float) -> float:
+    """The paper's sharp maximum of a quantity over a class at radius r.
 
+    r lies in (0, 1] for DIRICHLET_ZF and L1; the f and f/z maxima need
+    0 < r < p over a pole class and 0 < r < 1 over S.
 
-# ---- integral-mean bounds ----------------------------------------------------------
-
-def l1_bound(class_spec: ClassSpec, r: float) -> float:
-    """Sharp upper bound for the quadratic integral mean at radius r."""
-    check_radius(r)
-    kind = class_spec.kind
-    if kind is ClassKind.S:
-        return 1.0 + 4.0 * r * r + r**4
-    if kind is ClassKind.U_P_LAMBDA:
-        m = class_spec.lam * mu(class_spec.p)
-        return 1.0 + (1.0 / class_spec.p + m * class_spec.p) ** 2 * r * r + m * m * r**4
-    return 1.0 + (1.0 / class_spec.p + class_spec.p) ** 2 * r * r + r**4
+    Raises BadParameter where the paper gives none (Dirichlet integrals of
+    f and f/z over U_P_LAMBDA), and where the closed form leaves the float
+    range; BadRadius or RadiusBeyondPole for r outside its domain.
+    """
+    quantity = BoundQuantity(quantity)
+    maximum = _SHARP_MAXIMA.get((class_spec.kind, quantity))
+    if maximum is None:
+        raise BadParameter(
+            f"no sharp bound for {quantity.value} over class {class_spec.kind.value}")
+    if quantity in (BoundQuantity.DIRICHLET_ZF, BoundQuantity.L1):
+        check_radius(r)
+    elif class_spec.p is None:
+        check_open_radius(r)
+    else:
+        check_inside_pole(r, class_spec.p)
+    try:
+        value = maximum(class_spec, r)
+    except ArithmeticError:  # overflow, or a difference that underflows to 0
+        value = math.nan
+    if not math.isfinite(value):
+        raise BadParameter(
+            f"sharp maximum of {quantity.value} over class {class_spec.kind.value} at "
+            f"p = {class_spec.p!r}, r = {r!r} exceeds the float range")
+    return value
 
 
 # ---- dispatching check ---------------------------------------------------------------
@@ -200,38 +199,6 @@ _SERIES_ROUTES = {
     BoundQuantity.DIRICHLET_F_OVER_Z: lambda f, r: dirichlet_f_over_z_series(f, r),
     BoundQuantity.L1: lambda f, r: l1_mean_series(f, r),
 }
-
-#: Sharp maximum of each (class, quantity) pair the paper gives, as a
-#: function of (class_spec, r).
-_SHARP_MAXIMA = {
-    (ClassKind.SIGMA_P, BoundQuantity.DIRICHLET_ZF):
-        lambda c, r: max_dirichlet_zf_sigma_p(r, c.p),
-    (ClassKind.U_P_LAMBDA, BoundQuantity.DIRICHLET_ZF):
-        lambda c, r: max_dirichlet_zf_up_lambda(r, c.p, c.lam),
-    (ClassKind.S, BoundQuantity.DIRICHLET_ZF): lambda c, r: s_class_dirichlet_zf_max(r),
-    (ClassKind.SIGMA_P, BoundQuantity.DIRICHLET_F): lambda c, r: max_dirichlet_f(r, c.p),
-    (ClassKind.S, BoundQuantity.DIRICHLET_F): lambda c, r: s_class_dirichlet_f_max(r),
-    (ClassKind.SIGMA_P, BoundQuantity.DIRICHLET_F_OVER_Z):
-        lambda c, r: max_dirichlet_f_over_z(r, c.p),
-    (ClassKind.S, BoundQuantity.DIRICHLET_F_OVER_Z):
-        lambda c, r: s_class_dirichlet_f_over_z_max(r),
-    **{(kind, BoundQuantity.L1): l1_bound for kind in ClassKind},
-}
-
-
-def sharp_maximum(class_spec: ClassSpec, quantity: BoundQuantity, r: float) -> float:
-    """The paper's sharp maximum of a quantity over a class at radius r.
-
-    Raises BadParameter where the paper gives none (Dirichlet integrals of
-    f and f/z over U_P_LAMBDA) and for r outside the closed form's domain,
-    RadiusBeyondPole for the f and f/z maxima of a pole class at r >= p.
-    """
-    quantity = BoundQuantity(quantity)
-    maximum = _SHARP_MAXIMA.get((class_spec.kind, quantity))
-    if maximum is None:
-        raise BadParameter(
-            f"no sharp bound for {quantity.value} over class {class_spec.kind.value}")
-    return maximum(class_spec, r)
 
 
 def check_bound(

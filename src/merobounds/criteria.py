@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadParameter, NoPole, check_lambda, check_pole
+from .errors import BadParameter, NoPole, check_count, check_lambda, check_pole
 from .functions import NO_POLE, POLE_GUARD, PoleFunction, mu
 
 SUP_TOL = 1e-12
@@ -42,10 +42,8 @@ class DiskGrid:
     def __post_init__(self) -> None:
         if not 0.0 < self.radius < 1.0:
             raise BadParameter(f"grid radius must lie in (0, 1), got {self.radius}")
-        if self.radial_count < 1:
-            raise BadParameter("radial_count must be at least 1")
-        if self.angular_count < 1:
-            raise BadParameter("angular_count must be at least 1")
+        check_count(self.radial_count, 1, "radial_count must be at least 1")
+        check_count(self.angular_count, 1, "angular_count must be at least 1")
         if self.pole is not None:
             check_pole(self.pole)
         if self.radii().size == 0:

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import operator
+
 
 class MeroboundsError(Exception):
     """Base class for every error this package raises deliberately."""
@@ -63,15 +65,24 @@ def check_lambda(lam: float) -> None:
         raise BadParameter(f"lambda {lam!r} outside (0, 1]")
 
 
+def check_count(count: int, minimum: int, message: str) -> None:
+    """An integer (numpy integers included) of at least ``minimum``."""
+    try:
+        operator.index(count)
+    except TypeError:
+        raise BadParameter(f"{message}; {count!r} is not an integer") from None
+    if count < minimum:
+        raise BadParameter(message)
+
+
 def check_order(order: int) -> None:
-    if not order >= 2:
-        raise BadParameter("order must be at least 2 to hold the z/f polynomial")
+    check_count(order, 2, "order must be at least 2 to hold the z/f polynomial")
 
 
 def check_inside_pole(r: float, p: float) -> None:
-    """A radius strictly inside the pole, where expansions of f converge."""
+    """A radius in (0, 1] strictly inside the pole, where expansions of f converge."""
     check_pole(p)
-    if not 0.0 < r:
+    if not 0.0 < r <= 1.0:
         raise BadRadius(f"radius {r!r} outside (0, 1]")
     if not r < p:
         raise RadiusBeyondPole(f"radius {r!r} reaches the pole at {p!r}")

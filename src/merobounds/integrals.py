@@ -27,8 +27,8 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .errors import (BadParameter, PoleInDomain, check_inside_pole, check_open_radius, check_pole,
-                     check_radius)
+from .errors import (BadParameter, PoleInDomain, check_count, check_inside_pole, check_open_radius,
+                     check_pole, check_radius)
 from .functions import POLE_GUARD, PoleFunction, f_over_z_series
 from .series import TruncatedSeries
 
@@ -52,10 +52,8 @@ class QuadratureConfig:
     angular_nodes: int = 256
 
     def __post_init__(self):
-        if self.radial_nodes < 8:
-            raise BadParameter("at least 8 radial nodes are required")
-        if self.angular_nodes < 16:
-            raise BadParameter("at least 16 angular nodes are required")
+        check_count(self.radial_nodes, 8, "at least 8 radial nodes are required")
+        check_count(self.angular_nodes, 16, "at least 16 angular nodes are required")
 
 
 @dataclass(frozen=True)

@@ -14,21 +14,13 @@ import time
 import numpy as np
 import pytest
 
-from merobounds.bounds import (
-    gronwall_check,
-    lemma1_check,
-    max_dirichlet_f,
-    max_dirichlet_f_over_z,
-    max_dirichlet_zf_sigma_p,
-    max_dirichlet_zf_up_lambda,
-    s_class_dirichlet_f_max,
-    s_class_dirichlet_f_over_z_max,
-    s_class_dirichlet_zf_max,
-)
+from merobounds.bounds import BoundQuantity, gronwall_check, lemma1_check, sharp_maximum
 from merobounds.cli import LAMBDA_GRID, P_GRID, R_GRID, main
 from merobounds.criteria import DiskGrid, injectivity_oracle, u_functional, univalence_criterion
 from merobounds.errors import BadParameter, RadiusBeyondPole
 from merobounds.functions import (
+    ClassKind,
+    ClassSpec,
     build_fp,
     build_koebe_rotation,
     build_kp,
@@ -133,8 +125,12 @@ def test_criterion_05_inside_pole_closed_forms():
             r = c * p
             worst = max(
                 worst,
-                rel(dirichlet_f_over_z_series(f, r).value, max_dirichlet_f_over_z(r, p)),
-                rel(dirichlet_f_series(f, r).value, max_dirichlet_f(r, p)))
+                rel(dirichlet_f_over_z_series(f, r).value,
+                    sharp_maximum(ClassSpec(ClassKind.SIGMA_P, p=p),
+                                  BoundQuantity.DIRICHLET_F_OVER_Z, r)),
+                rel(dirichlet_f_series(f, r).value,
+                    sharp_maximum(ClassSpec(ClassKind.SIGMA_P, p=p),
+                                  BoundQuantity.DIRICHLET_F, r)))
     assert worst <= 1e-8
     f = build_kp(0.5, order=128)
     with pytest.raises(RadiusBeyondPole):
@@ -142,16 +138,20 @@ def test_criterion_05_inside_pole_closed_forms():
     with pytest.raises(RadiusBeyondPole):
         dirichlet_f_series(f, 0.7)
     with pytest.raises(RadiusBeyondPole):
-        max_dirichlet_f(0.5, 0.5)
+        sharp_maximum(ClassSpec(ClassKind.SIGMA_P, p=0.5), BoundQuantity.DIRICHLET_F, 0.5)
     print(f"PASS criterion 05: inside-pole closed forms at order 128, "
           f"max rel err {worst:.3e}; r >= p rejected")
 
 
 def test_criterion_06_limits_toward_the_analytic_class():
     p, r = 0.999, 0.5
-    zf_gap = rel(max_dirichlet_zf_sigma_p(r, p), s_class_dirichlet_zf_max(r))
-    fz_gap = rel(max_dirichlet_f_over_z(r, p), s_class_dirichlet_f_over_z_max(r))
-    f_gap = rel(max_dirichlet_f(r, p), s_class_dirichlet_f_max(r))
+    sigma, s = ClassSpec(ClassKind.SIGMA_P, p=p), ClassSpec(ClassKind.S)
+    zf_gap = rel(sharp_maximum(sigma, BoundQuantity.DIRICHLET_ZF, r),
+                 sharp_maximum(s, BoundQuantity.DIRICHLET_ZF, r))
+    fz_gap = rel(sharp_maximum(sigma, BoundQuantity.DIRICHLET_F_OVER_Z, r),
+                 sharp_maximum(s, BoundQuantity.DIRICHLET_F_OVER_Z, r))
+    f_gap = rel(sharp_maximum(sigma, BoundQuantity.DIRICHLET_F, r),
+                sharp_maximum(s, BoundQuantity.DIRICHLET_F, r))
     assert zf_gap <= 2e-3
     assert fz_gap <= 1e-2
     assert f_gap <= 1e-2
@@ -232,7 +232,9 @@ def test_criterion_08_criteria_suite(tmp_path):
 
 def test_criterion_09_monotone_nesting():
     margin = min(
-        max_dirichlet_zf_sigma_p(r, p) - max_dirichlet_zf_up_lambda(r, p, lam)
+        sharp_maximum(ClassSpec(ClassKind.SIGMA_P, p=p), BoundQuantity.DIRICHLET_ZF, r)
+        - sharp_maximum(ClassSpec(ClassKind.U_P_LAMBDA, p=p, lam=lam),
+                        BoundQuantity.DIRICHLET_ZF, r)
         for p in P_GRID for r in R_GRID for lam in LAMBDA_GRID)
     assert margin > 1e-12
     print(f"PASS criterion 09: nesting margin {margin:.3e}")

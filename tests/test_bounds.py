@@ -27,21 +27,24 @@ from merobounds.bounds import (
     check_bound,
     gronwall_check,
     jenkins_bound,
-    l1_bound,
     lemma1_check,
-    max_dirichlet_f,
-    max_dirichlet_f_over_z,
-    max_dirichlet_zf_sigma_p,
-    max_dirichlet_zf_up_lambda,
-    s_class_dirichlet_f_max,
-    s_class_dirichlet_f_over_z_max,
-    s_class_dirichlet_zf_max,
     sharp_maximum,
 )
 
 P_GRID = (0.2, 0.35, 0.5, 0.65, 0.8)
 R_GRID = tuple(k / 20 for k in range(1, 21))
 LAMBDAS = (0.25, 0.5, 1.0)
+ZF, F, FZ, L1 = (BoundQuantity.DIRICHLET_ZF, BoundQuantity.DIRICHLET_F,
+                 BoundQuantity.DIRICHLET_F_OVER_Z, BoundQuantity.L1)
+S = ClassSpec(ClassKind.S)
+
+
+def sigma(p):
+    return ClassSpec(ClassKind.SIGMA_P, p=p)
+
+
+def residual(p, lam):
+    return ClassSpec(ClassKind.U_P_LAMBDA, p=p, lam=lam)
 
 
 # ---- jenkins coefficient bound -------------------------------------------------
@@ -156,7 +159,7 @@ def test_lemma_tail_rejects_a_non_finite_exponent(t):
 # ---- closed-form maxima --------------------------------------------------------------
 
 def test_zf_sigma_bound_hand_value():
-    assert max_dirichlet_zf_sigma_p(1.0, 0.5) == pytest.approx(8.25 * math.pi, rel=1e-15)
+    assert sharp_maximum(sigma(0.5), ZF, 1.0) == pytest.approx(8.25 * math.pi, rel=1e-15)
 
 
 def test_zf_bounds_attained_by_extremal_functions():
@@ -165,17 +168,17 @@ def test_zf_bounds_attained_by_extremal_functions():
         fps = {lam: build_fp(p, lam) for lam in LAMBDAS}
         for r in R_GRID:
             got = dirichlet_series(kp.inv_series, r).value
-            assert got == pytest.approx(max_dirichlet_zf_sigma_p(r, p), rel=1e-12)
+            assert got == pytest.approx(sharp_maximum(sigma(p), ZF, r), rel=1e-12)
             for lam, fp in fps.items():
                 got = dirichlet_series(fp.inv_series, r).value
-                assert got == pytest.approx(max_dirichlet_zf_up_lambda(r, p, lam), rel=1e-12)
+                assert got == pytest.approx(sharp_maximum(residual(p, lam), ZF, r), rel=1e-12)
 
 
 def test_up_lambda_bound_nested_inside_sigma_bound():
     for p in P_GRID:
         for lam in LAMBDAS:
             for r in R_GRID:
-                margin = max_dirichlet_zf_sigma_p(r, p) - max_dirichlet_zf_up_lambda(r, p, lam)
+                margin = sharp_maximum(sigma(p), ZF, r) - sharp_maximum(residual(p, lam), ZF, r)
                 assert margin > 1e-12
 
 
@@ -185,35 +188,35 @@ def test_f_route_maxima_attained():
         for frac in (0.1, 0.5, 0.8):
             r = frac * p
             assert dirichlet_f_over_z_series(f, r).value == pytest.approx(
-                max_dirichlet_f_over_z(r, p), rel=1e-8
+                sharp_maximum(sigma(p), FZ, r), rel=1e-8
             )
             assert dirichlet_f_series(f, r).value == pytest.approx(
-                max_dirichlet_f(r, p), rel=1e-8
+                sharp_maximum(sigma(p), F, r), rel=1e-8
             )
 
 
 def test_f_route_maxima_reject_radius_beyond_pole():
     with pytest.raises(RadiusBeyondPole):
-        max_dirichlet_f_over_z(0.5, 0.5)
+        sharp_maximum(sigma(0.5), FZ, 0.5)
     with pytest.raises(RadiusBeyondPole):
-        max_dirichlet_f(0.7, 0.5)
+        sharp_maximum(sigma(0.5), F, 0.7)
 
 
 def test_large_pole_limits_match_analytic_class():
     # as p -> 1 the pole-class forms collapse to the analytic-class ones
     p, r = 0.999, 0.5
-    assert max_dirichlet_zf_sigma_p(r, p) == pytest.approx(s_class_dirichlet_zf_max(r), rel=2e-3)
-    assert max_dirichlet_f_over_z(r, p) == pytest.approx(
-        s_class_dirichlet_f_over_z_max(r), rel=1e-2
+    assert sharp_maximum(sigma(p), ZF, r) == pytest.approx(sharp_maximum(S, ZF, r), rel=2e-3)
+    assert sharp_maximum(sigma(p), FZ, r) == pytest.approx(
+        sharp_maximum(S, FZ, r), rel=1e-2
     )
-    assert max_dirichlet_f(r, p) == pytest.approx(s_class_dirichlet_f_max(r), rel=1e-2)
+    assert sharp_maximum(sigma(p), F, r) == pytest.approx(sharp_maximum(S, F, r), rel=1e-2)
 
 
 def test_koebe_attains_analytic_class_zf_bound():
     k = build_koebe_rotation(math.pi / 7)
     for r in (0.3, 0.75, 1.0):
         got = dirichlet_series(k.inv_series, r).value
-        assert got == pytest.approx(s_class_dirichlet_zf_max(r), rel=1e-13)
+        assert got == pytest.approx(sharp_maximum(S, ZF, r), rel=1e-13)
 
 
 # ---- integral-mean bounds --------------------------------------------------------------
@@ -222,11 +225,11 @@ def test_l1_bound_dispatch():
     r = 0.5
     sigma = ClassSpec(ClassKind.SIGMA_P, p=0.5)
     want_sigma = 1.0 + 6.25 * 0.25 + 0.0625
-    assert l1_bound(sigma, r) == pytest.approx(want_sigma, rel=1e-15)
-    assert l1_bound(ClassSpec(ClassKind.S), r) == pytest.approx(2.0625, rel=1e-15)
+    assert sharp_maximum(sigma, L1, r) == pytest.approx(want_sigma, rel=1e-15)
+    assert sharp_maximum(ClassSpec(ClassKind.S), L1, r) == pytest.approx(2.0625, rel=1e-15)
     u = ClassSpec(ClassKind.U_P_LAMBDA, p=0.5, lam=0.5)
     m = 0.5 * mu(0.5)
-    assert l1_bound(u, r) == pytest.approx(1 + (2 + 0.5 * m) ** 2 * 0.25 + m * m * 0.0625, rel=1e-14)
+    assert sharp_maximum(u, L1, r) == pytest.approx(1 + (2 + 0.5 * m) ** 2 * 0.25 + m * m * 0.0625, rel=1e-14)
 
 
 def test_l1_bounds_attained():
@@ -234,12 +237,12 @@ def test_l1_bounds_attained():
         spec = ClassSpec(ClassKind.SIGMA_P, p=p)
         f = build_kp(p)
         for r in (0.3, 0.8, 1.0):
-            assert l1_mean_series(f, r).value == pytest.approx(l1_bound(spec, r), rel=1e-13)
+            assert l1_mean_series(f, r).value == pytest.approx(sharp_maximum(spec, L1, r), rel=1e-13)
     for lam in LAMBDAS:
         spec = ClassSpec(ClassKind.U_P_LAMBDA, p=0.35, lam=lam)
         f = build_fp(0.35, lam)
         for r in (0.3, 0.8, 1.0):
-            assert l1_mean_series(f, r).value == pytest.approx(l1_bound(spec, r), rel=1e-13)
+            assert l1_mean_series(f, r).value == pytest.approx(sharp_maximum(spec, L1, r), rel=1e-13)
 
 
 # ---- report semantics --------------------------------------------------------------------
@@ -361,3 +364,62 @@ def test_check_bound_f_routes_refuse_radii_beyond_the_pole():
         for r in (0.5, 0.75, 1.0):
             with pytest.raises(RadiusBeyondPole):
                 check_bound(f, spec, quantity, r)
+
+
+# ---- sharp_maximum: one radius check per quantity, and no non-finite value ----
+
+SPECS = {kind: spec for kind, (spec, _) in EXTREMALS.items()}
+
+
+@pytest.mark.parametrize("key", sorted(_SHARP_MAXIMA, key=lambda k: (k[0].value, k[1].value)),
+                         ids=lambda k: f"{k[0].value}-{k[1].value}")
+def test_sharp_maximum_validates_the_radius(key):
+    kind, quantity = key
+    spec = SPECS[kind]
+    for r in (math.nan, 0.0, -0.1, 1.5):
+        with pytest.raises(BadRadius):
+            sharp_maximum(spec, quantity, r)
+    if quantity in F_ROUTES and kind is ClassKind.S:
+        with pytest.raises(BadRadius):
+            sharp_maximum(spec, quantity, 1.0)
+    elif quantity in F_ROUTES:
+        for r in (spec.p, 0.9):
+            with pytest.raises(RadiusBeyondPole):
+                sharp_maximum(spec, quantity, r)
+    else:
+        assert math.isfinite(sharp_maximum(spec, quantity, 1.0))
+
+
+def test_sharp_maximum_refuses_a_pair_before_checking_the_radius():
+    spec = SPECS[ClassKind.U_P_LAMBDA]
+    for quantity in F_ROUTES:
+        for r in (0.2, 0.75, math.nan):
+            with pytest.raises(BadParameter, match="no sharp bound") as info:
+                sharp_maximum(spec, quantity, r)
+            assert not isinstance(info.value, RadiusBeyondPole)
+
+
+@pytest.mark.parametrize("p, quantity, r", [
+    (1e-155, ZF, 0.5),  # (1/p + p)**2 raises OverflowError
+    (1e-155, L1, 0.5),
+    (1e-320, ZF, 0.5),  # 1/p is inf, and so is the closed form
+    (1e-320, L1, 0.5),
+    (1e-80, FZ, 1e-90),  # lead 0 times inf is nan; the true value is 3.14e-20
+    (1e-170, F, 0.9e-170),  # p*p - r*r underflows to 0: ZeroDivisionError
+    (1e-170, FZ, 0.9e-170),
+])
+def test_sharp_maximum_refuses_values_beyond_the_float_range(p, quantity, r):
+    with pytest.raises(BadParameter, match="exceeds the float range") as info:
+        sharp_maximum(sigma(p), quantity, r)
+    message = str(info.value)
+    assert quantity.value in message and "SIGMA_P" in message
+    assert f"p = {p!r}" in message and f"r = {r!r}" in message
+
+
+def test_check_bound_refuses_an_overflowing_bound():
+    with pytest.raises(BadParameter, match="exceeds the float range"):
+        check_bound(build_kp(1e-155), sigma(1e-155), ZF, 0.5)
+
+
+def test_sharp_maximum_keeps_a_finite_zero():
+    assert sharp_maximum(S, ZF, 1e-200) == 0.0

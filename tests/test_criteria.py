@@ -78,6 +78,21 @@ def test_grid_rejects_bad_parameters(kwargs):
         DiskGrid(**kwargs)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"radial_count": 2.5},  # radii 0.396, 0.792, 1.188: a sample outside the disk
+    {"radial_count": 32.0},
+    {"angular_count": 8.5},
+])
+def test_grid_counts_must_be_integers(kwargs):
+    with pytest.raises(BadParameter, match="not an integer"):
+        DiskGrid(**kwargs)
+
+
+def test_grid_accepts_numpy_integer_counts():
+    grid = DiskGrid(radial_count=np.int64(2), angular_count=np.int32(3))
+    assert grid.points().size == 6 and np.all(np.abs(grid.points()) < 1.0)
+
+
 # --- u functional ---
 
 def test_u_of_kp_is_minus_z_squared():

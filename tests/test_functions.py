@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from merobounds.errors import BadParameter, PoleMismatch
+from merobounds.errors import BadParameter, PoleMismatch, check_order
 from merobounds.functions import (
     NO_POLE,
     ClassKind,
@@ -99,6 +99,21 @@ def test_constructor_validation():
         build_kp(0.5, order=1)
     with pytest.raises(BadParameter):
         build_koebe_rotation(math.inf)
+
+
+@pytest.mark.parametrize("order", [2.5, 64.0, "8", None])
+def test_order_must_be_an_integer(order):
+    with pytest.raises(BadParameter, match="not an integer"):
+        check_order(order)
+    with pytest.raises(BadParameter, match="not an integer"):
+        build_kp(0.5, order)
+
+
+def test_order_accepts_numpy_integers():
+    check_order(np.int64(2))
+    assert build_fp(0.5, 0.5, np.int32(16)).order == 16
+    with pytest.raises(BadParameter, match="order must be at least 2 to hold the z/f polynomial"):
+        check_order(np.int64(1))
 
 
 # ---- PoleFunction validation ---------------------------------------------------

@@ -168,6 +168,19 @@ def test_quadrature_config_validation():
         QuadratureConfig(angular_nodes=8)
 
 
+@pytest.mark.parametrize("kwargs", [{"radial_nodes": 8.5}, {"radial_nodes": 64.0},
+                                    {"angular_nodes": 256.0}])
+def test_quadrature_config_counts_must_be_integers(kwargs):
+    with pytest.raises(BadParameter, match="not an integer"):
+        QuadratureConfig(**kwargs)
+
+
+def test_quadrature_config_accepts_numpy_integers():
+    config = QuadratureConfig(radial_nodes=np.int64(8), angular_nodes=np.int32(16))
+    assert dirichlet_series(build_kp(0.5).inv_series, 0.5).value == pytest.approx(
+        dirichlet_quadrature(build_kp(0.5).inv_series, 0.5, config).value, rel=1e-12)
+
+
 # ---- dirichlet of f and f/z via coefficients ----------------------------------------
 
 @pytest.mark.parametrize("p,r,order,tol", [(0.7, 0.3, 64, 1e-9), (0.6, 0.25, 96, 1e-9)])
