@@ -33,7 +33,6 @@ from .errors import (
     NearZeroConstantTerm,
     NoPole,
     OrderUnderflow,
-    PoleInDomain,
     PoleMismatch,
     RadiusBeyondPole,
 )
@@ -87,7 +86,6 @@ __all__ = [
     "NoPole",
     "OrderUnderflow",
     "PoleFunction",
-    "PoleInDomain",
     "PoleMismatch",
     "QuadratureConfig",
     "RadiusBeyondPole",

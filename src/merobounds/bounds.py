@@ -11,6 +11,7 @@ canonical extremal functions land on zero slack up to roundoff.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -114,10 +115,14 @@ def lemma1_check(f: PoleFunction, lam: float, t: float, r: float) -> BoundReport
 
 def _inside_pole(p: float, r: float, near: float, far: float) -> float:
     """Largest Dirichlet integral of f (near = far = p**2) or f/z (near = 1,
-    far = p**4) over univalent f with pole p, at radius r < p."""
+    far = p**4) over univalent f with pole p, at radius r < p.  NaN once the
+    lead or (p**2 - r**2)**2 falls below the normal float range, where
+    their digits are lost and the lead could round to 0."""
     lead = math.pi * p * p * r * r / (1.0 - p * p) ** 2
-    return lead * (near / (p * p - r * r) ** 2 - 2.0 / (1.0 - r * r) ** 2
-                   + far / (1.0 - p * p * r * r) ** 2)
+    gap = (p * p - r * r) ** 2
+    if min(lead, gap) < sys.float_info.min:
+        return math.nan
+    return lead * (near / gap - 2.0 / (1.0 - r * r) ** 2 + far / (1.0 - p * p * r * r) ** 2)
 
 
 def _residual_zf(c: ClassSpec, r: float) -> float:
@@ -180,7 +185,7 @@ def sharp_maximum(class_spec: ClassSpec, quantity: BoundQuantity, r: float) -> f
         check_inside_pole(r, class_spec.p)
     try:
         value = maximum(class_spec, r)
-    except ArithmeticError:  # overflow, or a difference that underflows to 0
+    except ArithmeticError:  # (1/p + p)**2 overflows at a tiny pole
         value = math.nan
     if not math.isfinite(value):
         raise BadParameter(

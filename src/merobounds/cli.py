@@ -21,7 +21,7 @@ from collections import Counter
 
 from .bounds import (BoundQuantity, check_bound, gronwall_check, jenkins_bound, lemma1_check,
                      sharp_maximum)
-from .criteria import injectivity_oracle, univalence_criterion, up_lambda_membership
+from .criteria import SUP_TOL, injectivity_oracle, univalence_criterion, up_lambda_membership
 from .errors import BadParameter, MeroboundsError, RadiusBeyondPole, check_radius
 from .functions import (
     ClassKind,
@@ -139,7 +139,7 @@ def _suite_oracles():
     for p in P_GRID:
         spec, f = _kp_member(p, order=128)
         r = 0.5 * p
-        quad = dirichlet_quadrature(f_over_z_series(f), r, dense, pole=f.pole).value
+        quad = dirichlet_quadrature(f_over_z_series(f), r, dense).value
         gap = _rel(quad, sharp_maximum(spec, BoundQuantity.DIRICHLET_F_OVER_Z, r))
         checks.append((f"oracles/f-over-z-quadrature-kp p={_fmt(p)}", gap <= 1e-8,
                        f"rel gap {_fmt(gap)} at r={_fmt(r)}"))
@@ -346,7 +346,7 @@ def _cmd_check(args) -> int:
             crit = univalence_criterion(f)
             criterion_holds = crit.holds
             if crit.holds:
-                near = " [at-threshold]" if abs(crit.value - crit.threshold) <= 1e-12 else ""
+                near = " [at-threshold]" if abs(crit.value - crit.threshold) <= SUP_TOL else ""
                 print(f"row {i} PASS univalence-criterion: sup {_fmt(crit.value)} <= "
                       f"{_fmt(crit.threshold)}{near}")
             else:

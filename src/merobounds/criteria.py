@@ -14,9 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadParameter, NoPole, check_count, check_lambda, check_pole
-from .functions import NO_POLE, POLE_GUARD, PoleFunction, mu
+from .functions import NO_POLE, PoleFunction, mu
 
 SUP_TOL = 1e-12
+#: Guard band a ``DiskGrid`` keeps around a pole.
+POLE_GUARD = 0.02
 COLLISION_TOL = 1e-4
 _BLOCK = 4
 _PAIR_BATCH = 256

@@ -31,10 +31,6 @@ class PoleMismatch(MeroboundsError, ValueError):
     """The declared pole is not a root of the stored z/f series."""
 
 
-class PoleInDomain(MeroboundsError, ValueError):
-    """The integration region contains, or nearly contains, a singularity."""
-
-
 class NoPole(MeroboundsError, ValueError):
     """The operation requires a function with a declared pole."""
 

@@ -29,9 +29,6 @@ POLE_RESIDUAL_TOL = 1e-8
 #: Largest distance between a function's pole and its class's pole.
 POLE_MATCH_TOL = 1e-12
 
-#: Guard band kept around a pole by disk quadrature and by grid scans.
-POLE_GUARD = 0.02
-
 
 def mu(p: float) -> float:
     """Pole-dependent criterion constant ((1 - p) / (1 + p))**2.

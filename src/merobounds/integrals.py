@@ -23,13 +23,13 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Callable, Optional, Union
+from typing import Optional
 
 import numpy as np
 
-from .errors import (BadParameter, PoleInDomain, check_count, check_inside_pole, check_open_radius,
-                     check_pole, check_radius)
-from .functions import POLE_GUARD, PoleFunction, f_over_z_series
+from .errors import (BadParameter, check_count, check_inside_pole, check_open_radius,
+                     check_radius)
+from .functions import PoleFunction, f_over_z_series
 from .series import TruncatedSeries
 
 
@@ -46,7 +46,8 @@ class IntegralKind(str, Enum):
 @dataclass(frozen=True)
 class QuadratureConfig:
     """Node counts for disk quadrature: Gauss-Legendre radially and a
-    uniform trapezoid rule in angle."""
+    uniform trapezoid rule in angle.  The defaults are the floor that the
+    quadrature routes raise to the order of their data."""
 
     radial_nodes: int = 64
     angular_nodes: int = 256
@@ -54,6 +55,10 @@ class QuadratureConfig:
     def __post_init__(self):
         check_count(self.radial_nodes, 8, "at least 8 radial nodes are required")
         check_count(self.angular_nodes, 16, "at least 16 angular nodes are required")
+
+
+#: The coarsest rule; the quadrature routes raise it to the order of their data.
+_FLOOR = QuadratureConfig()
 
 
 @dataclass(frozen=True)
@@ -112,46 +117,30 @@ def dirichlet_series(g: TruncatedSeries, r: float) -> IntegralResult:
 
 
 def dirichlet_quadrature(
-    g: Union[TruncatedSeries, Callable],
-    r: float,
-    config: Optional[QuadratureConfig] = None,
-    *,
-    gprime: Optional[Callable] = None,
-    pole: Optional[float] = None,
+    g: TruncatedSeries, r: float, config: Optional[QuadratureConfig] = None
 ) -> IntegralResult:
-    """Disk quadrature of |g'|^2.
+    """Disk quadrature of |g'|^2 for a series g of order N.
 
-    ``g`` is either a TruncatedSeries (differentiated internally) or any
-    callable, in which case ``gprime`` must supply the derivative.  A pole
-    location may be declared; the integration disk of radius r plus the
-    guard band POLE_GUARD must not reach it.
+    Without a config, g' is sampled on max(64, N) Gauss-Legendre radii times
+    max(256, N) uniform angles, the default ``QuadratureConfig`` raised to
+    the order.  The angular mean of |g'|^2 is a trigonometric polynomial of
+    degree N - 1 and, times rho, a polynomial of degree 2N - 1 in rho, so
+    both rules are exact for every order.
     """
     check_radius(r)
+    if not isinstance(g, TruncatedSeries):
+        raise BadParameter("integrand must be a TruncatedSeries")
+    if g.order == 0:
+        return IntegralResult(0.0, Method.QUADRATURE, r, IntegralKind.DIRICHLET)
     if config is None:
-        config = QuadratureConfig()
-    if pole is not None:
-        check_pole(pole)
-        if r + POLE_GUARD > pole:
-            raise PoleInDomain(
-                f"disk of radius {r!r} plus guard {POLE_GUARD!r} reaches the pole at {pole!r}"
-            )
-    if isinstance(g, TruncatedSeries):
-        if g.order == 0:
-            return IntegralResult(0.0, Method.QUADRATURE, r, IntegralKind.DIRICHLET)
-        dg = g.differentiate().evaluate
-    elif callable(g):
-        if gprime is None:
-            raise BadParameter("a callable integrand needs an explicit derivative")
-        dg = gprime
-    else:
-        raise BadParameter("integrand must be a TruncatedSeries or a callable")
-
+        config = QuadratureConfig(max(_FLOOR.radial_nodes, g.order),
+                                  max(_FLOOR.angular_nodes, g.order))
     x, w = _gauss_legendre(config.radial_nodes)
     rho = 0.5 * r * (x + 1.0)
     radial_weights = 0.5 * r * w
     theta = 2.0 * np.pi * np.arange(config.angular_nodes) / config.angular_nodes
     pts = rho[:, None] * np.exp(1j * theta)[None, :]
-    sq = np.abs(dg(pts)) ** 2
+    sq = np.abs(g.differentiate().evaluate(pts)) ** 2
     angular_means = sq.mean(axis=1)
     value = float(2.0 * np.pi * np.sum(radial_weights * rho * angular_means))
     return IntegralResult(value, Method.QUADRATURE, r, IntegralKind.DIRICHLET)
@@ -200,16 +189,15 @@ def l1_mean_series(f: PoleFunction, r: float) -> IntegralResult:
     return IntegralResult(value, Method.SERIES, r, IntegralKind.L1_MEAN, tail)
 
 
-def l1_mean_quadrature(
-    f: PoleFunction, r: float, config: Optional[QuadratureConfig] = None
-) -> IntegralResult:
-    """Circle-average route: evaluates the z/f series on the circle and
-    averages its squared modulus, which is stable at every radius, the
-    pole's included."""
+def l1_mean_quadrature(f: PoleFunction, r: float) -> IntegralResult:
+    """Circle-average route: evaluates the z/f series, of order d, at
+    max(256, d + 1) equally spaced points on the circle and averages its
+    squared modulus.  |z/f|^2 is a trigonometric polynomial of degree d, so
+    the average is exact; it is stable at every radius, the pole's included."""
     check_radius(r)
-    if config is None:
-        config = QuadratureConfig()
-    theta = 2.0 * np.pi * np.arange(config.angular_nodes) / config.angular_nodes
+    inv = f.inv_series
+    count = max(_FLOOR.angular_nodes, inv.order + 1)
+    theta = 2.0 * np.pi * np.arange(count) / count
     pts = r * np.exp(1j * theta)
-    value = float(np.mean(np.abs(f.inv_series.evaluate(pts)) ** 2))
+    value = float(np.mean(np.abs(inv.evaluate(pts)) ** 2))
     return IntegralResult(value, Method.QUADRATURE, r, IntegralKind.L1_MEAN)

@@ -112,23 +112,16 @@ class TruncatedSeries:
         self._recip = TruncatedSeries(out)
         return self._recip
 
-    def differentiate(self, times: int = 1) -> "TruncatedSeries":
-        """Term-by-term derivative, dropping ``times`` orders.
+    def differentiate(self) -> "TruncatedSeries":
+        """Term-by-term derivative, one order shorter.
 
         Raises:
-            OrderUnderflow: if ``times`` exceeds the truncation order.
-            BadParameter: if ``times`` is negative.
+            OrderUnderflow: if the series has order 0.
         """
-        if times < 0:
-            raise BadParameter("cannot differentiate a negative number of times")
-        if times > self.order:
-            raise OrderUnderflow(
-                f"{times} derivatives requested but the series has order {self.order}"
-            )
+        if self.order == 0:
+            raise OrderUnderflow("cannot differentiate a series of order 0")
         c = self._coeffs
-        for _ in range(times):
-            c = c[1:] * np.arange(1, len(c), dtype=np.float64)
-        return TruncatedSeries(c)
+        return TruncatedSeries(c[1:] * np.arange(1, len(c), dtype=np.float64))
 
     def truncate(self, order: int) -> "TruncatedSeries":
         """Drop every coefficient past ``order`` (which must not exceed the

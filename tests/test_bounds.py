@@ -404,8 +404,10 @@ def test_sharp_maximum_refuses_a_pair_before_checking_the_radius():
     (1e-155, L1, 0.5),
     (1e-320, ZF, 0.5),  # 1/p is inf, and so is the closed form
     (1e-320, L1, 0.5),
-    (1e-80, FZ, 1e-90),  # lead 0 times inf is nan; the true value is 3.14e-20
-    (1e-170, F, 0.9e-170),  # p*p - r*r underflows to 0: ZeroDivisionError
+    (1e-80, F, 1e-90),  # the lead underflows to 0; the true value is 3.14e-180
+    (1e-80, FZ, 1e-90),  # the lead underflows to 0; the true value is 3.14e-20
+    (1e-76, F, 9.9999e-77),  # (p*p - r*r)**2 is subnormal and keeps few digits
+    (1e-170, F, 0.9e-170),  # p*p - r*r underflows to 0
     (1e-170, FZ, 0.9e-170),
 ])
 def test_sharp_maximum_refuses_values_beyond_the_float_range(p, quantity, r):

@@ -6,7 +6,6 @@ import pytest
 from merobounds.errors import (
     BadParameter,
     BadRadius,
-    PoleInDomain,
     RadiusBeyondPole,
 )
 from merobounds.functions import (
@@ -111,11 +110,13 @@ def test_quadrature_identity_map():
     res = dirichlet_quadrature(z, 0.7)
     assert res.value == pytest.approx(math.pi * 0.49, rel=1e-13)
     assert res.truncation_tail_estimate is None
+    with pytest.raises(BadParameter):
+        dirichlet_quadrature(lambda z: z, 0.7)
 
 
 @pytest.mark.parametrize("p,r", [(0.5, 1.0), (0.5, 0.35), (0.2, 0.8), (0.8, 0.6)])
 def test_quadrature_matches_series_for_polynomial_data(p, r):
-    # the integrand is a polynomial, so 64x256 nodes integrate it exactly
+    # the integrand is a polynomial, so the derived nodes integrate it exactly
     inv = build_kp(p).inv_series
     got = dirichlet_quadrature(inv, r).value
     want = dirichlet_series(inv, r).value
@@ -131,34 +132,18 @@ def test_gauss_legendre_nodes_are_cached_read_only_and_exact():
         x[0] = 0.0
 
 
-def test_quadrature_callable_route_against_closed_form():
-    # integrate |(f/z)'|^2 with f/z supplied as a callable built from the
-    # z/f polynomial: (1/inv)' = -inv'/inv^2
-    p, r = 0.5, 0.25
-    f = build_kp(p)
-    inv, dinv = f.inv_series, f.inv_series.differentiate()
-
-    def fz_prime(z):
-        return -dinv.evaluate(z) / inv.evaluate(z) ** 2
-
-    got = dirichlet_quadrature(lambda z: 1.0 / inv.evaluate(z), r,
-                               QuadratureConfig(radial_nodes=96, angular_nodes=512),
-                               gprime=fz_prime, pole=p).value
-    assert got == pytest.approx(closed_form_dirichlet_f_over_z(r, p), rel=1e-10)
-
-
-def test_quadrature_pole_guard():
-    f = build_kp(0.5)
-    with pytest.raises(PoleInDomain):
-        dirichlet_quadrature(f.inv_series, 0.6, pole=0.5)
-    with pytest.raises(PoleInDomain):
-        # guard band: 0.49 + 0.02 exceeds 0.5
-        dirichlet_quadrature(f.inv_series, 0.49, pole=0.5)
-
-
-def test_quadrature_callable_needs_derivative():
-    with pytest.raises(BadParameter):
-        dirichlet_quadrature(lambda z: z, 0.5)
+@pytest.mark.parametrize("order", [256, 257, 300, 400])
+def test_quadrature_routes_exact_at_high_order(order):
+    # max(64, N) x max(256, N) disk nodes and max(256, d + 1) circle nodes are
+    # exact at every order; a fixed 64 x 256 and 256 alias from 257 and 256 on
+    rng = np.random.default_rng(order)
+    b = (rng.normal(size=order) + 1j * rng.normal(size=order)) / np.arange(1, order + 1)
+    f = from_inverse_coefficients(b)
+    for r in (0.99, 1.0):
+        assert dirichlet_quadrature(f.inv_series, r).value == pytest.approx(
+            dirichlet_series(f.inv_series, r).value, rel=1e-8)
+        assert l1_mean_quadrature(f, r).value == pytest.approx(
+            l1_mean_series(f, r).value, rel=1e-10)
 
 
 def test_quadrature_config_validation():
@@ -183,7 +168,8 @@ def test_quadrature_config_accepts_numpy_integers():
 
 # ---- dirichlet of f and f/z via coefficients ----------------------------------------
 
-@pytest.mark.parametrize("p,r,order,tol", [(0.7, 0.3, 64, 1e-9), (0.6, 0.25, 96, 1e-9)])
+@pytest.mark.parametrize("p,r,order,tol", [(0.7, 0.3, 64, 1e-9), (0.6, 0.25, 96, 1e-9),
+                                           (0.5, 0.25, 64, 1e-10), (0.6, 0.25, 96, 1e-10)])
 def test_f_over_z_series_vs_closed_form(p, r, order, tol):
     f = build_kp(p, order=order)
     got = dirichlet_f_over_z_series(f, r).value
@@ -231,21 +217,6 @@ def test_order_zero_identity_map_sums_are_empty(r):
     assert l1_mean_series(f, r).value == 1.0
 
 
-def test_f_over_z_quadrature_cross_check():
-    # dual route on the same quantity: coefficients vs disk quadrature
-    p, r = 0.6, 0.25
-    f = build_kp(p, order=96)
-    series_val = dirichlet_f_over_z_series(f, r).value
-    inv, dinv = f.inv_series, f.inv_series.differentiate()
-    quad_val = dirichlet_quadrature(
-        lambda z: 1.0 / inv.evaluate(z), r,
-        QuadratureConfig(radial_nodes=96, angular_nodes=512),
-        gprime=lambda z: -dinv.evaluate(z) / inv.evaluate(z) ** 2,
-        pole=p,
-    ).value
-    assert series_val == pytest.approx(quad_val, rel=1e-10)
-
-
 # ---- quadratic integral mean ----------------------------------------------------------
 
 def test_l1_series_hand_values():
@@ -270,7 +241,7 @@ def test_l1_fp_formula():
 
 
 def test_l1_quadrature_matches_series():
-    # 256 angular nodes integrate the order-64 trigonometric polynomial exactly
+    # 256 angular nodes integrate the degree-64 trigonometric polynomial exactly
     for f in (build_kp(0.5), build_fp(0.35, 0.75), build_koebe_rotation(1.0)):
         for r in (0.3, 0.8, 1.0):
             got = l1_mean_quadrature(f, r).value
