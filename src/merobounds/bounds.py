@@ -18,8 +18,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (BadParameter, NoPole, check_inside_pole, check_lambda, check_open_radius,
-                     check_pole, check_radius)
+from .errors import (BadParameter, NoPole, check_count, check_inside_pole, check_lambda,
+                     check_open_radius, check_pole, check_radius)
 from .functions import ClassKind, ClassSpec, PoleFunction, mu
 from .integrals import (dirichlet_f_over_z_series, dirichlet_f_series, dirichlet_series,
                         l1_mean_series)
@@ -76,8 +76,7 @@ def jenkins_bound(n: int, p: float) -> float:
     """Largest |a_n| over univalent functions with a pole at p:
     (1 - p**(2n)) / ((1 - p**2) p**(n-1)), the geometric sum
     (1 + p**2 + ... + p**(2n-2)) / p**(n-1) in closed form."""
-    if n < 2:
-        raise BadParameter("coefficient bounds start at n = 2")
+    check_count(n, 2, "coefficient bounds start at n = 2")
     check_pole(p)
     denominator = (1.0 - p * p) * p ** (n - 1)
     bound = (1.0 - p ** (2 * n)) / denominator if denominator > 0.0 else math.inf

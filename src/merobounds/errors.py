@@ -71,14 +71,9 @@ def check_count(count: int, minimum: int, message: str) -> None:
         raise BadParameter(message)
 
 
-def check_order(order: int) -> None:
-    check_count(order, 2, "order must be at least 2 to hold the z/f polynomial")
-
-
 def check_inside_pole(r: float, p: float) -> None:
     """A radius in (0, 1] strictly inside the pole, where expansions of f converge."""
     check_pole(p)
-    if not 0.0 < r <= 1.0:
-        raise BadRadius(f"radius {r!r} outside (0, 1]")
+    check_radius(r)
     if not r < p:
         raise RadiusBeyondPole(f"radius {r!r} reaches the pole at {p!r}")

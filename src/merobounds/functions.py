@@ -2,8 +2,9 @@
 
 A function f, holomorphic on the unit disk except possibly for one simple
 pole at p in (0, 1) and normalized by f(0) = 0, f'(0) = 1, is stored as the
-truncated Taylor series of z/f(z).  That series is analytic on the whole
-disk, starts with constant term 1, and encodes the pole as a zero at p.
+Taylor series of z/f(z), exactly as given.  That series is analytic on the
+whole disk, starts with constant term 1, and encodes the pole as a zero at
+p.  Only f/z = 1/(z/f) is truncated, at the function's ``order``.
 """
 
 from __future__ import annotations
@@ -12,11 +13,12 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import (BadParameter, ClassMismatch, PoleMismatch, check_lambda, check_order,
+from .errors import (BadParameter, ClassMismatch, PoleMismatch, check_count, check_lambda,
                      check_pole)
 from .series import DEFAULT_ORDER, TruncatedSeries
 
@@ -28,6 +30,9 @@ POLE_RESIDUAL_TOL = 1e-8
 
 #: Largest distance between a function's pole and its class's pole.
 POLE_MATCH_TOL = 1e-12
+
+#: Default ``PoleFunction.order``, the z/f order; not None, which is refused.
+_ZF_ORDER = object()
 
 
 def mu(p: float) -> float:
@@ -93,14 +98,21 @@ class PoleFunction:
     """A normalized disk function represented by its z/f series.
 
     Attributes:
-        inv_series: truncated series of z/f with constant term exactly 1.
+        inv_series: z/f as stored, with constant term exactly 1.
         pole: location of the simple pole in (0, 1), or NO_POLE.
+        order: truncation order of f/z, at least the z/f order (its default).
     """
 
     inv_series: TruncatedSeries
     pole: Optional[float] = NO_POLE
+    order: int = _ZF_ORDER  # type: ignore[assignment]
 
     def __post_init__(self):
+        stored = self.inv_series.order
+        if self.order is _ZF_ORDER:
+            object.__setattr__(self, "order", stored)
+        check_count(self.order, stored,
+                    f"order must be at least {stored} to hold the z/f polynomial")
         if self.inv_series[0] != 1.0 + 0.0j:
             raise BadParameter("z/f series must start with constant term 1")
         if self.pole is not None:
@@ -112,15 +124,11 @@ class PoleFunction:
                     f"{self.pole!r} (tolerance {POLE_RESIDUAL_TOL:g})"
                 )
 
-    @property
-    def order(self) -> int:
-        return self.inv_series.order
-
-
-def _padded(head: Sequence[complex], order: int) -> TruncatedSeries:
-    out = np.zeros(order + 1, dtype=np.complex128)
-    out[: len(head)] = head
-    return TruncatedSeries(out)
+    @cached_property
+    def _f_over_z(self) -> TruncatedSeries:
+        """f/z to ``order``, formed on first use; one that raises keeps nothing."""
+        coeffs = self.inv_series.coefficients
+        return TruncatedSeries(np.pad(coeffs, (0, self.order + 1 - len(coeffs)))).reciprocal()
 
 
 def build_kp(p: float, order: int = DEFAULT_ORDER) -> PoleFunction:
@@ -130,8 +138,7 @@ def build_kp(p: float, order: int = DEFAULT_ORDER) -> PoleFunction:
     sharp coefficient and Dirichlet-growth bounds for the pole class.
     """
     check_pole(p)
-    check_order(order)
-    return PoleFunction(_padded([1.0, -(1.0 / p + p), 1.0], order), pole=p)
+    return PoleFunction(TruncatedSeries([1.0, -(1.0 / p + p), 1.0]), pole=p, order=order)
 
 
 def build_fp(p: float, lam: float, order: int = DEFAULT_ORDER) -> PoleFunction:
@@ -139,9 +146,8 @@ def build_fp(p: float, lam: float, order: int = DEFAULT_ORDER) -> PoleFunction:
     z/f = 1 - (1/p + lam*mu*p) z + lam*mu z**2."""
     check_pole(p)
     check_lambda(lam)
-    check_order(order)
     m = lam * mu(p)
-    return PoleFunction(_padded([1.0, -(1.0 / p + m * p), m], order), pole=p)
+    return PoleFunction(TruncatedSeries([1.0, -(1.0 / p + m * p), m]), pole=p, order=order)
 
 
 def build_koebe_rotation(theta: float, order: int = DEFAULT_ORDER) -> PoleFunction:
@@ -151,9 +157,8 @@ def build_koebe_rotation(theta: float, order: int = DEFAULT_ORDER) -> PoleFuncti
     """
     if not math.isfinite(theta):
         raise BadParameter("rotation angle must be finite")
-    check_order(order)
     w = cmath.exp(1j * theta)
-    return PoleFunction(_padded([1.0, -2.0 * w, w * w], order), pole=NO_POLE)
+    return PoleFunction(TruncatedSeries([1.0, -2.0 * w, w * w]), pole=NO_POLE, order=order)
 
 
 def from_inverse_coefficients(b: Sequence[complex], pole: Optional[float] = NO_POLE) -> PoleFunction:
@@ -165,29 +170,30 @@ def from_inverse_coefficients(b: Sequence[complex], pole: Optional[float] = NO_P
 
 
 def f_over_z_series(f: PoleFunction, order: Optional[int] = None) -> TruncatedSeries:
-    """Taylor series of f/z, the reciprocal of the stored z/f series.
+    """Taylor series of f/z = 1/(z/f), formed once per function at ``f.order``.
 
     Entry n is the Taylor coefficient a_{n+1} of f itself (entry 0 is 1).
-    The requested order may not exceed the stored order: coefficients the
-    representation does not determine are never invented.
+    A lower ``order`` gives a prefix; a higher one, which the representation
+    does not determine, is refused.
     """
     if order is None:
-        order = f.inv_series.order
-    if order > f.inv_series.order:
-        raise BadParameter(
-            f"order {order} exceeds the stored truncation order {f.inv_series.order}"
-        )
-    return f.inv_series.truncate(order).reciprocal()
+        order = f.order
+    check_count(order, 0, "f/z order must be non-negative")
+    if order > f.order:
+        raise BadParameter(f"order {order} exceeds the stored truncation order {f.order}")
+    g = f._f_over_z
+    return g if order == f.order else TruncatedSeries(g.coefficients[: order + 1])
 
 
 # ---- CSV row form ----------------------------------------------------------
 #
 # One function per row: p (empty when there is no pole), order N, then the
-# 2N real numbers Re b1, Im b1, ..., Re bN, Im bN.
+# 2N real numbers Re b1, Im b1, ..., Re bN, Im bN.  A function writes z/f
+# zero-extended to its order N; reading a row stores all N coefficients.
 
 def to_csv_row(f: PoleFunction) -> list[str]:
     row = ["" if f.pole is None else repr(f.pole), str(f.order)]
-    for c in f.inv_series.coefficients[1:]:
+    for c in np.pad(f.inv_series.coefficients[1:], (0, f.order - f.inv_series.order)):
         row.append(repr(float(c.real)))
         row.append(repr(float(c.imag)))
     return row

@@ -65,10 +65,10 @@ _FLOOR = QuadratureConfig()
 class IntegralResult:
     """A computed integral together with how it was computed.
 
-    ``truncation_tail_estimate`` is present for series evaluations only: a
-    geometric estimate of the mass past the truncation order, infinite when
-    the estimate diverges at r = 1, and 0 when the stored tail coefficient
-    is exactly zero (polynomial data).
+    ``truncation_tail_estimate`` is present for series evaluations only: 0
+    over exact z/f coefficients; for the truncated f and f/z series, a
+    geometric estimate of the mass past the order, inf where it diverges
+    and 0 when the last coefficient is exactly zero (as for f = z).
     """
 
     value: float
@@ -100,20 +100,14 @@ def _tail(coeffs: np.ndarray, r: float, ratio: float, weight: float) -> float:
     return weight * top * r ** (2 * len(coeffs)) / (1.0 - ratio)
 
 
-def _dirichlet(g: TruncatedSeries, r: float, ratio: float) -> IntegralResult:
-    """pi * sum_{n>=1} n |c_n|^2 r^(2n) with its tail (an order-0 series
-    gives the empty sum 0); the caller validates r and supplies the ratio."""
-    value = math.pi * g.weighted_coefficient_sum(1.0, r, start_index=1)
-    tail = _tail(g.coefficients, r, ratio, math.pi * len(g))
-    return IntegralResult(value, Method.SERIES, r, IntegralKind.DIRICHLET, tail)
-
-
 # ---- Dirichlet integral ------------------------------------------------------
 
 def dirichlet_series(g: TruncatedSeries, r: float) -> IntegralResult:
-    """Coefficient-sum route: pi * sum n |c_n|^2 r^(2n)."""
+    """Coefficient-sum route over exact coefficients: pi * sum n |c_n|^2 r^(2n)
+    (0 at order 0)."""
     check_radius(r)
-    return _dirichlet(g, r, r * r)
+    value = math.pi * g.weighted_coefficient_sum(1.0, r, start_index=1)
+    return IntegralResult(value, Method.SERIES, r, IntegralKind.DIRICHLET, 0.0)
 
 
 def dirichlet_quadrature(
@@ -162,7 +156,9 @@ def _dirichlet_f_route(f: PoleFunction, r: float, shift: int) -> IntegralResult:
     g = f_over_z_series(f)
     if shift:
         g = TruncatedSeries(np.concatenate((np.zeros(shift), g.coefficients)))
-    return _dirichlet(g, r, ratio)
+    value = math.pi * g.weighted_coefficient_sum(1.0, r, start_index=1)
+    tail = _tail(g.coefficients, r, ratio, math.pi * len(g))
+    return IntegralResult(value, Method.SERIES, r, IntegralKind.DIRICHLET, tail)
 
 
 def dirichlet_f_over_z_series(f: PoleFunction, r: float) -> IntegralResult:
@@ -181,12 +177,10 @@ def dirichlet_f_series(f: PoleFunction, r: float) -> IntegralResult:
 # ---- quadratic integral mean ---------------------------------------------------
 
 def l1_mean_series(f: PoleFunction, r: float) -> IntegralResult:
-    """Parseval route: 1 + sum_{n>=1} |b_n|^2 r^(2n) over the z/f coefficients."""
+    """Parseval route: 1 + sum_{n>=1} |b_n|^2 r^(2n) over the exact z/f coefficients."""
     check_radius(r)
-    inv = f.inv_series
-    value = 1.0 + inv.weighted_coefficient_sum(0.0, r, start_index=1)
-    tail = _tail(inv.coefficients, r, r * r, 1.0)
-    return IntegralResult(value, Method.SERIES, r, IntegralKind.L1_MEAN, tail)
+    value = 1.0 + f.inv_series.weighted_coefficient_sum(0.0, r, start_index=1)
+    return IntegralResult(value, Method.SERIES, r, IntegralKind.L1_MEAN, 0.0)
 
 
 def l1_mean_quadrature(f: PoleFunction, r: float) -> IntegralResult:

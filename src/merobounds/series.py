@@ -12,9 +12,9 @@ from typing import Iterable, Union
 
 import numpy as np
 
-from .errors import BadParameter, NearZeroConstantTerm, OrderUnderflow, check_radius
+from .errors import BadParameter, NearZeroConstantTerm, OrderUnderflow, check_count, check_radius
 
-#: Truncation order used by the canonical constructors.
+#: Order at which the builders truncate f/z.
 DEFAULT_ORDER = 64
 
 #: Smallest constant-term modulus for which a reciprocal is attempted.
@@ -34,7 +34,7 @@ class TruncatedSeries:
         BadParameter: on an empty vector or any non-finite entry.
     """
 
-    __slots__ = ("_coeffs", "_recip")
+    __slots__ = ("_coeffs",)
 
     def __init__(self, coefficients: Iterable[ComplexLike]):
         if not isinstance(coefficients, np.ndarray):
@@ -46,7 +46,6 @@ class TruncatedSeries:
             raise BadParameter("series coefficients must be finite")
         arr.setflags(write=False)
         self._coeffs = arr
-        self._recip = None
 
     # ---- basic introspection -------------------------------------------
 
@@ -89,16 +88,12 @@ class TruncatedSeries:
         """Multiplicative inverse to the same truncation order.
 
         Uses the standard recurrence r[0] = 1/c[0] and
-        ``r[n] = -(1/c[0]) * sum_{k=1..n} c[k] r[n-k]``.  The series is
-        immutable, so the result is kept and returned by later calls; a
-        call that raises keeps nothing.
+        ``r[n] = -(1/c[0]) * sum_{k=1..n} c[k] r[n-k]``.
 
         Raises:
             NearZeroConstantTerm: if ``|c[0]| < RECIPROCAL_FLOOR``.
             BadParameter: if the recurrence overflows.
         """
-        if self._recip is not None:
-            return self._recip
         c = self._coeffs
         if abs(c[0]) < RECIPROCAL_FLOOR:
             raise NearZeroConstantTerm(
@@ -109,8 +104,7 @@ class TruncatedSeries:
         out[0] = lead
         for n in range(1, len(c)):
             out[n] = -lead * np.dot(c[1 : n + 1], out[n - 1 :: -1])
-        self._recip = TruncatedSeries(out)
-        return self._recip
+        return TruncatedSeries(out)
 
     def differentiate(self) -> "TruncatedSeries":
         """Term-by-term derivative, one order shorter.
@@ -125,12 +119,11 @@ class TruncatedSeries:
 
     def truncate(self, order: int) -> "TruncatedSeries":
         """Drop every coefficient past ``order`` (which must not exceed the
-        current order: unknown tail coefficients are never fabricated).
-        Truncating to the current order returns the series itself."""
-        if not 0 <= order <= self.order:
-            raise BadParameter(f"cannot truncate order-{self.order} series to order {order}")
-        if order == self.order:
-            return self
+        current order: unknown tail coefficients are never fabricated)."""
+        message = f"cannot truncate order-{self.order} series to order {order}"
+        check_count(order, 0, message)
+        if order > self.order:
+            raise BadParameter(message)
         return TruncatedSeries(self._coeffs[: order + 1])
 
     # ---- evaluation and coefficient functionals -------------------------
@@ -165,15 +158,16 @@ class TruncatedSeries:
 
         Raises:
             BadRadius: if r is outside (0, 1].
-            BadParameter: if t is not finite or ``start_index`` is outside [0, order + 1].
+            BadParameter: if t is not finite or ``start_index`` is not an
+                integer in [0, order + 1].
         """
         check_radius(r)
         if not np.isfinite(t):
             raise BadParameter(f"exponent t {t!r} is not finite")
-        if not 0 <= start_index <= self.order + 1:
-            raise BadParameter(
-                f"start index {start_index} outside [0, {self.order + 1}]"
-            )
+        message = f"start index {start_index} outside [0, {self.order + 1}]"
+        check_count(start_index, 0, message)
+        if start_index > self.order + 1:
+            raise BadParameter(message)
         n = np.arange(start_index, self.order + 1, dtype=np.float64)
         if t == 0:
             weights = np.ones_like(n)

@@ -72,6 +72,13 @@ def test_jenkins_validation():
         jenkins_bound(3, 1.0)
 
 
+@pytest.mark.parametrize("n", [2.5, 2.0, "3"])
+def test_jenkins_index_must_be_an_integer(n):
+    with pytest.raises(BadParameter, match="not an integer"):
+        jenkins_bound(n, 0.5)
+    assert jenkins_bound(np.int64(2), 0.5) == jenkins_bound(2, 0.5)
+
+
 @pytest.mark.parametrize("n", [442, 500])
 def test_jenkins_refuses_bounds_beyond_the_float_range(n):
     # p**(n-1) is subnormal at n = 442 (the quotient overflows to inf) and

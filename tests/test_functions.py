@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from merobounds.errors import BadParameter, PoleMismatch, check_order
+from merobounds.errors import BadParameter, PoleMismatch
 from merobounds.functions import (
     NO_POLE,
     ClassKind,
@@ -59,7 +59,7 @@ def test_build_kp_coefficients():
     assert c[0] == 1.0
     assert c[1] == -2.5
     assert c[2] == 1.0
-    assert np.all(c[3:] == 0.0)
+    assert len(c) == 3
     assert abs(f.inv_series.evaluate(0.5)) < 1e-14
 
 
@@ -101,19 +101,43 @@ def test_constructor_validation():
         build_koebe_rotation(math.inf)
 
 
+BUILDERS = (lambda order: build_kp(0.5, order),
+            lambda order: build_fp(0.5, 0.5, order),
+            lambda order: build_koebe_rotation(0.0, order))
+
+
 @pytest.mark.parametrize("order", [2.5, 64.0, "8", None])
 def test_order_must_be_an_integer(order):
-    with pytest.raises(BadParameter, match="not an integer"):
-        check_order(order)
-    with pytest.raises(BadParameter, match="not an integer"):
-        build_kp(0.5, order)
+    for build in BUILDERS:
+        with pytest.raises(BadParameter, match="not an integer"):
+            build(order)
 
 
 def test_order_accepts_numpy_integers():
-    check_order(np.int64(2))
+    assert build_kp(0.5, np.int64(2)).order == 2
     assert build_fp(0.5, 0.5, np.int32(16)).order == 16
-    with pytest.raises(BadParameter, match="order must be at least 2 to hold the z/f polynomial"):
-        check_order(np.int64(1))
+    for build in BUILDERS:
+        with pytest.raises(BadParameter,
+                           match="order must be at least 2 to hold the z/f polynomial"):
+            build(np.int64(1))
+
+
+@pytest.mark.parametrize("order", [2, 3, 64, 512])
+def test_builders_store_z_over_f_exactly_and_size_f_over_z_by_the_order(order):
+    for build in BUILDERS:
+        f = build(order)
+        assert f.inv_series.order == 2
+        assert f.order == order
+        assert f_over_z_series(f).order == order
+
+
+def test_order_defaults_to_and_may_not_undercut_the_stored_order():
+    inv = TruncatedSeries([1.0, -2.0, 0.0, 0.0])
+    assert PoleFunction(inv, pole=0.5).order == 3
+    assert PoleFunction(inv, pole=0.5, order=5).order == 5
+    with pytest.raises(BadParameter, match="order must be at least 3 to hold the z/f polynomial"):
+        PoleFunction(inv, pole=0.5, order=2)
+    assert from_inverse_coefficients([0.0] * 7).order == 7
 
 
 # ---- PoleFunction validation ---------------------------------------------------
@@ -157,16 +181,40 @@ def test_f_over_z_identity_function():
 def test_f_over_z_order_handling():
     f = build_kp(0.5, order=10)
     assert f_over_z_series(f, order=4).order == 4
+    assert f_over_z_series(f, np.int64(0)).order == 0
     with pytest.raises(BadParameter):
         f_over_z_series(f, order=11)
+    with pytest.raises(BadParameter):
+        f_over_z_series(f, order=-1)
 
 
-def test_f_over_z_is_formed_once_per_function():
+@pytest.mark.parametrize("order", [2.5, 4.0, "4"])
+def test_f_over_z_order_must_be_an_integer(order):
+    with pytest.raises(BadParameter, match="not an integer"):
+        f_over_z_series(build_kp(0.5), order)
+
+
+def zf_to_order(f):
+    """z/f zero-extended to the function's f/z order."""
+    c = f.inv_series.coefficients
+    return TruncatedSeries(np.pad(c, (0, f.order + 1 - len(c))))
+
+
+def test_f_over_z_is_formed_once_per_function(monkeypatch):
+    formed = []
+    reciprocal = TruncatedSeries.reciprocal
+    monkeypatch.setattr(TruncatedSeries, "reciprocal",
+                        lambda s: formed.append(s.order) or reciprocal(s))
     f = build_kp(0.35, order=128)
     d = f_over_z_series(f)
     assert f_over_z_series(f) is d
     assert f_over_z_series(f, order=f.order) is d
-    fresh = TruncatedSeries(f.inv_series.coefficients.copy()).reciprocal()
+    assert f_over_z_series(f, 40).order == 40
+    assert formed == [128]
+    # an equal function forms its own
+    assert f_over_z_series(build_kp(0.35, order=128)) is not d
+    assert formed == [128, 128]
+    fresh = reciprocal(zf_to_order(f))
     assert np.array_equal(d.coefficients, fresh.coefficients)
 
 
@@ -192,19 +240,20 @@ def test_f_over_z_roundtrip_scale_relative():
     for p in (0.2, 0.5, 0.8):
         f = build_kp(p)
         d = f_over_z_series(f)
-        prod = f.inv_series.multiply(d)
+        zf = zf_to_order(f)
+        prod = zf.multiply(d)
+        assert prod.order == f.order
         unit = np.zeros(f.order + 1, dtype=complex)
         unit[0] = 1.0
-        scale = np.convolve(
-            np.abs(f.inv_series.coefficients), np.abs(d.coefficients)
-        )[: f.order + 1]
+        scale = np.convolve(np.abs(zf.coefficients), np.abs(d.coefficients))[: f.order + 1]
         rel = np.abs(prod.coefficients - unit) / np.maximum(scale, 1.0)
         assert rel.max() <= 1e-12
 
 
 def test_f_over_z_roundtrip_absolute_small_order():
     f = build_kp(0.6, order=10)
-    prod = f.inv_series.multiply(f_over_z_series(f))
+    prod = zf_to_order(f).multiply(f_over_z_series(f))
+    assert prod.order == 10
     unit = np.zeros(11, dtype=complex)
     unit[0] = 1.0
     assert np.max(np.abs(prod.coefficients - unit)) <= 1e-12
@@ -243,20 +292,35 @@ def test_class_spec_rejects(kwargs):
 # ---- CSV row form ------------------------------------------------------------------
 
 def test_csv_roundtrip_with_pole():
+    # the row carries z/f zero-extended to the order; reading it back stores
+    # all of it, so the f/z series and the row itself come back unchanged
     f = build_fp(0.35, 0.75, order=5)
     row = to_csv_row(f)
     assert row[0] == repr(0.35)
     assert row[1] == "5"
+    assert len(row) == 2 + 2 * 5
     g = from_csv_row(row)
     assert g.pole == f.pole
-    assert np.array_equal(g.inv_series.coefficients, f.inv_series.coefficients)
+    assert g.order == f.order == 5
+    assert np.array_equal(g.inv_series.coefficients, zf_to_order(f).coefficients)
+    assert np.array_equal(f_over_z_series(g).coefficients, f_over_z_series(f).coefficients)
+    assert to_csv_row(g) == row
 
 
 def test_csv_roundtrip_without_pole():
     f = build_koebe_rotation(math.pi / 3, order=4)
-    g = from_csv_row(to_csv_row(f))
+    row = to_csv_row(f)
+    g = from_csv_row(row)
     assert g.pole is NO_POLE
-    assert np.array_equal(g.inv_series.coefficients, f.inv_series.coefficients)
+    assert g.order == f.order == 4
+    assert np.array_equal(g.inv_series.coefficients, zf_to_order(f).coefficients)
+    assert np.array_equal(f_over_z_series(g).coefficients, f_over_z_series(f).coefficients)
+    assert to_csv_row(g) == row
+
+
+def test_csv_row_of_a_builder_is_zero_extended_to_its_order():
+    assert to_csv_row(build_kp(0.5, order=4)) == [
+        "0.5", "4", "-2.5", "0.0", "1.0", "0.0", "0.0", "0.0", "0.0", "0.0"]
 
 
 @pytest.mark.parametrize(

@@ -66,7 +66,7 @@ def test_dirichlet_series_hand_value():
     f = build_kp(0.5)
     res = dirichlet_series(f.inv_series, 1.0)
     assert res.value == pytest.approx(8.25 * math.pi, rel=1e-14)
-    # polynomial data: stored tail coefficient is zero, so no tail mass
+    # the z/f coefficients are exact, so no tail mass
     assert res.truncation_tail_estimate == 0.0
 
 
@@ -82,13 +82,28 @@ def test_dirichlet_series_against_loop():
 
 
 def test_dirichlet_series_tail_estimate():
-    c = [1.0, 0.5, 0.25]
-    res = dirichlet_series(TruncatedSeries(c), 0.5)
-    want = math.pi * 3 * 0.0625 * 0.5**6 / (1 - 0.25)
+    # a coefficient sum over given data reports no tail, whatever its last term
+    for r in (0.5, 1.0):
+        res = dirichlet_series(TruncatedSeries([1.0, 0.5, 0.25]), r)
+        assert res.truncation_tail_estimate == 0.0
+    # the f/z route truncates: Koebe's f/z = 1/(1 - z)**2 = 1 + 2z + 3z**2 + ...
+    # at order 2 gives the estimate pi (N + 1) |c_N|^2 r^(2N+2) / (1 - r^2)
+    koebe = build_koebe_rotation(0.0, order=2)
+    assert f_over_z_series(koebe).coefficients.tolist() == [1, 2, 3]
+    want = math.pi * 3 * 9 * 0.5**6 / (1 - 0.25)
+    res = dirichlet_f_over_z_series(koebe, 0.5)
     assert res.truncation_tail_estimate == pytest.approx(want, rel=1e-14)
-    # at r = 1 the geometric estimate diverges unless the tail is exactly zero
-    assert dirichlet_series(TruncatedSeries(c), 1.0).truncation_tail_estimate == math.inf
-    assert dirichlet_series(TruncatedSeries([1.0, 1.0, 0.0]), 1.0).truncation_tail_estimate == 0.0
+    # f = z (f/z) shifts every index up by one
+    want = math.pi * 4 * 9 * 0.5**8 / (1 - 0.25)
+    assert dirichlet_f_series(koebe, 0.5).truncation_tail_estimate == pytest.approx(want, rel=1e-14)
+    # with a pole the term ratio is (r/p)^2: kp's f/z = 1 + 2.5z + 5.25z**2 + ... at p = 0.5
+    kp = build_kp(0.5, order=2)
+    assert f_over_z_series(kp).coefficients.tolist() == [1, 2.5, 5.25]
+    want = math.pi * 3 * 5.25**2 * 0.25**6 / (1 - 0.25)
+    res = dirichlet_f_over_z_series(kp, 0.25)
+    assert res.truncation_tail_estimate == pytest.approx(want, rel=1e-14)
+    # f = z has f/z = 1 exactly at any positive order: zero last coefficient, no tail
+    assert dirichlet_f_series(from_inverse_coefficients([0.0]), 1.0).truncation_tail_estimate == 0.0
 
 
 def test_dirichlet_series_radius_validation():
@@ -266,14 +281,15 @@ def test_l1_parseval_consistency_random_series():
 
 
 def test_l1_tail_estimate():
-    f = build_kp(0.5)       # polynomial z/f: zero stored tail
+    # the z/f coefficients are exact, stored by a builder or given as data
+    f = build_kp(0.5)
+    assert f.inv_series.order == 2
     assert l1_mean_series(f, 1.0).truncation_tail_estimate == 0.0
     g = from_inverse_coefficients([0.5, 0.25, 0.125])
     res = l1_mean_series(g, 0.5)
-    assert res.truncation_tail_estimate == pytest.approx(
-        0.125**2 * 0.5**8 / (1 - 0.25), rel=1e-14
-    )
-    assert l1_mean_series(g, 1.0).truncation_tail_estimate == math.inf
+    assert res.value == 1 + 0.25 * 0.25 + 0.0625 * 0.0625 + 0.015625 * 0.015625
+    assert res.truncation_tail_estimate == 0.0
+    assert l1_mean_series(g, 1.0).truncation_tail_estimate == 0.0
 
 
 def test_l1_radius_validation():

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from merobounds.errors import BadParameter, BadRadius, NearZeroConstantTerm, OrderUnderflow
+from merobounds.functions import f_over_z_series, from_inverse_coefficients
 from merobounds.series import TruncatedSeries
 
 
@@ -134,15 +135,23 @@ def test_reciprocal_roundtrip_scale_relative():
         assert rel.max() <= 1e-12
 
 
-def test_reciprocal_is_kept_on_its_series():
+def test_reciprocal_is_kept_per_function():
+    # a series forms a new, equal reciprocal on every call; the one kept
+    # f/z lives on the function, and it is exactly that reciprocal
     rng = np.random.default_rng(29)
     c = rng.normal(size=65) + 1j * rng.normal(size=65)
+    c[0] = 1.0
     s = TruncatedSeries(c)
     first = s.reciprocal()
-    assert s.reciprocal() is first
-    # the kept result is exactly what a fresh series computes
+    again = s.reciprocal()
+    assert again is not first
+    assert np.array_equal(again.coefficients, first.coefficients)
     for fresh in (TruncatedSeries(c), TruncatedSeries(list(c))):
         assert np.array_equal(first.coefficients, fresh.reciprocal().coefficients)
+    f = from_inverse_coefficients(c[1:])
+    kept = f_over_z_series(f)
+    assert f_over_z_series(f) is kept
+    assert np.array_equal(kept.coefficients, first.coefficients)
 
 
 def test_reciprocal_that_raises_keeps_nothing():
@@ -252,10 +261,18 @@ def test_truncate():
         s.truncate(-1)
 
 
-def test_truncate_to_own_order_is_the_series_itself():
+def test_truncate_to_own_order_is_an_equal_copy():
     s = TruncatedSeries([1, 2, 3, 4])
-    assert s.truncate(s.order) is s
-    assert s.truncate(2) is not s
+    same = s.truncate(s.order)
+    assert same is not s
+    assert same == s
+    assert np.array_equal(s.truncate(2).coefficients, [1, 2, 3])
+
+
+@pytest.mark.parametrize("order", [1.5, 2.0, "2"])
+def test_truncate_order_must_be_an_integer(order):
+    with pytest.raises(BadParameter, match="not an integer"):
+        TruncatedSeries([1, 2, 3, 4]).truncate(order)
 
 
 def test_array_input_is_copied_with_the_same_values():
@@ -315,6 +332,16 @@ def test_weighted_sum_validation():
         s.weighted_coefficient_sum(1.0, 1.5)
     with pytest.raises(BadParameter):
         s.weighted_coefficient_sum(1.0, 0.5, start_index=5)
+    with pytest.raises(BadParameter):
+        s.weighted_coefficient_sum(1.0, 0.5, start_index=-1)
+
+
+@pytest.mark.parametrize("start", [1.5, 1.0, "1"])
+def test_weighted_sum_start_index_must_be_an_integer(start):
+    with pytest.raises(BadParameter, match="not an integer"):
+        TruncatedSeries([1, 2, 3]).weighted_coefficient_sum(1.0, 0.5, start_index=start)
+    assert TruncatedSeries([1, 2, 3]).weighted_coefficient_sum(
+        1.0, 0.5, start_index=np.int64(1)) == 1 * 4 * 0.25 + 2 * 9 * 0.0625
 
 
 @pytest.mark.parametrize("coeffs", [[2.0], [1.0, -2.0], [1.0, 0.5, 0.25]])
