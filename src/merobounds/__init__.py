@@ -20,6 +20,7 @@ from .bounds import (
 from .criteria import (
     CriterionVerdict,
     DiskGrid,
+    aksentiev_criterion,
     injectivity_oracle,
     u_functional,
     univalence_criterion,
@@ -90,6 +91,7 @@ __all__ = [
     "QuadratureConfig",
     "RadiusBeyondPole",
     "TruncatedSeries",
+    "aksentiev_criterion",
     "build_fp",
     "build_koebe_rotation",
     "build_kp",

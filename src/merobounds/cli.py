@@ -18,10 +18,12 @@ import argparse
 import csv
 import sys
 from collections import Counter
+from functools import cache
 
 from .bounds import (BoundQuantity, check_bound, gronwall_check, jenkins_bound, lemma1_check,
                      sharp_maximum)
-from .criteria import SUP_TOL, injectivity_oracle, univalence_criterion, up_lambda_membership
+from .criteria import (SUP_TOL, aksentiev_criterion, injectivity_oracle, univalence_criterion,
+                       up_lambda_membership)
 from .errors import BadParameter, MeroboundsError, RadiusBeyondPole, check_radius
 from .functions import (
     ClassKind,
@@ -341,10 +343,8 @@ def _cmd_check(args) -> int:
             else:
                 print(f"row {i} WARN membership: sup ratio {_fmt(member.value)} > "
                       f"{_fmt(member.threshold)} near {_fmtc(member.witness)}")
-        criterion_holds = False
         if spec.p is not None:
             crit = univalence_criterion(f)
-            criterion_holds = crit.holds
             if crit.holds:
                 near = " [at-threshold]" if abs(crit.value - crit.threshold) <= SUP_TOL else ""
                 print(f"row {i} PASS univalence-criterion: sup {_fmt(crit.value)} <= "
@@ -357,8 +357,10 @@ def _cmd_check(args) -> int:
         if not report.satisfied:
             print(f"row {i} FAIL injectivity: implied by coefficient-sum")
             continue
-        if criterion_holds:
-            print(f"row {i} PASS injectivity: implied by univalence-criterion")
+        aksentiev = aksentiev_criterion(f)
+        if aksentiev.holds:
+            print(f"row {i} PASS injectivity: implied by Aksentiev, sup |U_f/z^2| "
+                  f"{_fmt(aksentiev.value)} <= 1")
             continue
         collision = injectivity_oracle(f)
         if collision.holds:
@@ -372,7 +374,10 @@ def _cmd_check(args) -> int:
 
 # ---- parser --------------------------------------------------------------------
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; its defaults are tuples, so no call
+    can change what the next one parses."""
     parser = argparse.ArgumentParser(
         prog="merobounds",
         description="Verify sharp integral and coefficient bounds for disk "
@@ -384,13 +389,12 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.set_defaults(func=_cmd_verify)
 
     table = sub.add_parser("table", help="sweep computed values against bounds")
-    table.add_argument("--p", nargs="+", type=float, default=list(P_GRID))
-    table.add_argument("--r", nargs="+", type=float, default=list(R_GRID))
+    table.add_argument("--p", nargs="+", type=float, default=P_GRID)
+    table.add_argument("--r", nargs="+", type=float, default=R_GRID)
     table.add_argument("--lambda", dest="lam", nargs="+", type=float,
-                       default=list(LAMBDA_GRID))
-    table.add_argument("--quantity", nargs="+",
-                       choices=[q.value.lower() for q in BoundQuantity],
-                       default=[q.value.lower() for q in BoundQuantity])
+                       default=LAMBDA_GRID)
+    quantities = tuple(q.value.lower() for q in BoundQuantity)
+    table.add_argument("--quantity", nargs="+", choices=quantities, default=quantities)
     table.add_argument("--order", type=int, default=DEFAULT_ORDER)
     table.add_argument("--out", default=None)
     table.set_defaults(func=_cmd_table)

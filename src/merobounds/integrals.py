@@ -65,10 +65,11 @@ _FLOOR = QuadratureConfig()
 class IntegralResult:
     """A computed integral together with how it was computed.
 
-    ``truncation_tail_estimate`` is present for series evaluations only: 0
-    over exact z/f coefficients; for the truncated f and f/z series, a
-    geometric estimate of the mass past the order, inf where it diverges
-    and 0 when the last coefficient is exactly zero (as for f = z).
+    ``truncation_tail_estimate`` is present for series evaluations only, as
+    a float: 0 over exact z/f coefficients and for f = z, whose f/z = 1 is
+    exact; for the other truncated f and f/z series, a geometric estimate
+    of the mass past the order, inf where it diverges and 0 when the last
+    coefficient is exactly zero.
     """
 
     value: float
@@ -97,7 +98,7 @@ def _tail(coeffs: np.ndarray, r: float, ratio: float, weight: float) -> float:
         return 0.0
     if ratio >= 1.0:
         return math.inf
-    return weight * top * r ** (2 * len(coeffs)) / (1.0 - ratio)
+    return float(weight * top * r ** (2 * len(coeffs)) / (1.0 - ratio))
 
 
 # ---- Dirichlet integral ------------------------------------------------------
@@ -145,8 +146,9 @@ def _dirichlet_f_route(f: PoleFunction, r: float, shift: int) -> IntegralResult:
     shift 0 gives f/z, shift 1 gives f = z * (f/z).  The radius must stay
     below the pole, or below 1 without one unless f = z, where the
     integral converges."""
+    exact = not f.inv_series.coefficients[1:].any()  # f = z: f/z = 1 has no tail
     if f.pole is None:
-        if f.inv_series.coefficients[1:].any():
+        if not exact:
             check_open_radius(r)
         check_radius(r)
         ratio = r * r
@@ -157,7 +159,7 @@ def _dirichlet_f_route(f: PoleFunction, r: float, shift: int) -> IntegralResult:
     if shift:
         g = TruncatedSeries(np.concatenate((np.zeros(shift), g.coefficients)))
     value = math.pi * g.weighted_coefficient_sum(1.0, r, start_index=1)
-    tail = _tail(g.coefficients, r, ratio, math.pi * len(g))
+    tail = 0.0 if exact else _tail(g.coefficients, r, ratio, math.pi * len(g))
     return IntegralResult(value, Method.SERIES, r, IntegralKind.DIRICHLET, tail)
 
 

@@ -9,7 +9,7 @@ from merobounds import cli
 from merobounds.cli import LAMBDA_GRID, P_GRID, R_GRID, _fmt, _fmtc, main
 from merobounds.criteria import DiskGrid
 from merobounds.functions import (build_fp, build_koebe_rotation, build_kp,
-                                  from_inverse_coefficients, to_csv_row)
+                                  from_inverse_coefficients, mu, to_csv_row)
 
 
 def run_cli(capsys, *argv):
@@ -76,8 +76,8 @@ def test_check_matches_the_golden_output(capsys):
     # (0.4, 5e-6), whose membership and criterion sups sit just above mu(p)
     # on |z| = 1, and (1 - 2z)(1 - z/0.309375), whose second root lies on
     # the injectivity grid.  Row 7 fails the coefficient sum, so the exit
-    # code is 1, and its injectivity verdict comes from that sum.  Rows 2
-    # and 3 meet the univalence criterion, which settles theirs.
+    # code is 1, and its injectivity verdict comes from that sum.  Rows 1-6
+    # have sup |U_f/z^2| <= 1, so Aksentiev's theorem settles theirs.
     data = Path(__file__).parent / "data"
     code, out, _ = run_cli(capsys, "check", "--in", str(data / "check_rows.csv"),
                            "--class", "u_p_lambda", "--p", "0.5", "--lambda", "1.0")
@@ -266,15 +266,34 @@ def test_check_skips_the_scan_on_a_settled_row(tmp_path, capsys, monkeypatch):
         raise AssertionError("injectivity_oracle called on a settled row")
 
     monkeypatch.setattr(cli, "injectivity_oracle", no_scan)
-    # fp(0.5, 0.5) meets the univalence criterion; the second row's
+    # fp(0.5, 0.5) has |U_f / z^2| = 0.5 mu(0.5) < 1; the second row's
     # coefficient sum is 1.44
     path = write_rows(tmp_path / "f.csv", [to_csv_row(build_fp(0.5, 0.5)),
                                            ["0.5", "2", "-2.6", "0", "1.2", "0"]])
     code, out, _ = run_cli(capsys, "check", "--in", path, "--class", "sigma_p",
                            "--p", "0.5")
     assert code == 1
-    assert "row 1 PASS injectivity: implied by univalence-criterion" in out
+    assert ("row 1 PASS injectivity: implied by Aksentiev, sup |U_f/z^2| 0.0555555555556 <= 1"
+            in out)
     assert "row 2 FAIL injectivity: implied by coefficient-sum" in out
+
+
+@pytest.mark.parametrize("p", [0.02, 0.05])
+def test_check_certifies_extremals_at_small_poles(p, tmp_path, capsys, monkeypatch):
+    # the grid scan's absolute tolerance disproves kp and fp below p = 0.1;
+    # their U_f / z^2 is the constant -1 and -lam mu(p)
+    def no_scan(*args, **kwargs):
+        raise AssertionError("injectivity_oracle called on a certified row")
+
+    monkeypatch.setattr(cli, "injectivity_oracle", no_scan)
+    path = write_rows(tmp_path / "f.csv", [to_csv_row(build_kp(p)),
+                                           to_csv_row(build_fp(p, 0.7))])
+    code, out, _ = run_cli(capsys, "check", "--in", path, "--class", "u_p_lambda",
+                           "--p", repr(p), "--lambda", "0.7")
+    assert code == 0
+    assert "row 1 PASS injectivity: implied by Aksentiev, sup |U_f/z^2| 1 <= 1" in out
+    assert (f"row 2 PASS injectivity: implied by Aksentiev, sup |U_f/z^2| "
+            f"{_fmt(0.7 * mu(p))} <= 1") in out
 
 
 def test_check_s_class_skips_pole_criteria(tmp_path, capsys):
@@ -342,6 +361,20 @@ def test_help_exits_cleanly(capsys):
 
 def test_unknown_quantity_is_a_usage_error(capsys):
     assert main(["table", "--quantity", "volume"]) == 2
+
+
+def test_cached_parser_behaves_like_a_fresh_one(capsys):
+    assert cli._build_parser() is cli._build_parser()
+    argv = ("table", "--r", "0.5", "--quantity", "l1", "--lambda", "1.0")
+    code, narrow, _ = run_cli(capsys, *argv, "--p", "0.35")
+    assert code == 0 and narrow.count("\n") == 4   # header, kp, fp and S rows
+    assert main(list(argv)) == 0
+    cached = capsys.readouterr().out
+    args = cli._build_parser.__wrapped__().parse_args(argv)
+    assert args.func(args) == 0
+    assert cached == capsys.readouterr().out
+    defaults = cli._build_parser().parse_args(["table"])
+    assert (defaults.p, defaults.r, defaults.lam) == (P_GRID, R_GRID, LAMBDA_GRID)
 
 
 def test_module_entry_point_runs():

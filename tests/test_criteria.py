@@ -5,11 +5,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from merobounds import criteria
 from merobounds.criteria import (
     COLLISION_TOL,
     CriterionVerdict,
     DiskGrid,
     _circle_sup,
+    aksentiev_criterion,
     injectivity_oracle,
     u_functional,
     univalence_criterion,
@@ -218,6 +220,27 @@ def test_criterion_sees_a_supremum_the_disk_grid_misses(k, c):
     assert verdict.value > 1.01 * verdict.threshold
 
 
+def test_a_member_near_the_class_boundary_holds():
+    # the first bound reads 1.0000188 lam mu, above every sample; the
+    # maximum on a 2**20-point circle is 0.99980 lam mu
+    f = reproduction(0.8, 40, 1.8655e-4)
+    verdict = up_lambda_membership(f, 1.0)
+    z = np.exp(2j * np.pi * np.arange(1 << 20) / (1 << 20))
+    assert verdict.holds
+    assert np.max(np.abs(u_functional(f, z))) <= verdict.value <= verdict.threshold
+
+
+def test_a_criterion_near_its_threshold_holds():
+    # the first bound reads 1.0000247 mu; the maximum on a 2**20-point
+    # circle is 0.99980 mu
+    f = reproduction(0.4, 40, 4.5868e-6)
+    verdict = univalence_criterion(f)
+    second = f.inv_series.differentiate().differentiate()
+    z = np.exp(2j * np.pi * np.arange(1 << 20) / (1 << 20))
+    assert verdict.holds
+    assert np.max(np.abs(second.evaluate(z))) <= verdict.value <= verdict.threshold
+
+
 @pytest.mark.parametrize("p", [0.2, 0.5, 0.8])
 def test_sups_match_dense_samples_on_the_unit_circle(p):
     f = perturbed_member(p, np.random.default_rng(int(100 * p)))
@@ -249,6 +272,86 @@ def test_circle_sup_of_a_constant_is_exact():
 def test_circle_sup_of_zero_is_zero():
     assert _circle_sup(np.zeros(3, dtype=np.complex128)) == (0.0, None)
     assert _circle_sup(np.zeros(0, dtype=np.complex128)) == (0.0, None)
+
+
+def test_circle_sup_takes_one_fft_away_from_the_threshold():
+    q = np.array([0.3, -0.2j, 0.1, 0.05])
+    bound, witness = _circle_sup(q)
+    assert _circle_sup(q, 0.5 * bound) == (bound, witness)   # a sample exceeds it
+    assert _circle_sup(q, bound) == (bound, witness)         # the bound clears it
+
+
+def test_circle_sup_refines_until_the_bound_clears_the_threshold():
+    q = np.array([1.0, 0.0, 0.0, 0.5])
+    bound, _ = _circle_sup(q)
+    assert bound > 1.5
+    refined, witness = _circle_sup(q, 1.5)
+    assert 1.5 <= refined <= 1.5 * (1 + 1e-6)
+    assert abs(witness - 1.0) < 1e-15
+
+
+def test_circle_sup_stops_refining_at_the_cap():
+    # |z**2 / 2| is 1/2 at every sample, so no doubling settles a threshold
+    # just above 1/2
+    bound, _ = _circle_sup(np.array([0.0, 0.0, 0.5]), 0.5 + 1e-12)
+    assert bound == pytest.approx(
+        0.5 / np.sqrt(1.0 - 0.5 * (2 * np.pi / criteria._MAX_SAMPLES) ** 2), rel=1e-15)
+    assert bound > 0.5 + 1e-12
+
+
+# --- Aksentiev's criterion ---
+
+@pytest.mark.parametrize("f,value", [
+    (build_kp(0.5), 1.0), (build_kp(1e-13), 1.0), (build_fp(0.3, 0.7), 0.7 * mu(0.3)),
+    (build_koebe_rotation(0.0), 1.0), (build_koebe_rotation(2.0), 1.0),
+    (from_inverse_coefficients([]), 0.0)])
+def test_aksentiev_is_exact_on_the_extremal_functions(f, value):
+    verdict = aksentiev_criterion(f)
+    assert verdict.holds
+    assert verdict.value == value
+    assert verdict.threshold == 1.0
+
+
+def test_aksentiev_has_no_tolerance():
+    # lam * mu(p) + SUP_TOL passes 1 for p near 1e-13, so membership's test
+    # would let a function with sup |U_f / z**2| just above 1 through
+    f = from_inverse_coefficients([-2.0, 1.0 + 1e-14])
+    assert aksentiev_criterion(f).value > 1.0
+    assert not aksentiev_criterion(f).holds
+
+
+def test_aksentiev_rejects_the_scan_only_collision():
+    # z/f = 1 + b3 z**3 with |b3| about 0.515: U_f / z**2 = -2 b3 z
+    z = DiskGrid().points()
+    z1, z2 = z[-64], z[-63]
+    b3 = 1.0 / (z1 * z2 * (z1 + z2))
+    verdict = aksentiev_criterion(from_inverse_coefficients([0.0, 0.0, b3]))
+    assert not verdict.holds
+    assert 1.0 < 2 * abs(b3) <= verdict.value < 1.04
+
+
+def test_aksentiev_shares_the_fft_with_membership():
+    f = perturbed_member(0.4, np.random.default_rng(5))
+    criteria._samples.cache_clear()
+    member, certificate = up_lambda_membership(f, 1.0), aksentiev_criterion(f)
+    info = criteria._samples.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert certificate.value == member.value
+    assert certificate.holds
+
+
+@given(st.integers(min_value=2, max_value=64), st.floats(min_value=1e-3, max_value=1.0),
+       st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_aksentiev_bound_lies_between_the_samples_and_the_coefficient_sum(order, scale, seed):
+    # Obradovic-Ponnusamy's sum(n - 1) |b_n| bounds sup |U_f / z**2| from
+    # above; the Bernstein factor of the circle bound is at most 1.000603
+    rng = np.random.default_rng(seed)
+    b = scale * (rng.standard_normal(order) + 1j * rng.standard_normal(order))
+    verdict = aksentiev_criterion(from_inverse_coefficients(b))
+    q = (1 - np.arange(2, order + 1)) * b[1:]
+    fine = float(np.max(np.abs(np.fft.fft(q, 1 << 16))))
+    assert fine <= verdict.value <= 1.001 * float(np.sum(np.abs(q)))
 
 
 # --- univalence criterion ---

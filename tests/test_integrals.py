@@ -106,6 +106,26 @@ def test_dirichlet_series_tail_estimate():
     assert dirichlet_f_series(from_inverse_coefficients([0.0]), 1.0).truncation_tail_estimate == 0.0
 
 
+def test_identity_map_at_order_zero_reports_no_tail():
+    # f = z stored at order 0 (the CSV row ",0"): its f/z = 1 is exact, though
+    # the last stored f/z coefficient is the constant 1
+    f = from_inverse_coefficients([])
+    for route, r in ((dirichlet_f_series, 1.0), (dirichlet_f_series, 0.5),
+                     (dirichlet_f_over_z_series, 0.5)):
+        tail = route(f, r).truncation_tail_estimate
+        assert tail == 0.0
+        assert type(tail) is float
+
+
+def test_tail_estimates_are_plain_floats():
+    kp, koebe = build_kp(0.5, order=2), build_koebe_rotation(0.0, order=2)
+    results = (dirichlet_f_over_z_series(kp, 0.25), dirichlet_f_series(kp, np.float64(0.25)),
+               dirichlet_f_over_z_series(koebe, 0.5), dirichlet_f_series(koebe, 0.5),
+               dirichlet_series(kp.inv_series, 0.5), l1_mean_series(kp, 0.5))
+    for res in results:
+        assert type(res.truncation_tail_estimate) is float
+
+
 def test_dirichlet_series_radius_validation():
     s = TruncatedSeries([0.0, 1.0])
     for bad in (0.0, -0.5, 1.01):
