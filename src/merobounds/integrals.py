@@ -69,7 +69,7 @@ class IntegralResult:
     a float: 0 over exact z/f coefficients and for f = z, whose f/z = 1 is
     exact; for the other truncated f and f/z series, a geometric estimate
     of the mass past the order, inf where it diverges and 0 when the last
-    coefficient is exactly zero.
+    d coefficients, d the z/f degree, are exactly zero.
     """
 
     value: float
@@ -89,16 +89,41 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _tail(coeffs: np.ndarray, r: float, ratio: float, weight: float) -> float:
+def _tail(coeffs: np.ndarray, degree: int, r: float, ratio: float, weight: float) -> float:
     """weight * |c_N|^2 r^(2N+2) / (1 - ratio), the geometric-decay estimate
     of the Parseval terms past the truncation order N; ratio is the
-    term-to-term factor and weight the term's factor at index N + 1."""
-    top = abs(coeffs[-1]) ** 2
-    if top == 0.0:
+    term-to-term factor and weight the term's factor at index N + 1.
+
+    The coefficients obey the recurrence of z/f, of the given degree d, so
+    a zero c_N does not end the series: each of the last d terms
+    |c_(N-j)|^2 r^(2N+2-2j) is carried forward j steps by ratio, and the
+    largest stands for |c_N|^2 r^(2N+2).  The estimate is 0 only when all d
+    coefficients are zero."""
+    last = coeffs[: -degree - 1 : -1].tolist()  # c_N, c_(N-1), ...
+    if not any(last):
         return 0.0
     if ratio >= 1.0:
         return math.inf
-    return float(weight * top * r ** (2 * len(coeffs)) / (1.0 - ratio))
+    n = len(coeffs)
+    top = max(abs(c) * abs(c) * r ** (2 * (n - j)) * ratio ** j for j, c in enumerate(last))
+    return float(weight * top / (1.0 - ratio))
+
+
+def _circle_values(c: np.ndarray, rho: np.ndarray, m: int) -> np.ndarray:
+    """Values of sum_n c_n z^n at the nodes rho_j e^(2 pi i k / m), as a
+    (len(rho), m) array with k along the second axis.
+
+    On circle j these are the m-point DFT, with positive exponent, of the
+    sequence c_n rho_j^n, so one inverse FFT without normalisation gives a
+    whole circle.  e^(2 pi i k n / m) depends on n only modulo m, so a
+    series longer than m is folded modulo m first and samples the same
+    nodes as direct evaluation, aliasing included.
+    """
+    n = len(c)
+    x = c[None, :] * rho[:, None] ** np.arange(n)
+    if n > m:
+        x = np.pad(x, ((0, 0), (0, -n % m))).reshape(len(rho), -1, m).sum(axis=1)
+    return np.fft.ifft(x, m, axis=1, norm="forward")
 
 
 # ---- Dirichlet integral ------------------------------------------------------
@@ -120,7 +145,9 @@ def dirichlet_quadrature(
     max(256, N) uniform angles, the default ``QuadratureConfig`` raised to
     the order.  The angular mean of |g'|^2 is a trigonometric polynomial of
     degree N - 1 and, times rho, a polynomial of degree 2N - 1 in rho, so
-    both rules are exact for every order.
+    both rules are exact for every order.  Each Gauss-Legendre circle is
+    sampled at all its angles by one FFT of the g' coefficients scaled by
+    the circle's radius (``_circle_values``).
     """
     check_radius(r)
     if not isinstance(g, TruncatedSeries):
@@ -133,10 +160,8 @@ def dirichlet_quadrature(
     x, w = _gauss_legendre(config.radial_nodes)
     rho = 0.5 * r * (x + 1.0)
     radial_weights = 0.5 * r * w
-    theta = 2.0 * np.pi * np.arange(config.angular_nodes) / config.angular_nodes
-    pts = rho[:, None] * np.exp(1j * theta)[None, :]
-    sq = np.abs(g.differentiate().evaluate(pts)) ** 2
-    angular_means = sq.mean(axis=1)
+    values = _circle_values(g.differentiate().coefficients, rho, config.angular_nodes)
+    angular_means = np.mean(np.abs(values) ** 2, axis=1)
     value = float(2.0 * np.pi * np.sum(radial_weights * rho * angular_means))
     return IntegralResult(value, Method.QUADRATURE, r, IntegralKind.DIRICHLET)
 
@@ -159,7 +184,7 @@ def _dirichlet_f_route(f: PoleFunction, r: float, shift: int) -> IntegralResult:
     if shift:
         g = TruncatedSeries(np.concatenate((np.zeros(shift), g.coefficients)))
     value = math.pi * g.weighted_coefficient_sum(1.0, r, start_index=1)
-    tail = 0.0 if exact else _tail(g.coefficients, r, ratio, math.pi * len(g))
+    tail = 0.0 if exact else _tail(g.coefficients, f.inv_series.order, r, ratio, math.pi * len(g))
     return IntegralResult(value, Method.SERIES, r, IntegralKind.DIRICHLET, tail)
 
 
@@ -186,14 +211,14 @@ def l1_mean_series(f: PoleFunction, r: float) -> IntegralResult:
 
 
 def l1_mean_quadrature(f: PoleFunction, r: float) -> IntegralResult:
-    """Circle-average route: evaluates the z/f series, of order d, at
-    max(256, d + 1) equally spaced points on the circle and averages its
+    """Circle-average route: samples the z/f series, of order d, at
+    max(256, d + 1) equally spaced points on the circle, all by one FFT of
+    its coefficients scaled by r (``_circle_values``), and averages its
     squared modulus.  |z/f|^2 is a trigonometric polynomial of degree d, so
     the average is exact; it is stable at every radius, the pole's included."""
     check_radius(r)
     inv = f.inv_series
     count = max(_FLOOR.angular_nodes, inv.order + 1)
-    theta = 2.0 * np.pi * np.arange(count) / count
-    pts = r * np.exp(1j * theta)
-    value = float(np.mean(np.abs(inv.evaluate(pts)) ** 2))
+    values = _circle_values(inv.coefficients, np.array([r]), count)
+    value = float(np.mean(np.abs(values) ** 2))
     return IntegralResult(value, Method.QUADRATURE, r, IntegralKind.L1_MEAN)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from merobounds.errors import (
     BadParameter,
@@ -9,6 +11,7 @@ from merobounds.errors import (
     RadiusBeyondPole,
 )
 from merobounds.functions import (
+    PoleFunction,
     build_fp,
     build_koebe_rotation,
     build_kp,
@@ -26,6 +29,7 @@ from merobounds.integrals import (
     dirichlet_series,
     l1_mean_quadrature,
     l1_mean_series,
+    _circle_values,
     _gauss_legendre,
 )
 from merobounds.series import TruncatedSeries
@@ -106,6 +110,28 @@ def test_dirichlet_series_tail_estimate():
     assert dirichlet_f_series(from_inverse_coefficients([0.0]), 1.0).truncation_tail_estimate == 0.0
 
 
+def test_tail_estimate_survives_a_zero_last_coefficient():
+    # z/f = 1 + z^2 at order 3: f/z = 1 - z^2 + z^4 - ... stores 1, 0, -1, 0.
+    # The series goes on past the zero c_3, so the tail is not 0: the degree-2
+    # recurrence carries c_2 forward, pi * 4 * |c_2|^2 r^8 / (1 - r^2).
+    f = PoleFunction(TruncatedSeries([1, 0, 1]), order=3)
+    res = dirichlet_f_over_z_series(f, 0.9)
+    assert res.value == pytest.approx(4.1224, rel=1e-4)
+    assert res.truncation_tail_estimate == pytest.approx(
+        math.pi * 4 * 0.9**8 / (1 - 0.81), rel=1e-14)
+    missing = dirichlet_f_over_z_series(PoleFunction(TruncatedSeries([1, 0, 1]), order=200), 0.9)
+    assert missing.value == pytest.approx(34.8566, rel=1e-4)
+    assert res.truncation_tail_estimate > 0.5 * (missing.value - res.value)
+    # with a pole the step back is carried by (r/p)^2: z/f = 1 - (z/p)^2 at
+    # order 3 stores f/z = 1, 0, 1/p^2, 0
+    p, r = 0.5, 0.25
+    f = PoleFunction(TruncatedSeries([1, 0, -1 / p**2]), pole=p, order=3)
+    assert f_over_z_series(f).coefficients.tolist() == [1, 0, 4, 0]
+    ratio = (r / p) ** 2
+    want = math.pi * 4 * 16 * r**6 * ratio / (1 - ratio)
+    assert dirichlet_f_over_z_series(f, r).truncation_tail_estimate == pytest.approx(
+        want, rel=1e-14)
+
 def test_identity_map_at_order_zero_reports_no_tail():
     # f = z stored at order 0 (the CSV row ",0"): its f/z = 1 is exact, though
     # the last stored f/z coefficient is the constant 1
@@ -179,6 +205,71 @@ def test_quadrature_routes_exact_at_high_order(order):
             dirichlet_series(f.inv_series, r).value, rel=1e-8)
         assert l1_mean_quadrature(f, r).value == pytest.approx(
             l1_mean_series(f, r).value, rel=1e-10)
+
+
+def _horner_grid(c, rho, m):
+    """Node values by Horner on the polar grid rho_j e^(2 pi i k / m)."""
+    theta = 2.0 * np.pi * np.arange(m) / m
+    return TruncatedSeries(c).evaluate(rho[:, None] * np.exp(1j * theta)[None, :])
+
+
+@pytest.mark.parametrize("m", [16, 256])
+@pytest.mark.parametrize("order", [1, 8, 64, 300, 2048])
+def test_circle_values_match_horner(order, m):
+    # m < order folds the coefficients modulo m, which samples the same
+    # nodes, aliasing included.  Horner's nodes are rounded angles, whose
+    # error a degree-N polynomial amplifies by about sum n |c_n|, so the
+    # coefficients decay as the z/f data of the routes do.
+    rng = np.random.default_rng(order + m)
+    c = (rng.normal(size=order + 1) + 1j * rng.normal(size=order + 1)) / np.arange(1, order + 2)
+    rho = np.array([0.05, 0.5, 0.9, 1.0])
+    want = _horner_grid(c, rho, m)
+    got = _circle_values(c, rho, m)
+    assert got.shape == (4, m)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_coarse_config_samples_the_horner_nodes():
+    # an explicit 8 x 16 rule on an order-64 g aliases; the FFT must alias
+    # exactly as direct sampling of g' at the same nodes does
+    rng = np.random.default_rng(64)
+    c = (rng.normal(size=65) + 1j * rng.normal(size=65)) / np.arange(1, 66)
+    g, r = TruncatedSeries(c), 0.9
+    x, w = np.polynomial.legendre.leggauss(8)
+    rho = 0.5 * r * (x + 1.0)
+    sq = np.abs(_horner_grid(g.differentiate().coefficients, rho, 16)) ** 2
+    want = 2.0 * np.pi * np.sum(0.5 * r * w * rho * sq.mean(axis=1))
+    got = dirichlet_quadrature(g, r, QuadratureConfig(8, 16)).value
+    assert got == pytest.approx(want, rel=1e-13)
+    # the rule is coarse enough to alias: it is not the series value
+    assert abs(got - dirichlet_series(g, r).value) > 1e-6 * abs(got)
+
+
+@given(order=st.integers(min_value=1, max_value=300), seed=st.integers(0, 2**32 - 1),
+       r=st.floats(min_value=0.05, max_value=1.0))
+@settings(max_examples=40, deadline=None)
+def test_quadrature_routes_agree_with_series_routes(order, seed, r):
+    # the tolerances of the verify oracles suite
+    rng = np.random.default_rng(seed)
+    b = (rng.normal(size=order) + 1j * rng.normal(size=order)) / np.arange(1, order + 1)
+    f = from_inverse_coefficients(b)
+    assert dirichlet_quadrature(f.inv_series, r).value == pytest.approx(
+        dirichlet_series(f.inv_series, r).value, rel=1e-8)
+    assert l1_mean_quadrature(f, r).value == pytest.approx(l1_mean_series(f, r).value, rel=1e-10)
+
+
+def test_quadrature_routes_do_not_evaluate_by_horner(monkeypatch):
+    f = build_kp(0.5, order=128)
+    g = f_over_z_series(f)
+
+    def refuse(self, z):
+        raise AssertionError("a quadrature route called TruncatedSeries.evaluate")
+
+    monkeypatch.setattr(TruncatedSeries, "evaluate", refuse)
+    dirichlet_quadrature(f.inv_series, 0.5)
+    dirichlet_quadrature(g, 0.25)
+    dirichlet_quadrature(g, 0.25, QuadratureConfig(8, 16))
+    l1_mean_quadrature(f, 0.9)
 
 
 def test_quadrature_config_validation():
