@@ -12,6 +12,7 @@ from .bounds import (
     BoundReport,
     build_report,
     check_bound,
+    check_bounds,
     gronwall_check,
     jenkins_bound,
     lemma1_check,
@@ -97,6 +98,7 @@ __all__ = [
     "build_kp",
     "build_report",
     "check_bound",
+    "check_bounds",
     "dirichlet_f_over_z_series",
     "dirichlet_f_series",
     "dirichlet_quadrature",

@@ -3,7 +3,8 @@
 :func:`sharp_maximum` is the one public source of a sharp bound: the largest
 Dirichlet integral of z/f, f or f/z, or L1 mean, over a class of
 :mod:`merobounds.functions` at radius r, read from ``_SHARP_MAXIMA``, with r
-checked once.  :func:`check_bound` compares a series-route value with it.
+checked once.  :func:`check_bounds` compares series-route values at a
+sequence of radii with it, and :func:`check_bound` is its one-radius case.
 Each check produces a BoundReport whose slack is ``bound - computed``; the
 canonical extremal functions land on zero slack up to roundoff.
 """
@@ -21,8 +22,8 @@ import numpy as np
 from .errors import (BadParameter, NoPole, check_count, check_inside_pole, check_lambda,
                      check_open_radius, check_pole, check_radius)
 from .functions import ClassKind, ClassSpec, PoleFunction, mu
-from .integrals import (dirichlet_f_over_z_series, dirichlet_f_series, dirichlet_series,
-                        l1_mean_series)
+from .integrals import (dirichlet_f_over_z_values, dirichlet_f_values, dirichlet_values,
+                        l1_mean_values)
 
 #: Absolute slack below which a bound still counts as satisfied.
 SATISFACTION_TOL = 1e-9
@@ -195,21 +196,26 @@ def sharp_maximum(class_spec: ClassSpec, quantity: BoundQuantity, r: float) -> f
 
 # ---- dispatching check ---------------------------------------------------------------
 
-#: Series route of each quantity.  The routes are looked up by name at call
-#: time, so a wrapper installed on this module sees every call.
-_SERIES_ROUTES = {
-    BoundQuantity.DIRICHLET_ZF: lambda f, r: dirichlet_series(f.inv_series, r),
-    BoundQuantity.DIRICHLET_F: lambda f, r: dirichlet_f_series(f, r),
-    BoundQuantity.DIRICHLET_F_OVER_Z: lambda f, r: dirichlet_f_over_z_series(f, r),
-    BoundQuantity.L1: lambda f, r: l1_mean_series(f, r),
+#: Series-route values of each quantity at a sequence of radii.  The routes
+#: are looked up by name at call time, so a wrapper installed on this module
+#: sees every call.
+_SERIES_VALUES = {
+    BoundQuantity.DIRICHLET_ZF: lambda f, radii: dirichlet_values(f.inv_series, radii),
+    BoundQuantity.DIRICHLET_F: lambda f, radii: dirichlet_f_values(f, radii),
+    BoundQuantity.DIRICHLET_F_OVER_Z: lambda f, radii: dirichlet_f_over_z_values(f, radii),
+    BoundQuantity.L1: lambda f, radii: l1_mean_values(f, radii),
 }
 
 
-def check_bound(
-    f: PoleFunction, class_spec: ClassSpec, quantity: BoundQuantity, r: float
-) -> BoundReport:
-    """Compute a quantity for f via its series route and compare it against
-    the sharp maximum of the asserted class.
+def check_bounds(
+    f: PoleFunction, class_spec: ClassSpec, quantity: BoundQuantity, radii
+) -> list[BoundReport]:
+    """Compute a quantity for f via its series route at each of a sequence
+    of radii and compare it against the sharp maximum of the asserted class.
+
+    Every radius is checked, and its sharp maximum found, before the series
+    route runs once over all of them.  The reports, in the order of radii,
+    equal those of :func:`check_bound` at each radius.
 
     Raises:
         ClassMismatch: when the function's pole and the class's pole differ
@@ -220,6 +226,17 @@ def check_bound(
     """
     quantity = BoundQuantity(quantity)
     class_spec.match(f)
-    bound = sharp_maximum(class_spec, quantity, r)
-    computed = _SERIES_ROUTES[quantity](f, r).value
-    return build_report(quantity.value, computed, bound, r=r, class_spec=class_spec)
+    radii = list(radii)
+    bounds = [sharp_maximum(class_spec, quantity, r) for r in radii]
+    if not radii:
+        return []
+    computed = _SERIES_VALUES[quantity](f, radii).tolist()
+    return [build_report(quantity.value, value, bound, r=r, class_spec=class_spec)
+            for value, bound, r in zip(computed, bounds, radii)]
+
+
+def check_bound(
+    f: PoleFunction, class_spec: ClassSpec, quantity: BoundQuantity, r: float
+) -> BoundReport:
+    """:func:`check_bounds` at the one radius r."""
+    return check_bounds(f, class_spec, quantity, (r,))[0]

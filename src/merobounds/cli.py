@@ -20,11 +20,12 @@ import sys
 from collections import Counter
 from functools import cache
 
-from .bounds import (BoundQuantity, check_bound, gronwall_check, jenkins_bound, lemma1_check,
+from .bounds import (BoundQuantity, check_bounds, gronwall_check, jenkins_bound, lemma1_check,
                      sharp_maximum)
 from .criteria import (SUP_TOL, aksentiev_criterion, injectivity_oracle, univalence_criterion,
                        up_lambda_membership)
-from .errors import BadParameter, MeroboundsError, RadiusBeyondPole, check_radius
+from .errors import (BadParameter, MeroboundsError, RadiusBeyondPole, check_inside_pole,
+                     check_radius)
 from .functions import (
     ClassKind,
     ClassSpec,
@@ -59,6 +60,10 @@ _TABLE_CLASSES = {
     BoundQuantity.L1: (ClassKind.SIGMA_P, ClassKind.U_P_LAMBDA, ClassKind.S),
 }
 
+#: The quantities whose series converge only inside the pole: ``table``
+#: skips every radius r >= p for them.
+_INSIDE_POLE = (BoundQuantity.DIRICHLET_F, BoundQuantity.DIRICHLET_F_OVER_Z)
+
 
 def _fmt(x) -> str:
     """12 significant digits; scientific notation once |x| drops under 1e-4
@@ -91,7 +96,7 @@ def _fp_member(p: float, lam: float, order: int = DEFAULT_ORDER):
 def _worst(quantity: BoundQuantity, members, radii) -> float:
     """Largest relative gap between computed value and sharp bound over
     (class, function) members and radii."""
-    reports = (check_bound(f, spec, quantity, r) for spec, f in members for r in radii)
+    reports = (report for spec, f in members for report in check_bounds(f, spec, quantity, radii))
     return max(_rel(report.computed, report.bound) for report in reports)
 
 
@@ -253,11 +258,16 @@ def _cmd_table(args) -> int:
         for spec, f in members:
             if spec.kind not in _TABLE_CLASSES[quantity]:
                 continue
+            radii = []
             for r in args.r:
-                try:
-                    rows.append(check_bound(f, spec, quantity, r))
-                except RadiusBeyondPole:  # the f and f/z integrals need r < p
-                    skipped[quantity.value] += 1
+                if quantity in _INSIDE_POLE:
+                    try:
+                        check_inside_pole(r, spec.p)
+                    except RadiusBeyondPole:
+                        skipped[quantity.value] += 1
+                        continue
+                radii.append(r)
+            rows.extend(check_bounds(f, spec, quantity, radii))
 
     for name in sorted(skipped):
         print(f"note: {name} requires r < p; skipped {skipped[name]} combinations",

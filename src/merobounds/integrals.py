@@ -89,24 +89,29 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _tail(coeffs: np.ndarray, degree: int, r: float, ratio: float, weight: float) -> float:
-    """weight * |c_N|^2 r^(2N+2) / (1 - ratio), the geometric-decay estimate
-    of the Parseval terms past the truncation order N; ratio is the
-    term-to-term factor and weight the term's factor at index N + 1.
+def _tail(coeffs: np.ndarray, degree: int, r: float, ratio: float) -> float:
+    """Geometric estimate of the Dirichlet terms pi n |c_n|^2 r^(2n) past
+    the last index M of the summed coefficients c.
+
+    Each |c_n|^2 r^(2n) past M is taken as the one before times ratio = x,
+    the term-to-term factor: (r/p)^2 with a pole, r^2 without.  Summing
+    pi (M + k) |c_M|^2 r^(2M) x^k over k >= 1 gives
+
+        pi |c_M|^2 r^(2M) (M x / (1 - x) + x / (1 - x)^2).
 
     The coefficients obey the recurrence of z/f, of the given degree d, so
-    a zero c_N does not end the series: each of the last d terms
-    |c_(N-j)|^2 r^(2N+2-2j) is carried forward j steps by ratio, and the
-    largest stands for |c_N|^2 r^(2N+2).  The estimate is 0 only when all d
+    a zero c_M does not end the series: each of the last d terms
+    |c_(M-j)|^2 r^(2M-2j) is carried forward j steps by x, and the largest
+    stands for |c_M|^2 r^(2M).  The estimate is 0 only when all d
     coefficients are zero."""
-    last = coeffs[: -degree - 1 : -1].tolist()  # c_N, c_(N-1), ...
+    last = coeffs[: -degree - 1 : -1].tolist()  # c_M, c_(M-1), ...
     if not any(last):
         return 0.0
     if ratio >= 1.0:
         return math.inf
-    n = len(coeffs)
-    top = max(abs(c) * abs(c) * r ** (2 * (n - j)) * ratio ** j for j, c in enumerate(last))
-    return float(weight * top / (1.0 - ratio))
+    m = len(coeffs) - 1
+    top = max(abs(c) * abs(c) * r ** (2 * (m - j)) * ratio ** j for j, c in enumerate(last))
+    return float(math.pi * top * (m * ratio / (1.0 - ratio) + ratio / (1.0 - ratio) ** 2))
 
 
 def _circle_values(c: np.ndarray, rho: np.ndarray, m: int) -> np.ndarray:
@@ -128,12 +133,16 @@ def _circle_values(c: np.ndarray, rho: np.ndarray, m: int) -> np.ndarray:
 
 # ---- Dirichlet integral ------------------------------------------------------
 
+def dirichlet_values(g: TruncatedSeries, radii):
+    """pi * sum n |c_n|^2 r^(2n) (0 at order 0) at a radius, as a float, or at
+    each of a one-dimensional array of radii, as an array."""
+    return math.pi * g.weighted_coefficient_sum(1.0, radii, start_index=1)
+
+
 def dirichlet_series(g: TruncatedSeries, r: float) -> IntegralResult:
-    """Coefficient-sum route over exact coefficients: pi * sum n |c_n|^2 r^(2n)
-    (0 at order 0)."""
+    """Coefficient-sum route over exact coefficients: ``dirichlet_values`` at r."""
     check_radius(r)
-    value = math.pi * g.weighted_coefficient_sum(1.0, r, start_index=1)
-    return IntegralResult(value, Method.SERIES, r, IntegralKind.DIRICHLET, 0.0)
+    return IntegralResult(dirichlet_values(g, r), Method.SERIES, r, IntegralKind.DIRICHLET, 0.0)
 
 
 def dirichlet_quadrature(
@@ -166,25 +175,52 @@ def dirichlet_quadrature(
     return IntegralResult(value, Method.QUADRATURE, r, IntegralKind.DIRICHLET)
 
 
-def _dirichlet_f_route(f: PoleFunction, r: float, shift: int) -> IntegralResult:
-    """Dirichlet integral of z**shift * (f/z) via its Taylor coefficients:
-    shift 0 gives f/z, shift 1 gives f = z * (f/z).  The radius must stay
-    below the pole, or below 1 without one unless f = z, where the
-    integral converges."""
-    exact = not f.inv_series.coefficients[1:].any()  # f = z: f/z = 1 has no tail
-    if f.pole is None:
-        if not exact:
-            check_open_radius(r)
-        check_radius(r)
-        ratio = r * r
-    else:
-        check_inside_pole(r, f.pole)
-        ratio = (r / f.pole) ** 2
+def _is_identity(f: PoleFunction) -> bool:
+    """f = z, whose f/z = 1 is exact at every order."""
+    return not np.count_nonzero(f.inv_series.coefficients[1:])
+
+
+def _f_series(f: PoleFunction, radii, shift: int) -> TruncatedSeries:
+    """Taylor series of z**shift * (f/z), shift 0 for f/z and 1 for
+    f = z * (f/z), once each of the radii has been checked to lie below the
+    pole, or below 1 without one unless f = z, where the integral converges."""
+    exact = _is_identity(f)
+    for r in radii:
+        if f.pole is None:
+            if not exact:
+                check_open_radius(r)
+            check_radius(r)
+        else:
+            check_inside_pole(r, f.pole)
     g = f_over_z_series(f)
     if shift:
         g = TruncatedSeries(np.concatenate((np.zeros(shift), g.coefficients)))
-    value = math.pi * g.weighted_coefficient_sum(1.0, r, start_index=1)
-    tail = 0.0 if exact else _tail(g.coefficients, f.inv_series.order, r, ratio, math.pi * len(g))
+    return g
+
+
+def dirichlet_f_over_z_values(f: PoleFunction, radii) -> np.ndarray:
+    """Dirichlet integral of f/z via its Taylor coefficients at each of a
+    sequence of radii, which must stay below the pole, or below 1 without
+    one unless f = z."""
+    return dirichlet_values(_f_series(f, radii, shift=0), radii)
+
+
+def dirichlet_f_values(f: PoleFunction, radii) -> np.ndarray:
+    """Dirichlet integral of f itself via its Taylor coefficients at each of
+    a sequence of radii, as for ``dirichlet_f_over_z_values``."""
+    return dirichlet_values(_f_series(f, radii, shift=1), radii)
+
+
+def _dirichlet_f_route(f: PoleFunction, r: float, shift: int) -> IntegralResult:
+    """Dirichlet integral of z**shift * (f/z) at one radius, with the tail
+    estimate of its truncated coefficients."""
+    g = _f_series(f, (r,), shift)
+    value = dirichlet_values(g, r)
+    if _is_identity(f):
+        tail = 0.0
+    else:
+        ratio = r * r if f.pole is None else (r / f.pole) ** 2
+        tail = _tail(g.coefficients, f.inv_series.order, r, ratio)
     return IntegralResult(value, Method.SERIES, r, IntegralKind.DIRICHLET, tail)
 
 
@@ -203,11 +239,16 @@ def dirichlet_f_series(f: PoleFunction, r: float) -> IntegralResult:
 
 # ---- quadratic integral mean ---------------------------------------------------
 
+def l1_mean_values(f: PoleFunction, radii):
+    """1 + sum_{n>=1} |b_n|^2 r^(2n) over the exact z/f coefficients, at a
+    radius or at each of a one-dimensional array of radii."""
+    return 1.0 + f.inv_series.weighted_coefficient_sum(0.0, radii, start_index=1)
+
+
 def l1_mean_series(f: PoleFunction, r: float) -> IntegralResult:
-    """Parseval route: 1 + sum_{n>=1} |b_n|^2 r^(2n) over the exact z/f coefficients."""
+    """Parseval route: ``l1_mean_values`` at r."""
     check_radius(r)
-    value = 1.0 + f.inv_series.weighted_coefficient_sum(0.0, r, start_index=1)
-    return IntegralResult(value, Method.SERIES, r, IntegralKind.L1_MEAN, 0.0)
+    return IntegralResult(l1_mean_values(f, r), Method.SERIES, r, IntegralKind.L1_MEAN, 0.0)
 
 
 def l1_mean_quadrature(f: PoleFunction, r: float) -> IntegralResult:

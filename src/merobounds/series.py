@@ -148,7 +148,7 @@ class TruncatedSeries:
             return complex(acc)
         return acc
 
-    def weighted_coefficient_sum(self, t: float, r: float, start_index: int = 0) -> float:
+    def weighted_coefficient_sum(self, t: float, r, start_index: int = 0):
         """``sum_{n >= start_index} n**t |c[n]|**2 r**(2n)``.
 
         The n = 0 term is taken to be ``|c[0]|**2`` when t = 0 and zero for
@@ -156,12 +156,28 @@ class TruncatedSeries:
         standard convention for t > 0).  ``start_index = order + 1`` gives
         the empty sum, 0.
 
+        r is a radius, giving a float, or a one-dimensional array of radii,
+        giving an array with one sum per radius.  Weights and moduli are
+        formed once; each sum keeps the elementwise order of the one-radius
+        sum, so both agree to the last bit.
+
         Raises:
-            BadRadius: if r is outside (0, 1].
-            BadParameter: if t is not finite or ``start_index`` is not an
-                integer in [0, order + 1].
+            BadRadius: if r, or any radius in it, is outside (0, 1].
+            BadParameter: if r has more than one dimension, t is not finite
+                or ``start_index`` is not an integer in [0, order + 1].
         """
-        check_radius(r)
+        many = isinstance(r, (np.ndarray, list, tuple)) and np.ndim(r) != 0
+        if many:
+            radii = np.asarray(r, dtype=np.float64)
+            if radii.ndim != 1:
+                raise BadParameter(f"radii must be a scalar or a one-dimensional array, "
+                                   f"not {radii.ndim}-dimensional")
+            for radius in radii.tolist():
+                check_radius(radius)
+            radii = radii[:, None]
+        else:
+            check_radius(r)
+            radii = r
         if not np.isfinite(t):
             raise BadParameter(f"exponent t {t!r} is not finite")
         message = f"start index {start_index} outside [0, {self.order + 1}]"
@@ -177,4 +193,5 @@ class TruncatedSeries:
             weights[nonzero] = n[nonzero] ** t
             weights[~nonzero] = 0.0
         mags = np.abs(self._coeffs[start_index:]) ** 2
-        return float(np.sum(weights * mags * r ** (2.0 * n)))
+        sums = np.sum(weights * mags * radii ** (2.0 * n), axis=-1)
+        return sums if many else float(sums)

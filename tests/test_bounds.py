@@ -25,6 +25,7 @@ from merobounds.bounds import (
     BoundQuantity,
     build_report,
     check_bound,
+    check_bounds,
     gronwall_check,
     jenkins_bound,
     lemma1_check,
@@ -330,6 +331,13 @@ EXTREMALS = {
 }
 F_ROUTES = (BoundQuantity.DIRICHLET_F, BoundQuantity.DIRICHLET_F_OVER_Z)
 
+SERIES_ROUTES = {
+    BoundQuantity.DIRICHLET_ZF: lambda f, r: dirichlet_series(f.inv_series, r),
+    BoundQuantity.DIRICHLET_F: dirichlet_f_series,
+    BoundQuantity.DIRICHLET_F_OVER_Z: dirichlet_f_over_z_series,
+    BoundQuantity.L1: l1_mean_series,
+}
+
 
 def test_check_bound_reports_sharp_for_every_dispatch_pair():
     assert set(_SHARP_MAXIMA) == (
@@ -338,11 +346,36 @@ def test_check_bound_reports_sharp_for_every_dispatch_pair():
            (ClassKind.U_P_LAMBDA, BoundQuantity.L1)})
     for kind, quantity in _SHARP_MAXIMA:
         spec, f = EXTREMALS[kind]
-        for r in (0.1, 0.25, 0.4) if kind is not ClassKind.S else (0.25, 0.5):
+        radii = (0.1, 0.25, 0.4) if kind is not ClassKind.S else (0.25, 0.5)
+        for r in radii:
             rep = check_bound(f, spec, quantity, r)
             assert rep.quantity == quantity.value and rep.class_spec == spec
             assert sharp_maximum(spec, quantity, r) == rep.bound
+            assert rep.computed == SERIES_ROUTES[quantity](f, r).value
             assert rep.sharp, (kind, quantity, r, rep)
+        # the radius-array path equals the one-radius path field for field
+        reports = check_bounds(f, spec, quantity, radii)
+        assert reports == [check_bound(f, spec, quantity, r) for r in radii]
+        assert all(type(rep.computed) is float for rep in reports)
+        assert [rep.r for rep in reports] == list(radii)
+        assert check_bounds(f, spec, quantity, ()) == []
+
+
+@pytest.mark.parametrize("where", [0, 1, 2])
+def test_check_bounds_refuses_a_bad_radius_anywhere_as_check_bound_does(where):
+    for kind, quantity in _SHARP_MAXIMA:
+        spec, f = EXTREMALS[kind]
+        bads = [0.0, 1.5, float("nan")]
+        if quantity in F_ROUTES:
+            bads.append(1.0 if kind is ClassKind.S else 0.5)
+        for bad in bads:
+            radii = [0.1, 0.2, 0.3]
+            radii[where] = bad
+            with pytest.raises(BadParameter) as single:
+                check_bound(f, spec, quantity, bad)
+            with pytest.raises(BadParameter) as several:
+                check_bounds(f, spec, quantity, radii)
+            assert type(several.value) is type(single.value), (kind, quantity, radii)
 
 
 def test_check_bound_has_no_f_route_bound_for_the_residual_class():

@@ -8,6 +8,7 @@ import pytest
 from merobounds import cli
 from merobounds.cli import LAMBDA_GRID, P_GRID, R_GRID, _fmt, _fmtc, main
 from merobounds.criteria import DiskGrid
+from merobounds.errors import BadParameter
 from merobounds.functions import (build_fp, build_koebe_rotation, build_kp,
                                   from_inverse_coefficients, mu, to_csv_row)
 
@@ -114,6 +115,30 @@ def test_table_matches_the_golden_output(capsys):
     assert code == 0
     assert out == (data / "table_sweep.txt").read_text()
     assert err == (data / "table_sweep_stderr.txt").read_text()
+
+
+def test_table_default_matches_the_golden_output(capsys):
+    # all 5 poles x 20 radii x 3 lambdas of the default grids, 12 rows of
+    # them f-route rows near the pole that truncation leaves not sharp
+    code, out, err = run_cli(capsys, "table")
+    assert code == 0
+    assert out == (Path(__file__).parent / "data" / "table_default.txt").read_text()
+    assert err == ("note: DIRICHLET_F requires r < p; skipped 55 combinations\n"
+                   "note: DIRICHLET_F_OVER_Z requires r < p; skipped 55 combinations\n")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_table_keeps_the_known_f_route_overflow_behaviour(capsys):
+    # an open defect, pinned so that a change to it is deliberate: at p = 0.2
+    # the f/z series overflows its squared moduli at order 400, printing NaN
+    # in all 6 f-route rows, and its reciprocal recurrence at order 512, raising
+    args = ("table", "--p", "0.2", "--quantity", "dirichlet_f", "dirichlet_f_over_z")
+    code, out, _ = run_cli(capsys, *args, "--order", "400")
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert len(rows) == 6 and all(row[5] == row[7] == "nan" for row in rows)
+    with pytest.raises(BadParameter, match="must be finite"):
+        main([*args, "--order", "512"])
 
 
 def test_table_z_over_f_rows_do_not_depend_on_the_order(capsys):

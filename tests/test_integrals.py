@@ -91,19 +91,21 @@ def test_dirichlet_series_tail_estimate():
         res = dirichlet_series(TruncatedSeries([1.0, 0.5, 0.25]), r)
         assert res.truncation_tail_estimate == 0.0
     # the f/z route truncates: Koebe's f/z = 1/(1 - z)**2 = 1 + 2z + 3z**2 + ...
-    # at order 2 gives the estimate pi (N + 1) |c_N|^2 r^(2N+2) / (1 - r^2)
+    # at order M = 2 gives pi |c_M|^2 r^(2M) (M x / (1 - x) + x / (1 - x)^2), x = r^2
     koebe = build_koebe_rotation(0.0, order=2)
     assert f_over_z_series(koebe).coefficients.tolist() == [1, 2, 3]
-    want = math.pi * 3 * 9 * 0.5**6 / (1 - 0.25)
+    x = 0.25
+    want = math.pi * 9 * 0.5**4 * (2 * x / (1 - x) + x / (1 - x) ** 2)
     res = dirichlet_f_over_z_series(koebe, 0.5)
     assert res.truncation_tail_estimate == pytest.approx(want, rel=1e-14)
-    # f = z (f/z) shifts every index up by one
-    want = math.pi * 4 * 9 * 0.5**8 / (1 - 0.25)
+    # f = z (f/z) shifts every index up by one, so M = 3
+    want = math.pi * 9 * 0.5**6 * (3 * x / (1 - x) + x / (1 - x) ** 2)
     assert dirichlet_f_series(koebe, 0.5).truncation_tail_estimate == pytest.approx(want, rel=1e-14)
-    # with a pole the term ratio is (r/p)^2: kp's f/z = 1 + 2.5z + 5.25z**2 + ... at p = 0.5
+    # with a pole x = (r/p)^2: kp's f/z = 1 + 2.5z + 5.25z**2 + ... at p = 0.5
     kp = build_kp(0.5, order=2)
     assert f_over_z_series(kp).coefficients.tolist() == [1, 2.5, 5.25]
-    want = math.pi * 3 * 5.25**2 * 0.25**6 / (1 - 0.25)
+    x = (0.25 / 0.5) ** 2
+    want = math.pi * 5.25**2 * 0.25**4 * (2 * x / (1 - x) + x / (1 - x) ** 2)
     res = dirichlet_f_over_z_series(kp, 0.25)
     assert res.truncation_tail_estimate == pytest.approx(want, rel=1e-14)
     # f = z has f/z = 1 exactly at any positive order: zero last coefficient, no tail
@@ -113,24 +115,39 @@ def test_dirichlet_series_tail_estimate():
 def test_tail_estimate_survives_a_zero_last_coefficient():
     # z/f = 1 + z^2 at order 3: f/z = 1 - z^2 + z^4 - ... stores 1, 0, -1, 0.
     # The series goes on past the zero c_3, so the tail is not 0: the degree-2
-    # recurrence carries c_2 forward, pi * 4 * |c_2|^2 r^8 / (1 - r^2).
+    # recurrence carries c_2 forward one step, |c_3|^2 r^6 -> |c_2|^2 r^4 x with
+    # x = r^2, and M = 3.
     f = PoleFunction(TruncatedSeries([1, 0, 1]), order=3)
     res = dirichlet_f_over_z_series(f, 0.9)
     assert res.value == pytest.approx(4.1224, rel=1e-4)
+    x = 0.81
     assert res.truncation_tail_estimate == pytest.approx(
-        math.pi * 4 * 0.9**8 / (1 - 0.81), rel=1e-14)
+        math.pi * 0.9**4 * x * (3 * x / (1 - x) + x / (1 - x) ** 2), rel=1e-14)
     missing = dirichlet_f_over_z_series(PoleFunction(TruncatedSeries([1, 0, 1]), order=200), 0.9)
     assert missing.value == pytest.approx(34.8566, rel=1e-4)
-    assert res.truncation_tail_estimate > 0.5 * (missing.value - res.value)
-    # with a pole the step back is carried by (r/p)^2: z/f = 1 - (z/p)^2 at
+    # every other term is zero, so the geometric estimate lies above the missing mass
+    assert missing.value - res.value < res.truncation_tail_estimate < 2 * (missing.value - res.value)
+    # with a pole the step back is carried by x = (r/p)^2: z/f = 1 - (z/p)^2 at
     # order 3 stores f/z = 1, 0, 1/p^2, 0
     p, r = 0.5, 0.25
     f = PoleFunction(TruncatedSeries([1, 0, -1 / p**2]), pole=p, order=3)
     assert f_over_z_series(f).coefficients.tolist() == [1, 0, 4, 0]
-    ratio = (r / p) ** 2
-    want = math.pi * 4 * 16 * r**6 * ratio / (1 - ratio)
+    x = (r / p) ** 2
+    want = math.pi * 16 * r**4 * x * (3 * x / (1 - x) + x / (1 - x) ** 2)
     assert dirichlet_f_over_z_series(f, r).truncation_tail_estimate == pytest.approx(
         want, rel=1e-14)
+
+
+@pytest.mark.parametrize("route, shift", [(dirichlet_f_over_z_series, 0), (dirichlet_f_series, 1)])
+def test_tail_estimate_matches_the_mass_past_the_order_with_a_pole(route, shift):
+    # kp's f/z coefficients grow by 1/p per index, so the terms past the order
+    # grow by (r/p)^2 and carry the Dirichlet weight n: the estimate at order
+    # 64 matches the mass that orders 65..364 add
+    f, r = build_kp(0.5, order=64), 0.4
+    longer = f_over_z_series(build_kp(0.5, order=364)).coefficients
+    g = TruncatedSeries(np.concatenate((np.zeros(shift), longer)))
+    mass = math.pi * g.weighted_coefficient_sum(1.0, r, start_index=65 + shift)
+    assert route(f, r).truncation_tail_estimate == pytest.approx(mass, rel=1e-5)
 
 def test_identity_map_at_order_zero_reports_no_tail():
     # f = z stored at order 0 (the CSV row ",0"): its f/z = 1 is exact, though

@@ -353,6 +353,43 @@ def test_weighted_sum_past_the_order_is_empty(coeffs, t):
         s.weighted_coefficient_sum(t, 0.5, start_index=s.order + 2)
 
 
+@pytest.mark.parametrize("t", [-1.0, 0.0, 1.0, 2.0])
+def test_weighted_sum_over_an_array_of_radii_equals_each_radius(t):
+    rng = np.random.default_rng(29)
+    radii = np.array([k / 20.0 for k in range(1, 21)] + [0.013, 0.377, 0.9999])
+    for size in (1, 3, 40, 513):
+        c = rng.normal(size=size) + 1j * rng.normal(size=size)
+        s = TruncatedSeries(c * 1.5 ** -np.arange(size))
+        for start in sorted({0, 1, 2, size // 2, s.order, s.order + 1} - {s.order + 2}):
+            got = s.weighted_coefficient_sum(t, radii, start)
+            assert isinstance(got, np.ndarray) and got.shape == radii.shape
+            want = [s.weighted_coefficient_sum(t, r, start) for r in radii.tolist()]
+            assert all(type(w) is float for w in want)
+            assert got.tolist() == want
+
+
+def test_weighted_sum_over_an_empty_array_of_radii():
+    got = TruncatedSeries([1.0, 2.0]).weighted_coefficient_sum(1.0, np.array([]))
+    assert got.shape == (0,)
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.5, 1.01, float("nan")])
+@pytest.mark.parametrize("where", [0, 2, 4])
+def test_weighted_sum_refuses_any_bad_radius_in_an_array(bad, where):
+    radii = [0.1, 0.3, 0.5, 0.7, 1.0]
+    radii[where] = bad
+    with pytest.raises(BadRadius):
+        TruncatedSeries([1.0, 2.0, 3.0]).weighted_coefficient_sum(1.0, np.array(radii))
+    with pytest.raises(BadRadius):
+        TruncatedSeries([1.0, 2.0, 3.0]).weighted_coefficient_sum(1.0, radii)
+
+
+def test_weighted_sum_refuses_a_two_dimensional_array_of_radii():
+    with pytest.raises(BadParameter, match="one-dimensional"):
+        TruncatedSeries([1.0, 2.0, 3.0]).weighted_coefficient_sum(
+            1.0, np.array([[0.25, 0.5], [0.75, 1.0]]))
+
+
 def test_zero_series_weighted_sum():
     s = TruncatedSeries([0.0] * 6)
     assert s.weighted_coefficient_sum(2.0, 0.9) == 0.0
