@@ -32,7 +32,6 @@ from .errors import (
     BadRadius,
     ClassMismatch,
     MeroboundsError,
-    NearZeroConstantTerm,
     NoPole,
     OrderUnderflow,
     PoleMismatch,
@@ -64,7 +63,7 @@ from .integrals import (
     l1_mean_quadrature,
     l1_mean_series,
 )
-from .series import DEFAULT_ORDER, TruncatedSeries
+from .series import TruncatedSeries
 
 __version__ = "0.1.0"
 
@@ -77,14 +76,12 @@ __all__ = [
     "ClassMismatch",
     "ClassSpec",
     "CriterionVerdict",
-    "DEFAULT_ORDER",
     "DiskGrid",
     "IntegralKind",
     "IntegralResult",
     "MeroboundsError",
     "Method",
     "NO_POLE",
-    "NearZeroConstantTerm",
     "NoPole",
     "OrderUnderflow",
     "PoleFunction",

@@ -117,9 +117,10 @@ def _inside_pole(p: float, r: float, near: float, far: float) -> float:
     """Largest Dirichlet integral of f (near = far = p**2) or f/z (near = 1,
     far = p**4) over univalent f with pole p, at radius r < p.  NaN once the
     lead or (p**2 - r**2)**2 falls below the normal float range, where
-    their digits are lost and the lead could round to 0."""
+    their digits are lost and the lead could round to 0.  (p - r)(p + r)
+    keeps the digits that p**2 - r**2 would cancel as r nears p."""
     lead = math.pi * p * p * r * r / (1.0 - p * p) ** 2
-    gap = (p * p - r * r) ** 2
+    gap = ((p - r) * (p + r)) ** 2
     if min(lead, gap) < sys.float_info.min:
         return math.nan
     return lead * (near / gap - 2.0 / (1.0 - r * r) ** 2 + far / (1.0 - p * p * r * r) ** 2)
@@ -222,7 +223,8 @@ def check_bounds(
             (or one has a pole where the other forbids it).
         BadParameter: from :func:`sharp_maximum`, and when the series route
             overflows.
-        RadiusBeyondPole: for the f and f/z integrals at r >= p.
+        RadiusBeyondPole: for the f and f/z integrals at r >= p, or at or
+            past a root of z/f.
     """
     quantity = BoundQuantity(quantity)
     class_spec.match(f)

@@ -43,7 +43,6 @@ from .integrals import (
     l1_mean_quadrature,
     l1_mean_series,
 )
-from .series import DEFAULT_ORDER
 
 P_GRID = (0.2, 0.35, 0.5, 0.65, 0.8)
 R_GRID = tuple(k / 20.0 for k in range(1, 21))
@@ -85,12 +84,12 @@ def _rel(value: float, reference: float) -> float:
 
 # ---- verify suites -------------------------------------------------------------
 
-def _kp_member(p: float, order: int = DEFAULT_ORDER):
-    return ClassSpec(ClassKind.SIGMA_P, p=p), build_kp(p, order)
+def _kp_member(p: float):
+    return ClassSpec(ClassKind.SIGMA_P, p=p), build_kp(p)
 
 
-def _fp_member(p: float, lam: float, order: int = DEFAULT_ORDER):
-    return ClassSpec(ClassKind.U_P_LAMBDA, p=p, lam=lam), build_fp(p, lam, order)
+def _fp_member(p: float, lam: float):
+    return ClassSpec(ClassKind.U_P_LAMBDA, p=p, lam=lam), build_fp(p, lam)
 
 
 def _worst(quantity: BoundQuantity, members, radii) -> float:
@@ -117,7 +116,7 @@ def _suite_sharpness():
     for name, quantity in (("f-over-z", BoundQuantity.DIRICHLET_F_OVER_Z),
                            ("f", BoundQuantity.DIRICHLET_F)):
         for p in P_GRID:
-            worst = _worst(quantity, [_kp_member(p, order=128)],
+            worst = _worst(quantity, [_kp_member(p)],
                            [c * p for c in (0.2, 0.5, 0.8)])
             checks.append((f"sharpness/{name}-kp p={_fmt(p)}", worst <= 1e-8,
                            f"max rel slack {_fmt(worst)}"))
@@ -144,9 +143,9 @@ def _suite_oracles():
         checks.append((f"oracles/{name}", worst <= tolerance, f"max rel gap {_fmt(worst)}"))
     dense = QuadratureConfig(radial_nodes=160, angular_nodes=256)
     for p in P_GRID:
-        spec, f = _kp_member(p, order=128)
+        spec, f = _kp_member(p)
         r = 0.5 * p
-        quad = dirichlet_quadrature(f_over_z_series(f), r, dense).value
+        quad = dirichlet_quadrature(f_over_z_series(f, 128), r, dense).value
         gap = _rel(quad, sharp_maximum(spec, BoundQuantity.DIRICHLET_F_OVER_Z, r))
         checks.append((f"oracles/f-over-z-quadrature-kp p={_fmt(p)}", gap <= 1e-8,
                        f"rel gap {_fmt(gap)} at r={_fmt(r)}"))
@@ -155,7 +154,7 @@ def _suite_oracles():
         checks.append((f"oracles/gronwall-kp p={_fmt(p)}", report.sharp,
                        f"weighted sum {_fmt(report.computed)}"))
     for p in P_GRID:
-        g = f_over_z_series(build_kp(p))
+        g = f_over_z_series(build_kp(p), 7)
         worst = max(
             _rel(abs(g.coefficients[n - 1]), jenkins_bound(n, p))
             for n in range(2, 9))
@@ -240,12 +239,12 @@ def _cmd_verify(args) -> int:
 
 def _cmd_table(args) -> int:
     quantities = [BoundQuantity(q.upper()) for q in args.quantity]
-    try:  # the class specs and builders validate p, lambda and the order
+    try:  # the class specs and builders validate p and lambda
         members = []
         for p in args.p:
-            members.append(_kp_member(p, args.order))
-            members.extend(_fp_member(p, lam, args.order) for lam in args.lam)
-        members.append((ClassSpec(ClassKind.S), build_koebe_rotation(0.0, args.order)))
+            members.append(_kp_member(p))
+            members.extend(_fp_member(p, lam) for lam in args.lam)
+        members.append((ClassSpec(ClassKind.S), build_koebe_rotation(0.0)))
         for r in args.r:
             check_radius(r)
     except BadParameter as exc:
@@ -405,7 +404,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        default=LAMBDA_GRID)
     quantities = tuple(q.value.lower() for q in BoundQuantity)
     table.add_argument("--quantity", nargs="+", choices=quantities, default=quantities)
-    table.add_argument("--order", type=int, default=DEFAULT_ORDER)
+    # accepted and ignored: the f and f/z sums need no truncation order
+    table.add_argument("--order", type=int, help=argparse.SUPPRESS)
     table.add_argument("--out", default=None)
     table.set_defaults(func=_cmd_table)
 

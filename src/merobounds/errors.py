@@ -19,10 +19,6 @@ class RadiusBeyondPole(BadParameter):
     """A radius reaches or passes the pole, leaving the validity disk."""
 
 
-class NearZeroConstantTerm(MeroboundsError, ArithmeticError):
-    """Series reciprocal requested for a constant term too close to zero."""
-
-
 class OrderUnderflow(MeroboundsError, ValueError):
     """More derivatives requested than the truncation order supports."""
 

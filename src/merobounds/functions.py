@@ -4,7 +4,7 @@ A function f, holomorphic on the unit disk except possibly for one simple
 pole at p in (0, 1) and normalized by f(0) = 0, f'(0) = 1, is stored as the
 Taylor series of z/f(z), exactly as given.  That series is analytic on the
 whole disk, starts with constant term 1, and encodes the pole as a zero at
-p.  Only f/z = 1/(z/f) is truncated, at the function's ``order``.
+p.  f/z = 1/(z/f) is formed only to an order its caller names.
 """
 
 from __future__ import annotations
@@ -13,14 +13,13 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import (BadParameter, ClassMismatch, PoleMismatch, check_count, check_lambda,
                      check_pole)
-from .series import DEFAULT_ORDER, TruncatedSeries
+from .series import TruncatedSeries
 
 #: Sentinel for functions with no pole (analytic on the whole disk).
 NO_POLE = None
@@ -30,9 +29,6 @@ POLE_RESIDUAL_TOL = 1e-8
 
 #: Largest distance between a function's pole and its class's pole.
 POLE_MATCH_TOL = 1e-12
-
-#: Default ``PoleFunction.order``, the z/f order; not None, which is refused.
-_ZF_ORDER = object()
 
 
 def mu(p: float) -> float:
@@ -100,19 +96,12 @@ class PoleFunction:
     Attributes:
         inv_series: z/f as stored, with constant term exactly 1.
         pole: location of the simple pole in (0, 1), or NO_POLE.
-        order: truncation order of f/z, at least the z/f order (its default).
     """
 
     inv_series: TruncatedSeries
     pole: Optional[float] = NO_POLE
-    order: int = _ZF_ORDER  # type: ignore[assignment]
 
     def __post_init__(self):
-        stored = self.inv_series.order
-        if self.order is _ZF_ORDER:
-            object.__setattr__(self, "order", stored)
-        check_count(self.order, stored,
-                    f"order must be at least {stored} to hold the z/f polynomial")
         if self.inv_series[0] != 1.0 + 0.0j:
             raise BadParameter("z/f series must start with constant term 1")
         if self.pole is not None:
@@ -124,33 +113,27 @@ class PoleFunction:
                     f"{self.pole!r} (tolerance {POLE_RESIDUAL_TOL:g})"
                 )
 
-    @cached_property
-    def _f_over_z(self) -> TruncatedSeries:
-        """f/z to ``order``, formed on first use; one that raises keeps nothing."""
-        coeffs = self.inv_series.coefficients
-        return TruncatedSeries(np.pad(coeffs, (0, self.order + 1 - len(coeffs)))).reciprocal()
 
-
-def build_kp(p: float, order: int = DEFAULT_ORDER) -> PoleFunction:
+def build_kp(p: float) -> PoleFunction:
     """Extremal univalent function with pole p: z/f = 1 - (1/p + p) z + z**2.
 
     Maps the disk onto the complement of a straight slit and attains the
     sharp coefficient and Dirichlet-growth bounds for the pole class.
     """
     check_pole(p)
-    return PoleFunction(TruncatedSeries([1.0, -(1.0 / p + p), 1.0]), pole=p, order=order)
+    return PoleFunction(TruncatedSeries([1.0, -(1.0 / p + p), 1.0]), pole=p)
 
 
-def build_fp(p: float, lam: float, order: int = DEFAULT_ORDER) -> PoleFunction:
+def build_fp(p: float, lam: float) -> PoleFunction:
     """Extremal member of the residual-functional class:
     z/f = 1 - (1/p + lam*mu*p) z + lam*mu z**2."""
     check_pole(p)
     check_lambda(lam)
     m = lam * mu(p)
-    return PoleFunction(TruncatedSeries([1.0, -(1.0 / p + m * p), m]), pole=p, order=order)
+    return PoleFunction(TruncatedSeries([1.0, -(1.0 / p + m * p), m]), pole=p)
 
 
-def build_koebe_rotation(theta: float, order: int = DEFAULT_ORDER) -> PoleFunction:
+def build_koebe_rotation(theta: float) -> PoleFunction:
     """Rotated Koebe map z/(1 - e^{i theta} z)**2, which has no pole.
 
     Its z/f series is the exact polynomial 1 - 2 e^{i theta} z + e^{2 i theta} z**2.
@@ -158,7 +141,7 @@ def build_koebe_rotation(theta: float, order: int = DEFAULT_ORDER) -> PoleFuncti
     if not math.isfinite(theta):
         raise BadParameter("rotation angle must be finite")
     w = cmath.exp(1j * theta)
-    return PoleFunction(TruncatedSeries([1.0, -2.0 * w, w * w]), pole=NO_POLE, order=order)
+    return PoleFunction(TruncatedSeries([1.0, -2.0 * w, w * w]), pole=NO_POLE)
 
 
 def from_inverse_coefficients(b: Sequence[complex], pole: Optional[float] = NO_POLE) -> PoleFunction:
@@ -169,31 +152,37 @@ def from_inverse_coefficients(b: Sequence[complex], pole: Optional[float] = NO_P
     return PoleFunction(TruncatedSeries(coeffs), pole=pole)
 
 
-def f_over_z_series(f: PoleFunction, order: Optional[int] = None) -> TruncatedSeries:
-    """Taylor series of f/z = 1/(z/f), formed once per function at ``f.order``.
+def f_over_z_series(f: PoleFunction, order: int) -> TruncatedSeries:
+    """Taylor series of f/z = 1/(z/f) to ``order``, by the recurrence of z/f
+    = 1 + b_1 z + ... + b_d z^d: a_0 = 1 and a_n = -(b_1 a_(n-1) + ... +
+    b_d a_(n-d)), with a_k = 0 for k < 0.
 
     Entry n is the Taylor coefficient a_{n+1} of f itself (entry 0 is 1).
-    A lower ``order`` gives a prefix; a higher one, which the representation
-    does not determine, is refused.
+
+    Raises:
+        BadParameter: if the order is not a non-negative integer, or a
+            coefficient leaves the float range.
     """
-    if order is None:
-        order = f.order
     check_count(order, 0, "f/z order must be non-negative")
-    if order > f.order:
-        raise BadParameter(f"order {order} exceeds the stored truncation order {f.order}")
-    g = f._f_over_z
-    return g if order == f.order else TruncatedSeries(g.coefficients[: order + 1])
+    b = f.inv_series.coefficients[1:]
+    a = np.zeros(order + 1, dtype=np.complex128)
+    a[0] = 1.0
+    with np.errstate(all="ignore"):  # an overflow is refused below, not warned
+        for n in range(1, order + 1):
+            k = min(n, len(b))
+            a[n] = -np.dot(b[:k], a[n - 1 :: -1][:k])
+    return TruncatedSeries(a)
 
 
 # ---- CSV row form ----------------------------------------------------------
 #
 # One function per row: p (empty when there is no pole), order N, then the
 # 2N real numbers Re b1, Im b1, ..., Re bN, Im bN.  A function writes z/f
-# zero-extended to its order N; reading a row stores all N coefficients.
+# at its stored order N; reading a row stores all N coefficients.
 
 def to_csv_row(f: PoleFunction) -> list[str]:
-    row = ["" if f.pole is None else repr(f.pole), str(f.order)]
-    for c in np.pad(f.inv_series.coefficients[1:], (0, f.order - f.inv_series.order)):
+    row = ["" if f.pole is None else repr(f.pole), str(f.inv_series.order)]
+    for c in f.inv_series.coefficients[1:]:
         row.append(repr(float(c.real)))
         row.append(repr(float(c.imag)))
     return row

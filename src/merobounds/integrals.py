@@ -27,9 +27,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (BadParameter, check_count, check_inside_pole, check_open_radius,
-                     check_radius)
-from .functions import PoleFunction, f_over_z_series
+from .errors import (BadParameter, RadiusBeyondPole, check_count, check_inside_pole,
+                     check_open_radius, check_radius)
+from .functions import PoleFunction
 from .series import TruncatedSeries
 
 
@@ -60,6 +60,15 @@ class QuadratureConfig:
 #: The coarsest rule; the quadrature routes raise it to the order of their data.
 _FLOOR = QuadratureConfig()
 
+#: Doublings (2**64 terms) after which a Stein sum that has not settled
+#: is refused.
+_MAX_DOUBLINGS = 64
+
+#: A failed Stein sum is put down to a root of z/f when r times the largest
+#: companion eigenvalue reaches 1 within this, the rounding error of a
+#: double root's eigenvalue.
+_ROOT_RTOL = 2.0**-26
+
 
 @dataclass(frozen=True)
 class IntegralResult:
@@ -67,9 +76,9 @@ class IntegralResult:
 
     ``truncation_tail_estimate`` is present for series evaluations only, as
     a float: 0 over exact z/f coefficients and for f = z, whose f/z = 1 is
-    exact; for the other truncated f and f/z series, a geometric estimate
-    of the mass past the order, inf where it diverges and 0 when the last
-    d coefficients, d the z/f degree, are exactly zero.
+    exact; for the f and f/z integrals, the bound on the remainder of their
+    Stein sums at the doubling that stopped them (``_stein_sums``), at most
+    2^-52 of the sums.
     """
 
     value: float
@@ -87,31 +96,6 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     x.flags.writeable = False
     w.flags.writeable = False
     return x, w
-
-
-def _tail(coeffs: np.ndarray, degree: int, r: float, ratio: float) -> float:
-    """Geometric estimate of the Dirichlet terms pi n |c_n|^2 r^(2n) past
-    the last index M of the summed coefficients c.
-
-    Each |c_n|^2 r^(2n) past M is taken as the one before times ratio = x,
-    the term-to-term factor: (r/p)^2 with a pole, r^2 without.  Summing
-    pi (M + k) |c_M|^2 r^(2M) x^k over k >= 1 gives
-
-        pi |c_M|^2 r^(2M) (M x / (1 - x) + x / (1 - x)^2).
-
-    The coefficients obey the recurrence of z/f, of the given degree d, so
-    a zero c_M does not end the series: each of the last d terms
-    |c_(M-j)|^2 r^(2M-2j) is carried forward j steps by x, and the largest
-    stands for |c_M|^2 r^(2M).  The estimate is 0 only when all d
-    coefficients are zero."""
-    last = coeffs[: -degree - 1 : -1].tolist()  # c_M, c_(M-1), ...
-    if not any(last):
-        return 0.0
-    if ratio >= 1.0:
-        return math.inf
-    m = len(coeffs) - 1
-    top = max(abs(c) * abs(c) * r ** (2 * (m - j)) * ratio ** j for j, c in enumerate(last))
-    return float(math.pi * top * (m * ratio / (1.0 - ratio) + ratio / (1.0 - ratio) ** 2))
 
 
 def _circle_values(c: np.ndarray, rho: np.ndarray, m: int) -> np.ndarray:
@@ -175,57 +159,121 @@ def dirichlet_quadrature(
     return IntegralResult(value, Method.QUADRATURE, r, IntegralKind.DIRICHLET)
 
 
-def _is_identity(f: PoleFunction) -> bool:
-    """f = z, whose f/z = 1 is exact at every order."""
-    return not np.count_nonzero(f.inv_series.coefficients[1:])
-
-
-def _f_series(f: PoleFunction, radii, shift: int) -> TruncatedSeries:
-    """Taylor series of z**shift * (f/z), shift 0 for f/z and 1 for
-    f = z * (f/z), once each of the radii has been checked to lie below the
-    pole, or below 1 without one unless f = z, where the integral converges."""
-    exact = _is_identity(f)
+def _check_f_radii(f: PoleFunction, radii) -> None:
+    """Each radius lies below the pole, or below 1 without one unless f = z,
+    whose f/z = 1 has zero area at every radius."""
+    identity = not np.count_nonzero(f.inv_series.coefficients[1:])
     for r in radii:
-        if f.pole is None:
-            if not exact:
-                check_open_radius(r)
+        if f.pole is not None:
+            check_inside_pole(r, f.pole)
+        elif identity:
             check_radius(r)
         else:
-            check_inside_pole(r, f.pole)
-    g = f_over_z_series(f)
+            check_open_radius(r)
+
+
+def _stein_sums(f: PoleFunction, radii) -> tuple[np.ndarray, np.ndarray]:
+    """S0 = sum |a_n|^2 r^(2n) and S1 = sum n |a_n|^2 r^(2n) over the f/z
+    coefficients a_n, as the columns of an (R, 2) array over R radii, and
+    a bound on what each sum leaves out, likewise.
+
+    z/f = 1 + b_1 z + ... + b_d z^d, trimmed to its last nonzero b_d, so
+    a_n = e_1' C^n e_1 for the companion matrix C of z/f.  With B = rC,
+    S0 and S1 are the (1, 1) entries of the Stein sums
+    P0 = sum B^n e_1 e_1' B*^n and P1 = sum n B^n e_1 e_1' B*^n.  Smith's
+    doubling holds the sums over n < N with A = B^N and, per step,
+
+        P1 <- P1 + A P1 A* + N A P0 A*,  P0 <- P0 + A P0 A*,  A <- A^2,
+
+    which doubles N; all radii run as one (R, 2, d, d) stack.  Past N the
+    sums leave out A (Q1 + N Q0) A* and A Q0 A*, where, over blocks of N
+    terms, Q0 = sum_j A^j P0 A*^j and Q1 = sum_j A^j (P1 + j N P0) A*^j are
+    the full sums.  With q = |A|_F^2 < 1 and s = q / (1 - q), the two
+    remainders are at most s (|P1| + N (1 + s) |P0|) and s |P0| in
+    Frobenius norm.  A radius stops once both bounds are at most 2^-52 of
+    its sums, so its values do not depend on the other radii.
+
+    Raises:
+        RadiusBeyondPole: when r reaches a root of z/f, where the sums diverge.
+        BadParameter: when a sum below every root does not settle: it leaves
+            the float range, or clustered roots of z/f cost A its digits.
+    """
+    radii = np.asarray(radii, dtype=np.float64)
+    sums = np.zeros((len(radii), 2))
+    tails = np.zeros((len(radii), 2))
+    b = f.inv_series.coefficients
+    d = int(np.flatnonzero(b)[-1])
+    if d == 0 or not len(radii):  # f = z, whose f/z = 1, or no radius at all
+        sums[:, 0] = 1.0
+        return sums, tails
+    if not np.any(b.imag):  # real arithmetic, about twice as fast, where it suffices
+        b = b.real
+    c = np.eye(d, k=-1, dtype=b.dtype)
+    c[0] = -b[1 : d + 1]
+    a = radii[:, None, None] * c
+    p = np.zeros((len(radii), 2, d, d), dtype=b.dtype)
+    p[:, 0, 0, 0] = 1.0
+    left = np.arange(len(radii))
+    terms = 1.0
+    with np.errstate(all="ignore"):  # an overflowed sum never reads as done
+        for _ in range(_MAX_DOUBLINGS):
+            q = a[:, None] @ p @ a.conj().swapaxes(1, 2)[:, None]
+            q[:, 1] += terms * q[:, 0]
+            p += q
+            a = a @ a
+            terms *= 2.0
+            norm_a = np.square(a.view(np.float64)).sum(axis=(1, 2))
+            norm_p = np.sqrt(np.square(p.view(np.float64)).sum(axis=(2, 3)))
+            s = norm_a / (1.0 - norm_a)
+            bound = s[:, None] * norm_p
+            bound[:, 1] += terms * (1.0 + s) * bound[:, 0]
+            value = p[:, :, 0, 0].real
+            done = (norm_a < 1.0) & (bound <= 2.0**-52 * value).all(axis=1)
+            if done.any():
+                sums[left[done]] = value[done]
+                tails[left[done]] = bound[done]
+                left, a, p = left[~done], a[~done], p[~done]
+                if not len(left):
+                    return sums, tails
+    r = float(radii[left[0]])
+    if r * np.max(np.abs(np.linalg.eigvals(c))) < 1.0 - _ROOT_RTOL:
+        raise BadParameter(f"the f/z coefficient sums at radius {r!r} do not settle in floats")
+    raise RadiusBeyondPole(f"radius {r!r} reaches a root of z/f, where the f/z series diverges")
+
+
+def _dirichlet_f(f: PoleFunction, radii, shift: int) -> tuple[np.ndarray, np.ndarray]:
+    """Dirichlet integrals of z**shift * (f/z) at each radius, pi S1 for
+    f/z (shift 0) and pi r^2 (S0 + S1) for f (shift 1), and the bounds on
+    their remainders (``_stein_sums``), once each radius has been checked."""
+    _check_f_radii(f, radii)
+    sums, tails = _stein_sums(f, radii)
     if shift:
-        g = TruncatedSeries(np.concatenate((np.zeros(shift), g.coefficients)))
-    return g
+        scale = math.pi * np.asarray(radii, dtype=np.float64) ** 2
+        return scale * sums.sum(axis=1), scale * tails.sum(axis=1)
+    return math.pi * sums[:, 1], math.pi * tails[:, 1]
 
 
 def dirichlet_f_over_z_values(f: PoleFunction, radii) -> np.ndarray:
-    """Dirichlet integral of f/z via its Taylor coefficients at each of a
-    sequence of radii, which must stay below the pole, or below 1 without
-    one unless f = z."""
-    return dirichlet_values(_f_series(f, radii, shift=0), radii)
+    """Dirichlet integral of f/z at each of a sequence of radii, which must
+    stay below the pole, or below 1 without one unless f = z."""
+    return _dirichlet_f(f, radii, shift=0)[0]
 
 
 def dirichlet_f_values(f: PoleFunction, radii) -> np.ndarray:
-    """Dirichlet integral of f itself via its Taylor coefficients at each of
-    a sequence of radii, as for ``dirichlet_f_over_z_values``."""
-    return dirichlet_values(_f_series(f, radii, shift=1), radii)
+    """Dirichlet integral of f itself at each of a sequence of radii, as for
+    ``dirichlet_f_over_z_values``."""
+    return _dirichlet_f(f, radii, shift=1)[0]
 
 
 def _dirichlet_f_route(f: PoleFunction, r: float, shift: int) -> IntegralResult:
-    """Dirichlet integral of z**shift * (f/z) at one radius, with the tail
-    estimate of its truncated coefficients."""
-    g = _f_series(f, (r,), shift)
-    value = dirichlet_values(g, r)
-    if _is_identity(f):
-        tail = 0.0
-    else:
-        ratio = r * r if f.pole is None else (r / f.pole) ** 2
-        tail = _tail(g.coefficients, f.inv_series.order, r, ratio)
-    return IntegralResult(value, Method.SERIES, r, IntegralKind.DIRICHLET, tail)
+    values, tails = _dirichlet_f(f, (r,), shift)
+    return IntegralResult(float(values[0]), Method.SERIES, r, IntegralKind.DIRICHLET,
+                          float(tails[0]))
 
 
 def dirichlet_f_over_z_series(f: PoleFunction, r: float) -> IntegralResult:
-    """Dirichlet integral of f/z via its Taylor coefficients.
+    """Dirichlet integral of f/z from its Taylor coefficients, with the
+    remainder bound of its Stein sum as the tail estimate.
 
     The radius must stay below the pole, or below 1 without one unless f = z.
     """
@@ -233,7 +281,8 @@ def dirichlet_f_over_z_series(f: PoleFunction, r: float) -> IntegralResult:
 
 
 def dirichlet_f_series(f: PoleFunction, r: float) -> IntegralResult:
-    """Dirichlet integral of f itself via its Taylor coefficients."""
+    """Dirichlet integral of f itself from its Taylor coefficients, as for
+    ``dirichlet_f_over_z_series``."""
     return _dirichlet_f_route(f, r, shift=1)
 
 

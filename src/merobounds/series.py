@@ -12,13 +12,7 @@ from typing import Iterable, Union
 
 import numpy as np
 
-from .errors import BadParameter, NearZeroConstantTerm, OrderUnderflow, check_count, check_radius
-
-#: Order at which the builders truncate f/z.
-DEFAULT_ORDER = 64
-
-#: Smallest constant-term modulus for which a reciprocal is attempted.
-RECIPROCAL_FLOOR = 1e-9
+from .errors import BadParameter, OrderUnderflow, check_count, check_radius
 
 ComplexLike = Union[complex, float, int]
 
@@ -84,28 +78,6 @@ class TruncatedSeries:
         prod = np.convolve(self._coeffs, other._coeffs)[: order + 1]
         return TruncatedSeries(prod)
 
-    def reciprocal(self) -> "TruncatedSeries":
-        """Multiplicative inverse to the same truncation order.
-
-        Uses the standard recurrence r[0] = 1/c[0] and
-        ``r[n] = -(1/c[0]) * sum_{k=1..n} c[k] r[n-k]``.
-
-        Raises:
-            NearZeroConstantTerm: if ``|c[0]| < RECIPROCAL_FLOOR``.
-            BadParameter: if the recurrence overflows.
-        """
-        c = self._coeffs
-        if abs(c[0]) < RECIPROCAL_FLOOR:
-            raise NearZeroConstantTerm(
-                f"constant term {c[0]!r} has modulus below {RECIPROCAL_FLOOR:g}"
-            )
-        lead = 1.0 / c[0]
-        out = np.zeros_like(c)
-        out[0] = lead
-        for n in range(1, len(c)):
-            out[n] = -lead * np.dot(c[1 : n + 1], out[n - 1 :: -1])
-        return TruncatedSeries(out)
-
     def differentiate(self) -> "TruncatedSeries":
         """Term-by-term derivative, one order shorter.
 
@@ -116,15 +88,6 @@ class TruncatedSeries:
             raise OrderUnderflow("cannot differentiate a series of order 0")
         c = self._coeffs
         return TruncatedSeries(c[1:] * np.arange(1, len(c), dtype=np.float64))
-
-    def truncate(self, order: int) -> "TruncatedSeries":
-        """Drop every coefficient past ``order`` (which must not exceed the
-        current order: unknown tail coefficients are never fabricated)."""
-        message = f"cannot truncate order-{self.order} series to order {order}"
-        check_count(order, 0, message)
-        if order > self.order:
-            raise BadParameter(message)
-        return TruncatedSeries(self._coeffs[: order + 1])
 
     # ---- evaluation and coefficient functionals -------------------------
 

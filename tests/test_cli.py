@@ -8,7 +8,6 @@ import pytest
 from merobounds import cli
 from merobounds.cli import LAMBDA_GRID, P_GRID, R_GRID, _fmt, _fmtc, main
 from merobounds.criteria import DiskGrid
-from merobounds.errors import BadParameter
 from merobounds.functions import (build_fp, build_koebe_rotation, build_kp,
                                   from_inverse_coefficients, mu, to_csv_row)
 
@@ -110,7 +109,7 @@ def test_table_matches_the_golden_output(capsys):
     # skip notes; the data files hold the reference implementation's output
     code, out, err = run_cli(capsys, "table", "--p", "0.35", "0.8",
                              "--r", "0.1", "0.3", "0.5", "0.7", "1.0",
-                             "--lambda", "0.5", "1.0", "--order", "128")
+                             "--lambda", "0.5", "1.0")
     data = Path(__file__).parent / "data"
     assert code == 0
     assert out == (data / "table_sweep.txt").read_text()
@@ -118,8 +117,7 @@ def test_table_matches_the_golden_output(capsys):
 
 
 def test_table_default_matches_the_golden_output(capsys):
-    # all 5 poles x 20 radii x 3 lambdas of the default grids, 12 rows of
-    # them f-route rows near the pole that truncation leaves not sharp
+    # all 5 poles x 20 radii x 3 lambdas of the default grids, every row sharp
     code, out, err = run_cli(capsys, "table")
     assert code == 0
     assert out == (Path(__file__).parent / "data" / "table_default.txt").read_text()
@@ -127,24 +125,24 @@ def test_table_default_matches_the_golden_output(capsys):
                    "note: DIRICHLET_F_OVER_Z requires r < p; skipped 55 combinations\n")
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_table_keeps_the_known_f_route_overflow_behaviour(capsys):
-    # an open defect, pinned so that a change to it is deliberate: at p = 0.2
-    # the f/z series overflows its squared moduli at order 400, printing NaN
-    # in all 6 f-route rows, and its reciprocal recurrence at order 512, raising
+def test_table_f_route_rows_are_finite_and_sharp_at_any_order(capsys):
+    # at p = 0.2 the f/z coefficients grow like 5^n, past the float range
+    # before n = 450, so no truncation at these orders could serve
     args = ("table", "--p", "0.2", "--quantity", "dirichlet_f", "dirichlet_f_over_z")
-    code, out, _ = run_cli(capsys, *args, "--order", "400")
-    assert code == 0
-    rows = [line.split(",") for line in out.splitlines()[1:]]
-    assert len(rows) == 6 and all(row[5] == row[7] == "nan" for row in rows)
-    with pytest.raises(BadParameter, match="must be finite"):
-        main([*args, "--order", "512"])
+    for order in ("400", "512"):
+        code, out, _ = run_cli(capsys, *args, "--order", order)
+        assert code == 0
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert len(rows) == 6
+        assert all(row[5] != "nan" and row[8] == "true" for row in rows)
+
+
+def test_table_order_leaves_the_output_unchanged(capsys):
+    # the option is accepted and ignored
+    assert run_cli(capsys, "table", "--order", "512") == run_cli(capsys, "table")
 
 
 def test_table_z_over_f_rows_do_not_depend_on_the_order(capsys):
-    # z/f is stored exactly; --order sizes only the f/z series, whose f-route
-    # rows overflow at this pole and order 512 (an open defect), so they are
-    # left out of the sweep
     tables = []
     for order in ("64", "128", "512"):
         code, out, _ = run_cli(capsys, "table", "--p", "0.35", "--order", order,
@@ -205,7 +203,7 @@ def test_table_unwritable_path_fails(capsys):
     ("table", "--r", "0.0"),
     ("table", "--r", "1.2"),
     ("table", "--lambda", "0.0"),
-    ("table", "--order", "1"),
+    ("table", "--order", "1.5"),
     ("table", "--p", "nan"),
     ("table", "--r", "nan"),
     ("table", "--lambda", "nan"),

@@ -54,7 +54,7 @@ def test_mu_range_and_monotonicity(p1, p2):
 # ---- canonical constructions --------------------------------------------------
 
 def test_build_kp_coefficients():
-    f = build_kp(0.5, order=6)
+    f = build_kp(0.5)
     c = f.inv_series.coefficients
     assert c[0] == 1.0
     assert c[1] == -2.5
@@ -64,12 +64,12 @@ def test_build_kp_coefficients():
 
 
 def test_build_fp_coefficients():
-    f = build_fp(0.5, 1.0, order=4)
+    f = build_fp(0.5, 1.0)
     c = f.inv_series.coefficients
     assert c[1] == pytest.approx(-37.0 / 18.0, rel=1e-15)
     assert c[2] == pytest.approx(1.0 / 9.0, rel=1e-15)
     # lambda scales the z^2 coefficient linearly
-    g = build_fp(0.5, 0.5, order=4)
+    g = build_fp(0.5, 0.5)
     assert g.inv_series[2] == pytest.approx(1.0 / 18.0, rel=1e-15)
 
 
@@ -81,7 +81,7 @@ def test_build_fp_lambda_one_does_not_collapse_to_kp():
 
 @pytest.mark.parametrize("theta,b1", [(0.0, -2.0), (math.pi, 2.0)])
 def test_build_koebe_rotation(theta, b1):
-    f = build_koebe_rotation(theta, order=3)
+    f = build_koebe_rotation(theta)
     assert f.pole is NO_POLE
     assert f.inv_series[1] == pytest.approx(b1, abs=1e-15)
     assert abs(f.inv_series[2]) == pytest.approx(1.0, rel=1e-15)
@@ -96,48 +96,35 @@ def test_constructor_validation():
     with pytest.raises(BadParameter):
         build_fp(0.5, 1.2)
     with pytest.raises(BadParameter):
-        build_kp(0.5, order=1)
-    with pytest.raises(BadParameter):
         build_koebe_rotation(math.inf)
 
 
-BUILDERS = (lambda order: build_kp(0.5, order),
-            lambda order: build_fp(0.5, 0.5, order),
-            lambda order: build_koebe_rotation(0.0, order))
+BUILDERS = (lambda: build_kp(0.5), lambda: build_fp(0.5, 0.5), lambda: build_koebe_rotation(0.0))
 
 
 @pytest.mark.parametrize("order", [2.5, 64.0, "8", None])
 def test_order_must_be_an_integer(order):
+    # f/z has no default order: its one caller names it
     for build in BUILDERS:
         with pytest.raises(BadParameter, match="not an integer"):
-            build(order)
+            f_over_z_series(build(), order)
 
 
 def test_order_accepts_numpy_integers():
-    assert build_kp(0.5, np.int64(2)).order == 2
-    assert build_fp(0.5, 0.5, np.int32(16)).order == 16
+    assert f_over_z_series(build_kp(0.5), np.int64(2)).order == 2
+    assert f_over_z_series(build_fp(0.5, 0.5), np.int32(16)).order == 16
     for build in BUILDERS:
-        with pytest.raises(BadParameter,
-                           match="order must be at least 2 to hold the z/f polynomial"):
-            build(np.int64(1))
+        with pytest.raises(BadParameter, match="must be non-negative"):
+            f_over_z_series(build(), np.int64(-1))
 
 
 @pytest.mark.parametrize("order", [2, 3, 64, 512])
 def test_builders_store_z_over_f_exactly_and_size_f_over_z_by_the_order(order):
     for build in BUILDERS:
-        f = build(order)
+        f = build()
         assert f.inv_series.order == 2
-        assert f.order == order
-        assert f_over_z_series(f).order == order
-
-
-def test_order_defaults_to_and_may_not_undercut_the_stored_order():
-    inv = TruncatedSeries([1.0, -2.0, 0.0, 0.0])
-    assert PoleFunction(inv, pole=0.5).order == 3
-    assert PoleFunction(inv, pole=0.5, order=5).order == 5
-    with pytest.raises(BadParameter, match="order must be at least 3 to hold the z/f polynomial"):
-        PoleFunction(inv, pole=0.5, order=2)
-    assert from_inverse_coefficients([0.0] * 7).order == 7
+        assert not hasattr(f, "order")
+        assert f_over_z_series(f, order).order == order
 
 
 # ---- PoleFunction validation ---------------------------------------------------
@@ -164,8 +151,8 @@ def test_pole_range_check():
 
 @pytest.mark.parametrize("p", [0.3, 0.5, 0.7])
 def test_f_over_z_matches_coefficient_closed_form(p):
-    f = build_kp(p, order=16)
-    d = f_over_z_series(f)
+    f = build_kp(p)
+    d = f_over_z_series(f, 16)
     # entry n holds a_{n+1}; compare n = 0..12 against the closed form
     for n in range(13):
         want = jenkins_coefficient(n + 1, p)
@@ -174,16 +161,16 @@ def test_f_over_z_matches_coefficient_closed_form(p):
 
 def test_f_over_z_identity_function():
     f = from_inverse_coefficients([0.0, 0.0, 0.0])
-    d = f_over_z_series(f)
+    d = f_over_z_series(f, 3)
     assert np.allclose(d.coefficients, [1.0, 0.0, 0.0, 0.0], atol=0)
 
 
 def test_f_over_z_order_handling():
-    f = build_kp(0.5, order=10)
+    # any order: the recurrence of z/f determines every coefficient
+    f = build_kp(0.5)
     assert f_over_z_series(f, order=4).order == 4
     assert f_over_z_series(f, np.int64(0)).order == 0
-    with pytest.raises(BadParameter):
-        f_over_z_series(f, order=11)
+    assert f_over_z_series(f, order=11).order == 11
     with pytest.raises(BadParameter):
         f_over_z_series(f, order=-1)
 
@@ -194,44 +181,26 @@ def test_f_over_z_order_must_be_an_integer(order):
         f_over_z_series(build_kp(0.5), order)
 
 
-def zf_to_order(f):
-    """z/f zero-extended to the function's f/z order."""
+def zf_to_order(f, order):
+    """z/f zero-extended to an f/z order."""
     c = f.inv_series.coefficients
-    return TruncatedSeries(np.pad(c, (0, f.order + 1 - len(c))))
-
-
-def test_f_over_z_is_formed_once_per_function(monkeypatch):
-    formed = []
-    reciprocal = TruncatedSeries.reciprocal
-    monkeypatch.setattr(TruncatedSeries, "reciprocal",
-                        lambda s: formed.append(s.order) or reciprocal(s))
-    f = build_kp(0.35, order=128)
-    d = f_over_z_series(f)
-    assert f_over_z_series(f) is d
-    assert f_over_z_series(f, order=f.order) is d
-    assert f_over_z_series(f, 40).order == 40
-    assert formed == [128]
-    # an equal function forms its own
-    assert f_over_z_series(build_kp(0.35, order=128)) is not d
-    assert formed == [128, 128]
-    fresh = reciprocal(zf_to_order(f))
-    assert np.array_equal(d.coefficients, fresh.coefficients)
+    return TruncatedSeries(np.pad(c, (0, order + 1 - len(c))))
 
 
 def test_f_over_z_lower_order_is_a_prefix_of_the_full_series():
     f = build_fp(0.6, 0.5)
-    full = f_over_z_series(f)
+    full = f_over_z_series(f, 64)
     part = f_over_z_series(f, 40)
     assert part.order == 40
     assert np.array_equal(part.coefficients, full.coefficients[:41])
 
 
 def test_f_over_z_overflow_raises_on_every_call():
-    # 1/p**n overflows before n = 450 at p = 0.2
-    f = build_kp(0.2, order=450)
+    # 1/p**n overflows before n = 450 at p = 0.2, refused without a warning
+    f = build_kp(0.2)
     for _ in range(2):
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(BadParameter):
-            f_over_z_series(f)
+        with pytest.raises(BadParameter):
+            f_over_z_series(f, 450)
 
 
 def test_f_over_z_roundtrip_scale_relative():
@@ -239,20 +208,20 @@ def test_f_over_z_roundtrip_scale_relative():
     # the reciprocal coefficients grow like p**(-n).
     for p in (0.2, 0.5, 0.8):
         f = build_kp(p)
-        d = f_over_z_series(f)
-        zf = zf_to_order(f)
+        d = f_over_z_series(f, 64)
+        zf = zf_to_order(f, 64)
         prod = zf.multiply(d)
-        assert prod.order == f.order
-        unit = np.zeros(f.order + 1, dtype=complex)
+        assert prod.order == 64
+        unit = np.zeros(65, dtype=complex)
         unit[0] = 1.0
-        scale = np.convolve(np.abs(zf.coefficients), np.abs(d.coefficients))[: f.order + 1]
+        scale = np.convolve(np.abs(zf.coefficients), np.abs(d.coefficients))[:65]
         rel = np.abs(prod.coefficients - unit) / np.maximum(scale, 1.0)
         assert rel.max() <= 1e-12
 
 
 def test_f_over_z_roundtrip_absolute_small_order():
-    f = build_kp(0.6, order=10)
-    prod = zf_to_order(f).multiply(f_over_z_series(f))
+    f = build_kp(0.6)
+    prod = zf_to_order(f, 10).multiply(f_over_z_series(f, 10))
     assert prod.order == 10
     unit = np.zeros(11, dtype=complex)
     unit[0] = 1.0
@@ -292,35 +261,35 @@ def test_class_spec_rejects(kwargs):
 # ---- CSV row form ------------------------------------------------------------------
 
 def test_csv_roundtrip_with_pole():
-    # the row carries z/f zero-extended to the order; reading it back stores
-    # all of it, so the f/z series and the row itself come back unchanged
-    f = build_fp(0.35, 0.75, order=5)
+    # the row carries z/f at its stored order; reading it back stores all of
+    # it, so the f/z series and the row itself come back unchanged
+    f = build_fp(0.35, 0.75)
     row = to_csv_row(f)
     assert row[0] == repr(0.35)
-    assert row[1] == "5"
-    assert len(row) == 2 + 2 * 5
+    assert row[1] == "2"
+    assert len(row) == 2 + 2 * 2
     g = from_csv_row(row)
     assert g.pole == f.pole
-    assert g.order == f.order == 5
-    assert np.array_equal(g.inv_series.coefficients, zf_to_order(f).coefficients)
-    assert np.array_equal(f_over_z_series(g).coefficients, f_over_z_series(f).coefficients)
+    assert np.array_equal(g.inv_series.coefficients, f.inv_series.coefficients)
+    assert np.array_equal(f_over_z_series(g, 5).coefficients, f_over_z_series(f, 5).coefficients)
     assert to_csv_row(g) == row
 
 
 def test_csv_roundtrip_without_pole():
-    f = build_koebe_rotation(math.pi / 3, order=4)
+    f = build_koebe_rotation(math.pi / 3)
     row = to_csv_row(f)
     g = from_csv_row(row)
     assert g.pole is NO_POLE
-    assert g.order == f.order == 4
-    assert np.array_equal(g.inv_series.coefficients, zf_to_order(f).coefficients)
-    assert np.array_equal(f_over_z_series(g).coefficients, f_over_z_series(f).coefficients)
+    assert np.array_equal(g.inv_series.coefficients, f.inv_series.coefficients)
+    assert np.array_equal(f_over_z_series(g, 4).coefficients, f_over_z_series(f, 4).coefficients)
     assert to_csv_row(g) == row
 
 
-def test_csv_row_of_a_builder_is_zero_extended_to_its_order():
-    assert to_csv_row(build_kp(0.5, order=4)) == [
-        "0.5", "4", "-2.5", "0.0", "1.0", "0.0", "0.0", "0.0", "0.0", "0.0"]
+def test_csv_row_of_a_builder_is_written_at_its_degree():
+    assert to_csv_row(build_kp(0.5)) == ["0.5", "2", "-2.5", "0.0", "1.0", "0.0"]
+    # a zero-padded row is stored as given, so it writes back unchanged
+    padded = ["0.5", "4", "-2.5", "0.0", "1.0", "0.0", "0.0", "0.0", "0.0", "0.0"]
+    assert to_csv_row(from_csv_row(padded)) == padded
 
 
 @pytest.mark.parametrize(

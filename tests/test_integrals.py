@@ -1,5 +1,7 @@
 import math
+import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,10 @@ from merobounds.errors import (
     BadRadius,
     RadiusBeyondPole,
 )
+from merobounds.bounds import BoundQuantity, check_bound
 from merobounds.functions import (
+    ClassKind,
+    ClassSpec,
     PoleFunction,
     build_fp,
     build_koebe_rotation,
@@ -24,7 +29,9 @@ from merobounds.integrals import (
     Method,
     QuadratureConfig,
     dirichlet_f_over_z_series,
+    dirichlet_f_over_z_values,
     dirichlet_f_series,
+    dirichlet_f_values,
     dirichlet_quadrature,
     dirichlet_series,
     l1_mean_quadrature,
@@ -52,6 +59,25 @@ def closed_form_dirichlet_f(r, p):
         - 2.0 / (1.0 - r * r) ** 2
         + p * p / (1.0 - p * p * r * r) ** 2
     )
+
+
+def mp_f_over_z_sums(b, r, ratio):
+    """S0 = sum |a_n|^2 r^(2n) and S1 = sum n |a_n|^2 r^(2n) at 50 digits over
+    the f/z coefficients a_n of z/f = 1 + b_1 z + b_2 z^2 + ..., by its
+    recurrence, summed while ratio^(2n), ratio = r / (smallest root modulus),
+    stays above 1e-45."""
+    terms = math.ceil(45 * math.log(10) / (-2 * math.log(ratio))) + 50
+    with mp.workdps(50):
+        b = [mp.mpc(complex(x)) for x in b]
+        x = mp.mpf(r) ** 2
+        a = [mp.mpc(1)]
+        s0, s1 = mp.mpf(1), mp.mpf(0)
+        for n in range(1, terms):
+            a.append(-mp.fsum(b[k] * a[n - 1 - k] for k in range(min(n, len(b)))))
+            term = abs(a[n]) ** 2 * x**n
+            s0 += term
+            s1 += n * term
+        return s0, s1
 
 
 # ---- dirichlet, series route ----------------------------------------------------
@@ -90,64 +116,43 @@ def test_dirichlet_series_tail_estimate():
     for r in (0.5, 1.0):
         res = dirichlet_series(TruncatedSeries([1.0, 0.5, 0.25]), r)
         assert res.truncation_tail_estimate == 0.0
-    # the f/z route truncates: Koebe's f/z = 1/(1 - z)**2 = 1 + 2z + 3z**2 + ...
-    # at order M = 2 gives pi |c_M|^2 r^(2M) (M x / (1 - x) + x / (1 - x)^2), x = r^2
-    koebe = build_koebe_rotation(0.0, order=2)
-    assert f_over_z_series(koebe).coefficients.tolist() == [1, 2, 3]
-    x = 0.25
-    want = math.pi * 9 * 0.5**4 * (2 * x / (1 - x) + x / (1 - x) ** 2)
-    res = dirichlet_f_over_z_series(koebe, 0.5)
-    assert res.truncation_tail_estimate == pytest.approx(want, rel=1e-14)
-    # f = z (f/z) shifts every index up by one, so M = 3
-    want = math.pi * 9 * 0.5**6 * (3 * x / (1 - x) + x / (1 - x) ** 2)
-    assert dirichlet_f_series(koebe, 0.5).truncation_tail_estimate == pytest.approx(want, rel=1e-14)
-    # with a pole x = (r/p)^2: kp's f/z = 1 + 2.5z + 5.25z**2 + ... at p = 0.5
-    kp = build_kp(0.5, order=2)
-    assert f_over_z_series(kp).coefficients.tolist() == [1, 2.5, 5.25]
-    x = (0.25 / 0.5) ** 2
-    want = math.pi * 5.25**2 * 0.25**4 * (2 * x / (1 - x) + x / (1 - x) ** 2)
-    res = dirichlet_f_over_z_series(kp, 0.25)
-    assert res.truncation_tail_estimate == pytest.approx(want, rel=1e-14)
-    # f = z has f/z = 1 exactly at any positive order: zero last coefficient, no tail
+    # the f and f/z sums run until the remainder bound of their Stein sums is
+    # at most 2^-52 of them; it stays positive, as the series goes on
+    koebe, kp = build_koebe_rotation(0.0), build_kp(0.5)
+    cases = ((dirichlet_f_over_z_series, koebe, 0.5,
+              2 * math.pi * 0.25 * 2.25 / 0.75**4),  # 2 pi r^2 (r^2 + 2) / (1 - r^2)^4
+             (dirichlet_f_series, koebe, 0.5,
+              math.pi * 0.25 * (0.0625 + 1 + 1) / 0.75**4),  # pi r^2 (r^4 + 4r^2 + 1) / (1 - r^2)^4
+             (dirichlet_f_over_z_series, kp, 0.25, closed_form_dirichlet_f_over_z(0.25, 0.5)),
+             (dirichlet_f_series, kp, 0.25, closed_form_dirichlet_f(0.25, 0.5)))
+    for route, f, r, want in cases:
+        res = route(f, r)
+        assert res.value == pytest.approx(want, rel=1e-14)
+        assert 0.0 < res.truncation_tail_estimate <= 2.0**-52 * res.value
+    # f = z has f/z = 1 exactly: no tail
     assert dirichlet_f_series(from_inverse_coefficients([0.0]), 1.0).truncation_tail_estimate == 0.0
 
 
 def test_tail_estimate_survives_a_zero_last_coefficient():
-    # z/f = 1 + z^2 at order 3: f/z = 1 - z^2 + z^4 - ... stores 1, 0, -1, 0.
-    # The series goes on past the zero c_3, so the tail is not 0: the degree-2
-    # recurrence carries c_2 forward one step, |c_3|^2 r^6 -> |c_2|^2 r^4 x with
-    # x = r^2, and M = 3.
-    f = PoleFunction(TruncatedSeries([1, 0, 1]), order=3)
-    res = dirichlet_f_over_z_series(f, 0.9)
-    assert res.value == pytest.approx(4.1224, rel=1e-4)
-    x = 0.81
-    assert res.truncation_tail_estimate == pytest.approx(
-        math.pi * 0.9**4 * x * (3 * x / (1 - x) + x / (1 - x) ** 2), rel=1e-14)
-    missing = dirichlet_f_over_z_series(PoleFunction(TruncatedSeries([1, 0, 1]), order=200), 0.9)
-    assert missing.value == pytest.approx(34.8566, rel=1e-4)
-    # every other term is zero, so the geometric estimate lies above the missing mass
-    assert missing.value - res.value < res.truncation_tail_estimate < 2 * (missing.value - res.value)
-    # with a pole the step back is carried by x = (r/p)^2: z/f = 1 - (z/p)^2 at
-    # order 3 stores f/z = 1, 0, 1/p^2, 0
+    # z/f = 1 + z^2 stored at order 3, as a zero-padded CSV row stores it:
+    # f/z = 1 - z^2 + z^4 - ..., so the Dirichlet integral of f/z is
+    # pi sum 2k x^k = 2 pi x / (1 - x)^2 with x = r^4, and the sum goes on
+    # past the zero coefficients, so its tail bound is not 0
+    f = PoleFunction(TruncatedSeries([1, 0, 1, 0]))
+    r = 0.9
+    x = r**4
+    res = dirichlet_f_over_z_series(f, r)
+    assert res.value == pytest.approx(2 * math.pi * x / (1 - x) ** 2, rel=1e-14)
+    assert 0.0 < res.truncation_tail_estimate <= 2.0**-52 * res.value
+    # with a pole: z/f = 1 - (z/p)^2 stores f/z = 1 + (z/p)^2 + (z/p)^4 + ...
     p, r = 0.5, 0.25
-    f = PoleFunction(TruncatedSeries([1, 0, -1 / p**2]), pole=p, order=3)
-    assert f_over_z_series(f).coefficients.tolist() == [1, 0, 4, 0]
-    x = (r / p) ** 2
-    want = math.pi * 16 * r**4 * x * (3 * x / (1 - x) + x / (1 - x) ** 2)
-    assert dirichlet_f_over_z_series(f, r).truncation_tail_estimate == pytest.approx(
-        want, rel=1e-14)
+    f = PoleFunction(TruncatedSeries([1, 0, -1 / p**2, 0]), pole=p)
+    assert f_over_z_series(f, 3).coefficients.tolist() == [1, 0, 4, 0]
+    x = (r / p) ** 4
+    res = dirichlet_f_over_z_series(f, r)
+    assert res.value == pytest.approx(2 * math.pi * x / (1 - x) ** 2, rel=1e-14)
+    assert 0.0 < res.truncation_tail_estimate <= 2.0**-52 * res.value
 
-
-@pytest.mark.parametrize("route, shift", [(dirichlet_f_over_z_series, 0), (dirichlet_f_series, 1)])
-def test_tail_estimate_matches_the_mass_past_the_order_with_a_pole(route, shift):
-    # kp's f/z coefficients grow by 1/p per index, so the terms past the order
-    # grow by (r/p)^2 and carry the Dirichlet weight n: the estimate at order
-    # 64 matches the mass that orders 65..364 add
-    f, r = build_kp(0.5, order=64), 0.4
-    longer = f_over_z_series(build_kp(0.5, order=364)).coefficients
-    g = TruncatedSeries(np.concatenate((np.zeros(shift), longer)))
-    mass = math.pi * g.weighted_coefficient_sum(1.0, r, start_index=65 + shift)
-    assert route(f, r).truncation_tail_estimate == pytest.approx(mass, rel=1e-5)
 
 def test_identity_map_at_order_zero_reports_no_tail():
     # f = z stored at order 0 (the CSV row ",0"): its f/z = 1 is exact, though
@@ -161,7 +166,7 @@ def test_identity_map_at_order_zero_reports_no_tail():
 
 
 def test_tail_estimates_are_plain_floats():
-    kp, koebe = build_kp(0.5, order=2), build_koebe_rotation(0.0, order=2)
+    kp, koebe = build_kp(0.5), build_koebe_rotation(0.0)
     results = (dirichlet_f_over_z_series(kp, 0.25), dirichlet_f_series(kp, np.float64(0.25)),
                dirichlet_f_over_z_series(koebe, 0.5), dirichlet_f_series(koebe, 0.5),
                dirichlet_series(kp.inv_series, 0.5), l1_mean_series(kp, 0.5))
@@ -276,8 +281,8 @@ def test_quadrature_routes_agree_with_series_routes(order, seed, r):
 
 
 def test_quadrature_routes_do_not_evaluate_by_horner(monkeypatch):
-    f = build_kp(0.5, order=128)
-    g = f_over_z_series(f)
+    f = build_kp(0.5)
+    g = f_over_z_series(f, 128)
 
     def refuse(self, z):
         raise AssertionError("a quadrature route called TruncatedSeries.evaluate")
@@ -314,16 +319,77 @@ def test_quadrature_config_accepts_numpy_integers():
 @pytest.mark.parametrize("p,r,order,tol", [(0.7, 0.3, 64, 1e-9), (0.6, 0.25, 96, 1e-9),
                                            (0.5, 0.25, 64, 1e-10), (0.6, 0.25, 96, 1e-10)])
 def test_f_over_z_series_vs_closed_form(p, r, order, tol):
-    f = build_kp(p, order=order)
-    got = dirichlet_f_over_z_series(f, r).value
-    assert got == pytest.approx(closed_form_dirichlet_f_over_z(r, p), rel=tol)
+    # the Stein sum, and the coefficient sum of f/z to an order past which
+    # (r/p)^(2 order) lies below roundoff, against the closed form
+    f = build_kp(p)
+    want = closed_form_dirichlet_f_over_z(r, p)
+    assert dirichlet_f_over_z_series(f, r).value == pytest.approx(want, rel=tol)
+    assert dirichlet_series(f_over_z_series(f, order), r).value == pytest.approx(want, rel=tol)
 
 
 @pytest.mark.parametrize("p,r", [(0.7, 0.3), (0.5, 0.2), (0.35, 0.15)])
 def test_f_series_vs_closed_form(p, r):
-    f = build_kp(p, order=96)
+    f = build_kp(p)
     got = dirichlet_f_series(f, r).value
     assert got == pytest.approx(closed_form_dirichlet_f(r, p), rel=1e-9)
+
+
+@pytest.mark.parametrize("p", [0.02, 0.5, 0.8])
+@pytest.mark.parametrize("ratio", [0.5, 0.99, 0.999])
+def test_f_routes_agree_with_mpmath_on_kp(p, ratio):
+    # a third route: kp's integrals are the closed forms, at 50 digits
+    r = ratio * p
+    with mp.workdps(50):
+        P, R = mp.mpf(p), mp.mpf(r)
+        lead = mp.pi * P * P * R * R / (1 - P * P) ** 2
+        tail = -2 / (1 - R * R) ** 2
+        want_fz = lead * (1 / (P * P - R * R) ** 2 + tail + P**4 / (1 - P * P * R * R) ** 2)
+        want_f = lead * (P * P / (P * P - R * R) ** 2 + tail + P * P / (1 - P * P * R * R) ** 2)
+    tol = 1e-14 / (1 - ratio)
+    f = build_kp(p)
+    assert abs(dirichlet_f_over_z_series(f, r).value - want_fz) <= tol * want_fz
+    assert abs(dirichlet_f_series(f, r).value - want_f) <= tol * want_f
+
+
+def test_f_routes_agree_with_mpmath_on_a_degree_8_z_over_f():
+    rng = np.random.default_rng(8)
+    b = rng.normal(size=8) + 1j * rng.normal(size=8)
+    rho = np.min(np.abs(np.roots(np.concatenate(([1.0], b))[::-1])))
+    r = 0.9 * rho
+    s0, s1 = mp_f_over_z_sums(b, r, 0.9)
+    f = from_inverse_coefficients(b)
+    assert abs(dirichlet_f_over_z_series(f, r).value - mp.pi * s1) <= 1e-14 * mp.pi * s1
+    want = mp.pi * mp.mpf(r) ** 2 * (s0 + s1)
+    assert abs(dirichlet_f_series(f, r).value - want) <= 1e-14 * want
+
+
+def test_f_routes_refuse_a_second_root_of_z_over_f_inside_r():
+    # z/f = (1 - z/0.1)(1 - z/0.5) declares its pole at 0.5, but its f/z
+    # series diverges past 0.1
+    b = np.convolve([1.0, -10.0], [1.0, -2.0])[1:]
+    f = from_inverse_coefficients(b, pole=0.5)
+    for route in (dirichlet_f_over_z_series, dirichlet_f_series):
+        with pytest.raises(RadiusBeyondPole):
+            route(f, 0.3)
+    for quantity in (BoundQuantity.DIRICHLET_F, BoundQuantity.DIRICHLET_F_OVER_Z):
+        with pytest.raises(RadiusBeyondPole):
+            check_bound(f, ClassSpec(ClassKind.SIGMA_P, p=0.5), quantity, 0.3)
+    s0, s1 = mp_f_over_z_sums(b, 0.05, 0.5)
+    assert abs(dirichlet_f_over_z_series(f, 0.05).value - mp.pi * s1) <= 1e-14 * mp.pi * s1
+
+
+def test_f_route_close_to_a_large_pole_is_finite_without_warnings():
+    # a truncated f/z series once overflowed here, giving NaN and 3 RuntimeWarnings
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        value = dirichlet_f_series(build_kp(0.8), 0.75).value
+    assert not caught
+    assert value == pytest.approx(closed_form_dirichlet_f(0.75, 0.8), rel=1e-12)
+
+
+def test_f_route_values_over_no_radius_are_empty():
+    for route in (dirichlet_f_values, dirichlet_f_over_z_values):
+        assert route(build_kp(0.5), []).shape == (0,)
 
 
 def test_f_routes_reject_radius_at_or_beyond_pole():

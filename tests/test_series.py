@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from merobounds.errors import BadParameter, BadRadius, NearZeroConstantTerm, OrderUnderflow
-from merobounds.functions import f_over_z_series, from_inverse_coefficients
+from merobounds.errors import BadParameter, BadRadius, OrderUnderflow
+from merobounds.functions import PoleFunction, f_over_z_series, from_inverse_coefficients
 from merobounds.series import TruncatedSeries
 
 
@@ -91,18 +91,19 @@ def test_multiply_commutes(xs, ys):
     assert np.allclose(a.multiply(b).coefficients, b.multiply(a).coefficients, rtol=0, atol=1e-12)
 
 
-# ---- reciprocal -----------------------------------------------------------
+# ---- reciprocal: f/z = 1/(z/f) by the recurrence of z/f ------------------
 
 def test_reciprocal_of_geometric_series():
     # 1/(1 - z) = 1 + z + z^2 + ...
-    one_minus_z = TruncatedSeries([1.0, -1.0] + [0.0] * 14)
-    rec = one_minus_z.reciprocal()
-    assert np.allclose(rec.coefficients, np.ones(16), rtol=0, atol=1e-14)
+    rec = f_over_z_series(from_inverse_coefficients([-1.0]), 15)
+    assert np.array_equal(rec.coefficients, np.ones(16))
 
 
 def test_reciprocal_guard():
-    with pytest.raises(NearZeroConstantTerm):
-        TruncatedSeries([1e-10, 1.0]).reciprocal()
+    # the reciprocal is only ever formed of a z/f, whose constant term is
+    # exactly 1: a near-zero one is refused where the function is built
+    with pytest.raises(BadParameter, match="constant term 1"):
+        PoleFunction(TruncatedSeries([1e-10, 1.0]))
 
 
 @pytest.mark.parametrize("p", [0.5, 0.7])
@@ -110,7 +111,7 @@ def test_reciprocal_roundtrip_absolute_small_order(p):
     # Benign regime: low order and moderate coefficient growth, so the
     # identity a * (1/a) = 1 holds to 1e-12 per coefficient in absolute terms.
     inv = TruncatedSeries([1.0, -(1.0 / p + p), 1.0] + [0.0] * 8)
-    prod = inv.multiply(inv.reciprocal())
+    prod = inv.multiply(f_over_z_series(PoleFunction(inv, pole=p), 10))
     unit = np.zeros(11, dtype=complex)
     unit[0] = 1.0
     assert np.max(np.abs(prod.coefficients - unit)) <= 1e-12
@@ -124,9 +125,9 @@ def test_reciprocal_roundtrip_scale_relative():
     for _ in range(25):
         n = int(rng.integers(2, 65))
         c = rng.normal(size=n) + 1j * rng.normal(size=n)
-        c[0] = c[0] / abs(c[0]) * rng.uniform(0.5, 2.0)
+        c[0] = 1.0
         s = TruncatedSeries(c)
-        rec = s.reciprocal()
+        rec = f_over_z_series(from_inverse_coefficients(c[1:]), n - 1)
         prod = s.multiply(rec)
         unit = np.zeros(n, dtype=complex)
         unit[0] = 1.0
@@ -135,35 +136,15 @@ def test_reciprocal_roundtrip_scale_relative():
         assert rel.max() <= 1e-12
 
 
-def test_reciprocal_is_kept_per_function():
-    # a series forms a new, equal reciprocal on every call; the one kept
-    # f/z lives on the function, and it is exactly that reciprocal
-    rng = np.random.default_rng(29)
-    c = rng.normal(size=65) + 1j * rng.normal(size=65)
-    c[0] = 1.0
-    s = TruncatedSeries(c)
-    first = s.reciprocal()
-    again = s.reciprocal()
-    assert again is not first
-    assert np.array_equal(again.coefficients, first.coefficients)
-    for fresh in (TruncatedSeries(c), TruncatedSeries(list(c))):
-        assert np.array_equal(first.coefficients, fresh.reciprocal().coefficients)
-    f = from_inverse_coefficients(c[1:])
-    kept = f_over_z_series(f)
-    assert f_over_z_series(f) is kept
-    assert np.array_equal(kept.coefficients, first.coefficients)
-
-
 def test_reciprocal_that_raises_keeps_nothing():
-    s = TruncatedSeries([1e-10, 1.0])
+    # coefficients growing like 1e200**n overflow at n = 2, on every call,
+    # and leave the function as it was
+    f = from_inverse_coefficients([-1e200, 0.0])
+    state = dict(vars(f))
     for _ in range(2):
-        with pytest.raises(NearZeroConstantTerm):
-            s.reciprocal()
-    # coefficients growing like 1e200**n overflow at n = 2
-    big = TruncatedSeries([1.0, -1e200, 0.0])
-    for _ in range(2):
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(BadParameter):
-            big.reciprocal()
+        with pytest.raises(BadParameter):
+            f_over_z_series(f, 2)
+    assert vars(f) == state
 
 
 # ---- differentiate ---------------------------------------------------------
@@ -248,31 +229,6 @@ def test_evaluate_horner_matches_naive(xs, z):
     want = eval_oracle(xs, z)
     scale = sum(abs(c) * abs(z) ** k for k, c in enumerate(xs))
     assert abs(s.evaluate(z) - want) <= 1e-13 * max(scale, 1.0)
-
-
-# ---- truncate ---------------------------------------------------------------
-
-def test_truncate():
-    s = TruncatedSeries([1, 2, 3, 4])
-    assert np.array_equal(s.truncate(1).coefficients, [1, 2])
-    with pytest.raises(BadParameter):
-        s.truncate(9)
-    with pytest.raises(BadParameter):
-        s.truncate(-1)
-
-
-def test_truncate_to_own_order_is_an_equal_copy():
-    s = TruncatedSeries([1, 2, 3, 4])
-    same = s.truncate(s.order)
-    assert same is not s
-    assert same == s
-    assert np.array_equal(s.truncate(2).coefficients, [1, 2, 3])
-
-
-@pytest.mark.parametrize("order", [1.5, 2.0, "2"])
-def test_truncate_order_must_be_an_integer(order):
-    with pytest.raises(BadParameter, match="not an integer"):
-        TruncatedSeries([1, 2, 3, 4]).truncate(order)
 
 
 def test_array_input_is_copied_with_the_same_values():
