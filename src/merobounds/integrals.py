@@ -46,8 +46,8 @@ class IntegralKind(str, Enum):
 @dataclass(frozen=True)
 class QuadratureConfig:
     """Node counts for disk quadrature: Gauss-Legendre radially and a
-    uniform trapezoid rule in angle.  The defaults are the floor that the
-    quadrature routes raise to the order of their data."""
+    uniform trapezoid rule in angle.  ``dirichlet_quadrature`` uses one
+    when given it; without one it sizes an exact rule to its data."""
 
     radial_nodes: int = 64
     angular_nodes: int = 256
@@ -56,9 +56,6 @@ class QuadratureConfig:
         check_count(self.radial_nodes, 8, "at least 8 radial nodes are required")
         check_count(self.angular_nodes, 16, "at least 16 angular nodes are required")
 
-
-#: The coarsest rule; the quadrature routes raise it to the order of their data.
-_FLOOR = QuadratureConfig()
 
 #: Doublings (2**64 terms) after which a Stein sum that has not settled
 #: is refused.
@@ -98,6 +95,25 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
+def _degree(c: np.ndarray) -> int:
+    """Index of the last nonzero coefficient, 0 for a zero series."""
+    nonzero = np.flatnonzero(c)
+    return int(nonzero[-1]) if len(nonzero) else 0
+
+
+def _exact_count(n: int) -> int:
+    """The smallest power of two that is at least 16 and at least n.
+
+    An m-point trapezoid rule integrates e^(ik theta) exactly for |k| < m,
+    and m Gauss-Legendre nodes every polynomial of degree 2m - 1, so m >= n
+    nodes are exact for a trigonometric polynomial of degree below n and a
+    polynomial of degree 2n - 1.  Rounding up to a power of two leaves
+    about log2 n distinct rules, which the cache of ``_gauss_legendre``
+    holds.
+    """
+    return max(16, 1 << (n - 1).bit_length())
+
+
 def _circle_values(c: np.ndarray, rho: np.ndarray, m: int) -> np.ndarray:
     """Values of sum_n c_n z^n at the nodes rho_j e^(2 pi i k / m), as a
     (len(rho), m) array with k along the second axis.
@@ -132,28 +148,30 @@ def dirichlet_series(g: TruncatedSeries, r: float) -> IntegralResult:
 def dirichlet_quadrature(
     g: TruncatedSeries, r: float, config: Optional[QuadratureConfig] = None
 ) -> IntegralResult:
-    """Disk quadrature of |g'|^2 for a series g of order N.
+    """Disk quadrature of |g'|^2 for a series g of degree N, the index of
+    its last nonzero coefficient.
 
-    Without a config, g' is sampled on max(64, N) Gauss-Legendre radii times
-    max(256, N) uniform angles, the default ``QuadratureConfig`` raised to
-    the order.  The angular mean of |g'|^2 is a trigonometric polynomial of
-    degree N - 1 and, times rho, a polynomial of degree 2N - 1 in rho, so
-    both rules are exact for every order.  Each Gauss-Legendre circle is
-    sampled at all its angles by one FFT of the g' coefficients scaled by
-    the circle's radius (``_circle_values``).
+    Without a config, g' is sampled on m Gauss-Legendre radii times m
+    uniform angles, m the smallest power of two at least 16 and at least N
+    (``_exact_count``).  The angular mean of |g'|^2 is a trigonometric
+    polynomial of degree N - 1 < m and, times rho, a polynomial of degree
+    2N - 1 <= 2m - 1 in rho, so both rules are exact for every degree.
+    Each Gauss-Legendre circle is sampled at all its angles by one FFT of
+    the g' coefficients scaled by the circle's radius (``_circle_values``).
     """
     check_radius(r)
     if not isinstance(g, TruncatedSeries):
         raise BadParameter("integrand must be a TruncatedSeries")
-    if g.order == 0:
+    degree = _degree(g.coefficients)
+    if degree == 0:
         return IntegralResult(0.0, Method.QUADRATURE, r, IntegralKind.DIRICHLET)
     if config is None:
-        config = QuadratureConfig(max(_FLOOR.radial_nodes, g.order),
-                                  max(_FLOOR.angular_nodes, g.order))
+        count = _exact_count(degree)
+        config = QuadratureConfig(count, count)
     x, w = _gauss_legendre(config.radial_nodes)
     rho = 0.5 * r * (x + 1.0)
     radial_weights = 0.5 * r * w
-    values = _circle_values(g.differentiate().coefficients, rho, config.angular_nodes)
+    values = _circle_values(g.differentiate().coefficients[:degree], rho, config.angular_nodes)
     angular_means = np.mean(np.abs(values) ** 2, axis=1)
     value = float(2.0 * np.pi * np.sum(radial_weights * rho * angular_means))
     return IntegralResult(value, Method.QUADRATURE, r, IntegralKind.DIRICHLET)
@@ -202,7 +220,7 @@ def _stein_sums(f: PoleFunction, radii) -> tuple[np.ndarray, np.ndarray]:
     sums = np.zeros((len(radii), 2))
     tails = np.zeros((len(radii), 2))
     b = f.inv_series.coefficients
-    d = int(np.flatnonzero(b)[-1])
+    d = _degree(b)
     if d == 0 or not len(radii):  # f = z, whose f/z = 1, or no radius at all
         sums[:, 0] = 1.0
         return sums, tails
@@ -301,14 +319,15 @@ def l1_mean_series(f: PoleFunction, r: float) -> IntegralResult:
 
 
 def l1_mean_quadrature(f: PoleFunction, r: float) -> IntegralResult:
-    """Circle-average route: samples the z/f series, of order d, at
-    max(256, d + 1) equally spaced points on the circle, all by one FFT of
-    its coefficients scaled by r (``_circle_values``), and averages its
-    squared modulus.  |z/f|^2 is a trigonometric polynomial of degree d, so
-    the average is exact; it is stable at every radius, the pole's included."""
+    """Circle-average route: samples the z/f series, of degree d, at the
+    smallest power of two at least 16 and at least d + 1 of equally spaced
+    points on the circle (``_exact_count``), all by one FFT of its
+    coefficients scaled by r (``_circle_values``), and averages its squared
+    modulus.  |z/f|^2 is a trigonometric polynomial of degree d, so the
+    average is exact; it is stable at every radius, the pole's included."""
     check_radius(r)
-    inv = f.inv_series
-    count = max(_FLOOR.angular_nodes, inv.order + 1)
-    values = _circle_values(inv.coefficients, np.array([r]), count)
+    b = f.inv_series.coefficients
+    d = _degree(b)
+    values = _circle_values(b[: d + 1], np.array([r]), _exact_count(d + 1))
     value = float(np.mean(np.abs(values) ** 2))
     return IntegralResult(value, Method.QUADRATURE, r, IntegralKind.L1_MEAN)

@@ -20,9 +20,11 @@ from merobounds.functions import (
     build_fp,
     build_koebe_rotation,
     build_kp,
+    from_csv_row,
     from_inverse_coefficients,
     f_over_z_series,
     mu,
+    to_csv_row,
 )
 from merobounds.integrals import (
     IntegralKind,
@@ -37,6 +39,7 @@ from merobounds.integrals import (
     l1_mean_quadrature,
     l1_mean_series,
     _circle_values,
+    _exact_count,
     _gauss_legendre,
 )
 from merobounds.series import TruncatedSeries
@@ -217,8 +220,9 @@ def test_gauss_legendre_nodes_are_cached_read_only_and_exact():
 
 @pytest.mark.parametrize("order", [256, 257, 300, 400])
 def test_quadrature_routes_exact_at_high_order(order):
-    # max(64, N) x max(256, N) disk nodes and max(256, d + 1) circle nodes are
-    # exact at every order; a fixed 64 x 256 and 256 alias from 257 and 256 on
+    # the default rules, m x m disk nodes for m the smallest power of two at
+    # least max(16, N) and as many circle nodes for max(16, d + 1), are exact
+    # at every order; a fixed 64 x 256 and 256 alias from 257 and 256 on
     rng = np.random.default_rng(order)
     b = (rng.normal(size=order) + 1j * rng.normal(size=order)) / np.arange(1, order + 1)
     f = from_inverse_coefficients(b)
@@ -227,6 +231,62 @@ def test_quadrature_routes_exact_at_high_order(order):
             dirichlet_series(f.inv_series, r).value, rel=1e-8)
         assert l1_mean_quadrature(f, r).value == pytest.approx(
             l1_mean_series(f, r).value, rel=1e-10)
+
+
+def _dense_coefficients(order, seed):
+    """order + 1 random complex coefficients decaying as 1/n, none of them zero."""
+    rng = np.random.default_rng(seed)
+    return (rng.normal(size=order + 1) + 1j * rng.normal(size=order + 1)) / np.arange(1, order + 2)
+
+
+@pytest.mark.parametrize("order", [1, 15, 16, 17, 31, 32, 33, 63, 64, 65, 128, 129])
+@pytest.mark.parametrize("r", [0.5, 1.0])
+def test_default_rules_are_exact_at_the_power_of_two_edges(order, r):
+    # the disk rule steps from m to 2m nodes past N = m, the circle rule past
+    # d + 1 = m; each side of every step is still exact
+    c = _dense_coefficients(order, order)
+    g = TruncatedSeries(c)
+    assert dirichlet_quadrature(g, r).value == pytest.approx(
+        dirichlet_series(g, r).value, rel=1e-12)
+    f = from_inverse_coefficients(c[1:])
+    assert l1_mean_quadrature(f, r).value == pytest.approx(
+        l1_mean_series(f, r).value, rel=1e-12)
+
+
+def test_angular_count_at_the_degree_is_tight():
+    # |g'|^2 of a degree-33 g has angular degree 32: 33 angles integrate it,
+    # 32 alias its e^(32 i theta) terms onto the mean
+    g = TruncatedSeries(_dense_coefficients(33, 33))
+    want = dirichlet_series(g, 1.0).value
+    assert dirichlet_quadrature(g, 1.0, QuadratureConfig(64, 33)).value == pytest.approx(
+        want, rel=1e-12)
+    assert abs(dirichlet_quadrature(g, 1.0, QuadratureConfig(64, 32)).value - want) > 1e-6 * want
+
+
+@pytest.mark.parametrize("n,count", [(1, 16), (2, 16), (16, 16), (17, 32), (33, 64),
+                                     (64, 64), (65, 128), (257, 512), (1000, 1024)])
+def test_exact_count_is_the_smallest_power_of_two_from_16(n, count):
+    assert _exact_count(n) == count
+
+
+def test_default_rules_stay_in_the_gauss_legendre_cache():
+    # powers of two give orders 1..64 three radial rules: 16, 32 and 64 nodes
+    _gauss_legendre.cache_clear()
+    for order in range(1, 65):
+        dirichlet_quadrature(TruncatedSeries(_dense_coefficients(order, order)), 0.9)
+    assert _gauss_legendre.cache_info().misses <= 3
+
+
+def test_zero_padded_row_integrates_as_its_degree():
+    # a CSV row padded with zero coefficients is sized by its last nonzero one
+    kp = build_kp(0.5)
+    row = to_csv_row(kp)
+    padded = from_csv_row([row[0], "64", *row[2:], *["0.0"] * (2 * 62)])
+    assert padded.inv_series.order == 64
+    for r in (0.3, 0.5, 0.9, 1.0):
+        assert dirichlet_quadrature(padded.inv_series, r).value == dirichlet_quadrature(
+            kp.inv_series, r).value
+        assert l1_mean_quadrature(padded, r).value == l1_mean_quadrature(kp, r).value
 
 
 def _horner_grid(c, rho, m):
@@ -450,7 +510,7 @@ def test_l1_fp_formula():
 
 
 def test_l1_quadrature_matches_series():
-    # 256 angular nodes integrate the degree-64 trigonometric polynomial exactly
+    # 16 angular nodes integrate the degree-2 trigonometric polynomial |z/f|^2 exactly
     for f in (build_kp(0.5), build_fp(0.35, 0.75), build_koebe_rotation(1.0)):
         for r in (0.3, 0.8, 1.0):
             got = l1_mean_quadrature(f, r).value
