@@ -23,7 +23,6 @@ from .criteria import (
     DiskGrid,
     aksentiev_criterion,
     injectivity_oracle,
-    u_functional,
     univalence_criterion,
     up_lambda_membership,
 )
@@ -112,7 +111,6 @@ __all__ = [
     "mu",
     "sharp_maximum",
     "to_csv_row",
-    "u_functional",
     "univalence_criterion",
     "up_lambda_membership",
 ]

@@ -89,10 +89,12 @@ def jenkins_bound(n: int, p: float) -> float:
 def gronwall_check(f: PoleFunction) -> BoundReport:
     """Area-theorem consequence sum_{n>=2} (n-1) |b_n|**2 <= 1 on the z/f
     coefficients (the empty sum 0 below order 2).  A violation certifies
-    that f is not univalent on the disk, whatever its pole situation."""
+    that f is not univalent on the disk, whatever its pole situation; a sum
+    that overflows reads inf, which exceeds 1 as the true sum does."""
     coeffs = f.inv_series.coefficients
     weights = np.arange(1, len(coeffs) - 1, dtype=np.float64)
-    computed = float(np.sum(weights * np.abs(coeffs[2:]) ** 2))
+    with np.errstate(over="ignore"):
+        computed = float(np.sum(weights * np.abs(coeffs[2:]) ** 2))
     return build_report("GRONWALL", computed, 1.0, r=1.0)
 
 

@@ -72,8 +72,9 @@ class CriterionVerdict:
     above for the membership and criterion checks, peaking at ``witness``
     on |z| = 1, and is the minimum quotient over grid pairs for the
     injectivity scan, realised at ``witness`` and ``witness_partner``.
-    ``pairs`` counts the quotients the injectivity scan formed; the other
-    checks leave it at 0."""
+    ``pairs`` counts the quotients the injectivity scan formed: the pairs
+    inside each grid block, then the cross-block pairs its bounds keep; the
+    other checks leave it at 0."""
 
     holds: bool
     value: float
@@ -129,21 +130,6 @@ def _u_over_z2(f: PoleFunction) -> np.ndarray:
     z**(n-2)``, z/f = ``sum b_n z**n``."""
     b = f.inv_series.coefficients
     return (1 - np.arange(2, b.size)) * b[2:]
-
-
-def u_functional(f: PoleFunction, z):
-    """Evaluate (z/f(z))**2 * f'(z) - 1 at scalar or array ``z``.
-
-    Computed through the z/f series as inv(z) - z*inv'(z) - 1, which is
-    the same quantity without forming f itself.
-    """
-    inv = f.inv_series
-    zz = np.asarray(z, dtype=np.complex128)
-    if inv.order == 0:  # z/f = 1, so U vanishes
-        u = np.zeros(zz.shape, dtype=np.complex128)
-    else:
-        u = inv.evaluate(zz) - zz * inv.differentiate().evaluate(zz) - 1.0
-    return complex(u) if zz.ndim == 0 else u
 
 
 def up_lambda_membership(f: PoleFunction, lam: float) -> CriterionVerdict:
@@ -242,48 +228,26 @@ def _quotient_bound(z_a, w_a, a, z_b, w_b, b) -> np.ndarray:
         return gap / span
 
 
-class _PairMinimum:
-    """Running minimum of ``|w_i - w_j| / |z_i - z_j|`` over pairs i < j.
-
-    Ties go to the smallest ``(i, j)`` in lexicographic order.  A NaN
-    quotient (both images infinite) counts as +inf, and the initial key
-    (0, 0) wins every tie at +inf.  ``pairs`` counts the quotients formed.
+def _floor(z: np.ndarray, w: np.ndarray, i: np.ndarray, j: np.ndarray) -> tuple[float, int]:
+    """Smallest ``|w_i - w_j| / |z_i - z_j|`` over the broadcast index arrays
+    ``i`` and ``j``, and the smallest key ``min(i, j) * z.size + max(i, j)``
+    of a pair that attains it, so the floor of several calls is the ``min``
+    of their results.  A NaN quotient (0/0 or two infinite images) counts as
+    +inf, and a call with no finite quotient returns (inf, 0), the first grid
+    point twice.  The order of a pair does not change its quotient, because
+    rounding is symmetric: fl(b - a) = -fl(a - b).
     """
-
-    def __init__(self, z: np.ndarray, w: np.ndarray):
-        self.z, self.w = z, w
-        self.finite = bool(np.isfinite(w).all())
-        self.value = float("inf")
-        self.key = 0
-        self.pairs = 0
-
-    def scan(self, i: np.ndarray, j: np.ndarray, distinct: bool) -> None:
-        """Scan the pairs of the broadcast index arrays ``i`` and ``j``.
-
-        Unless ``distinct``, entries with ``i >= j`` are skipped.  The
-        order of a pair does not change its quotient, because rounding is
-        symmetric: fl(b - a) = -fl(a - b).
-        """
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            q = np.abs(self.w[i] - self.w[j]) / np.abs(self.z[i] - self.z[j])
-        if not distinct:
-            q[i >= j] = np.inf
-        if not self.finite:
-            q[np.isnan(q)] = np.inf
-        q = q.ravel()
-        self.pairs += q.size
-        if q.size == 0:
-            return
-        value = float(q.min())
-        if value > self.value:
-            return
-        ties = np.flatnonzero(q == value)
-        shape = np.broadcast_shapes(i.shape, j.shape)
-        i = np.broadcast_to(i, shape).flat[ties]
-        j = np.broadcast_to(j, shape).flat[ties]
-        key = int((np.minimum(i, j) * self.z.size + np.maximum(i, j)).min())
-        if value < self.value or key < self.key:
-            self.value, self.key = value, key
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        q = np.abs(w[i] - w[j]) / np.abs(z[i] - z[j])
+    q = q.ravel()
+    q[np.isnan(q)] = np.inf
+    value = float(q.min(initial=np.inf))
+    if value == np.inf:
+        return value, 0
+    shape = np.broadcast_shapes(i.shape, j.shape)
+    ties = np.flatnonzero(q == value)
+    i, j = np.broadcast_to(i, shape).flat[ties], np.broadcast_to(j, shape).flat[ties]
+    return value, int((np.minimum(i, j) * z.size + np.maximum(i, j)).min())
 
 
 def injectivity_oracle(f: PoleFunction, grid: DiskGrid | None = None) -> CriterionVerdict:
@@ -300,23 +264,17 @@ def injectivity_oracle(f: PoleFunction, grid: DiskGrid | None = None) -> Criteri
     grid before trusting a failure in that regime.
 
     The floor is found by branch and bound rather than a full pair scan.
-    The grid is tiled into ``_BLOCK`` x ``_BLOCK`` blocks.  Pairs inside a
-    block give a first upper bound on the floor.  For two blocks, the gap
-    between their image boxes over the widest distance between their
-    sample boxes bounds every cross quotient from below; block pairs are
-    scanned in increasing order of that bound until it exceeds the best
-    quotient found.  A pair is skipped only when its bound exceeds the best
-    by the relative margin ``_PRUNE_MARGIN``, far above rounding error, so
-    a skipped pair can never tie the floor.
-
-    For each kept block pair (A, B) a second level bounds each point i of A
-    against all of B: the distance from w_i to B's image box over the
-    widest distance from z_i to B's sample box is at most every quotient of
-    i with a point of B.  Each point of B is bounded against A the same
-    way, and the quotient of (i, j) is formed only when neither point bound
-    exceeds the best by the same margin, so the same rounding argument
-    holds.  A NaN or infinite bound is kept while the best is +inf, so the
-    tie rule at +inf sees every pair it saw before.
+    The grid is tiled into ``_BLOCK`` x ``_BLOCK`` blocks, and the pairs
+    inside each block give an upper bound on the floor.  For two blocks,
+    the gap between their image boxes over the widest distance between
+    their sample boxes bounds every cross quotient from below.  For each
+    kept block pair (A, B), the distance from w_i to B's image box over the
+    widest distance from z_i to B's sample box bounds every quotient of a
+    point i of A with B, and each point of B is bounded against A the same
+    way.  A block pair, or a pair (i, j), is skipped only when a bound
+    exceeds the in-block floor by the relative margin ``_PRUNE_MARGIN``,
+    far above rounding error.  The in-block floor is at least the final
+    one, so a skipped pair can neither beat nor tie the floor.
     """
     if grid is None:
         grid = DiskGrid(pole=f.pole)
@@ -325,39 +283,40 @@ def injectivity_oracle(f: PoleFunction, grid: DiskGrid | None = None) -> Criteri
         return CriterionVerdict(holds=True, value=float("inf"), threshold=COLLISION_TOL)
     with np.errstate(divide="ignore", invalid="ignore"):
         w = z / f.inv_series.evaluate(z)
-    best = _PairMinimum(z, w)
 
+    # each block lists its points in increasing order; a padded repeat gives 0/0
     members = _block_members(grid.radii().size, grid.angular_count)
-    best.scan(members[:, :, None], members[:, None, :], distinct=False)
+    s, t = np.triu_indices(members.shape[1], 1)
+    best = _floor(z, w, members[:, s], members[:, t])
+    pairs = members.shape[0] * s.size
+    limit = best[0] * (1.0 + _PRUNE_MARGIN)
 
     a, b = np.triu_indices(len(members), 1)
     z_box, w_box = _box(z, members), _box(w, members)
     lower = _quotient_bound(z_box, w_box, a, z_box, w_box, b)
-    keep = lower <= best.value * (1.0 + _PRUNE_MARGIN)
-    order = np.argsort(lower[keep], kind="stable")
-    a, b, lower = a[keep][order], b[keep][order], lower[keep][order]
+    keep = lower <= limit
+    a, b = a[keep], b[keep]
     z_points = [(x, x) for x in (z.real[members], z.imag[members])]
     w_points = [(x, x) for x in (w.real[members], w.imag[members])]
-    # each point of one block against the whole other block
-    bound_a = _quotient_bound(z_points, w_points, a, z_box, w_box, b[:, None])
-    bound_b = _quotient_bound(z_points, w_points, b, z_box, w_box, a[:, None])
+    # each point of one block against the whole other block; a NaN bound is kept
+    near_a = ~(_quotient_bound(z_points, w_points, a, z_box, w_box, b[:, None]) > limit)
+    near_b = ~(_quotient_bound(z_points, w_points, b, z_box, w_box, a[:, None]) > limit)
     n = members.shape[1]
     for start in range(0, a.size, _PAIR_BATCH):
-        limit = best.value * (1.0 + _PRUNE_MARGIN)
-        if lower[start] > limit:
-            break
         batch = slice(start, start + _PAIR_BATCH)
-        keep = ~(bound_a[batch] > limit)[:, :, None] & ~(bound_b[batch] > limit)[:, None, :]
-        pair = np.flatnonzero(keep)  # k n**2 + s n + t for point s of a[k], t of b[k]
-        best.scan(members[a[batch]].ravel()[pair // n],
-                  members[b[batch]].ravel()[pair // (n * n) * n + pair % n], distinct=True)
+        # pair = k n**2 + s n + t for point s of a[k] and point t of b[k]
+        pair = np.flatnonzero(near_a[batch, :, None] & near_b[batch, None, :])
+        pairs += pair.size
+        best = min(best, _floor(z, w, members[a[batch]].ravel()[pair // n],
+                                members[b[batch]].ravel()[pair // (n * n) * n + pair % n]))
 
-    best_i, best_j = divmod(best.key, z.size)
+    value, key = best
+    best_i, best_j = divmod(key, z.size)
     return CriterionVerdict(
-        holds=best.value > COLLISION_TOL,
-        value=best.value,
+        holds=value > COLLISION_TOL,
+        value=value,
         threshold=COLLISION_TOL,
         witness=complex(z[best_i]),
         witness_partner=complex(z[best_j]),
-        pairs=best.pairs,
+        pairs=pairs,
     )

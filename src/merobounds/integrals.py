@@ -131,12 +131,25 @@ def _circle_values(c: np.ndarray, rho: np.ndarray, m: int) -> np.ndarray:
     return np.fft.ifft(x, m, axis=1, norm="forward")
 
 
+def _finite(values, quantity: str):
+    """``values``, a float or an array that the caller forms with overflow
+    silenced, unless any of them is infinite or NaN: then BadParameter, so
+    an overflowed sum never reads as a result."""
+    if not (np.isfinite(values).all() if isinstance(values, np.ndarray)
+            else math.isfinite(values)):
+        raise BadParameter(f"the {quantity} exceeds the float range")
+    return values
+
+
 # ---- Dirichlet integral ------------------------------------------------------
 
 def dirichlet_values(g: TruncatedSeries, radii):
     """pi * sum n |c_n|^2 r^(2n) (0 at order 0) at a radius, as a float, or at
-    each of a one-dimensional array of radii, as an array."""
-    return math.pi * g.weighted_coefficient_sum(1.0, radii, start_index=1)
+    each of a one-dimensional array of radii, as an array; BadParameter
+    when a sum leaves the float range."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = math.pi * g.weighted_coefficient_sum(1.0, radii, start_index=1)
+    return _finite(values, "Dirichlet integral")
 
 
 def dirichlet_series(g: TruncatedSeries, r: float) -> IntegralResult:
@@ -158,6 +171,7 @@ def dirichlet_quadrature(
     2N - 1 <= 2m - 1 in rho, so both rules are exact for every degree.
     Each Gauss-Legendre circle is sampled at all its angles by one FFT of
     the g' coefficients scaled by the circle's radius (``_circle_values``).
+    Raises BadParameter when the integral leaves the float range.
     """
     check_radius(r)
     if not isinstance(g, TruncatedSeries):
@@ -171,10 +185,13 @@ def dirichlet_quadrature(
     x, w = _gauss_legendre(config.radial_nodes)
     rho = 0.5 * r * (x + 1.0)
     radial_weights = 0.5 * r * w
-    values = _circle_values(g.differentiate().coefficients[:degree], rho, config.angular_nodes)
-    angular_means = np.mean(np.abs(values) ** 2, axis=1)
-    value = float(2.0 * np.pi * np.sum(radial_weights * rho * angular_means))
-    return IntegralResult(value, Method.QUADRATURE, r, IntegralKind.DIRICHLET)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = _circle_values(g.differentiate().coefficients[:degree], rho,
+                                config.angular_nodes)
+        angular_means = np.mean(np.abs(values) ** 2, axis=1)
+        value = float(2.0 * np.pi * np.sum(radial_weights * rho * angular_means))
+    return IntegralResult(_finite(value, "Dirichlet integral"), Method.QUADRATURE, r,
+                          IntegralKind.DIRICHLET)
 
 
 def _check_f_radii(f: PoleFunction, radii) -> None:
@@ -308,8 +325,11 @@ def dirichlet_f_series(f: PoleFunction, r: float) -> IntegralResult:
 
 def l1_mean_values(f: PoleFunction, radii):
     """1 + sum_{n>=1} |b_n|^2 r^(2n) over the exact z/f coefficients, at a
-    radius or at each of a one-dimensional array of radii."""
-    return 1.0 + f.inv_series.weighted_coefficient_sum(0.0, radii, start_index=1)
+    radius or at each of a one-dimensional array of radii; BadParameter
+    when a sum leaves the float range."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = 1.0 + f.inv_series.weighted_coefficient_sum(0.0, radii, start_index=1)
+    return _finite(values, "L1 mean")
 
 
 def l1_mean_series(f: PoleFunction, r: float) -> IntegralResult:
@@ -324,10 +344,13 @@ def l1_mean_quadrature(f: PoleFunction, r: float) -> IntegralResult:
     points on the circle (``_exact_count``), all by one FFT of its
     coefficients scaled by r (``_circle_values``), and averages its squared
     modulus.  |z/f|^2 is a trigonometric polynomial of degree d, so the
-    average is exact; it is stable at every radius, the pole's included."""
+    average is exact; it is stable at every radius, the pole's included.
+    Raises BadParameter when the mean leaves the float range."""
     check_radius(r)
     b = f.inv_series.coefficients
     d = _degree(b)
-    values = _circle_values(b[: d + 1], np.array([r]), _exact_count(d + 1))
-    value = float(np.mean(np.abs(values) ** 2))
-    return IntegralResult(value, Method.QUADRATURE, r, IntegralKind.L1_MEAN)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = _circle_values(b[: d + 1], np.array([r]), _exact_count(d + 1))
+        value = float(np.mean(np.abs(values) ** 2))
+    return IntegralResult(_finite(value, "L1 mean"), Method.QUADRATURE, r,
+                          IntegralKind.L1_MEAN)

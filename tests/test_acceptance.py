@@ -16,7 +16,7 @@ import pytest
 
 from merobounds.bounds import BoundQuantity, gronwall_check, lemma1_check, sharp_maximum
 from merobounds.cli import LAMBDA_GRID, P_GRID, R_GRID, main
-from merobounds.criteria import DiskGrid, injectivity_oracle, u_functional, univalence_criterion
+from merobounds.criteria import DiskGrid, injectivity_oracle, univalence_criterion
 from merobounds.errors import BadParameter, RadiusBeyondPole
 from merobounds.functions import (
     ClassKind,
@@ -35,6 +35,7 @@ from merobounds.integrals import (
     l1_mean_quadrature,
     l1_mean_series,
 )
+from pointwise import u_functional
 
 
 def rel(value, reference):

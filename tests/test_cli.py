@@ -1,6 +1,7 @@
 import csv
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -263,6 +264,18 @@ def test_check_disproves_univalence_via_coefficient_sum(tmp_path, capsys):
                            "--p", "0.5")
     assert code == 1
     assert "FAIL coefficient-sum: 1.44 > 1" in out
+
+
+def test_check_fails_an_overflowing_coefficient_sum_without_warnings(tmp_path, capsys):
+    # z/f = 1 + 1e200 z^2: the weighted sum 1e400 overflows to inf, which
+    # exceeds 1 as the true sum does; the overflow once escaped as a warning
+    path = write_rows(tmp_path / "f.csv", [["", "2", "0.0", "0.0", "1e200", "0.0"]])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, _ = run_cli(capsys, "check", "--in", path, "--class", "s")
+    assert not caught
+    assert code == 1
+    assert out.splitlines()[0] == "row 1 FAIL coefficient-sum: inf > 1, f cannot be univalent"
 
 
 def test_check_disproves_univalence_via_collision(tmp_path, capsys):

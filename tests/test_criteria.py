@@ -13,7 +13,6 @@ from merobounds.criteria import (
     _circle_sup,
     aksentiev_criterion,
     injectivity_oracle,
-    u_functional,
     univalence_criterion,
     up_lambda_membership,
 )
@@ -26,6 +25,7 @@ from merobounds.functions import (
     from_inverse_coefficients,
     mu,
 )
+from pointwise import u_functional
 
 
 def perturbed_member(p, rng, tail_count=5, scale=0.03, order=64):
@@ -561,9 +561,46 @@ def test_criterion_pass_agrees_with_the_full_scan(p, lam):
     assert assert_same_scan(f).holds
 
 
+def test_floor_counts_a_nan_quotient_as_infinite():
+    # (0, 1) is 0/0 and (2, 3) is (inf - inf)/1, both NaN, and (0, 3) is inf
+    z = np.array([0.0, 0.0, 1.0, 2.0], dtype=np.complex128)
+    w = np.array([1.0, 1.0, np.inf, np.inf], dtype=np.complex128)
+    assert criteria._floor(z, w, np.array([0, 2, 0]), np.array([1, 3, 3])) == (math.inf, 0)
+    # with w_2 = 4, (0, 2) has the one finite quotient, 3
+    assert criteria._floor(z, np.array([1.0, 1.0, 4.0, np.inf]), np.array([0, 2, 0]),
+                           np.array([1, 3, 2])) == (3.0, 2)
+
+
+def test_floor_of_only_infinite_quotients_is_the_first_point_twice():
+    z = np.array([0.0, 1.0, 2.0], dtype=np.complex128)
+    w = np.array([np.inf, 1.0, np.inf], dtype=np.complex128)
+    assert criteria._floor(z, w, np.array([2, 1]), np.array([1, 0])) == (math.inf, 0)
+    assert criteria._floor(z, w, np.array([], dtype=int), np.array([], dtype=int)) == \
+        (math.inf, 0)
+
+
+def test_floor_breaks_a_tie_by_the_smaller_ordered_pair():
+    # (9, 4) and (2, 7) both have quotient 2; the key is that of (2, 7)
+    z = np.arange(10, dtype=np.complex128)
+    w = 2.0 * z
+    want = (2.0, 2 * 10 + 7)
+    assert criteria._floor(z, w, np.array([9, 2]), np.array([4, 7])) == want
+    assert criteria._floor(z, w, np.array([7, 4]), np.array([2, 9])) == want
+    assert criteria._floor(z, w, np.array([2, 9]), np.array([7, 4])) == want
+
+
+def test_floor_of_several_calls_does_not_depend_on_their_order():
+    z = np.arange(10, dtype=np.complex128)
+    w = 2.0 * z
+    first = criteria._floor(z, w, np.array([9]), np.array([4]))
+    second = criteria._floor(z, w, np.array([7]), np.array([2]))
+    assert first[0] == second[0] == 2.0
+    assert min(first, second) == min(second, first) == (2.0, 2 * 10 + 7)
+
+
 def test_pruned_scan_forms_few_pairs():
-    # the single-level branch and bound formed 356,608 quotients here,
-    # of 2.0e6 grid pairs; the point-to-block bound leaves about 98,000
+    # 80,872 quotients of 2.0e6 grid pairs: 15,360 inside the 128 blocks and
+    # 65,512 across them; block pruning alone would form 339,200
     verdict = injectivity_oracle(build_fp(0.9, 1.0))
     assert verdict.holds
     assert 0 < verdict.pairs < 150_000

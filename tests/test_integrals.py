@@ -36,8 +36,10 @@ from merobounds.integrals import (
     dirichlet_f_values,
     dirichlet_quadrature,
     dirichlet_series,
+    dirichlet_values,
     l1_mean_quadrature,
     l1_mean_series,
+    l1_mean_values,
     _circle_values,
     _exact_count,
     _gauss_legendre,
@@ -445,6 +447,33 @@ def test_f_route_close_to_a_large_pole_is_finite_without_warnings():
         value = dirichlet_f_series(build_kp(0.8), 0.75).value
     assert not caught
     assert value == pytest.approx(closed_form_dirichlet_f(0.75, 0.8), rel=1e-12)
+
+
+#: z/f = 1 + 1e200 z**2, whose squared coefficient leaves the float range.
+_OVERFLOWING = from_inverse_coefficients([0.0, 1e200])
+
+
+@pytest.mark.parametrize("route", [
+    lambda f: dirichlet_values(f.inv_series, 0.5),
+    lambda f: dirichlet_values(f.inv_series, np.array([0.1, 0.5])),
+    lambda f: dirichlet_series(f.inv_series, 0.5),
+    lambda f: dirichlet_quadrature(f.inv_series, 0.5),
+    lambda f: l1_mean_values(f, 0.5),
+    lambda f: l1_mean_values(f, np.array([0.1, 0.5])),
+    lambda f: l1_mean_series(f, 0.5),
+    lambda f: l1_mean_quadrature(f, 0.5),
+    lambda f: check_bound(f, ClassSpec(ClassKind.S), BoundQuantity.DIRICHLET_ZF, 0.5),
+    lambda f: check_bound(f, ClassSpec(ClassKind.S), BoundQuantity.L1, 0.5),
+], ids=["dirichlet_values", "dirichlet_values-array", "dirichlet_series",
+        "dirichlet_quadrature", "l1_mean_values", "l1_mean_values-array", "l1_mean_series",
+        "l1_mean_quadrature", "check_bound-DIRICHLET_ZF", "check_bound-L1"])
+def test_an_overflowing_route_refuses_without_warnings(route):
+    # these returned inf with a RuntimeWarning instead of raising
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(BadParameter, match="exceeds the float range"):
+            route(_OVERFLOWING)
+    assert not caught
 
 
 def test_f_route_values_over_no_radius_are_empty():
