@@ -32,7 +32,6 @@ from .errors import (
     ClassMismatch,
     MeroboundsError,
     NoPole,
-    OrderUnderflow,
     PoleMismatch,
     RadiusBeyondPole,
 )
@@ -82,7 +81,6 @@ __all__ = [
     "Method",
     "NO_POLE",
     "NoPole",
-    "OrderUnderflow",
     "PoleFunction",
     "PoleMismatch",
     "QuadratureConfig",

@@ -24,8 +24,7 @@ from .bounds import (BoundQuantity, check_bounds, gronwall_check, jenkins_bound,
                      sharp_maximum)
 from .criteria import (SUP_TOL, aksentiev_criterion, injectivity_oracle, univalence_criterion,
                        up_lambda_membership)
-from .errors import (BadParameter, MeroboundsError, RadiusBeyondPole, check_inside_pole,
-                     check_radius)
+from .errors import MeroboundsError, RadiusBeyondPole, check_inside_pole, check_radius
 from .functions import (
     ClassKind,
     ClassSpec,
@@ -239,7 +238,9 @@ def _cmd_verify(args) -> int:
 
 def _cmd_table(args) -> int:
     quantities = [BoundQuantity(q.upper()) for q in args.quantity]
-    try:  # the class specs and builders validate p and lambda
+    # the class specs and builders validate p and lambda; a sharp maximum
+    # may still leave the float range
+    try:
         members = []
         for p in args.p:
             members.append(_kp_member(p))
@@ -247,26 +248,25 @@ def _cmd_table(args) -> int:
         members.append((ClassSpec(ClassKind.S), build_koebe_rotation(0.0)))
         for r in args.r:
             check_radius(r)
-    except BadParameter as exc:
+        rows = []
+        skipped = Counter()
+        for quantity in quantities:
+            for spec, f in members:
+                if spec.kind not in _TABLE_CLASSES[quantity]:
+                    continue
+                radii = []
+                for r in args.r:
+                    if quantity in _INSIDE_POLE:
+                        try:
+                            check_inside_pole(r, spec.p)
+                        except RadiusBeyondPole:
+                            skipped[quantity.value] += 1
+                            continue
+                    radii.append(r)
+                rows.extend(check_bounds(f, spec, quantity, radii))
+    except MeroboundsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    rows = []
-    skipped = Counter()
-    for quantity in quantities:
-        for spec, f in members:
-            if spec.kind not in _TABLE_CLASSES[quantity]:
-                continue
-            radii = []
-            for r in args.r:
-                if quantity in _INSIDE_POLE:
-                    try:
-                        check_inside_pole(r, spec.p)
-                    except RadiusBeyondPole:
-                        skipped[quantity.value] += 1
-                        continue
-                radii.append(r)
-            rows.extend(check_bounds(f, spec, quantity, radii))
 
     for name in sorted(skipped):
         print(f"note: {name} requires r < p; skipped {skipped[name]} combinations",

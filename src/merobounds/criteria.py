@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import BadParameter, NoPole, check_count, check_lambda, check_pole
 from .functions import NO_POLE, PoleFunction, mu
+from .series import degree
 
 SUP_TOL = 1e-12
 #: Guard band a ``DiskGrid`` keeps around a pole.
@@ -110,10 +111,9 @@ def _circle_sup(q, threshold: float = math.inf) -> tuple[float, complex | None]:
     threshold or the bound clears it, or M reaches ``_MAX_SAMPLES``, where
     the bound above the threshold stands.
     """
-    nonzero = np.flatnonzero(q)
-    if nonzero.size == 0:
+    d = degree(q)
+    if d < 0:
         return 0.0, None
-    d = int(nonzero[-1])
     m = 1 if d == 0 else 1 << (_OVERSAMPLING * d - 1).bit_length()
     conj_q = np.conj(q[:d + 1]).astype(np.complex128).tobytes()
     while True:

@@ -19,10 +19,6 @@ class RadiusBeyondPole(BadParameter):
     """A radius reaches or passes the pole, leaving the validity disk."""
 
 
-class OrderUnderflow(MeroboundsError, ValueError):
-    """More derivatives requested than the truncation order supports."""
-
-
 class PoleMismatch(MeroboundsError, ValueError):
     """The declared pole is not a root of the stored z/f series."""
 

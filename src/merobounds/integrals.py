@@ -30,7 +30,7 @@ import numpy as np
 from .errors import (BadParameter, RadiusBeyondPole, check_count, check_inside_pole,
                      check_open_radius, check_radius)
 from .functions import PoleFunction
-from .series import TruncatedSeries
+from .series import TruncatedSeries, degree
 
 
 class Method(str, Enum):
@@ -95,12 +95,6 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _degree(c: np.ndarray) -> int:
-    """Index of the last nonzero coefficient, 0 for a zero series."""
-    nonzero = np.flatnonzero(c)
-    return int(nonzero[-1]) if len(nonzero) else 0
-
-
 def _exact_count(n: int) -> int:
     """The smallest power of two that is at least 16 and at least n.
 
@@ -132,9 +126,9 @@ def _circle_values(c: np.ndarray, rho: np.ndarray, m: int) -> np.ndarray:
 
 
 def _finite(values, quantity: str):
-    """``values``, a float or an array that the caller forms with overflow
-    silenced, unless any of them is infinite or NaN: then BadParameter, so
-    an overflowed sum never reads as a result."""
+    """``values``, a float or an array formed with overflow silenced, unless
+    any of them is infinite or NaN: then BadParameter, so an overflowed sum
+    never reads as a result."""
     if not (np.isfinite(values).all() if isinstance(values, np.ndarray)
             else math.isfinite(values)):
         raise BadParameter(f"the {quantity} exceeds the float range")
@@ -147,8 +141,7 @@ def dirichlet_values(g: TruncatedSeries, radii):
     """pi * sum n |c_n|^2 r^(2n) (0 at order 0) at a radius, as a float, or at
     each of a one-dimensional array of radii, as an array; BadParameter
     when a sum leaves the float range."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = math.pi * g.weighted_coefficient_sum(1.0, radii, start_index=1)
+    values = math.pi * g.weighted_coefficient_sum(1.0, radii, start_index=1)
     return _finite(values, "Dirichlet integral")
 
 
@@ -161,14 +154,14 @@ def dirichlet_series(g: TruncatedSeries, r: float) -> IntegralResult:
 def dirichlet_quadrature(
     g: TruncatedSeries, r: float, config: Optional[QuadratureConfig] = None
 ) -> IntegralResult:
-    """Disk quadrature of |g'|^2 for a series g of degree N, the index of
-    its last nonzero coefficient.
+    """Disk quadrature of |g'|^2 for a series g of degree d, the index of
+    its last nonzero coefficient; g' has the coefficients n c_n, 1 <= n <= d.
 
     Without a config, g' is sampled on m Gauss-Legendre radii times m
-    uniform angles, m the smallest power of two at least 16 and at least N
+    uniform angles, m the smallest power of two at least 16 and at least d
     (``_exact_count``).  The angular mean of |g'|^2 is a trigonometric
-    polynomial of degree N - 1 < m and, times rho, a polynomial of degree
-    2N - 1 <= 2m - 1 in rho, so both rules are exact for every degree.
+    polynomial of degree d - 1 < m and, times rho, a polynomial of degree
+    2d - 1 <= 2m - 1 in rho, so both rules are exact for every degree.
     Each Gauss-Legendre circle is sampled at all its angles by one FFT of
     the g' coefficients scaled by the circle's radius (``_circle_values``).
     Raises BadParameter when the integral leaves the float range.
@@ -176,18 +169,18 @@ def dirichlet_quadrature(
     check_radius(r)
     if not isinstance(g, TruncatedSeries):
         raise BadParameter("integrand must be a TruncatedSeries")
-    degree = _degree(g.coefficients)
-    if degree == 0:
+    c = g.coefficients
+    d = degree(c)
+    if d <= 0:
         return IntegralResult(0.0, Method.QUADRATURE, r, IntegralKind.DIRICHLET)
     if config is None:
-        count = _exact_count(degree)
+        count = _exact_count(d)
         config = QuadratureConfig(count, count)
     x, w = _gauss_legendre(config.radial_nodes)
     rho = 0.5 * r * (x + 1.0)
     radial_weights = 0.5 * r * w
     with np.errstate(over="ignore", invalid="ignore"):
-        values = _circle_values(g.differentiate().coefficients[:degree], rho,
-                                config.angular_nodes)
+        values = _circle_values(c[1 : d + 1] * np.arange(1, d + 1), rho, config.angular_nodes)
         angular_means = np.mean(np.abs(values) ** 2, axis=1)
         value = float(2.0 * np.pi * np.sum(radial_weights * rho * angular_means))
     return IntegralResult(_finite(value, "Dirichlet integral"), Method.QUADRATURE, r,
@@ -197,7 +190,7 @@ def dirichlet_quadrature(
 def _check_f_radii(f: PoleFunction, radii) -> None:
     """Each radius lies below the pole, or below 1 without one unless f = z,
     whose f/z = 1 has zero area at every radius."""
-    identity = not np.count_nonzero(f.inv_series.coefficients[1:])
+    identity = degree(f.inv_series.coefficients) == 0
     for r in radii:
         if f.pole is not None:
             check_inside_pole(r, f.pole)
@@ -237,7 +230,7 @@ def _stein_sums(f: PoleFunction, radii) -> tuple[np.ndarray, np.ndarray]:
     sums = np.zeros((len(radii), 2))
     tails = np.zeros((len(radii), 2))
     b = f.inv_series.coefficients
-    d = _degree(b)
+    d = degree(b)
     if d == 0 or not len(radii):  # f = z, whose f/z = 1, or no radius at all
         sums[:, 0] = 1.0
         return sums, tails
@@ -327,8 +320,7 @@ def l1_mean_values(f: PoleFunction, radii):
     """1 + sum_{n>=1} |b_n|^2 r^(2n) over the exact z/f coefficients, at a
     radius or at each of a one-dimensional array of radii; BadParameter
     when a sum leaves the float range."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = 1.0 + f.inv_series.weighted_coefficient_sum(0.0, radii, start_index=1)
+    values = 1.0 + f.inv_series.weighted_coefficient_sum(0.0, radii, start_index=1)
     return _finite(values, "L1 mean")
 
 
@@ -348,7 +340,7 @@ def l1_mean_quadrature(f: PoleFunction, r: float) -> IntegralResult:
     Raises BadParameter when the mean leaves the float range."""
     check_radius(r)
     b = f.inv_series.coefficients
-    d = _degree(b)
+    d = degree(b)
     with np.errstate(over="ignore", invalid="ignore"):
         values = _circle_values(b[: d + 1], np.array([r]), _exact_count(d + 1))
         value = float(np.mean(np.abs(values) ** 2))

@@ -1,9 +1,10 @@
-"""Truncated complex power series arithmetic on the unit disk.
+"""Complex polynomials on the unit disk: z/f and what is formed from it.
 
-A series is a finite coefficient vector ``c[0..N]`` standing for
-``sum_n c[n] z**n``.  Nothing past the truncation order is ever invented:
-binary operations shorten to the smaller order of their operands rather
-than zero-padding the shorter one.
+A series is a finite coefficient vector ``c[0..N]`` standing for the
+polynomial ``sum_n c[n] z**n``; z/f is stored exactly so, at its degree.
+The module evaluates a polynomial, forms its weighted Parseval sums and
+finds its degree.  Derivatives and products are formed on the coefficient
+vectors where they are needed.
 """
 
 from __future__ import annotations
@@ -12,13 +13,21 @@ from typing import Iterable, Union
 
 import numpy as np
 
-from .errors import BadParameter, OrderUnderflow, check_count, check_radius
+from .errors import BadParameter, check_count, check_radius
 
 ComplexLike = Union[complex, float, int]
 
 
+def degree(c: np.ndarray) -> int:
+    """Index of the last nonzero entry of the coefficient vector c, -1 when
+    there is none (the zero polynomial)."""
+    nonzero = np.flatnonzero(c)
+    return int(nonzero[-1]) if nonzero.size else -1
+
+
 class TruncatedSeries:
-    """Immutable truncated power series with complex coefficients.
+    """Immutable polynomial with complex coefficients; ``order`` is the
+    length of its coefficient vector less one, trailing zeros included.
 
     Args:
         coefficients: iterable of at least one finite complex number,
@@ -70,25 +79,6 @@ class TruncatedSeries:
         tail = ", ..." if self.order > 3 else ""
         return f"TruncatedSeries([{head}{tail}], order={self.order})"
 
-    # ---- arithmetic -----------------------------------------------------
-
-    def multiply(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        """Cauchy product truncated to the smaller operand order."""
-        order = min(self.order, other.order)
-        prod = np.convolve(self._coeffs, other._coeffs)[: order + 1]
-        return TruncatedSeries(prod)
-
-    def differentiate(self) -> "TruncatedSeries":
-        """Term-by-term derivative, one order shorter.
-
-        Raises:
-            OrderUnderflow: if the series has order 0.
-        """
-        if self.order == 0:
-            raise OrderUnderflow("cannot differentiate a series of order 0")
-        c = self._coeffs
-        return TruncatedSeries(c[1:] * np.arange(1, len(c), dtype=np.float64))
-
     # ---- evaluation and coefficient functionals -------------------------
 
     def evaluate(self, z):
@@ -121,26 +111,21 @@ class TruncatedSeries:
 
         r is a radius, giving a float, or a one-dimensional array of radii,
         giving an array with one sum per radius.  Weights and moduli are
-        formed once; each sum keeps the elementwise order of the one-radius
-        sum, so both agree to the last bit.
+        formed once and every radius is summed in the same elementwise
+        order, so a radius gives the same bits alone or among others.  A
+        sum that overflows reads inf, without a warning.
 
         Raises:
             BadRadius: if r, or any radius in it, is outside (0, 1].
             BadParameter: if r has more than one dimension, t is not finite
                 or ``start_index`` is not an integer in [0, order + 1].
         """
-        many = isinstance(r, (np.ndarray, list, tuple)) and np.ndim(r) != 0
-        if many:
-            radii = np.asarray(r, dtype=np.float64)
-            if radii.ndim != 1:
-                raise BadParameter(f"radii must be a scalar or a one-dimensional array, "
-                                   f"not {radii.ndim}-dimensional")
-            for radius in radii.tolist():
-                check_radius(radius)
-            radii = radii[:, None]
-        else:
-            check_radius(r)
-            radii = r
+        radii = np.asarray(r, dtype=np.float64)
+        if radii.ndim > 1:
+            raise BadParameter(f"radii must be a scalar or a one-dimensional array, "
+                               f"not {radii.ndim}-dimensional")
+        for radius in radii.ravel().tolist():
+            check_radius(radius)
         if not np.isfinite(t):
             raise BadParameter(f"exponent t {t!r} is not finite")
         message = f"start index {start_index} outside [0, {self.order + 1}]"
@@ -148,13 +133,10 @@ class TruncatedSeries:
         if start_index > self.order + 1:
             raise BadParameter(message)
         n = np.arange(start_index, self.order + 1, dtype=np.float64)
-        if t == 0:
-            weights = np.ones_like(n)
-        else:
-            weights = np.empty_like(n)
-            nonzero = n > 0
-            weights[nonzero] = n[nonzero] ** t
-            weights[~nonzero] = 0.0
-        mags = np.abs(self._coeffs[start_index:]) ** 2
-        sums = np.sum(weights * mags * radii ** (2.0 * n), axis=-1)
-        return sums if many else float(sums)
+        with np.errstate(all="ignore"):
+            weights = n ** t
+            if start_index == 0 and t != 0:
+                weights[0] = 0.0
+            mags = np.abs(self._coeffs[start_index:]) ** 2
+            sums = np.sum(weights * mags * radii[..., None] ** (2.0 * n), axis=-1)
+        return float(sums) if radii.ndim == 0 else sums

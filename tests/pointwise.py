@@ -3,8 +3,10 @@ points of the disk, against which the coefficient-based checks of
 :mod:`merobounds.criteria` are compared."""
 
 import numpy as np
+from numpy.polynomial.polynomial import polyder
 
 from merobounds.functions import PoleFunction
+from merobounds.series import TruncatedSeries
 
 
 def u_functional(f: PoleFunction, z):
@@ -14,9 +16,7 @@ def u_functional(f: PoleFunction, z):
     the same quantity without forming f itself.
     """
     inv = f.inv_series
+    d_inv = TruncatedSeries(polyder(inv.coefficients))
     zz = np.asarray(z, dtype=np.complex128)
-    if inv.order == 0:  # z/f = 1, so U vanishes
-        u = np.zeros(zz.shape, dtype=np.complex128)
-    else:
-        u = inv.evaluate(zz) - zz * inv.differentiate().evaluate(zz) - 1.0
+    u = inv.evaluate(zz) - zz * d_inv.evaluate(zz) - 1.0
     return complex(u) if zz.ndim == 0 else u

@@ -181,6 +181,16 @@ def test_table_empty_sweep_is_an_error(capsys):
     assert "no rows" in err
 
 
+def test_table_refuses_a_sharp_maximum_beyond_the_float_range(capsys):
+    # at p = 1e-200 the closed form of the sigma_p maximum overflows inside
+    # the sweep, after every member has been built
+    code, out, err = run_cli(capsys, "table", "--p", "1e-200")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "exceeds the float range" in err
+    assert "Traceback" not in err
+
+
 def test_table_writes_a_file(tmp_path, capsys):
     target = tmp_path / "sweep.csv"
     code, out, _ = run_cli(capsys, "table", "--p", "0.5", "--r", "0.5",
@@ -276,6 +286,22 @@ def test_check_fails_an_overflowing_coefficient_sum_without_warnings(tmp_path, c
     assert not caught
     assert code == 1
     assert out.splitlines()[0] == "row 1 FAIL coefficient-sum: inf > 1, f cannot be univalent"
+
+
+def test_check_warns_of_an_overflowing_tail_sum_without_warnings(tmp_path, capsys):
+    # z/f = 1 - 2z - 2**699 z^2 + 2**700 z^3 vanishes at the pole 0.5; its
+    # weighted tail sum overflows to inf, which exceeds the tail bound
+    row = ["0.5", "3", "-2.0", "0.0", repr(-2.0**699), "0.0", repr(2.0**700), "0.0"]
+    path = write_rows(tmp_path / "f.csv", [row])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, _ = run_cli(capsys, "check", "--in", path, "--class", "u_p_lambda",
+                               "--p", "0.5", "--lambda", "1.0")
+    assert not caught
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0] == "row 1 FAIL coefficient-sum: inf > 1, f cannot be univalent"
+    assert lines[1].startswith("row 1 WARN tail-inequality: inf > ")
 
 
 def test_check_disproves_univalence_via_collision(tmp_path, capsys):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.polynomial import polyder
 
 from merobounds import criteria
 from merobounds.criteria import (
@@ -25,6 +26,7 @@ from merobounds.functions import (
     from_inverse_coefficients,
     mu,
 )
+from merobounds.series import TruncatedSeries
 from pointwise import u_functional
 
 
@@ -144,7 +146,7 @@ def test_u_agrees_with_direct_quotient_route(p):
     f = perturbed_member(p, rng)
     F = f.inv_series
     G = f_over_z_series(f, F.order)
-    dG = G.differentiate()
+    dG = TruncatedSeries(polyder(G.coefficients))
     z = 0.6 * p * (rng.random(200) * np.exp(2j * np.pi * rng.random(200)))
     direct = F.evaluate(z) ** 2 * (G.evaluate(z) + z * dG.evaluate(z)) - 1.0
     via_series = u_functional(f, z)
@@ -216,7 +218,8 @@ def test_criterion_sees_a_supremum_the_disk_grid_misses(k, c):
     f = reproduction(0.4, k, c)
     z = DiskGrid(pole=0.5).points()
     verdict = univalence_criterion(f)
-    assert np.max(np.abs(f.inv_series.differentiate().differentiate().evaluate(z))) < verdict.threshold
+    second = TruncatedSeries(polyder(f.inv_series.coefficients, 2))
+    assert np.max(np.abs(second.evaluate(z))) < verdict.threshold
     assert not verdict.holds
     assert verdict.value > 1.01 * verdict.threshold
 
@@ -236,7 +239,7 @@ def test_a_criterion_near_its_threshold_holds():
     # circle is 0.99980 mu
     f = reproduction(0.4, 40, 4.5868e-6)
     verdict = univalence_criterion(f)
-    second = f.inv_series.differentiate().differentiate()
+    second = TruncatedSeries(polyder(f.inv_series.coefficients, 2))
     z = np.exp(2j * np.pi * np.arange(1 << 20) / (1 << 20))
     assert verdict.holds
     assert np.max(np.abs(second.evaluate(z))) <= verdict.value <= verdict.threshold
@@ -248,7 +251,8 @@ def test_sups_match_dense_samples_on_the_unit_circle(p):
     z = np.exp(2j * np.pi * np.arange(1 << 14) / (1 << 14))
     for verdict, values in (
             (up_lambda_membership(f, 1.0), u_functional(f, z)),
-            (univalence_criterion(f), f.inv_series.differentiate().differentiate().evaluate(z))):
+            (univalence_criterion(f),
+             TruncatedSeries(polyder(f.inv_series.coefficients, 2)).evaluate(z))):
         dense = float(np.max(np.abs(values)))
         assert dense <= verdict.value <= 1.0007 * dense
 

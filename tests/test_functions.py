@@ -181,12 +181,6 @@ def test_f_over_z_order_must_be_an_integer(order):
         f_over_z_series(build_kp(0.5), order)
 
 
-def zf_to_order(f, order):
-    """z/f zero-extended to an f/z order."""
-    c = f.inv_series.coefficients
-    return TruncatedSeries(np.pad(c, (0, order + 1 - len(c))))
-
-
 def test_f_over_z_lower_order_is_a_prefix_of_the_full_series():
     f = build_fp(0.6, 0.5)
     full = f_over_z_series(f, 64)
@@ -208,24 +202,22 @@ def test_f_over_z_roundtrip_scale_relative():
     # the reciprocal coefficients grow like p**(-n).
     for p in (0.2, 0.5, 0.8):
         f = build_kp(p)
-        d = f_over_z_series(f, 64)
-        zf = zf_to_order(f, 64)
-        prod = zf.multiply(d)
-        assert prod.order == 64
+        d = f_over_z_series(f, 64).coefficients
+        zf = f.inv_series.coefficients
+        prod = np.convolve(zf, d)[:65]
         unit = np.zeros(65, dtype=complex)
         unit[0] = 1.0
-        scale = np.convolve(np.abs(zf.coefficients), np.abs(d.coefficients))[:65]
-        rel = np.abs(prod.coefficients - unit) / np.maximum(scale, 1.0)
+        scale = np.convolve(np.abs(zf), np.abs(d))[:65]
+        rel = np.abs(prod - unit) / np.maximum(scale, 1.0)
         assert rel.max() <= 1e-12
 
 
 def test_f_over_z_roundtrip_absolute_small_order():
     f = build_kp(0.6)
-    prod = zf_to_order(f, 10).multiply(f_over_z_series(f, 10))
-    assert prod.order == 10
+    prod = np.convolve(f.inv_series.coefficients, f_over_z_series(f, 10).coefficients)[:11]
     unit = np.zeros(11, dtype=complex)
     unit[0] = 1.0
-    assert np.max(np.abs(prod.coefficients - unit)) <= 1e-12
+    assert np.max(np.abs(prod - unit)) <= 1e-12
 
 
 # ---- ClassSpec -------------------------------------------------------------------
