@@ -13,9 +13,11 @@ from .bounds import (
     build_report,
     check_bound,
     check_bounds,
+    check_quantities,
     gronwall_check,
     jenkins_bound,
     lemma1_check,
+    sharp_maxima,
     sharp_maximum,
 )
 from .criteria import (
@@ -93,6 +95,7 @@ __all__ = [
     "build_report",
     "check_bound",
     "check_bounds",
+    "check_quantities",
     "dirichlet_f_over_z_series",
     "dirichlet_f_series",
     "dirichlet_quadrature",
@@ -107,6 +110,7 @@ __all__ = [
     "l1_mean_series",
     "lemma1_check",
     "mu",
+    "sharp_maxima",
     "sharp_maximum",
     "to_csv_row",
     "univalence_criterion",

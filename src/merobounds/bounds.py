@@ -1,10 +1,13 @@
 """The paper's sharp maxima, coefficient inequalities and bound reports.
 
-:func:`sharp_maximum` is the one public source of a sharp bound: the largest
+:func:`sharp_maxima` is the one public source of a sharp bound: the largest
 Dirichlet integral of z/f, f or f/z, or L1 mean, over a class of
-:mod:`merobounds.functions` at radius r, read from ``_SHARP_MAXIMA``, with r
-checked once.  :func:`check_bounds` compares series-route values at a
-sequence of radii with it, and :func:`check_bound` is its one-radius case.
+:mod:`merobounds.functions` at each of a sequence of radii, read from
+``_SHARP_MAXIMA``, with each r checked once; :func:`sharp_maximum` is its
+one-radius case.  :func:`check_quantities` compares series-route values of
+several quantities of one function at a sequence of radii with it,
+:func:`check_bounds` is its one-quantity case and :func:`check_bound` the
+one-radius case of that.
 Each check produces a BoundReport whose slack is ``bound - computed``; the
 canonical extremal functions land on zero slack up to roundoff.
 """
@@ -22,8 +25,7 @@ import numpy as np
 from .errors import (BadParameter, NoPole, check_count, check_inside_pole, check_lambda,
                      check_open_radius, check_pole, check_radius)
 from .functions import ClassKind, ClassSpec, PoleFunction, mu
-from .integrals import (dirichlet_f_over_z_values, dirichlet_f_values, dirichlet_values,
-                        l1_mean_values)
+from .integrals import dirichlet_f_pair_values, dirichlet_values, l1_mean_values
 
 #: Absolute slack below which a bound still counts as satisfied.
 SATISFACTION_TOL = 1e-9
@@ -115,17 +117,38 @@ def lemma1_check(f: PoleFunction, lam: float, t: float, r: float) -> BoundReport
 
 # ---- the paper's sharp maxima -------------------------------------------------------
 
-def _inside_pole(p: float, r: float, near: float, far: float) -> float:
-    """Largest Dirichlet integral of f (near = far = p**2) or f/z (near = 1,
-    far = p**4) over univalent f with pole p, at radius r < p.  NaN once the
-    lead or (p**2 - r**2)**2 falls below the normal float range, where
-    their digits are lost and the lead could round to 0.  (p - r)(p + r)
-    keeps the digits that p**2 - r**2 would cancel as r nears p."""
-    lead = math.pi * p * p * r * r / (1.0 - p * p) ** 2
-    gap = ((p - r) * (p + r)) ** 2
+def _inside_pole(p: float, r: float, numerator) -> float:
+    """Largest Dirichlet integral of f or f/z over univalent f with pole p,
+    at radius r < p.
+
+    With P = p**2, R = r**2 and e = (p - r)(p + r), both maxima are
+    pi P R N / (e (1 - R) (1 - P R))**2, N the ``numerator`` of (R, e).
+    The paper's form, a lead of 1 / (1 - P)**2 times a bracket that
+    cancels as p -> 1, loses digits there (1.7e-4 relative at
+    p = 0.999999); this one has the (1 - P)**2 cancelled symbolically and
+    agrees with 60-digit mpmath to about 1e-14 up to p = 1 - 1e-12.  NaN
+    once pi P R / ((1 - R) (1 - P R))**2 or e**2 falls below the normal
+    float range, where their digits are lost and the value could round to
+    0.  e keeps the digits that P - R would cancel as r nears p."""
+    pp, rr = p * p, r * r
+    e = (p - r) * (p + r)
+    lead = math.pi * pp * rr / ((1.0 - rr) * (1.0 - pp * rr)) ** 2
+    gap = e * e
     if min(lead, gap) < sys.float_info.min:
         return math.nan
-    return lead * (near / gap - 2.0 / (1.0 - r * r) ** 2 + far / (1.0 - p * p * r * r) ** 2)
+    return lead * (numerator(rr, e) / gap)
+
+
+def _numerator_f(rr: float, e: float) -> float:
+    """R (1 - R**2)**2 + e (1 + 2R - 2R**2 - 2R**3 + R**4) - 2 R**2 e**2."""
+    return (rr * (1.0 - rr * rr) ** 2
+            + e * (1.0 + rr * (2.0 + rr * (-2.0 + rr * (-2.0 + rr))))
+            - 2.0 * rr * rr * e * e)
+
+
+def _numerator_f_over_z(rr: float, e: float) -> float:
+    """(1 - R**2)**2 + 2e (1 - R**2) + e**2 (1 - 2R - R**2)."""
+    return (1.0 - rr * rr) ** 2 + 2.0 * e * (1.0 - rr * rr) + e * e * (1.0 - 2.0 * rr - rr * rr)
 
 
 def _residual_zf(c: ClassSpec, r: float) -> float:
@@ -151,11 +174,11 @@ _SHARP_MAXIMA = {
     (ClassKind.S, BoundQuantity.DIRICHLET_ZF):  # 2 pi r**2 (r**2 + 2)
         lambda c, r: 2.0 * math.pi * r * r * (r * r + 2.0),
     (ClassKind.SIGMA_P, BoundQuantity.DIRICHLET_F):
-        lambda c, r: _inside_pole(c.p, r, c.p * c.p, c.p * c.p),
+        lambda c, r: _inside_pole(c.p, r, _numerator_f),
     (ClassKind.S, BoundQuantity.DIRICHLET_F):  # pi r**2 (r**4 + 4 r**2 + 1) / (1 - r**2)**4
         lambda c, r: math.pi * r * r * (r**4 + 4.0 * r * r + 1.0) / (1.0 - r * r) ** 4,
     (ClassKind.SIGMA_P, BoundQuantity.DIRICHLET_F_OVER_Z):
-        lambda c, r: _inside_pole(c.p, r, 1.0, c.p**4),
+        lambda c, r: _inside_pole(c.p, r, _numerator_f_over_z),
     (ClassKind.S, BoundQuantity.DIRICHLET_F_OVER_Z):  # 2 pi r**2 (r**2 + 2) / (1 - r**2)**4
         lambda c, r: 2.0 * math.pi * r * r * (r * r + 2.0) / (1.0 - r * r) ** 4,
     (ClassKind.SIGMA_P, BoundQuantity.L1):
@@ -165,11 +188,15 @@ _SHARP_MAXIMA = {
 }
 
 
-def sharp_maximum(class_spec: ClassSpec, quantity: BoundQuantity, r: float) -> float:
-    """The paper's sharp maximum of a quantity over a class at radius r.
+def sharp_maxima(class_spec: ClassSpec, quantity: BoundQuantity, radii) -> list[float]:
+    """The paper's sharp maximum of a quantity over a class at each of a
+    sequence of radii, in their order.
 
     r lies in (0, 1] for DIRICHLET_ZF and L1; the f and f/z maxima need
-    0 < r < p over a pole class and 0 < r < 1 over S.
+    0 < r < p over a pole class and 0 < r < 1 over S.  The (class,
+    quantity) pair and the radius domain are resolved once per call; each
+    radius is then checked before its maximum is formed, so the first
+    radius that fails decides the error.
 
     Raises BadParameter where the paper gives none (Dirichlet integrals of
     f and f/z over U_P_LAMBDA), and where the closed form leaves the float
@@ -180,34 +207,76 @@ def sharp_maximum(class_spec: ClassSpec, quantity: BoundQuantity, r: float) -> f
     if maximum is None:
         raise BadParameter(
             f"no sharp bound for {quantity.value} over class {class_spec.kind.value}")
+    p = class_spec.p
     if quantity in (BoundQuantity.DIRICHLET_ZF, BoundQuantity.L1):
-        check_radius(r)
-    elif class_spec.p is None:
-        check_open_radius(r)
+        check = check_radius
+    elif p is None:
+        check = check_open_radius
     else:
-        check_inside_pole(r, class_spec.p)
-    try:
-        value = maximum(class_spec, r)
-    except ArithmeticError:  # (1/p + p)**2 overflows at a tiny pole
-        value = math.nan
-    if not math.isfinite(value):
-        raise BadParameter(
-            f"sharp maximum of {quantity.value} over class {class_spec.kind.value} at "
-            f"p = {class_spec.p!r}, r = {r!r} exceeds the float range")
-    return value
+        def check(r):
+            check_inside_pole(r, p)
+    values = []
+    for r in radii:
+        check(r)
+        try:
+            value = maximum(class_spec, r)
+        except ArithmeticError:  # (1/p + p)**2 overflows at a tiny pole
+            value = math.nan
+        if not math.isfinite(value):
+            raise BadParameter(
+                f"sharp maximum of {quantity.value} over class {class_spec.kind.value} at "
+                f"p = {p!r}, r = {r!r} exceeds the float range")
+        values.append(value)
+    return values
+
+
+def sharp_maximum(class_spec: ClassSpec, quantity: BoundQuantity, r: float) -> float:
+    """:func:`sharp_maxima` at the one radius r."""
+    return sharp_maxima(class_spec, quantity, (r,))[0]
 
 
 # ---- dispatching check ---------------------------------------------------------------
 
-#: Series-route values of each quantity at a sequence of radii.  The routes
-#: are looked up by name at call time, so a wrapper installed on this module
-#: sees every call.
-_SERIES_VALUES = {
-    BoundQuantity.DIRICHLET_ZF: lambda f, radii: dirichlet_values(f.inv_series, radii),
-    BoundQuantity.DIRICHLET_F: lambda f, radii: dirichlet_f_values(f, radii),
-    BoundQuantity.DIRICHLET_F_OVER_Z: lambda f, radii: dirichlet_f_over_z_values(f, radii),
-    BoundQuantity.L1: lambda f, radii: l1_mean_values(f, radii),
-}
+def _series_values(f: PoleFunction, quantities, radii) -> dict:
+    """Series-route values of each quantity at a sequence of radii, as
+    lists by quantity.  The routes are looked up by name at call time, so a
+    wrapper installed on this module sees every call."""
+    values = {}
+    for quantity in quantities:
+        if quantity in values:
+            continue
+        if quantity is BoundQuantity.DIRICHLET_ZF:
+            values[quantity] = dirichlet_values(f.inv_series, radii).tolist()
+        elif quantity is BoundQuantity.L1:
+            values[quantity] = l1_mean_values(f, radii).tolist()
+        else:  # the f and f/z integrals share one Stein pass
+            values[BoundQuantity.DIRICHLET_F], values[BoundQuantity.DIRICHLET_F_OVER_Z] = (
+                dirichlet_f_pair_values(f, radii).tolist())
+    return values
+
+
+def check_quantities(
+    f: PoleFunction, class_spec: ClassSpec, quantities, radii
+) -> list[list[BoundReport]]:
+    """:func:`check_bounds` for each of several quantities of one function
+    at one sequence of radii, in the order of quantities.
+
+    Every quantity's radii are checked, and its sharp maxima found, in the
+    order of quantities before any series route runs; then each route runs
+    once over all the radii, and the f and f/z integrals share one Stein
+    pass.  Raises as :func:`check_bounds` does.
+    """
+    quantities = [BoundQuantity(quantity) for quantity in quantities]
+    class_spec.match(f)
+    radii = list(radii)
+    if not radii:
+        return [[] for _ in quantities]
+    bounds = [sharp_maxima(class_spec, quantity, radii) for quantity in quantities]
+    computed = _series_values(f, quantities, radii)
+    names = [quantity.value for quantity in quantities]
+    return [[build_report(name, value, bound, r, class_spec)
+             for value, bound, r in zip(computed[quantity], maxima, radii)]
+            for quantity, name, maxima in zip(quantities, names, bounds)]
 
 
 def check_bounds(
@@ -218,25 +287,18 @@ def check_bounds(
 
     Every radius is checked, and its sharp maximum found, before the series
     route runs once over all of them.  The reports, in the order of radii,
-    equal those of :func:`check_bound` at each radius.
+    equal those of :func:`check_bound` at each radius.  This is the
+    one-quantity case of :func:`check_quantities`.
 
     Raises:
         ClassMismatch: when the function's pole and the class's pole differ
             (or one has a pole where the other forbids it).
-        BadParameter: from :func:`sharp_maximum`, and when the series route
+        BadParameter: from :func:`sharp_maxima`, and when the series route
             overflows.
         RadiusBeyondPole: for the f and f/z integrals at r >= p, or at or
             past a root of z/f.
     """
-    quantity = BoundQuantity(quantity)
-    class_spec.match(f)
-    radii = list(radii)
-    bounds = [sharp_maximum(class_spec, quantity, r) for r in radii]
-    if not radii:
-        return []
-    computed = _SERIES_VALUES[quantity](f, radii).tolist()
-    return [build_report(quantity.value, value, bound, r=r, class_spec=class_spec)
-            for value, bound, r in zip(computed, bounds, radii)]
+    return check_quantities(f, class_spec, (quantity,), radii)[0]
 
 
 def check_bound(

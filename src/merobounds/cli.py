@@ -19,12 +19,13 @@ import csv
 import sys
 from collections import Counter
 from functools import cache
+from operator import itemgetter
 
-from .bounds import (BoundQuantity, check_bounds, gronwall_check, jenkins_bound, lemma1_check,
-                     sharp_maximum)
+from .bounds import (BoundQuantity, check_bounds, check_quantities, gronwall_check, jenkins_bound,
+                     lemma1_check, sharp_maximum)
 from .criteria import (SUP_TOL, aksentiev_criterion, injectivity_oracle, univalence_criterion,
                        up_lambda_membership)
-from .errors import MeroboundsError, RadiusBeyondPole, check_inside_pole, check_radius
+from .errors import MeroboundsError, check_radius
 from .functions import (
     ClassKind,
     ClassSpec,
@@ -236,6 +237,18 @@ def _cmd_verify(args) -> int:
 
 # ---- table ---------------------------------------------------------------------
 
+def _table_rows(quantity: BoundQuantity, spec: ClassSpec, reports):
+    """(block key, r, CSV line) for each report of one (quantity, member)
+    block; the key and the ``quantity,class,p,lambda`` prefix are formed
+    once per block."""
+    key = (quantity.value, spec.kind.value, -1.0 if spec.p is None else spec.p,
+           -1.0 if spec.lam is None else spec.lam)
+    prefix = ",".join((quantity.value, spec.kind.value, _fmt(spec.p), _fmt(spec.lam)))
+    return [(key, rep.r, "%s,%.12g,%.12g,%.12g,%.12g,%s" % (
+        prefix, rep.r, rep.computed, rep.bound, rep.slack, "true" if rep.sharp else "false"))
+        for rep in reports]
+
+
 def _cmd_table(args) -> int:
     quantities = [BoundQuantity(q.upper()) for q in args.quantity]
     # the class specs and builders validate p and lambda; a sharp maximum
@@ -250,20 +263,16 @@ def _cmd_table(args) -> int:
             check_radius(r)
         rows = []
         skipped = Counter()
-        for quantity in quantities:
-            for spec, f in members:
-                if spec.kind not in _TABLE_CLASSES[quantity]:
-                    continue
-                radii = []
-                for r in args.r:
-                    if quantity in _INSIDE_POLE:
-                        try:
-                            check_inside_pole(r, spec.p)
-                        except RadiusBeyondPole:
-                            skipped[quantity.value] += 1
-                            continue
-                    radii.append(r)
-                rows.extend(check_bounds(f, spec, quantity, radii))
+        for spec, f in members:
+            swept = [q for q in quantities if spec.kind in _TABLE_CLASSES[q]]
+            outside = [q for q in swept if q not in _INSIDE_POLE]
+            inside = [q for q in swept if q in _INSIDE_POLE]  # only pole classes have any
+            radii = [r for r in args.r if r < spec.p] if inside else []
+            for quantity in inside:
+                skipped[quantity.value] += len(args.r) - len(radii)
+            for sweep, sweep_radii in ((outside, args.r), (inside, radii)):
+                for quantity, reports in zip(sweep, check_quantities(f, spec, sweep, sweep_radii)):
+                    rows.extend(_table_rows(quantity, spec, reports))
     except MeroboundsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -275,17 +284,8 @@ def _cmd_table(args) -> int:
         print("error: the sweep produced no rows", file=sys.stderr)
         return 2
 
-    rows.sort(key=lambda rep: (rep.quantity, rep.class_spec.kind.value,
-                               -1.0 if rep.class_spec.p is None else rep.class_spec.p,
-                               -1.0 if rep.class_spec.lam is None else rep.class_spec.lam,
-                               rep.r))
-    lines = [_TABLE_HEADER]
-    for rep in rows:
-        spec = rep.class_spec
-        lines.append(",".join([
-            rep.quantity, spec.kind.value, _fmt(spec.p), _fmt(spec.lam), _fmt(rep.r),
-            _fmt(rep.computed), _fmt(rep.bound), _fmt(rep.slack), _fmt(rep.sharp),
-        ]))
+    rows.sort(key=itemgetter(0, 1))
+    lines = [_TABLE_HEADER, *(line for _, _, line in rows)]
     text = "\n".join(lines) + "\n"
     if args.out is None:
         sys.stdout.write(text)

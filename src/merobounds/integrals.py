@@ -269,34 +269,29 @@ def _stein_sums(f: PoleFunction, radii) -> tuple[np.ndarray, np.ndarray]:
     raise RadiusBeyondPole(f"radius {r!r} reaches a root of z/f, where the f/z series diverges")
 
 
-def _dirichlet_f(f: PoleFunction, radii, shift: int) -> tuple[np.ndarray, np.ndarray]:
-    """Dirichlet integrals of z**shift * (f/z) at each radius, pi S1 for
-    f/z (shift 0) and pi r^2 (S0 + S1) for f (shift 1), and the bounds on
-    their remainders (``_stein_sums``), once each radius has been checked."""
+def _dirichlet_f(f: PoleFunction, radii) -> tuple[np.ndarray, np.ndarray]:
+    """Dirichlet integrals of f, pi r^2 (S0 + S1), and of f/z, pi S1, at
+    each radius, as the rows of a (2, R) array, and the bounds on their
+    remainders (``_stein_sums``) likewise, once each radius has been
+    checked.  Both come from one Stein pass."""
     _check_f_radii(f, radii)
     sums, tails = _stein_sums(f, radii)
-    if shift:
-        scale = math.pi * np.asarray(radii, dtype=np.float64) ** 2
-        return scale * sums.sum(axis=1), scale * tails.sum(axis=1)
-    return math.pi * sums[:, 1], math.pi * tails[:, 1]
+    scale = math.pi * np.asarray(radii, dtype=np.float64) ** 2
+    return (np.stack((scale * sums.sum(axis=1), math.pi * sums[:, 1])),
+            np.stack((scale * tails.sum(axis=1), math.pi * tails[:, 1])))
 
 
-def dirichlet_f_over_z_values(f: PoleFunction, radii) -> np.ndarray:
-    """Dirichlet integral of f/z at each of a sequence of radii, which must
-    stay below the pole, or below 1 without one unless f = z."""
-    return _dirichlet_f(f, radii, shift=0)[0]
+def dirichlet_f_pair_values(f: PoleFunction, radii) -> np.ndarray:
+    """Dirichlet integrals of f (row 0) and of f/z (row 1) at each of a
+    sequence of radii, from one Stein pass; the radii must stay below the
+    pole, or below 1 without one unless f = z."""
+    return _dirichlet_f(f, radii)[0]
 
 
-def dirichlet_f_values(f: PoleFunction, radii) -> np.ndarray:
-    """Dirichlet integral of f itself at each of a sequence of radii, as for
-    ``dirichlet_f_over_z_values``."""
-    return _dirichlet_f(f, radii, shift=1)[0]
-
-
-def _dirichlet_f_route(f: PoleFunction, r: float, shift: int) -> IntegralResult:
-    values, tails = _dirichlet_f(f, (r,), shift)
-    return IntegralResult(float(values[0]), Method.SERIES, r, IntegralKind.DIRICHLET,
-                          float(tails[0]))
+def _dirichlet_f_route(f: PoleFunction, r: float, row: int) -> IntegralResult:
+    values, tails = _dirichlet_f(f, (r,))
+    return IntegralResult(float(values[row, 0]), Method.SERIES, r, IntegralKind.DIRICHLET,
+                          float(tails[row, 0]))
 
 
 def dirichlet_f_over_z_series(f: PoleFunction, r: float) -> IntegralResult:
@@ -305,13 +300,13 @@ def dirichlet_f_over_z_series(f: PoleFunction, r: float) -> IntegralResult:
 
     The radius must stay below the pole, or below 1 without one unless f = z.
     """
-    return _dirichlet_f_route(f, r, shift=0)
+    return _dirichlet_f_route(f, r, row=1)
 
 
 def dirichlet_f_series(f: PoleFunction, r: float) -> IntegralResult:
     """Dirichlet integral of f itself from its Taylor coefficients, as for
     ``dirichlet_f_over_z_series``."""
-    return _dirichlet_f_route(f, r, shift=1)
+    return _dirichlet_f_route(f, r, row=0)
 
 
 # ---- quadratic integral mean ---------------------------------------------------

@@ -27,9 +27,11 @@ from merobounds.bounds import (
     build_report,
     check_bound,
     check_bounds,
+    check_quantities,
     gronwall_check,
     jenkins_bound,
     lemma1_check,
+    sharp_maxima,
     sharp_maximum,
 )
 
@@ -340,6 +342,19 @@ def test_inside_pole_maxima_keep_their_digits_at_the_pole():
         assert abs(got - want) <= 1e-14 * want
 
 
+@pytest.mark.parametrize("p", [0.5, 0.999, 0.9999, 1 - 1e-8])
+def test_inside_pole_maxima_keep_their_digits_as_the_pole_nears_one(p):
+    # the paper's form cancels a lead of 1/(1 - p^2)^2 against its bracket;
+    # it was 1.4e-10 off at p = 0.999 and 1.6e-8 at p = 0.9999
+    for quantity, near, far in ((FZ, lambda p: 1, lambda p: p**4),
+                                (F, lambda p: p * p, lambda p: p * p)):
+        for k in range(1, 100):
+            r = k * p / 100
+            want = _mp_inside_pole(p, r, near, far)
+            got = sharp_maximum(sigma(p), quantity, r)
+            assert abs(got - want) <= 1e-13 * want, (quantity, p, r)
+
+
 def test_check_bound_class_mismatch():
     with pytest.raises(ClassMismatch):
         check_bound(build_kp(0.5), ClassSpec(ClassKind.SIGMA_P, p=0.6),
@@ -387,6 +402,28 @@ def test_check_bound_reports_sharp_for_every_dispatch_pair():
         assert all(type(rep.computed) is float for rep in reports)
         assert [rep.r for rep in reports] == list(radii)
         assert check_bounds(f, spec, quantity, ()) == []
+
+
+def test_check_quantities_equals_check_bounds_for_each_quantity():
+    for kind, (spec, f) in EXTREMALS.items():
+        quantities = [q for q in BoundQuantity if (kind, q) in _SHARP_MAXIMA]
+        radii = (0.1, 0.25, 0.4)
+        for chosen in (quantities, quantities[::-1], [quantities[-1]] * 2):
+            assert check_quantities(f, spec, chosen, radii) == [
+                check_bounds(f, spec, q, radii) for q in chosen]
+            assert check_quantities(f, spec, chosen, ()) == [[] for _ in chosen]
+            for q in chosen:
+                assert sharp_maxima(spec, q, radii) == [sharp_maximum(spec, q, r) for r in radii]
+
+
+def test_check_quantities_finds_every_sharp_maximum_before_any_series_route():
+    # z/f = 1 + 1e200 z^2 overflows the z/f route, but the f maximum over S
+    # refuses r = 1 before any route runs
+    f = from_inverse_coefficients([0.0, 1e200])
+    with pytest.raises(BadRadius):
+        check_quantities(f, S, (ZF, F), (0.5, 1.0))
+    with pytest.raises(BadParameter, match="exceeds the float range"):
+        check_quantities(f, S, (ZF, F), (0.5,))
 
 
 @pytest.mark.parametrize("where", [0, 1, 2])

@@ -32,9 +32,8 @@ from merobounds.integrals import (
     Method,
     QuadratureConfig,
     dirichlet_f_over_z_series,
-    dirichlet_f_over_z_values,
+    dirichlet_f_pair_values,
     dirichlet_f_series,
-    dirichlet_f_values,
     dirichlet_quadrature,
     dirichlet_series,
     dirichlet_values,
@@ -478,8 +477,7 @@ def test_an_overflowing_route_refuses_without_warnings(route):
 
 
 def test_f_route_values_over_no_radius_are_empty():
-    for route in (dirichlet_f_values, dirichlet_f_over_z_values):
-        assert route(build_kp(0.5), []).shape == (0,)
+    assert dirichlet_f_pair_values(build_kp(0.5), []).shape == (2, 0)
 
 
 def test_f_routes_reject_radius_at_or_beyond_pole():
