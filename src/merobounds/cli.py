@@ -37,7 +37,6 @@ from .functions import (
     from_inverse_coefficients,
 )
 from .integrals import (
-    QuadratureConfig,
     dirichlet_quadrature,
     dirichlet_series,
     l1_mean_quadrature,
@@ -141,11 +140,10 @@ def _suite_oracles():
     for name, (quadrature, series), f, tolerance in cases:
         worst = max(_rel(quadrature(f, r).value, series(f, r).value) for r in radii)
         checks.append((f"oracles/{name}", worst <= tolerance, f"max rel gap {_fmt(worst)}"))
-    dense = QuadratureConfig(radial_nodes=160, angular_nodes=256)
     for p in P_GRID:
         spec, f = _kp_member(p)
         r = 0.5 * p
-        quad = dirichlet_quadrature(f_over_z_series(f, 128), r, dense).value
+        quad = dirichlet_quadrature(f_over_z_series(f, 128), r).value
         gap = _rel(quad, sharp_maximum(spec, BoundQuantity.DIRICHLET_F_OVER_Z, r))
         checks.append((f"oracles/f-over-z-quadrature-kp p={_fmt(p)}", gap <= 1e-8,
                        f"rel gap {_fmt(gap)} at r={_fmt(r)}"))

@@ -1,16 +1,22 @@
 """Dirichlet integrals and quadratic integral means on disks.
 
 Every quantity has two independent routes: a coefficient-sum route built on
-Parseval's identity, and a quadrature route that samples the function on the
-disk or circle directly.  The two must agree, and the test suite holds them
+Parseval's identity, and a quadrature route that samples the function on
+the circle directly.  The two must agree, and the test suite holds them
 to that.
 
 For g(z) = sum a_n z**n the Dirichlet integral of g over |z| < r is
 
     D(r, g) = integral of |g'|^2 over the disk = pi * sum_n n |a_n|^2 r^(2n),
 
-the area of the image counted with multiplicity.  The quadratic integral
-mean of a normalized function f is carried through its z/f series:
+the area of the image counted with multiplicity.  By Green's theorem that
+area is a boundary integral, (1/2i) times the integral of conj(g) dg round
+|z| = r, so with h = g - g(0)
+
+    D(r, g) = pi * (circle mean of Re(conj(h) z h')),
+
+which the quadrature route samples.  The quadratic integral mean of a
+normalized function f is carried through its z/f series:
 
     L1(r, f) = r^2 * (circle mean of 1/|f|^2) = sum_n |b_n|^2 r^(2n),
 
@@ -22,7 +28,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -45,9 +50,11 @@ class IntegralKind(str, Enum):
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Node counts for disk quadrature: Gauss-Legendre radially and a
-    uniform trapezoid rule in angle.  ``dirichlet_quadrature`` uses one
-    when given it; without one it sizes an exact rule to its data."""
+    """Node counts for quadrature.  ``dirichlet_quadrature`` samples its
+    circle at ``angular_nodes`` equally spaced points when given a config;
+    without one it sizes an exact rule to its data.  ``radial_nodes`` is
+    still validated but read by no route: the circle rule has no radial
+    nodes."""
 
     radial_nodes: int = 64
     angular_nodes: int = 256
@@ -85,44 +92,32 @@ class IntegralResult:
     truncation_tail_estimate: Optional[float] = None
 
 
-@lru_cache(maxsize=16)
-def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1], computed once per count
-    and returned read-only because every caller shares them."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    x.flags.writeable = False
-    w.flags.writeable = False
-    return x, w
-
-
 def _exact_count(n: int) -> int:
     """The smallest power of two that is at least 16 and at least n.
 
     An m-point trapezoid rule integrates e^(ik theta) exactly for |k| < m,
-    and m Gauss-Legendre nodes every polynomial of degree 2m - 1, so m >= n
-    nodes are exact for a trigonometric polynomial of degree below n and a
-    polynomial of degree 2n - 1.  Rounding up to a power of two leaves
-    about log2 n distinct rules, which the cache of ``_gauss_legendre``
-    holds.
+    so m >= n nodes are exact for a trigonometric polynomial of degree
+    below n.  Powers of two are the sizes the FFT is fastest at.
     """
     return max(16, 1 << (n - 1).bit_length())
 
 
-def _circle_values(c: np.ndarray, rho: np.ndarray, m: int) -> np.ndarray:
-    """Values of sum_n c_n z^n at the nodes rho_j e^(2 pi i k / m), as a
-    (len(rho), m) array with k along the second axis.
+def _circle_values(c: np.ndarray, r: float, m: int) -> np.ndarray:
+    """Values of sum_n c_n z^n at the nodes r e^(2 pi i k / m), k along the
+    last axis, for each row of coefficients along the last axis of c.
 
-    On circle j these are the m-point DFT, with positive exponent, of the
-    sequence c_n rho_j^n, so one inverse FFT without normalisation gives a
-    whole circle.  e^(2 pi i k n / m) depends on n only modulo m, so a
-    series longer than m is folded modulo m first and samples the same
-    nodes as direct evaluation, aliasing included.
+    These are the m-point DFT, with positive exponent, of the sequence
+    c_n r^n, so one inverse FFT without normalisation gives the whole
+    circle.  e^(2 pi i k n / m) depends on n only modulo m, so a series
+    longer than m is folded modulo m first and samples the same nodes as
+    direct evaluation, aliasing included.
     """
-    n = len(c)
-    x = c[None, :] * rho[:, None] ** np.arange(n)
-    if n > m:
-        x = np.pad(x, ((0, 0), (0, -n % m))).reshape(len(rho), -1, m).sum(axis=1)
-    return np.fft.ifft(x, m, axis=1, norm="forward")
+    n = c.shape[-1]
+    x = c * r ** np.arange(n)
+    for k in range(m, n, m):
+        width = min(m, n - k)
+        x[..., :width] += x[..., k : k + width]
+    return np.fft.ifft(x[..., :m], m, norm="forward")
 
 
 def _finite(values, quantity: str):
@@ -154,16 +149,17 @@ def dirichlet_series(g: TruncatedSeries, r: float) -> IntegralResult:
 def dirichlet_quadrature(
     g: TruncatedSeries, r: float, config: Optional[QuadratureConfig] = None
 ) -> IntegralResult:
-    """Disk quadrature of |g'|^2 for a series g of degree d, the index of
-    its last nonzero coefficient; g' has the coefficients n c_n, 1 <= n <= d.
+    """Circle quadrature of the area D(r, g) for a series g of degree d, the
+    index of its last nonzero coefficient.
 
-    Without a config, g' is sampled on m Gauss-Legendre radii times m
-    uniform angles, m the smallest power of two at least 16 and at least d
-    (``_exact_count``).  The angular mean of |g'|^2 is a trigonometric
-    polynomial of degree d - 1 < m and, times rho, a polynomial of degree
-    2d - 1 <= 2m - 1 in rho, so both rules are exact for every degree.
-    Each Gauss-Legendre circle is sampled at all its angles by one FFT of
-    the g' coefficients scaled by the circle's radius (``_circle_values``).
+    With h = g - g(0), D(r, g) = pi * (mean of Re(conj(h) z h') over
+    |z| = r), Green's theorem for the area.  h and z h' = sum n c_n z^n are
+    sampled at m equally spaced points of the circle by one two-row FFT
+    (``_circle_values``), m the smallest power of two at least 16 and at
+    least d (``_exact_count``), or ``config.angular_nodes``.
+    conj(h) z h' is a trigonometric polynomial of degree d - 1 < m, so the
+    rule is exact for every degree.  Dropping g(0) keeps it well
+    conditioned: the mean of |conj(h) z h'| is at most sqrt(d) D / pi.
     Raises BadParameter when the integral leaves the float range.
     """
     check_radius(r)
@@ -173,16 +169,12 @@ def dirichlet_quadrature(
     d = degree(c)
     if d <= 0:
         return IntegralResult(0.0, Method.QUADRATURE, r, IntegralKind.DIRICHLET)
-    if config is None:
-        count = _exact_count(d)
-        config = QuadratureConfig(count, count)
-    x, w = _gauss_legendre(config.radial_nodes)
-    rho = 0.5 * r * (x + 1.0)
-    radial_weights = 0.5 * r * w
+    m = _exact_count(d) if config is None else config.angular_nodes
+    h = c[: d + 1].copy()
+    h[0] = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        values = _circle_values(c[1 : d + 1] * np.arange(1, d + 1), rho, config.angular_nodes)
-        angular_means = np.mean(np.abs(values) ** 2, axis=1)
-        value = float(2.0 * np.pi * np.sum(radial_weights * rho * angular_means))
+        values = _circle_values(np.stack((h, np.arange(d + 1) * h)), r, m)
+        value = math.pi * float(np.vdot(values[0], values[1]).real) / m
     return IntegralResult(_finite(value, "Dirichlet integral"), Method.QUADRATURE, r,
                           IntegralKind.DIRICHLET)
 
@@ -337,7 +329,7 @@ def l1_mean_quadrature(f: PoleFunction, r: float) -> IntegralResult:
     b = f.inv_series.coefficients
     d = degree(b)
     with np.errstate(over="ignore", invalid="ignore"):
-        values = _circle_values(b[: d + 1], np.array([r]), _exact_count(d + 1))
+        values = _circle_values(b[: d + 1], r, _exact_count(d + 1))
         value = float(np.mean(np.abs(values) ** 2))
     return IntegralResult(_finite(value, "L1 mean"), Method.QUADRATURE, r,
                           IntegralKind.L1_MEAN)

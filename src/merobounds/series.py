@@ -84,17 +84,21 @@ class TruncatedSeries:
     def evaluate(self, z):
         """Horner evaluation at a complex point or ndarray of points.
 
-        Arrays of two or more points are stepped in place.  A single point
-        keeps the out-of-place step: numpy can round a one-element product
-        differently in place, and the result must not change in the last bit.
+        Horner starts at the degree: trailing zero coefficients would only
+        hold the accumulator at zero, so a zero-padded vector costs what its
+        degree costs.  Arrays of two or more points are stepped in place.  A
+        single point keeps the out-of-place step: numpy can round a
+        one-element product differently in place, and the result must not
+        change in the last bit.
         """
         pts = np.asarray(z, dtype=np.complex128)
-        acc = np.full(pts.shape, self._coeffs[-1])
+        d = max(degree(self._coeffs), 0)
+        acc = np.full(pts.shape, self._coeffs[d])
         if pts.size == 1:
-            for c in self._coeffs[-2::-1]:
+            for c in self._coeffs[:d][::-1]:
                 acc = acc * pts + c
         else:
-            for c in self._coeffs[-2::-1]:
+            for c in self._coeffs[:d][::-1]:
                 acc *= pts
                 acc += c
         if np.ndim(z) == 0:

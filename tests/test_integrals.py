@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.polynomial.polynomial import polyder
 
 from merobounds.errors import (
     BadParameter,
@@ -42,7 +41,6 @@ from merobounds.integrals import (
     l1_mean_values,
     _circle_values,
     _exact_count,
-    _gauss_legendre,
 )
 from merobounds.series import TruncatedSeries
 
@@ -211,20 +209,11 @@ def test_quadrature_matches_series_for_polynomial_data(p, r):
     assert got == pytest.approx(want, rel=1e-12)
 
 
-def test_gauss_legendre_nodes_are_cached_read_only_and_exact():
-    x, w = _gauss_legendre(64)
-    ref_x, ref_w = np.polynomial.legendre.leggauss(64)
-    assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
-    assert _gauss_legendre(64)[0] is x
-    with pytest.raises(ValueError):
-        x[0] = 0.0
-
-
 @pytest.mark.parametrize("order", [256, 257, 300, 400])
 def test_quadrature_routes_exact_at_high_order(order):
-    # the default rules, m x m disk nodes for m the smallest power of two at
-    # least max(16, N) and as many circle nodes for max(16, d + 1), are exact
-    # at every order; a fixed 64 x 256 and 256 alias from 257 and 256 on
+    # the default rules, m circle nodes for m the smallest power of two at
+    # least max(16, d) for the area and max(16, d + 1) for the L1 mean, are
+    # exact at every order; a fixed 256 nodes alias from 257 and 256 on
     rng = np.random.default_rng(order)
     b = (rng.normal(size=order) + 1j * rng.normal(size=order)) / np.arange(1, order + 1)
     f = from_inverse_coefficients(b)
@@ -244,7 +233,7 @@ def _dense_coefficients(order, seed):
 @pytest.mark.parametrize("order", [1, 15, 16, 17, 31, 32, 33, 63, 64, 65, 128, 129])
 @pytest.mark.parametrize("r", [0.5, 1.0])
 def test_default_rules_are_exact_at_the_power_of_two_edges(order, r):
-    # the disk rule steps from m to 2m nodes past N = m, the circle rule past
+    # the area rule steps from m to 2m nodes past d = m, the L1 rule past
     # d + 1 = m; each side of every step is still exact
     c = _dense_coefficients(order, order)
     g = TruncatedSeries(c)
@@ -271,14 +260,6 @@ def test_exact_count_is_the_smallest_power_of_two_from_16(n, count):
     assert _exact_count(n) == count
 
 
-def test_default_rules_stay_in_the_gauss_legendre_cache():
-    # powers of two give orders 1..64 three radial rules: 16, 32 and 64 nodes
-    _gauss_legendre.cache_clear()
-    for order in range(1, 65):
-        dirichlet_quadrature(TruncatedSeries(_dense_coefficients(order, order)), 0.9)
-    assert _gauss_legendre.cache_info().misses <= 3
-
-
 def test_zero_padded_row_integrates_as_its_degree():
     # a CSV row padded with zero coefficients is sized by its last nonzero one
     kp = build_kp(0.5)
@@ -291,10 +272,10 @@ def test_zero_padded_row_integrates_as_its_degree():
         assert l1_mean_quadrature(padded, r).value == l1_mean_quadrature(kp, r).value
 
 
-def _horner_grid(c, rho, m):
-    """Node values by Horner on the polar grid rho_j e^(2 pi i k / m)."""
+def _horner_circle(c, r, m):
+    """Values by Horner at the nodes r e^(2 pi i k / m)."""
     theta = 2.0 * np.pi * np.arange(m) / m
-    return TruncatedSeries(c).evaluate(rho[:, None] * np.exp(1j * theta)[None, :])
+    return TruncatedSeries(c).evaluate(r * np.exp(1j * theta))
 
 
 @pytest.mark.parametrize("m", [16, 256])
@@ -305,28 +286,55 @@ def test_circle_values_match_horner(order, m):
     # error a degree-N polynomial amplifies by about sum n |c_n|, so the
     # coefficients decay as the z/f data of the routes do.
     rng = np.random.default_rng(order + m)
-    c = (rng.normal(size=order + 1) + 1j * rng.normal(size=order + 1)) / np.arange(1, order + 2)
-    rho = np.array([0.05, 0.5, 0.9, 1.0])
-    want = _horner_grid(c, rho, m)
-    got = _circle_values(c, rho, m)
-    assert got.shape == (4, m)
-    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    c = (rng.normal(size=(2, order + 1)) + 1j * rng.normal(size=(2, order + 1))) / np.arange(
+        1, order + 2)
+    for r in (0.05, 0.5, 0.9, 1.0):
+        want = np.stack([_horner_circle(row, r, m) for row in c])
+        got = _circle_values(c, r, m)
+        assert got.shape == (2, m)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        assert np.array_equal(_circle_values(c[0], r, m), got[0])
 
 
 def test_coarse_config_samples_the_horner_nodes():
-    # an explicit 8 x 16 rule on an order-64 g aliases; the FFT must alias
-    # exactly as direct sampling of g' at the same nodes does
+    # an explicit 16-angle rule on an order-64 g aliases; the FFT must alias
+    # exactly as direct sampling of h = g - g(0) and z h' at the same nodes does
     rng = np.random.default_rng(64)
     c = (rng.normal(size=65) + 1j * rng.normal(size=65)) / np.arange(1, 66)
     g, r = TruncatedSeries(c), 0.9
-    x, w = np.polynomial.legendre.leggauss(8)
-    rho = 0.5 * r * (x + 1.0)
-    sq = np.abs(_horner_grid(polyder(g.coefficients), rho, 16)) ** 2
-    want = 2.0 * np.pi * np.sum(0.5 * r * w * rho * sq.mean(axis=1))
+    h = np.concatenate(([0.0], c[1:]))
+    want = math.pi * np.mean(np.real(np.conj(_horner_circle(h, r, 16))
+                                     * _horner_circle(np.arange(65) * h, r, 16)))
     got = dirichlet_quadrature(g, r, QuadratureConfig(8, 16)).value
     assert got == pytest.approx(want, rel=1e-13)
     # the rule is coarse enough to alias: it is not the series value
     assert abs(got - dirichlet_series(g, r).value) > 1e-6 * abs(got)
+
+
+def test_quadrature_ignores_the_constant_term():
+    # the area integrand drops g(0), so no size of it costs a bit
+    c = _dense_coefficients(40, 40)
+    values = set()
+    for c0 in (1.0, 1e8, -3e15 + 2e15j):
+        c[0] = c0
+        values.update(dirichlet_quadrature(TruncatedSeries(c), r).value for r in (0.5, 1.0))
+    assert len(values) == 2
+
+
+@pytest.mark.parametrize("d", [64, 257])
+@pytest.mark.parametrize("r", [0.9, 1.0])
+def test_quadrature_is_accurate_where_cross_terms_dominate(d, r):
+    # g = z + eps z^d with eps^2 r^(2d - 2) = 1/d: the cross terms of
+    # conj(h) z h' reach sqrt(d) times the area, the bound the rule's
+    # conditioning rests on
+    eps = math.sqrt(1.0 / d) / r ** (d - 1)
+    c = np.zeros(d + 1)
+    c[1], c[d] = 1.0, eps
+    got = dirichlet_quadrature(TruncatedSeries(c), r).value
+    with mp.workdps(50):
+        R = mp.mpf(r)
+        want = mp.pi * (R ** 2 + d * mp.mpf(eps) ** 2 * R ** (2 * d))
+        assert abs(got - want) <= 2e-15 * want
 
 
 @given(order=st.integers(min_value=1, max_value=300), seed=st.integers(0, 2**32 - 1),

@@ -135,6 +135,20 @@ def test_evaluate_matches_out_of_place_horner_bit_for_bit():
         assert got == complex(out_of_place_horner(s.coefficients, z))
 
 
+def test_zero_padding_leaves_evaluate_bit_identical():
+    rng = np.random.default_rng(17)
+    for n in (1, 2, 9, 40):
+        c = rng.normal(size=n) + 1j * rng.normal(size=n)
+        s, padded = TruncatedSeries(c), TruncatedSeries(np.concatenate((c, np.zeros(30))))
+        pts = rng.uniform(-1.2, 1.2, size=(5, 7)) + 1j * rng.uniform(-1.2, 1.2, size=(5, 7))
+        assert np.array_equal(padded.evaluate(pts), s.evaluate(pts))
+        z = complex(pts[0, 0])
+        assert padded.evaluate(z) == s.evaluate(z)
+    zero = TruncatedSeries(np.zeros(6))
+    assert zero.evaluate(0.5j) == 0.0
+    assert np.array_equal(zero.evaluate(pts), np.zeros(pts.shape))
+
+
 def test_evaluate_against_power_sum():
     rng = np.random.default_rng(5)
     for _ in range(30):
