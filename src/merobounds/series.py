@@ -92,7 +92,7 @@ class TruncatedSeries:
         change in the last bit.
         """
         pts = np.asarray(z, dtype=np.complex128)
-        d = max(degree(self._coeffs), 0)
+        d = self.order if self._coeffs[-1] else max(degree(self._coeffs), 0)
         acc = np.full(pts.shape, self._coeffs[d])
         if pts.size == 1:
             for c in self._coeffs[:d][::-1]:
