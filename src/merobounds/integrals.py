@@ -21,6 +21,14 @@ normalized function f is carried through its z/f series:
     L1(r, f) = r^2 * (circle mean of 1/|f|^2) = sum_n |b_n|^2 r^(2n),
 
 where b_n are the z/f coefficients (b_0 = 1).
+
+Both Parseval sums go through one kernel, ``series._parseval``.  It forms
+each term scaled, as (n^(t/2) |c_n| r^n)^2, never |c_n|^2 or r^(2n) alone,
+and sums the squares by one reduction that a radius shares with each row
+of an array of radii.  So a sum is finite wherever it lies in the float
+range, however large a coefficient or small a power of r is on its own
+(z/f = 1 + 1e200 z^2 at r = 1e-100 gives 2 pi and 2), and a radius gives
+the same bits alone or among others.
 """
 
 from __future__ import annotations
@@ -35,7 +43,7 @@ import numpy as np
 from .errors import (BadParameter, RadiusBeyondPole, check_count, check_inside_pole,
                      check_open_radius, check_radius)
 from .functions import PoleFunction
-from .series import TruncatedSeries, degree
+from .series import TruncatedSeries, _parseval, degree
 
 
 class Method(str, Enum):
@@ -143,7 +151,9 @@ def dirichlet_values(g: TruncatedSeries, radii):
 def dirichlet_series(g: TruncatedSeries, r: float) -> IntegralResult:
     """Coefficient-sum route over exact coefficients: ``dirichlet_values`` at r."""
     check_radius(r)
-    return IntegralResult(dirichlet_values(g, r), Method.SERIES, r, IntegralKind.DIRICHLET, 0.0)
+    value = math.pi * float(_parseval(g.coefficients, 1.0, r, 1))
+    return IntegralResult(_finite(value, "Dirichlet integral"), Method.SERIES, r,
+                          IntegralKind.DIRICHLET, 0.0)
 
 
 def dirichlet_quadrature(
@@ -170,10 +180,12 @@ def dirichlet_quadrature(
     if d <= 0:
         return IntegralResult(0.0, Method.QUADRATURE, r, IntegralKind.DIRICHLET)
     m = _exact_count(d) if config is None else config.angular_nodes
-    h = c[: d + 1].copy()
-    h[0] = 0.0
+    h = np.empty((2, d + 1), dtype=c.dtype)
+    h[0] = c[: d + 1]
+    h[0, 0] = 0.0
+    h[1] = np.arange(d + 1) * h[0]
     with np.errstate(over="ignore", invalid="ignore"):
-        values = _circle_values(np.stack((h, np.arange(d + 1) * h)), r, m)
+        values = _circle_values(h, r, m)
         value = math.pi * float(np.vdot(values[0], values[1]).real) / m
     return IntegralResult(_finite(value, "Dirichlet integral"), Method.QUADRATURE, r,
                           IntegralKind.DIRICHLET)
@@ -314,7 +326,8 @@ def l1_mean_values(f: PoleFunction, radii):
 def l1_mean_series(f: PoleFunction, r: float) -> IntegralResult:
     """Parseval route: ``l1_mean_values`` at r."""
     check_radius(r)
-    return IntegralResult(l1_mean_values(f, r), Method.SERIES, r, IntegralKind.L1_MEAN, 0.0)
+    value = 1.0 + float(_parseval(f.inv_series.coefficients, 0.0, r, 1))
+    return IntegralResult(_finite(value, "L1 mean"), Method.SERIES, r, IntegralKind.L1_MEAN, 0.0)
 
 
 def l1_mean_quadrature(f: PoleFunction, r: float) -> IntegralResult:
@@ -322,14 +335,16 @@ def l1_mean_quadrature(f: PoleFunction, r: float) -> IntegralResult:
     smallest power of two at least 16 and at least d + 1 of equally spaced
     points on the circle (``_exact_count``), all by one FFT of its
     coefficients scaled by r (``_circle_values``), and averages its squared
-    modulus.  |z/f|^2 is a trigonometric polynomial of degree d, so the
+    modulus as the dot product of the samples with themselves over their
+    number.  |z/f|^2 is a trigonometric polynomial of degree d, so the
     average is exact; it is stable at every radius, the pole's included.
     Raises BadParameter when the mean leaves the float range."""
     check_radius(r)
     b = f.inv_series.coefficients
     d = degree(b)
     with np.errstate(over="ignore", invalid="ignore"):
-        values = _circle_values(b[: d + 1], r, _exact_count(d + 1))
-        value = float(np.mean(np.abs(values) ** 2))
+        m = _exact_count(d + 1)
+        values = _circle_values(b[: d + 1], r, m)
+        value = float(np.vdot(values, values).real) / m
     return IntegralResult(_finite(value, "L1 mean"), Method.QUADRATURE, r,
                           IntegralKind.L1_MEAN)

@@ -20,7 +20,10 @@ ComplexLike = Union[complex, float, int]
 
 def degree(c: np.ndarray) -> int:
     """Index of the last nonzero entry of the coefficient vector c, -1 when
-    there is none (the zero polynomial)."""
+    there is none (the zero polynomial).  An unpadded vector, whose last
+    entry is nonzero, is answered without a scan."""
+    if c.size and c[-1]:
+        return c.size - 1
     nonzero = np.flatnonzero(c)
     return int(nonzero[-1]) if nonzero.size else -1
 
@@ -92,7 +95,7 @@ class TruncatedSeries:
         change in the last bit.
         """
         pts = np.asarray(z, dtype=np.complex128)
-        d = self.order if self._coeffs[-1] else max(degree(self._coeffs), 0)
+        d = max(degree(self._coeffs), 0)
         acc = np.full(pts.shape, self._coeffs[d])
         if pts.size == 1:
             for c in self._coeffs[:d][::-1]:
@@ -106,7 +109,7 @@ class TruncatedSeries:
         return acc
 
     def weighted_coefficient_sum(self, t: float, r, start_index: int = 0):
-        """``sum_{n >= start_index} n**t |c[n]|**2 r**(2n)``.
+        """``sum_{n >= start_index} n**t |c[n]|**2 r**(2n)``, by ``_parseval``.
 
         The n = 0 term is taken to be ``|c[0]|**2`` when t = 0 and zero for
         any other t (the only finite reading of ``0**t`` for t < 0, and the
@@ -114,10 +117,12 @@ class TruncatedSeries:
         the empty sum, 0.
 
         r is a radius, giving a float, or a one-dimensional array of radii,
-        giving an array with one sum per radius.  Weights and moduli are
-        formed once and every radius is summed in the same elementwise
-        order, so a radius gives the same bits alone or among others.  A
-        sum that overflows reads inf, without a warning.
+        giving an array with one sum per radius; a radius gives the same
+        bits alone or among others.  Each term is formed scaled, as
+        (n**(t/2) |c[n]| r**n)**2, so the sum is finite wherever it and each
+        n**(t/2) are, however large |c[n]|**2 or small r**(2n) is alone: 1 +
+        1e200 z**2 at r = 1e-100 and t = 1 gives 2.  A sum that overflows
+        reads inf, without a warning.
 
         Raises:
             BadRadius: if r, or any radius in it, is outside (0, 1].
@@ -132,15 +137,38 @@ class TruncatedSeries:
             check_radius(radius)
         if not np.isfinite(t):
             raise BadParameter(f"exponent t {t!r} is not finite")
-        message = f"start index {start_index} outside [0, {self.order + 1}]"
-        check_count(start_index, 0, message)
-        if start_index > self.order + 1:
-            raise BadParameter(message)
-        n = np.arange(start_index, self.order + 1, dtype=np.float64)
-        with np.errstate(all="ignore"):
-            weights = n ** t
-            if start_index == 0 and t != 0:
-                weights[0] = 0.0
-            mags = np.abs(self._coeffs[start_index:]) ** 2
-            sums = np.sum(weights * mags * radii[..., None] ** (2.0 * n), axis=-1)
+        if type(start_index) is not int or not 0 <= start_index <= self.order + 1:
+            message = f"start index {start_index} outside [0, {self.order + 1}]"
+            check_count(start_index, 0, message)
+            if start_index > self.order + 1:
+                raise BadParameter(message)
+        sums = _parseval(self._coeffs, t, radii, start_index)
         return float(sums) if radii.ndim == 0 else sums
+
+
+def _parseval(c: np.ndarray, t: float, radii, start: int):
+    """``sum_{n >= start} n**t |c[n]|**2 r**(2n)`` over the coefficient
+    vector c, validating nothing: at one radius, as a numpy float, or at
+    each radius of a one-dimensional array, as an array.
+
+    Each term is formed scaled, x_n = n**(t/2) |c[n]| r**n (x_0 = 0 when
+    t != 0), and the sum is x . x (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, section 3.1).  Neither |c[n]|**2 nor r**(2n) is
+    formed alone, so the sum is finite wherever it and each n**(t/2) are;
+    one that overflows reads inf, without a warning.  r**n is libm's
+    ``pow`` at every element (``float_power``), since ``**`` squares
+    instead where a broadcast exponent is 2, which depends on the shape.
+    So a radius and each row of an array of radii take the same steps, down
+    to one pairwise reduction over n, and give the same bits alone or among
+    others.
+    """
+    n = np.arange(start, c.size, dtype=np.float64)
+    with np.errstate(all="ignore"):
+        x = np.abs(c[start:]) * np.float_power(np.asarray(radii)[..., None], n)
+        if t != 0:
+            weights = n ** (0.5 * t)
+            if start == 0:
+                weights[0] = 0.0
+            x *= weights
+        x *= x
+        return np.add.reduce(x, axis=-1)

@@ -489,6 +489,28 @@ def test_an_overflowing_route_refuses_without_warnings(route):
     assert not caught
 
 
+@pytest.mark.parametrize("route,quantity", [
+    (lambda f, r: dirichlet_values(f.inv_series, r), "dirichlet"),
+    (lambda f, r: dirichlet_values(f.inv_series, np.array([r]))[0], "dirichlet"),
+    (lambda f, r: dirichlet_series(f.inv_series, r).value, "dirichlet"),
+    (lambda f, r: l1_mean_values(f, r), "l1"),
+    (lambda f, r: l1_mean_values(f, np.array([r]))[0], "l1"),
+    (lambda f, r: l1_mean_series(f, r).value, "l1"),
+], ids=["dirichlet_values", "dirichlet_values-array", "dirichlet_series",
+        "l1_mean_values", "l1_mean_values-array", "l1_mean_series"])
+def test_a_large_coefficient_at_a_tiny_radius_sums_in_range(route, quantity):
+    # the same z/f at r = 1e-100: 2 pi and 2, though |b_2|**2 and r**4 each
+    # leave the float range; these raised BadParameter
+    r = 1e-100
+    with mp.workdps(50):
+        term = abs(mp.mpf(1e200)) ** 2 * mp.mpf(r) ** 4
+        want = float(2 * mp.pi * term if quantity == "dirichlet" else 1 + term)
+    assert want == pytest.approx(2 * math.pi if quantity == "dirichlet" else 2.0, rel=1e-15)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert route(_OVERFLOWING, r) == pytest.approx(want, rel=4e-16)
+
+
 def test_f_route_values_over_no_radius_are_empty():
     assert dirichlet_f_pair_values(build_kp(0.5), []).shape == (2, 0)
 

@@ -1,3 +1,4 @@
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +6,7 @@ from hypothesis import strategies as st
 
 from merobounds.errors import BadParameter, BadRadius
 from merobounds.functions import PoleFunction, f_over_z_series, from_inverse_coefficients
-from merobounds.series import TruncatedSeries
+from merobounds.series import TruncatedSeries, degree
 
 
 # ---- independent oracles -------------------------------------------------
@@ -303,6 +304,48 @@ def test_weighted_sum_refuses_a_two_dimensional_array_of_radii():
             1.0, np.array([[0.25, 0.5], [0.75, 1.0]]))
 
 
+def mp_weighted_sum(coeffs, t, r, start):
+    """``sum_{n >= start} n**t |c[n]|**2 r**(2n)`` at 50 digits over the
+    exact values of the float data."""
+    with mp.workdps(50):
+        r = mp.mpf(float(r))
+        return mp.fsum((0 if n == 0 and t != 0 else mp.mpf(n) ** mp.mpf(t))
+                       * abs(mp.mpc(complex(coeffs[n]))) ** 2 * r ** (2 * n)
+                       for n in range(start, len(coeffs)))
+
+
+def test_weighted_sum_of_a_large_coefficient_at_a_tiny_radius_is_finite():
+    # |c_2|**2 = 1e400 and r**4 = 1e-400 each leave the float range; this
+    # raised BadParameter in the Dirichlet and L1 routes
+    s = TruncatedSeries([1.0, 0.0, 1e200])
+    for t, start in [(1.0, 1), (0.0, 1), (0.0, 0), (2.0, 2)]:
+        want = mp_weighted_sum(s.coefficients, t, 1e-100, start)
+        assert s.weighted_coefficient_sum(t, 1e-100, start) == pytest.approx(float(want), rel=4e-16)
+
+
+def test_weighted_sum_with_a_large_exponent_is_finite():
+    # 299**200 overflows and 0.01**598 underflows; their product read NaN
+    s = TruncatedSeries(np.ones(300))
+    want = mp_weighted_sum(s.coefficients, 200.0, 0.01, 0)
+    assert float(want) == pytest.approx(1.1953e181, rel=1e-4)
+    assert s.weighted_coefficient_sum(200.0, 0.01) == pytest.approx(float(want), rel=1e-13)
+
+
+@pytest.mark.parametrize("t", [-1.0, 0.0, 1.0, 2.0])
+def test_weighted_sum_against_a_50_digit_sum(t):
+    # scaled terms, each within a few eps, and a pairwise sum of positive
+    # terms: 32 eps bounds the relative error at every order up to 300
+    rng = np.random.default_rng(31)
+    for _ in range(12):
+        size = int(rng.integers(2, 302))
+        c = rng.normal(size=size) + 1j * rng.normal(size=size)
+        r = float(rng.uniform(0.05, 1.0))
+        start = int(rng.integers(0, 3))
+        want = float(mp_weighted_sum(c, t, r, start))
+        got = TruncatedSeries(c).weighted_coefficient_sum(t, r, start)
+        assert got == pytest.approx(want, rel=32 * np.finfo(float).eps, abs=0.0)
+
+
 def test_zero_series_weighted_sum():
     s = TruncatedSeries([0.0] * 6)
     assert s.weighted_coefficient_sum(2.0, 0.9) == 0.0
@@ -316,3 +359,13 @@ def test_weighted_sum_t0_is_scaled_l2_norm(xs, r):
     scaled = [c * r**n for n, c in enumerate(xs)]
     want = float(np.linalg.norm(scaled)) ** 2
     assert s.weighted_coefficient_sum(0.0, r) == pytest.approx(want, rel=1e-11, abs=1e-13)
+
+
+@pytest.mark.parametrize("coeffs,want", [
+    ([1.0, 2.0, 3.0], 2), ([1.0, 2.0, 0.0], 1), ([1.0, 0.0, 0.0, 0.0], 0), ([0.0, 0.0, 5.0], 2),
+    ([1.0, 1j], 1), ([1.0, 1j, 0.0], 1), ([0.0, 0.0], -1), ([0.0], -1), ([], -1)])
+def test_degree_of_padded_and_unpadded_vectors(coeffs, want):
+    c = np.array(coeffs, dtype=np.complex128)
+    assert degree(c) == want
+    assert type(degree(c)) is int
+
