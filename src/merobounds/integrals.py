@@ -22,13 +22,9 @@ normalized function f is carried through its z/f series:
 
 where b_n are the z/f coefficients (b_0 = 1).
 
-Both Parseval sums go through one kernel, ``series._parseval``.  It forms
-each term scaled, as (n^(t/2) |c_n| r^n)^2, never |c_n|^2 or r^(2n) alone,
-and sums the squares by one reduction that a radius shares with each row
-of an array of radii.  So a sum is finite wherever it lies in the float
-range, however large a coefficient or small a power of r is on its own
-(z/f = 1 + 1e200 z^2 at r = 1e-100 gives 2 pi and 2), and a radius gives
-the same bits alone or among others.
+Both z/f Parseval sums use ``series._parseval``, which forms each term
+scaled, as (n^(t/2) |c_n| r^n)^2, and sums by one reduction shared by every
+radius: z/f = 1 + 1e200 z^2 at r = 1e-100 gives 2 pi and 2.
 """
 
 from __future__ import annotations
@@ -151,9 +147,8 @@ def dirichlet_values(g: TruncatedSeries, radii):
 def dirichlet_series(g: TruncatedSeries, r: float) -> IntegralResult:
     """Coefficient-sum route over exact coefficients: ``dirichlet_values`` at r."""
     check_radius(r)
-    value = math.pi * float(_parseval(g.coefficients, 1.0, r, 1))
-    return IntegralResult(_finite(value, "Dirichlet integral"), Method.SERIES, r,
-                          IntegralKind.DIRICHLET, 0.0)
+    value = _finite(math.pi * float(_parseval(g.coefficients, 1.0, r, 1)), "Dirichlet integral")
+    return IntegralResult(value, Method.SERIES, r, IntegralKind.DIRICHLET, 0.0)
 
 
 def dirichlet_quadrature(
@@ -180,9 +175,8 @@ def dirichlet_quadrature(
     if d <= 0:
         return IntegralResult(0.0, Method.QUADRATURE, r, IntegralKind.DIRICHLET)
     m = _exact_count(d) if config is None else config.angular_nodes
-    h = np.empty((2, d + 1), dtype=c.dtype)
-    h[0] = c[: d + 1]
-    h[0, 0] = 0.0
+    h = np.zeros((2, d + 1), dtype=c.dtype)
+    h[0, 1:] = c[1 : d + 1]
     h[1] = np.arange(d + 1) * h[0]
     with np.errstate(over="ignore", invalid="ignore"):
         values = _circle_values(h, r, m)
@@ -343,8 +337,7 @@ def l1_mean_quadrature(f: PoleFunction, r: float) -> IntegralResult:
     b = f.inv_series.coefficients
     d = degree(b)
     with np.errstate(over="ignore", invalid="ignore"):
-        m = _exact_count(d + 1)
-        values = _circle_values(b[: d + 1], r, m)
-        value = float(np.vdot(values, values).real) / m
+        values = _circle_values(b[: d + 1], r, _exact_count(d + 1))
+        value = float(np.vdot(values, values).real) / len(values)
     return IntegralResult(_finite(value, "L1 mean"), Method.QUADRATURE, r,
                           IntegralKind.L1_MEAN)

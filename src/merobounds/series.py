@@ -20,8 +20,7 @@ ComplexLike = Union[complex, float, int]
 
 def degree(c: np.ndarray) -> int:
     """Index of the last nonzero entry of the coefficient vector c, -1 when
-    there is none (the zero polynomial).  An unpadded vector, whose last
-    entry is nonzero, is answered without a scan."""
+    there is none (the zero polynomial); no scan when the last is nonzero."""
     if c.size and c[-1]:
         return c.size - 1
     nonzero = np.flatnonzero(c)
@@ -117,12 +116,10 @@ class TruncatedSeries:
         the empty sum, 0.
 
         r is a radius, giving a float, or a one-dimensional array of radii,
-        giving an array with one sum per radius; a radius gives the same
-        bits alone or among others.  Each term is formed scaled, as
-        (n**(t/2) |c[n]| r**n)**2, so the sum is finite wherever it and each
-        n**(t/2) are, however large |c[n]|**2 or small r**(2n) is alone: 1 +
-        1e200 z**2 at r = 1e-100 and t = 1 gives 2.  A sum that overflows
-        reads inf, without a warning.
+        giving an array with one sum per radius, the same bits alone or
+        among others.  Terms are formed scaled, so the sum is finite wherever
+        it and each n**(t/2) are, however large |c[n]|**2 or small r**(2n)
+        is alone.  A sum that overflows reads inf, without a warning.
 
         Raises:
             BadRadius: if r, or any radius in it, is outside (0, 1].
@@ -147,21 +144,14 @@ class TruncatedSeries:
 
 
 def _parseval(c: np.ndarray, t: float, radii, start: int):
-    """``sum_{n >= start} n**t |c[n]|**2 r**(2n)`` over the coefficient
-    vector c, validating nothing: at one radius, as a numpy float, or at
-    each radius of a one-dimensional array, as an array.
+    """``sum_{n >= start} n**t |c[n]|**2 r**(2n)``, unvalidated, at a radius
+    (a numpy float) or at each of a one-dimensional array of radii.
 
-    Each term is formed scaled, x_n = n**(t/2) |c[n]| r**n (x_0 = 0 when
-    t != 0), and the sum is x . x (Higham, *Accuracy and Stability of
-    Numerical Algorithms*, section 3.1).  Neither |c[n]|**2 nor r**(2n) is
-    formed alone, so the sum is finite wherever it and each n**(t/2) are;
-    one that overflows reads inf, without a warning.  r**n is libm's
-    ``pow`` at every element (``float_power``), since ``**`` squares
-    instead where a broadcast exponent is 2, which depends on the shape.
-    So a radius and each row of an array of radii take the same steps, down
-    to one pairwise reduction over n, and give the same bits alone or among
-    others.
-    """
+    Terms are formed scaled, x_n = n**(t/2) |c[n]| r**n (x_0 = 0 if t != 0),
+    and summed as x . x, so the sum is finite wherever it and each n**(t/2)
+    are; overflow reads inf, silently.  A radius alone and each row of an
+    array take the same steps and give the same bits: ``float_power`` is
+    libm's pow everywhere, where ``**`` squares a broadcast exponent of 2."""
     n = np.arange(start, c.size, dtype=np.float64)
     with np.errstate(all="ignore"):
         x = np.abs(c[start:]) * np.float_power(np.asarray(radii)[..., None], n)
