@@ -282,6 +282,17 @@ def test_weighted_sum_over_an_array_of_radii_equals_each_radius(t):
                 assert isinstance(one, np.ndarray) and one.tolist() == [w]
 
 
+@pytest.mark.parametrize("t", [-1.0, 0.0, 1.0, 2.0])
+def test_weighted_sum_of_one_term_is_the_same_alone_or_among_others(t):
+    # numpy's ** squares where a broadcast exponent is 2 and calls pow
+    # otherwise, so a single r**2 once read other bits among other radii
+    radii = np.random.default_rng(3).uniform(0.05, 1.0, 500)
+    for coeffs, start in [([1.0, 0.7 + 0.2j], 1), ([1.0, 0.3, 0.7 + 0.2j], 2)]:
+        s = TruncatedSeries(coeffs)
+        want = [s.weighted_coefficient_sum(t, r, start) for r in radii.tolist()]
+        assert s.weighted_coefficient_sum(t, radii, start).tolist() == want
+
+
 def test_weighted_sum_over_an_empty_array_of_radii():
     got = TruncatedSeries([1.0, 2.0]).weighted_coefficient_sum(1.0, np.array([]))
     assert got.shape == (0,)
