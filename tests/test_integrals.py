@@ -503,7 +503,7 @@ def test_a_large_coefficient_at_a_tiny_radius_sums_in_range(route, quantity):
     # leave the float range; these raised BadParameter
     r = 1e-100
     with mp.workdps(50):
-        term = abs(mp.mpf(1e200)) ** 2 * mp.mpf(r) ** 4
+        term = mp.mpf(1e200) ** 2 * mp.mpf(r) ** 4
         want = float(2 * mp.pi * term if quantity == "dirichlet" else 1 + term)
     assert want == pytest.approx(2 * math.pi if quantity == "dirichlet" else 2.0, rel=1e-15)
     with warnings.catch_warnings():
