@@ -114,10 +114,12 @@ def _circle_values(c: np.ndarray, r: float, m: int) -> np.ndarray:
     c_n r^n, so one inverse FFT without normalisation gives the whole
     circle.  e^(2 pi i k n / m) depends on n only modulo m, so a series
     longer than m is folded modulo m first and samples the same nodes as
-    direct evaluation, aliasing included.
+    direct evaluation, aliasing included.  r^n is libm's pow by
+    ``float_power``, as in ``series._parseval``: ``**`` may take a SIMD
+    power whose last bit depends on the CPU.
     """
     n = c.shape[-1]
-    x = c * r ** np.arange(n)
+    x = c * np.float_power(r, np.arange(n, dtype=np.float64))
     for k in range(m, n, m):
         width = min(m, n - k)
         x[..., :width] += x[..., k : k + width]

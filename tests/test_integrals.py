@@ -296,6 +296,17 @@ def test_circle_values_match_horner(order, m):
         assert np.array_equal(_circle_values(c[0], r, m), got[0])
 
 
+@pytest.mark.parametrize("r", [0.37, 0.9, 0.99])
+def test_circle_values_scale_by_libm_powers(r):
+    # r^n is libm's pow, so the samples are the same bits on every CPU; an
+    # AVX-512 power differs from libm in about 30 of the first 600 powers
+    # of each of these radii
+    rng = np.random.default_rng(600)
+    c = rng.normal(size=600) + 1j * rng.normal(size=600)
+    want = np.fft.ifft(c * np.array([math.pow(r, n) for n in range(600)]), 1024, norm="forward")
+    assert np.array_equal(_circle_values(c, r, 1024), want)
+
+
 def test_coarse_config_samples_the_horner_nodes():
     # an explicit 16-angle rule on an order-64 g aliases; the FFT must alias
     # exactly as direct sampling of h = g - g(0) and z h' at the same nodes does
