@@ -148,17 +148,25 @@ def _parseval(c: np.ndarray, t: float, radii, start: int):
     (a numpy float) or at each of a one-dimensional array of radii.
 
     Terms are formed scaled, x_n = n**(t/2) |c[n]| r**n (x_0 = 0 if t != 0),
-    and summed as x . x, so the sum is finite wherever it and each n**(t/2)
-    are; overflow reads inf, silently.  A radius alone and each row of an
-    array take the same steps and give the same bits: ``float_power`` is
-    libm's pow everywhere, where ``**`` squares a broadcast exponent of 2."""
+    and summed as x . x, so the sum is finite wherever it is; overflow reads
+    inf, silently.  Where n**(t/2) alone overflows, x_n is
+    exp((t/2) ln n + n ln r + ln |c[n]|) instead, which no other term
+    takes, so every other sum keeps its bits.  A radius alone and each row
+    of an array take the same steps and give the same bits:
+    ``float_power`` is libm's pow everywhere, where ``**`` squares a
+    broadcast exponent of 2."""
     n = np.arange(start, c.size, dtype=np.float64)
+    radii = np.asarray(radii)[..., None]
     with np.errstate(all="ignore"):
-        x = np.abs(c[start:]) * np.float_power(np.asarray(radii)[..., None], n)
+        x = np.abs(c[start:]) * np.float_power(radii, n)
         if t != 0:
             weights = n ** (0.5 * t)
             if start == 0:
                 weights[0] = 0.0
             x *= weights
+            huge = np.isinf(weights)
+            if huge.any():  # inf times an underflowed r**n would read NaN
+                x[..., huge] = np.exp(0.5 * t * np.log(n[huge]) + n[huge] * np.log(radii)
+                                      + np.log(np.abs(c[start:][huge])))
         x *= x
         return np.add.reduce(x, axis=-1)

@@ -1,3 +1,5 @@
+import warnings
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -340,6 +342,24 @@ def test_weighted_sum_with_a_large_exponent_is_finite():
     want = mp_weighted_sum(s.coefficients, 200.0, 0.01, 0)
     assert float(want) == pytest.approx(1.1953e181, rel=1e-4)
     assert s.weighted_coefficient_sum(200.0, 0.01) == pytest.approx(float(want), rel=1e-13)
+
+
+@pytest.mark.parametrize("size,t,r", [(300, 260.0, 0.01), (5, 2000.0, 1e-145)])
+def test_weighted_sum_past_an_overflowing_weight_is_finite(size, t, r):
+    # n**(t/2) overflows from n = 235 at t = 260, times an r**n that
+    # underflows: this read NaN.  At t = 2000, 3**1000 overflows and its
+    # term, 1.7e84, is the largest; a zero coefficient under an infinite
+    # weight adds 0
+    c = np.ones(size)
+    c[-1] = 0.0
+    s = TruncatedSeries(c)
+    want = float(mp_weighted_sum(c, t, r, 0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = s.weighted_coefficient_sum(t, r)
+        among = s.weighted_coefficient_sum(t, np.array([0.5 * r, r]))
+    assert got == pytest.approx(want, rel=1e-12)
+    assert among[1] == got
 
 
 @pytest.mark.parametrize("t", [-1.0, 0.0, 1.0, 2.0])
