@@ -11,8 +11,6 @@ from .bounds import (
     BoundQuantity,
     BoundReport,
     build_report,
-    check_bound,
-    check_bounds,
     check_quantities,
     gronwall_check,
     jenkins_bound,
@@ -52,16 +50,14 @@ from .functions import (
     to_csv_row,
 )
 from .integrals import (
-    IntegralKind,
     IntegralResult,
     Method,
     QuadratureConfig,
-    dirichlet_f_over_z_series,
-    dirichlet_f_series,
     dirichlet_quadrature,
     dirichlet_series,
     l1_mean_quadrature,
     l1_mean_series,
+    values,
 )
 from .series import TruncatedSeries
 
@@ -77,7 +73,6 @@ __all__ = [
     "ClassSpec",
     "CriterionVerdict",
     "DiskGrid",
-    "IntegralKind",
     "IntegralResult",
     "MeroboundsError",
     "Method",
@@ -93,11 +88,7 @@ __all__ = [
     "build_koebe_rotation",
     "build_kp",
     "build_report",
-    "check_bound",
-    "check_bounds",
     "check_quantities",
-    "dirichlet_f_over_z_series",
-    "dirichlet_f_series",
     "dirichlet_quadrature",
     "dirichlet_series",
     "f_over_z_series",
@@ -115,4 +106,5 @@ __all__ = [
     "to_csv_row",
     "univalence_criterion",
     "up_lambda_membership",
+    "values",
 ]

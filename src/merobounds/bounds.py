@@ -4,10 +4,10 @@
 Dirichlet integral of z/f, f or f/z, or L1 mean, over a class of
 :mod:`merobounds.functions` at each of a sequence of radii, read from
 ``_SHARP_MAXIMA``, with each r checked once; :func:`sharp_maximum` is its
-one-radius case.  :func:`check_quantities` compares series-route values of
-several quantities of one function at a sequence of radii with it,
-:func:`check_bounds` is its one-quantity case and :func:`check_bound` the
-one-radius case of that.
+one-radius case.  :func:`check_quantities` compares the series-route values
+of several quantities of one function at a sequence of radii, from one call
+of :func:`merobounds.integrals.values` (whose ``_ROUTES`` table picks the
+code for each quantity), with it.
 Each check produces a BoundReport whose slack is ``bound - computed``; the
 canonical extremal functions land on zero slack up to roundoff.
 """
@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from enum import Enum
 from typing import Optional
 
 import numpy as np
@@ -25,20 +24,13 @@ import numpy as np
 from .errors import (BadParameter, NoPole, check_count, check_inside_pole, check_lambda,
                      check_open_radius, check_pole, check_radius)
 from .functions import ClassKind, ClassSpec, PoleFunction, mu
-from .integrals import dirichlet_f_pair_values, dirichlet_values, l1_mean_values
+from .integrals import BoundQuantity, values
 
 #: Absolute slack below which a bound still counts as satisfied.
 SATISFACTION_TOL = 1e-9
 
 #: Relative slack below which a satisfied bound counts as attained.
 SHARPNESS_RTOL = 1e-9
-
-
-class BoundQuantity(str, Enum):
-    DIRICHLET_ZF = "DIRICHLET_ZF"
-    DIRICHLET_F = "DIRICHLET_F"
-    DIRICHLET_F_OVER_Z = "DIRICHLET_F_OVER_Z"
-    L1 = "L1"
 
 
 @dataclass(frozen=True)
@@ -215,7 +207,7 @@ def sharp_maxima(class_spec: ClassSpec, quantity: BoundQuantity, radii) -> list[
     else:
         def check(r):
             check_inside_pole(r, p)
-    values = []
+    maxima = []
     for r in radii:
         check(r)
         try:
@@ -226,8 +218,8 @@ def sharp_maxima(class_spec: ClassSpec, quantity: BoundQuantity, radii) -> list[
             raise BadParameter(
                 f"sharp maximum of {quantity.value} over class {class_spec.kind.value} at "
                 f"p = {p!r}, r = {r!r} exceeds the float range")
-        values.append(value)
-    return values
+        maxima.append(value)
+    return maxima
 
 
 def sharp_maximum(class_spec: ClassSpec, quantity: BoundQuantity, r: float) -> float:
@@ -237,34 +229,20 @@ def sharp_maximum(class_spec: ClassSpec, quantity: BoundQuantity, r: float) -> f
 
 # ---- dispatching check ---------------------------------------------------------------
 
-def _series_values(f: PoleFunction, quantities, radii) -> dict:
-    """Series-route values of each quantity at a sequence of radii, as
-    lists by quantity.  The routes are looked up by name at call time, so a
-    wrapper installed on this module sees every call."""
-    values = {}
-    for quantity in quantities:
-        if quantity in values:
-            continue
-        if quantity is BoundQuantity.DIRICHLET_ZF:
-            values[quantity] = dirichlet_values(f.inv_series, radii).tolist()
-        elif quantity is BoundQuantity.L1:
-            values[quantity] = l1_mean_values(f, radii).tolist()
-        else:  # the f and f/z integrals share one Stein pass
-            values[BoundQuantity.DIRICHLET_F], values[BoundQuantity.DIRICHLET_F_OVER_Z] = (
-                dirichlet_f_pair_values(f, radii).tolist())
-    return values
-
-
 def check_quantities(
     f: PoleFunction, class_spec: ClassSpec, quantities, radii
 ) -> list[list[BoundReport]]:
-    """:func:`check_bounds` for each of several quantities of one function
-    at one sequence of radii, in the order of quantities.
+    """The series-route value of each of several quantities of f at each of
+    a sequence of radii against the sharp maximum of the asserted class:
+    one list of reports per quantity, in their order, with one report per
+    radius, in theirs.
 
-    Every quantity's radii are checked, and its sharp maxima found, in the
-    order of quantities before any series route runs; then each route runs
-    once over all the radii, and the f and f/z integrals share one Stein
-    pass.  Raises as :func:`check_bounds` does.
+    Every radius is checked, and every sharp maximum found, before one call
+    of :func:`merobounds.integrals.values` runs each route once over all the
+    radii.  Raises ClassMismatch when f and the class disagree on the pole,
+    BadParameter from :func:`sharp_maxima` or a route that overflows, and
+    RadiusBeyondPole for the f and f/z integrals at r >= p or past a root of
+    z/f.
     """
     quantities = [BoundQuantity(quantity) for quantity in quantities]
     class_spec.match(f)
@@ -272,37 +250,7 @@ def check_quantities(
     if not radii:
         return [[] for _ in quantities]
     bounds = [sharp_maxima(class_spec, quantity, radii) for quantity in quantities]
-    computed = _series_values(f, quantities, radii)
-    names = [quantity.value for quantity in quantities]
-    return [[build_report(name, value, bound, r, class_spec)
-             for value, bound, r in zip(computed[quantity], maxima, radii)]
-            for quantity, name, maxima in zip(quantities, names, bounds)]
-
-
-def check_bounds(
-    f: PoleFunction, class_spec: ClassSpec, quantity: BoundQuantity, radii
-) -> list[BoundReport]:
-    """Compute a quantity for f via its series route at each of a sequence
-    of radii and compare it against the sharp maximum of the asserted class.
-
-    Every radius is checked, and its sharp maximum found, before the series
-    route runs once over all of them.  The reports, in the order of radii,
-    equal those of :func:`check_bound` at each radius.  This is the
-    one-quantity case of :func:`check_quantities`.
-
-    Raises:
-        ClassMismatch: when the function's pole and the class's pole differ
-            (or one has a pole where the other forbids it).
-        BadParameter: from :func:`sharp_maxima`, and when the series route
-            overflows.
-        RadiusBeyondPole: for the f and f/z integrals at r >= p, or at or
-            past a root of z/f.
-    """
-    return check_quantities(f, class_spec, (quantity,), radii)[0]
-
-
-def check_bound(
-    f: PoleFunction, class_spec: ClassSpec, quantity: BoundQuantity, r: float
-) -> BoundReport:
-    """:func:`check_bounds` at the one radius r."""
-    return check_bounds(f, class_spec, quantity, (r,))[0]
+    computed = values(f, quantities, radii)[0].tolist()
+    return [[build_report(quantity.value, value, bound, r, class_spec)
+             for value, bound, r in zip(row, maxima, radii)]
+            for quantity, row, maxima in zip(quantities, computed, bounds)]

@@ -21,8 +21,8 @@ from collections import Counter
 from functools import cache
 from operator import itemgetter
 
-from .bounds import (BoundQuantity, check_bounds, check_quantities, gronwall_check, jenkins_bound,
-                     lemma1_check, sharp_maximum)
+from .bounds import (BoundQuantity, check_quantities, gronwall_check, jenkins_bound, lemma1_check,
+                     sharp_maximum)
 from .criteria import (SUP_TOL, aksentiev_criterion, injectivity_oracle, univalence_criterion,
                        up_lambda_membership)
 from .errors import MeroboundsError, check_radius
@@ -36,12 +36,7 @@ from .functions import (
     from_csv_row,
     from_inverse_coefficients,
 )
-from .integrals import (
-    dirichlet_quadrature,
-    dirichlet_series,
-    l1_mean_quadrature,
-    l1_mean_series,
-)
+from .integrals import Method, dirichlet_quadrature, values
 
 P_GRID = (0.2, 0.35, 0.5, 0.65, 0.8)
 R_GRID = tuple(k / 20.0 for k in range(1, 21))
@@ -94,8 +89,8 @@ def _fp_member(p: float, lam: float):
 def _worst(quantity: BoundQuantity, members, radii) -> float:
     """Largest relative gap between computed value and sharp bound over
     (class, function) members and radii."""
-    reports = (report for spec, f in members for report in check_bounds(f, spec, quantity, radii))
-    return max(_rel(report.computed, report.bound) for report in reports)
+    return max(_rel(report.computed, report.bound) for spec, f in members
+               for report in check_quantities(f, spec, (quantity,), radii)[0])
 
 
 def _suite_sharpness():
@@ -131,14 +126,14 @@ def _suite_sharpness():
 def _suite_oracles():
     checks = []
     radii = (0.25, 0.5, 0.75, 0.95)
-    zf = (lambda f, r: dirichlet_quadrature(f.inv_series, r),
-          lambda f, r: dirichlet_series(f.inv_series, r))
-    l1 = (l1_mean_quadrature, l1_mean_series)
+    zf, l1 = BoundQuantity.DIRICHLET_ZF, BoundQuantity.L1
     cases = [*((f"zf-quadrature-kp p={_fmt(p)}", zf, build_kp(p), 1e-8) for p in P_GRID),
              *((f"l1-quadrature-kp p={_fmt(p)}", l1, build_kp(p), 1e-10) for p in P_GRID),
              ("l1-quadrature-koebe", l1, build_koebe_rotation(0.0), 1e-10)]
-    for name, (quadrature, series), f, tolerance in cases:
-        worst = max(_rel(quadrature(f, r).value, series(f, r).value) for r in radii)
+    for name, quantity, f, tolerance in cases:
+        quadrature, series = (values(f, (quantity,), radii, method)[0][0].tolist()
+                              for method in (Method.QUADRATURE, Method.SERIES))
+        worst = max(map(_rel, quadrature, series))
         checks.append((f"oracles/{name}", worst <= tolerance, f"max rel gap {_fmt(worst)}"))
     for p in P_GRID:
         spec, f = _kp_member(p)

@@ -22,6 +22,12 @@ normalized function f is carried through its z/f series:
 
 where b_n are the z/f coefficients (b_0 = 1).
 
+:func:`values` is the one path from (f, quantities, radii, method) to values
+and error bounds.  ``_ROUTES`` maps each (method, quantity) pair to a route
+and the row of its output that holds the quantity, so the one Stein pass
+behind the f and f/z integrals runs once per call.  The one-radius routes
+``dirichlet_series`` and so on call the same kernels directly.
+
 Both z/f Parseval sums use ``series._parseval``, which forms each term
 scaled, as (n^(t/2) |c_n| r^n)^2, and sums by one reduction shared by every
 radius: z/f = 1 + 1e200 z^2 at r = 1e-100 gives 2 pi and 2.
@@ -47,9 +53,11 @@ class Method(str, Enum):
     QUADRATURE = "QUADRATURE"
 
 
-class IntegralKind(str, Enum):
-    DIRICHLET = "DIRICHLET"
-    L1_MEAN = "L1_MEAN"
+class BoundQuantity(str, Enum):
+    DIRICHLET_ZF = "DIRICHLET_ZF"
+    DIRICHLET_F = "DIRICHLET_F"
+    DIRICHLET_F_OVER_Z = "DIRICHLET_F_OVER_Z"
+    L1 = "L1"
 
 
 @dataclass(frozen=True)
@@ -80,20 +88,9 @@ _ROOT_RTOL = 2.0**-26
 
 @dataclass(frozen=True)
 class IntegralResult:
-    """A computed integral together with how it was computed.
-
-    ``truncation_tail_estimate`` is present for series evaluations only, as
-    a float: 0 over exact z/f coefficients and for f = z, whose f/z = 1 is
-    exact; for the f and f/z integrals, the bound on the remainder of their
-    Stein sums at the doubling that stopped them (``_stein_sums``), at most
-    2^-52 of the sums.
-    """
+    """The value of one integral at one radius by one route."""
 
     value: float
-    method: Method
-    r: float
-    kind: IntegralKind
-    truncation_tail_estimate: Optional[float] = None
 
 
 def _exact_count(n: int) -> int:
@@ -136,21 +133,28 @@ def _finite(values, quantity: str):
     return values
 
 
-# ---- Dirichlet integral ------------------------------------------------------
-
-def dirichlet_values(g: TruncatedSeries, radii):
-    """pi * sum n |c_n|^2 r^(2n) (0 at order 0) at a radius, as a float, or at
-    each of a one-dimensional array of radii, as an array; BadParameter
-    when a sum leaves the float range."""
-    values = math.pi * g.weighted_coefficient_sum(1.0, radii, start_index=1)
-    return _finite(values, "Dirichlet integral")
-
+# ---- Dirichlet integral of z/f and L1 mean, one radius at a time -----------------
 
 def dirichlet_series(g: TruncatedSeries, r: float) -> IntegralResult:
-    """Coefficient-sum route over exact coefficients: ``dirichlet_values`` at r."""
+    """Coefficient-sum route: pi * sum n |c_n|^2 r^(2n) over the exact
+    coefficients of g; BadParameter when it leaves the float range."""
     check_radius(r)
-    value = _finite(math.pi * float(_parseval(g.coefficients, 1.0, r, 1)), "Dirichlet integral")
-    return IntegralResult(value, Method.SERIES, r, IntegralKind.DIRICHLET, 0.0)
+    value = math.pi * float(_parseval(g.coefficients, 1.0, r, 1))
+    return IntegralResult(_finite(value, "Dirichlet integral"))
+
+
+def _area_quadrature(c: np.ndarray, r: float, m: Optional[int] = None) -> float:
+    """The rule of ``dirichlet_quadrature`` over coefficients c, unvalidated."""
+    d = degree(c)
+    if d <= 0:
+        return 0.0
+    m = _exact_count(d) if m is None else m
+    h = np.zeros((2, d + 1), dtype=c.dtype)
+    h[0, 1:] = c[1 : d + 1]
+    h[1] = np.arange(d + 1) * h[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = _circle_values(h, r, m)
+        return math.pi * float(np.vdot(values[0], values[1]).real) / m
 
 
 def dirichlet_quadrature(
@@ -172,33 +176,40 @@ def dirichlet_quadrature(
     check_radius(r)
     if not isinstance(g, TruncatedSeries):
         raise BadParameter("integrand must be a TruncatedSeries")
-    c = g.coefficients
-    d = degree(c)
-    if d <= 0:
-        return IntegralResult(0.0, Method.QUADRATURE, r, IntegralKind.DIRICHLET)
-    m = _exact_count(d) if config is None else config.angular_nodes
-    h = np.zeros((2, d + 1), dtype=c.dtype)
-    h[0, 1:] = c[1 : d + 1]
-    h[1] = np.arange(d + 1) * h[0]
+    value = _area_quadrature(g.coefficients, r, None if config is None else config.angular_nodes)
+    return IntegralResult(_finite(value, "Dirichlet integral"))
+
+
+def l1_mean_series(f: PoleFunction, r: float) -> IntegralResult:
+    """Parseval route: 1 + sum_{n>=1} |b_n|^2 r^(2n) over the exact z/f
+    coefficients; BadParameter when it leaves the float range."""
+    check_radius(r)
+    value = 1.0 + float(_parseval(f.inv_series.coefficients, 0.0, r, 1))
+    return IntegralResult(_finite(value, "L1 mean"))
+
+
+def _l1_quadrature(b: np.ndarray, r: float) -> float:
+    """The rule of ``l1_mean_quadrature`` over z/f coefficients b, unvalidated."""
+    d = degree(b)
     with np.errstate(over="ignore", invalid="ignore"):
-        values = _circle_values(h, r, m)
-        value = math.pi * float(np.vdot(values[0], values[1]).real) / m
-    return IntegralResult(_finite(value, "Dirichlet integral"), Method.QUADRATURE, r,
-                          IntegralKind.DIRICHLET)
+        values = _circle_values(b[: d + 1], r, _exact_count(d + 1))
+        return float(np.vdot(values, values).real) / len(values)
 
 
-def _check_f_radii(f: PoleFunction, radii) -> None:
-    """Each radius lies below the pole, or below 1 without one unless f = z,
-    whose f/z = 1 has zero area at every radius."""
-    identity = degree(f.inv_series.coefficients) == 0
-    for r in radii:
-        if f.pole is not None:
-            check_inside_pole(r, f.pole)
-        elif identity:
-            check_radius(r)
-        else:
-            check_open_radius(r)
+def l1_mean_quadrature(f: PoleFunction, r: float) -> IntegralResult:
+    """Circle-average route: samples the z/f series, of degree d, at the
+    smallest power of two at least 16 and at least d + 1 of equally spaced
+    points on the circle (``_exact_count``), all by one FFT of its
+    coefficients scaled by r (``_circle_values``), and averages its squared
+    modulus as the dot product of the samples with themselves over their
+    number.  |z/f|^2 is a trigonometric polynomial of degree d, so the
+    average is exact; it is stable at every radius, the pole's included.
+    Raises BadParameter when the mean leaves the float range."""
+    check_radius(r)
+    return IntegralResult(_finite(_l1_quadrature(f.inv_series.coefficients, r), "L1 mean"))
 
+
+# ---- Dirichlet integrals of f and f/z ------------------------------------------
 
 def _stein_sums(f: PoleFunction, radii) -> tuple[np.ndarray, np.ndarray]:
     """S0 = sum |a_n|^2 r^(2n) and S1 = sum n |a_n|^2 r^(2n) over the f/z
@@ -269,77 +280,82 @@ def _stein_sums(f: PoleFunction, radii) -> tuple[np.ndarray, np.ndarray]:
     raise RadiusBeyondPole(f"radius {r!r} reaches a root of z/f, where the f/z series diverges")
 
 
-def _dirichlet_f(f: PoleFunction, radii) -> tuple[np.ndarray, np.ndarray]:
+def _dirichlet_f(f: PoleFunction, radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Dirichlet integrals of f, pi r^2 (S0 + S1), and of f/z, pi S1, at
     each radius, as the rows of a (2, R) array, and the bounds on their
-    remainders (``_stein_sums``) likewise, once each radius has been
-    checked.  Both come from one Stein pass."""
-    _check_f_radii(f, radii)
+    remainders (``_stein_sums``) likewise, from one Stein pass.  Each radius
+    must lie below the pole, or below 1 without one unless f = z, whose
+    f/z = 1 has zero area at every radius."""
+    identity = degree(f.inv_series.coefficients) == 0
+    for r in radii.tolist():
+        if f.pole is not None:
+            check_inside_pole(r, f.pole)
+        elif identity:
+            check_radius(r)
+        else:
+            check_open_radius(r)
     sums, tails = _stein_sums(f, radii)
-    scale = math.pi * np.asarray(radii, dtype=np.float64) ** 2
+    scale = math.pi * radii**2
     return (np.stack((scale * sums.sum(axis=1), math.pi * sums[:, 1])),
             np.stack((scale * tails.sum(axis=1), math.pi * tails[:, 1])))
 
 
-def dirichlet_f_pair_values(f: PoleFunction, radii) -> np.ndarray:
-    """Dirichlet integrals of f (row 0) and of f/z (row 1) at each of a
-    sequence of radii, from one Stein pass; the radii must stay below the
-    pole, or below 1 without one unless f = z."""
-    return _dirichlet_f(f, radii)[0]
+# ---- the one compute path -----------------------------------------------------------
+
+def _exact(kernel, quantity: str):
+    """The route of an exact quantity from a kernel of (z/f coefficients, radii):
+    radii checked in (0, 1], one row of finite values, and an error row of 0."""
+    def route(f: PoleFunction, radii: np.ndarray):
+        for r in radii.tolist():
+            check_radius(r)
+        row = np.asarray(kernel(f.inv_series.coefficients, radii), dtype=np.float64)
+        return _finite(row, quantity)[None], np.zeros((1, len(row)))
+    return route
 
 
-def _dirichlet_f_route(f: PoleFunction, r: float, row: int) -> IntegralResult:
-    values, tails = _dirichlet_f(f, (r,))
-    return IntegralResult(float(values[row, 0]), Method.SERIES, r, IntegralKind.DIRICHLET,
-                          float(tails[row, 0]))
+#: (method, quantity) -> (route, row): the route maps (f, radii) to a (K, R)
+#: array of values and one of error bounds, and the quantity is their row ``row``.
+_ROUTES = {
+    (Method.SERIES, BoundQuantity.DIRICHLET_ZF): (_exact(
+        lambda c, radii: math.pi * _parseval(c, 1.0, radii, 1), "Dirichlet integral"), 0),
+    (Method.SERIES, BoundQuantity.DIRICHLET_F): (_dirichlet_f, 0),
+    (Method.SERIES, BoundQuantity.DIRICHLET_F_OVER_Z): (_dirichlet_f, 1),
+    (Method.SERIES, BoundQuantity.L1): (_exact(
+        lambda c, radii: 1.0 + _parseval(c, 0.0, radii, 1), "L1 mean"), 0),
+    (Method.QUADRATURE, BoundQuantity.DIRICHLET_ZF): (_exact(
+        lambda c, radii: [_area_quadrature(c, r) for r in radii.tolist()], "Dirichlet integral"), 0),
+    (Method.QUADRATURE, BoundQuantity.L1): (_exact(
+        lambda c, radii: [_l1_quadrature(c, r) for r in radii.tolist()], "L1 mean"), 0),
+}
 
 
-def dirichlet_f_over_z_series(f: PoleFunction, r: float) -> IntegralResult:
-    """Dirichlet integral of f/z from its Taylor coefficients, with the
-    remainder bound of its Stein sum as the tail estimate.
+def values(f: PoleFunction, quantities, radii,
+           method: Method = Method.SERIES) -> tuple[np.ndarray, np.ndarray]:
+    """Several quantities of f at a sequence of radii by one method, as two
+    (Q, R) float arrays: the values, and bounds on what each leaves out, 0
+    on the exact routes and, on the f and f/z integrals, the remainder of
+    their Stein sums, at most 2^-52 of the value.  Each route runs once per
+    call and checks every radius before it forms a value; a radius gives
+    the same bits alone or among others.
 
-    The radius must stay below the pole, or below 1 without one unless f = z.
+    Raises BadParameter for a pair without a route (the f and f/z integrals
+    have no quadrature), radii that are not one-dimensional, and a value
+    beyond the float range; BadRadius or RadiusBeyondPole for a radius
+    outside the route's domain, as the one-radius routes and ``_dirichlet_f``.
     """
-    return _dirichlet_f_route(f, r, row=1)
-
-
-def dirichlet_f_series(f: PoleFunction, r: float) -> IntegralResult:
-    """Dirichlet integral of f itself from its Taylor coefficients, as for
-    ``dirichlet_f_over_z_series``."""
-    return _dirichlet_f_route(f, r, row=0)
-
-
-# ---- quadratic integral mean ---------------------------------------------------
-
-def l1_mean_values(f: PoleFunction, radii):
-    """1 + sum_{n>=1} |b_n|^2 r^(2n) over the exact z/f coefficients, at a
-    radius or at each of a one-dimensional array of radii; BadParameter
-    when a sum leaves the float range."""
-    values = 1.0 + f.inv_series.weighted_coefficient_sum(0.0, radii, start_index=1)
-    return _finite(values, "L1 mean")
-
-
-def l1_mean_series(f: PoleFunction, r: float) -> IntegralResult:
-    """Parseval route: ``l1_mean_values`` at r."""
-    check_radius(r)
-    value = 1.0 + float(_parseval(f.inv_series.coefficients, 0.0, r, 1))
-    return IntegralResult(_finite(value, "L1 mean"), Method.SERIES, r, IntegralKind.L1_MEAN, 0.0)
-
-
-def l1_mean_quadrature(f: PoleFunction, r: float) -> IntegralResult:
-    """Circle-average route: samples the z/f series, of degree d, at the
-    smallest power of two at least 16 and at least d + 1 of equally spaced
-    points on the circle (``_exact_count``), all by one FFT of its
-    coefficients scaled by r (``_circle_values``), and averages its squared
-    modulus as the dot product of the samples with themselves over their
-    number.  |z/f|^2 is a trigonometric polynomial of degree d, so the
-    average is exact; it is stable at every radius, the pole's included.
-    Raises BadParameter when the mean leaves the float range."""
-    check_radius(r)
-    b = f.inv_series.coefficients
-    d = degree(b)
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = _circle_values(b[: d + 1], r, _exact_count(d + 1))
-        value = float(np.vdot(values, values).real) / len(values)
-    return IntegralResult(_finite(value, "L1 mean"), Method.QUADRATURE, r,
-                          IntegralKind.L1_MEAN)
+    method = Method(method)
+    keys = [(method, BoundQuantity(quantity)) for quantity in quantities]
+    for key in keys:
+        if key not in _ROUTES:
+            raise BadParameter(f"no {key[0].value} route for {key[1].value}")
+    radii = np.asarray(radii, dtype=np.float64)
+    if radii.ndim != 1:
+        raise BadParameter(f"radii must be one-dimensional, not {radii.ndim}-dimensional")
+    out = np.empty((2, len(keys), len(radii)))
+    done = {}
+    for i, key in enumerate(keys):
+        route, row = _ROUTES[key]
+        if route not in done:
+            done[route] = route(f, radii)
+        out[:, i] = [part[row] for part in done[route]]
+    return out[0], out[1]

@@ -118,8 +118,8 @@ class TruncatedSeries:
         r is a radius, giving a float, or a one-dimensional array of radii,
         giving an array with one sum per radius, the same bits alone or
         among others.  Terms are formed scaled, so the sum is finite wherever
-        it and each n**(t/2) are, however large |c[n]|**2 or small r**(2n)
-        is alone.  A sum that overflows reads inf, without a warning.
+        it is, however large |c[n]|**2, n**t or small r**(2n) is alone.  A
+        sum that overflows reads inf, without a warning.
 
         Raises:
             BadRadius: if r, or any radius in it, is outside (0, 1].
@@ -149,12 +149,10 @@ def _parseval(c: np.ndarray, t: float, radii, start: int):
 
     Terms are formed scaled, x_n = n**(t/2) |c[n]| r**n (x_0 = 0 if t != 0),
     and summed as x . x, so the sum is finite wherever it is; overflow reads
-    inf, silently.  Where n**(t/2) alone overflows, x_n is
-    exp((t/2) ln n + n ln r + ln |c[n]|) instead, which no other term
-    takes, so every other sum keeps its bits.  A radius alone and each row
-    of an array take the same steps and give the same bits:
-    ``float_power`` is libm's pow everywhere, where ``**`` squares a
-    broadcast exponent of 2."""
+    inf, silently.  Only where n**(t/2) overflows is x_n formed from
+    logarithms, so every other sum keeps its bits.  A radius alone and each
+    row of an array take the same steps and give the same bits: ``float_power``
+    is libm's pow everywhere, where ``**`` squares a broadcast exponent of 2."""
     n = np.arange(start, c.size, dtype=np.float64)
     radii = np.asarray(radii)[..., None]
     with np.errstate(all="ignore"):
@@ -164,8 +162,8 @@ def _parseval(c: np.ndarray, t: float, radii, start: int):
             if start == 0:
                 weights[0] = 0.0
             x *= weights
-            huge = np.isinf(weights)
-            if huge.any():  # inf times an underflowed r**n would read NaN
+            if weights.size and weights[-1] == np.inf:  # the largest, if t > 0
+                huge = np.isinf(weights)  # inf times an underflowed r**n reads NaN
                 x[..., huge] = np.exp(0.5 * t * np.log(n[huge]) + n[huge] * np.log(radii)
                                       + np.log(np.abs(c[start:][huge])))
         x *= x

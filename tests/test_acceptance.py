@@ -28,12 +28,11 @@ from merobounds.functions import (
     mu,
 )
 from merobounds.integrals import (
-    dirichlet_f_over_z_series,
-    dirichlet_f_series,
     dirichlet_quadrature,
     dirichlet_series,
     l1_mean_quadrature,
     l1_mean_series,
+    values,
 )
 from pointwise import u_functional
 
@@ -124,20 +123,22 @@ def test_criterion_05_inside_pole_closed_forms():
         f = build_kp(p)
         for c in (0.1, 0.5, 0.9):
             r = c * p
+            f_over_z, f_itself = values(f, (BoundQuantity.DIRICHLET_F_OVER_Z,
+                                            BoundQuantity.DIRICHLET_F), (r,))[0][:, 0]
             worst = max(
                 worst,
-                rel(dirichlet_f_over_z_series(f, r).value,
+                rel(f_over_z,
                     sharp_maximum(ClassSpec(ClassKind.SIGMA_P, p=p),
                                   BoundQuantity.DIRICHLET_F_OVER_Z, r)),
-                rel(dirichlet_f_series(f, r).value,
+                rel(f_itself,
                     sharp_maximum(ClassSpec(ClassKind.SIGMA_P, p=p),
                                   BoundQuantity.DIRICHLET_F, r)))
     assert worst <= 1e-8
     f = build_kp(0.5)
     with pytest.raises(RadiusBeyondPole):
-        dirichlet_f_over_z_series(f, 0.5)
+        values(f, (BoundQuantity.DIRICHLET_F_OVER_Z,), (0.5,))
     with pytest.raises(RadiusBeyondPole):
-        dirichlet_f_series(f, 0.7)
+        values(f, (BoundQuantity.DIRICHLET_F,), (0.7,))
     with pytest.raises(RadiusBeyondPole):
         sharp_maximum(ClassSpec(ClassKind.SIGMA_P, p=0.5), BoundQuantity.DIRICHLET_F, 0.5)
     print(f"PASS criterion 05: inside-pole closed forms, "

@@ -20,13 +20,11 @@ from merobounds.functions import (
     from_inverse_coefficients,
     mu,
 )
-from merobounds.integrals import dirichlet_f_over_z_series, dirichlet_f_series, dirichlet_series, l1_mean_series
+from merobounds.integrals import dirichlet_series, l1_mean_series, values
 from merobounds.bounds import (
     _SHARP_MAXIMA,
     BoundQuantity,
     build_report,
-    check_bound,
-    check_bounds,
     check_quantities,
     gronwall_check,
     jenkins_bound,
@@ -49,6 +47,11 @@ def sigma(p):
 
 def residual(p, lam):
     return ClassSpec(ClassKind.U_P_LAMBDA, p=p, lam=lam)
+
+
+def check_one(f, class_spec, quantity, r):
+    """The report of ``check_quantities`` on one quantity at one radius."""
+    return check_quantities(f, class_spec, (quantity,), (r,))[0][0]
 
 
 # ---- jenkins coefficient bound -------------------------------------------------
@@ -198,12 +201,9 @@ def test_f_route_maxima_attained():
         f = build_kp(p)
         for frac in (0.1, 0.5, 0.8):
             r = frac * p
-            assert dirichlet_f_over_z_series(f, r).value == pytest.approx(
-                sharp_maximum(sigma(p), FZ, r), rel=1e-8
-            )
-            assert dirichlet_f_series(f, r).value == pytest.approx(
-                sharp_maximum(sigma(p), F, r), rel=1e-8
-            )
+            got_fz, got_f = values(f, (FZ, F), (r,))[0][:, 0]
+            assert got_fz == pytest.approx(sharp_maximum(sigma(p), FZ, r), rel=1e-8)
+            assert got_f == pytest.approx(sharp_maximum(sigma(p), F, r), rel=1e-8)
 
 
 def test_f_route_maxima_reject_radius_beyond_pole():
@@ -290,25 +290,25 @@ def test_report_random_invariants():
 # ---- dispatching check ----------------------------------------------------------------------
 
 def test_check_bound_sharp_cases():
-    rep = check_bound(build_kp(0.5), ClassSpec(ClassKind.SIGMA_P, p=0.5),
-                      BoundQuantity.DIRICHLET_ZF, 1.0)
+    rep = check_one(build_kp(0.5), ClassSpec(ClassKind.SIGMA_P, p=0.5),
+                    BoundQuantity.DIRICHLET_ZF, 1.0)
     assert rep.sharp
     assert rep.computed == pytest.approx(8.25 * math.pi, rel=1e-14)
-    rep = check_bound(build_fp(0.5, 0.5), ClassSpec(ClassKind.U_P_LAMBDA, p=0.5, lam=0.5),
-                      BoundQuantity.L1, 0.8)
+    rep = check_one(build_fp(0.5, 0.5), ClassSpec(ClassKind.U_P_LAMBDA, p=0.5, lam=0.5),
+                    BoundQuantity.L1, 0.8)
     assert rep.sharp
 
 
 def test_check_bound_detects_violation():
     # the pole-class extremal function lies outside the residual class, and
     # its Dirichlet integral overshoots that class's bound
-    rep = check_bound(build_kp(0.5), ClassSpec(ClassKind.U_P_LAMBDA, p=0.5, lam=1.0),
-                      BoundQuantity.DIRICHLET_ZF, 0.9)
+    rep = check_one(build_kp(0.5), ClassSpec(ClassKind.U_P_LAMBDA, p=0.5, lam=1.0),
+                    BoundQuantity.DIRICHLET_ZF, 0.9)
     assert not rep.satisfied
 
 
 def test_check_bound_koebe_analytic_class():
-    rep = check_bound(build_koebe_rotation(0.0), ClassSpec(ClassKind.S), BoundQuantity.L1, 0.5)
+    rep = check_one(build_koebe_rotation(0.0), ClassSpec(ClassKind.S), BoundQuantity.L1, 0.5)
     assert rep.sharp
     assert rep.bound == pytest.approx(2.0625, rel=1e-15)
 
@@ -318,7 +318,7 @@ def test_check_bound_koebe_f_routes_near_the_unit_circle():
     # 1.4e-11 relative, some 1.6e-3 absolute against a bound near 1.2e8: well
     # inside SHARPNESS_RTOL, but past the absolute SATISFACTION_TOL
     for quantity in (F, FZ):
-        rep = check_bound(build_koebe_rotation(0.0), S, quantity, 0.99)
+        rep = check_one(build_koebe_rotation(0.0), S, quantity, 0.99)
         assert abs(rep.slack) <= 1e-10 * rep.bound
 
 
@@ -357,13 +357,13 @@ def test_inside_pole_maxima_keep_their_digits_as_the_pole_nears_one(p):
 
 def test_check_bound_class_mismatch():
     with pytest.raises(ClassMismatch):
-        check_bound(build_kp(0.5), ClassSpec(ClassKind.SIGMA_P, p=0.6),
-                    BoundQuantity.DIRICHLET_ZF, 0.5)
+        check_one(build_kp(0.5), ClassSpec(ClassKind.SIGMA_P, p=0.6),
+                  BoundQuantity.DIRICHLET_ZF, 0.5)
     with pytest.raises(ClassMismatch):
-        check_bound(build_kp(0.5), ClassSpec(ClassKind.S), BoundQuantity.L1, 0.5)
+        check_one(build_kp(0.5), ClassSpec(ClassKind.S), BoundQuantity.L1, 0.5)
     with pytest.raises(ClassMismatch):
-        check_bound(build_koebe_rotation(0.0), ClassSpec(ClassKind.SIGMA_P, p=0.5),
-                    BoundQuantity.L1, 0.5)
+        check_one(build_koebe_rotation(0.0), ClassSpec(ClassKind.SIGMA_P, p=0.5),
+                  BoundQuantity.L1, 0.5)
 
 
 # each class's extremal function
@@ -374,11 +374,12 @@ EXTREMALS = {
 }
 F_ROUTES = (BoundQuantity.DIRICHLET_F, BoundQuantity.DIRICHLET_F_OVER_Z)
 
+#: each quantity's series route at one radius, the z/f ones by the one-radius routes
 SERIES_ROUTES = {
-    BoundQuantity.DIRICHLET_ZF: lambda f, r: dirichlet_series(f.inv_series, r),
-    BoundQuantity.DIRICHLET_F: dirichlet_f_series,
-    BoundQuantity.DIRICHLET_F_OVER_Z: dirichlet_f_over_z_series,
-    BoundQuantity.L1: l1_mean_series,
+    BoundQuantity.DIRICHLET_ZF: lambda f, r: dirichlet_series(f.inv_series, r).value,
+    BoundQuantity.DIRICHLET_F: lambda f, r: values(f, (F,), (r,))[0][0, 0],
+    BoundQuantity.DIRICHLET_F_OVER_Z: lambda f, r: values(f, (FZ,), (r,))[0][0, 0],
+    BoundQuantity.L1: lambda f, r: l1_mean_series(f, r).value,
 }
 
 
@@ -391,17 +392,17 @@ def test_check_bound_reports_sharp_for_every_dispatch_pair():
         spec, f = EXTREMALS[kind]
         radii = (0.1, 0.25, 0.4) if kind is not ClassKind.S else (0.25, 0.5, 0.9)
         for r in radii:
-            rep = check_bound(f, spec, quantity, r)
+            rep = check_one(f, spec, quantity, r)
             assert rep.quantity == quantity.value and rep.class_spec == spec
             assert sharp_maximum(spec, quantity, r) == rep.bound
-            assert rep.computed == SERIES_ROUTES[quantity](f, r).value
+            assert rep.computed == SERIES_ROUTES[quantity](f, r)
             assert rep.sharp, (kind, quantity, r, rep)
         # the radius-array path equals the one-radius path field for field
-        reports = check_bounds(f, spec, quantity, radii)
-        assert reports == [check_bound(f, spec, quantity, r) for r in radii]
+        reports = check_quantities(f, spec, (quantity,), radii)[0]
+        assert reports == [check_one(f, spec, quantity, r) for r in radii]
         assert all(type(rep.computed) is float for rep in reports)
         assert [rep.r for rep in reports] == list(radii)
-        assert check_bounds(f, spec, quantity, ()) == []
+        assert check_quantities(f, spec, (quantity,), ()) == [[]]
 
 
 def test_check_quantities_equals_check_bounds_for_each_quantity():
@@ -410,7 +411,7 @@ def test_check_quantities_equals_check_bounds_for_each_quantity():
         radii = (0.1, 0.25, 0.4)
         for chosen in (quantities, quantities[::-1], [quantities[-1]] * 2):
             assert check_quantities(f, spec, chosen, radii) == [
-                check_bounds(f, spec, q, radii) for q in chosen]
+                check_quantities(f, spec, (q,), radii)[0] for q in chosen]
             assert check_quantities(f, spec, chosen, ()) == [[] for _ in chosen]
             for q in chosen:
                 assert sharp_maxima(spec, q, radii) == [sharp_maximum(spec, q, r) for r in radii]
@@ -437,9 +438,9 @@ def test_check_bounds_refuses_a_bad_radius_anywhere_as_check_bound_does(where):
             radii = [0.1, 0.2, 0.3]
             radii[where] = bad
             with pytest.raises(BadParameter) as single:
-                check_bound(f, spec, quantity, bad)
+                check_one(f, spec, quantity, bad)
             with pytest.raises(BadParameter) as several:
-                check_bounds(f, spec, quantity, radii)
+                check_quantities(f, spec, (quantity,), radii)
             assert type(several.value) is type(single.value), (kind, quantity, radii)
 
 
@@ -448,7 +449,7 @@ def test_check_bound_has_no_f_route_bound_for_the_residual_class():
     for quantity in F_ROUTES:
         for r in (0.2, 0.75):
             with pytest.raises(BadParameter) as info:
-                check_bound(f, spec, quantity, r)
+                check_one(f, spec, quantity, r)
             assert not isinstance(info.value, RadiusBeyondPole)
             with pytest.raises(BadParameter) as info:
                 sharp_maximum(spec, quantity, r)
@@ -468,7 +469,7 @@ def test_check_bound_f_routes_refuse_radii_beyond_the_pole():
     for quantity in F_ROUTES:
         for r in (0.5, 0.75, 1.0):
             with pytest.raises(RadiusBeyondPole):
-                check_bound(f, spec, quantity, r)
+                check_one(f, spec, quantity, r)
 
 
 # ---- sharp_maximum: one radius check per quantity, and no non-finite value ----
@@ -525,7 +526,7 @@ def test_sharp_maximum_refuses_values_beyond_the_float_range(p, quantity, r):
 
 def test_check_bound_refuses_an_overflowing_bound():
     with pytest.raises(BadParameter, match="exceeds the float range"):
-        check_bound(build_kp(1e-155), sigma(1e-155), ZF, 0.5)
+        check_one(build_kp(1e-155), sigma(1e-155), ZF, 0.5)
 
 
 def test_sharp_maximum_keeps_a_finite_zero():

@@ -12,7 +12,7 @@ from merobounds.errors import (
     BadRadius,
     RadiusBeyondPole,
 )
-from merobounds.bounds import BoundQuantity, check_bound
+from merobounds.bounds import check_quantities
 from merobounds.functions import (
     ClassKind,
     ClassSpec,
@@ -27,22 +27,28 @@ from merobounds.functions import (
     to_csv_row,
 )
 from merobounds.integrals import (
-    IntegralKind,
+    _ROUTES,
+    BoundQuantity,
     Method,
     QuadratureConfig,
-    dirichlet_f_over_z_series,
-    dirichlet_f_pair_values,
-    dirichlet_f_series,
     dirichlet_quadrature,
     dirichlet_series,
-    dirichlet_values,
     l1_mean_quadrature,
     l1_mean_series,
-    l1_mean_values,
+    values,
     _circle_values,
     _exact_count,
 )
 from merobounds.series import TruncatedSeries
+
+ZF, F, FZ, L1 = (BoundQuantity.DIRICHLET_ZF, BoundQuantity.DIRICHLET_F,
+                 BoundQuantity.DIRICHLET_F_OVER_Z, BoundQuantity.L1)
+
+
+def one(f, quantity, r, method=Method.SERIES):
+    """``values`` of one quantity at one radius, as (value, error) floats."""
+    computed, errors = values(f, (quantity,), (r,), method)
+    return float(computed[0, 0]), float(errors[0, 0])
 
 
 def closed_form_dirichlet_f_over_z(r, p):
@@ -89,8 +95,6 @@ def test_identity_map_area():
     z = TruncatedSeries([0.0, 1.0])
     res = dirichlet_series(z, 0.7)
     assert res.value == pytest.approx(math.pi * 0.49, rel=1e-15)
-    assert res.method is Method.SERIES
-    assert res.kind is IntegralKind.DIRICHLET
 
 
 def test_dirichlet_series_hand_value():
@@ -100,7 +104,7 @@ def test_dirichlet_series_hand_value():
     res = dirichlet_series(f.inv_series, 1.0)
     assert res.value == pytest.approx(8.25 * math.pi, rel=1e-14)
     # the z/f coefficients are exact, so no tail mass
-    assert res.truncation_tail_estimate == 0.0
+    assert one(f, ZF, 1.0) == (res.value, 0.0)
 
 
 def test_dirichlet_series_against_loop():
@@ -116,24 +120,24 @@ def test_dirichlet_series_against_loop():
 
 def test_dirichlet_series_tail_estimate():
     # a coefficient sum over given data reports no tail, whatever its last term
-    for r in (0.5, 1.0):
-        res = dirichlet_series(TruncatedSeries([1.0, 0.5, 0.25]), r)
-        assert res.truncation_tail_estimate == 0.0
+    f = PoleFunction(TruncatedSeries([1.0, 0.5, 0.25]))
+    for method in Method:
+        assert values(f, (ZF, L1), (0.5, 1.0), method)[1].tolist() == [[0.0, 0.0], [0.0, 0.0]]
     # the f and f/z sums run until the remainder bound of their Stein sums is
     # at most 2^-52 of them; it stays positive, as the series goes on
     koebe, kp = build_koebe_rotation(0.0), build_kp(0.5)
-    cases = ((dirichlet_f_over_z_series, koebe, 0.5,
+    cases = ((FZ, koebe, 0.5,
               2 * math.pi * 0.25 * 2.25 / 0.75**4),  # 2 pi r^2 (r^2 + 2) / (1 - r^2)^4
-             (dirichlet_f_series, koebe, 0.5,
+             (F, koebe, 0.5,
               math.pi * 0.25 * (0.0625 + 1 + 1) / 0.75**4),  # pi r^2 (r^4 + 4r^2 + 1) / (1 - r^2)^4
-             (dirichlet_f_over_z_series, kp, 0.25, closed_form_dirichlet_f_over_z(0.25, 0.5)),
-             (dirichlet_f_series, kp, 0.25, closed_form_dirichlet_f(0.25, 0.5)))
-    for route, f, r, want in cases:
-        res = route(f, r)
-        assert res.value == pytest.approx(want, rel=1e-14)
-        assert 0.0 < res.truncation_tail_estimate <= 2.0**-52 * res.value
+             (FZ, kp, 0.25, closed_form_dirichlet_f_over_z(0.25, 0.5)),
+             (F, kp, 0.25, closed_form_dirichlet_f(0.25, 0.5)))
+    for quantity, f, r, want in cases:
+        value, error = one(f, quantity, r)
+        assert value == pytest.approx(want, rel=1e-14)
+        assert 0.0 < error <= 2.0**-52 * value
     # f = z has f/z = 1 exactly: no tail
-    assert dirichlet_f_series(from_inverse_coefficients([0.0]), 1.0).truncation_tail_estimate == 0.0
+    assert one(from_inverse_coefficients([0.0]), F, 1.0)[1] == 0.0
 
 
 def test_tail_estimate_survives_a_zero_last_coefficient():
@@ -144,37 +148,36 @@ def test_tail_estimate_survives_a_zero_last_coefficient():
     f = PoleFunction(TruncatedSeries([1, 0, 1, 0]))
     r = 0.9
     x = r**4
-    res = dirichlet_f_over_z_series(f, r)
-    assert res.value == pytest.approx(2 * math.pi * x / (1 - x) ** 2, rel=1e-14)
-    assert 0.0 < res.truncation_tail_estimate <= 2.0**-52 * res.value
+    value, error = one(f, FZ, r)
+    assert value == pytest.approx(2 * math.pi * x / (1 - x) ** 2, rel=1e-14)
+    assert 0.0 < error <= 2.0**-52 * value
     # with a pole: z/f = 1 - (z/p)^2 stores f/z = 1 + (z/p)^2 + (z/p)^4 + ...
     p, r = 0.5, 0.25
     f = PoleFunction(TruncatedSeries([1, 0, -1 / p**2, 0]), pole=p)
     assert f_over_z_series(f, 3).coefficients.tolist() == [1, 0, 4, 0]
     x = (r / p) ** 4
-    res = dirichlet_f_over_z_series(f, r)
-    assert res.value == pytest.approx(2 * math.pi * x / (1 - x) ** 2, rel=1e-14)
-    assert 0.0 < res.truncation_tail_estimate <= 2.0**-52 * res.value
+    value, error = one(f, FZ, r)
+    assert value == pytest.approx(2 * math.pi * x / (1 - x) ** 2, rel=1e-14)
+    assert 0.0 < error <= 2.0**-52 * value
 
 
 def test_identity_map_at_order_zero_reports_no_tail():
     # f = z stored at order 0 (the CSV row ",0"): its f/z = 1 is exact, though
     # the last stored f/z coefficient is the constant 1
     f = from_inverse_coefficients([])
-    for route, r in ((dirichlet_f_series, 1.0), (dirichlet_f_series, 0.5),
-                     (dirichlet_f_over_z_series, 0.5)):
-        tail = route(f, r).truncation_tail_estimate
-        assert tail == 0.0
-        assert type(tail) is float
+    errors = values(f, (F, FZ), (0.5, 1.0))[1]
+    assert errors.tolist() == [[0.0, 0.0], [0.0, 0.0]]
 
 
 def test_tail_estimates_are_plain_floats():
+    # values and errors are float arrays of one row per quantity and one
+    # column per radius, whatever the type of the radii
     kp, koebe = build_kp(0.5), build_koebe_rotation(0.0)
-    results = (dirichlet_f_over_z_series(kp, 0.25), dirichlet_f_series(kp, np.float64(0.25)),
-               dirichlet_f_over_z_series(koebe, 0.5), dirichlet_f_series(koebe, 0.5),
-               dirichlet_series(kp.inv_series, 0.5), l1_mean_series(kp, 0.5))
-    for res in results:
-        assert type(res.truncation_tail_estimate) is float
+    for f, radii in ((kp, (0.25, np.float64(0.25))), (koebe, np.array([0.5, 0.25]))):
+        for quantities, method in (((FZ, F), Method.SERIES), ((ZF, L1), Method.SERIES),
+                                   ((ZF, L1), Method.QUADRATURE)):
+            for part in values(f, quantities, radii, method):
+                assert part.dtype == np.float64 and part.shape == (2, 2)
 
 
 def test_dirichlet_series_radius_validation():
@@ -195,7 +198,6 @@ def test_quadrature_identity_map():
     z = TruncatedSeries([0.0, 1.0])
     res = dirichlet_quadrature(z, 0.7)
     assert res.value == pytest.approx(math.pi * 0.49, rel=1e-13)
-    assert res.truncation_tail_estimate is None
     with pytest.raises(BadParameter):
         dirichlet_quadrature(lambda z: z, 0.7)
 
@@ -409,14 +411,14 @@ def test_f_over_z_series_vs_closed_form(p, r, order, tol):
     # (r/p)^(2 order) lies below roundoff, against the closed form
     f = build_kp(p)
     want = closed_form_dirichlet_f_over_z(r, p)
-    assert dirichlet_f_over_z_series(f, r).value == pytest.approx(want, rel=tol)
+    assert one(f, FZ, r)[0] == pytest.approx(want, rel=tol)
     assert dirichlet_series(f_over_z_series(f, order), r).value == pytest.approx(want, rel=tol)
 
 
 @pytest.mark.parametrize("p,r", [(0.7, 0.3), (0.5, 0.2), (0.35, 0.15)])
 def test_f_series_vs_closed_form(p, r):
     f = build_kp(p)
-    got = dirichlet_f_series(f, r).value
+    got = one(f, F, r)[0]
     assert got == pytest.approx(closed_form_dirichlet_f(r, p), rel=1e-9)
 
 
@@ -433,8 +435,8 @@ def test_f_routes_agree_with_mpmath_on_kp(p, ratio):
         want_f = lead * (P * P / (P * P - R * R) ** 2 + tail + P * P / (1 - P * P * R * R) ** 2)
     tol = 1e-14 / (1 - ratio)
     f = build_kp(p)
-    assert abs(dirichlet_f_over_z_series(f, r).value - want_fz) <= tol * want_fz
-    assert abs(dirichlet_f_series(f, r).value - want_f) <= tol * want_f
+    assert abs(one(f, FZ, r)[0] - want_fz) <= tol * want_fz
+    assert abs(one(f, F, r)[0] - want_f) <= tol * want_f
 
 
 def test_f_routes_agree_with_mpmath_on_a_degree_8_z_over_f():
@@ -444,9 +446,9 @@ def test_f_routes_agree_with_mpmath_on_a_degree_8_z_over_f():
     r = 0.9 * rho
     s0, s1 = mp_f_over_z_sums(b, r, 0.9)
     f = from_inverse_coefficients(b)
-    assert abs(dirichlet_f_over_z_series(f, r).value - mp.pi * s1) <= 1e-14 * mp.pi * s1
+    assert abs(one(f, FZ, r)[0] - mp.pi * s1) <= 1e-14 * mp.pi * s1
     want = mp.pi * mp.mpf(r) ** 2 * (s0 + s1)
-    assert abs(dirichlet_f_series(f, r).value - want) <= 1e-14 * want
+    assert abs(one(f, F, r)[0] - want) <= 1e-14 * want
 
 
 def test_f_routes_refuse_a_second_root_of_z_over_f_inside_r():
@@ -454,21 +456,20 @@ def test_f_routes_refuse_a_second_root_of_z_over_f_inside_r():
     # series diverges past 0.1
     b = np.convolve([1.0, -10.0], [1.0, -2.0])[1:]
     f = from_inverse_coefficients(b, pole=0.5)
-    for route in (dirichlet_f_over_z_series, dirichlet_f_series):
+    for quantity in (F, FZ):
         with pytest.raises(RadiusBeyondPole):
-            route(f, 0.3)
-    for quantity in (BoundQuantity.DIRICHLET_F, BoundQuantity.DIRICHLET_F_OVER_Z):
+            values(f, (quantity,), (0.3,))
         with pytest.raises(RadiusBeyondPole):
-            check_bound(f, ClassSpec(ClassKind.SIGMA_P, p=0.5), quantity, 0.3)
+            check_quantities(f, ClassSpec(ClassKind.SIGMA_P, p=0.5), (quantity,), (0.3,))
     s0, s1 = mp_f_over_z_sums(b, 0.05, 0.5)
-    assert abs(dirichlet_f_over_z_series(f, 0.05).value - mp.pi * s1) <= 1e-14 * mp.pi * s1
+    assert abs(one(f, FZ, 0.05)[0] - mp.pi * s1) <= 1e-14 * mp.pi * s1
 
 
 def test_f_route_close_to_a_large_pole_is_finite_without_warnings():
     # a truncated f/z series once overflowed here, giving NaN and 3 RuntimeWarnings
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        value = dirichlet_f_series(build_kp(0.8), 0.75).value
+        value = one(build_kp(0.8), F, 0.75)[0]
     assert not caught
     assert value == pytest.approx(closed_form_dirichlet_f(0.75, 0.8), rel=1e-12)
 
@@ -478,19 +479,19 @@ _OVERFLOWING = from_inverse_coefficients([0.0, 1e200])
 
 
 @pytest.mark.parametrize("route", [
-    lambda f: dirichlet_values(f.inv_series, 0.5),
-    lambda f: dirichlet_values(f.inv_series, np.array([0.1, 0.5])),
+    lambda f: values(f, (ZF,), np.array([0.1, 0.5])),
+    lambda f: values(f, (ZF,), np.array([0.1, 0.5]), Method.QUADRATURE),
     lambda f: dirichlet_series(f.inv_series, 0.5),
     lambda f: dirichlet_quadrature(f.inv_series, 0.5),
-    lambda f: l1_mean_values(f, 0.5),
-    lambda f: l1_mean_values(f, np.array([0.1, 0.5])),
+    lambda f: values(f, (L1,), np.array([0.1, 0.5])),
+    lambda f: values(f, (L1,), np.array([0.1, 0.5]), Method.QUADRATURE),
     lambda f: l1_mean_series(f, 0.5),
     lambda f: l1_mean_quadrature(f, 0.5),
-    lambda f: check_bound(f, ClassSpec(ClassKind.S), BoundQuantity.DIRICHLET_ZF, 0.5),
-    lambda f: check_bound(f, ClassSpec(ClassKind.S), BoundQuantity.L1, 0.5),
-], ids=["dirichlet_values", "dirichlet_values-array", "dirichlet_series",
-        "dirichlet_quadrature", "l1_mean_values", "l1_mean_values-array", "l1_mean_series",
-        "l1_mean_quadrature", "check_bound-DIRICHLET_ZF", "check_bound-L1"])
+    lambda f: check_quantities(f, ClassSpec(ClassKind.S), (ZF,), (0.5,)),
+    lambda f: check_quantities(f, ClassSpec(ClassKind.S), (L1,), (0.5,)),
+], ids=["values-DIRICHLET_ZF", "values-DIRICHLET_ZF-QUADRATURE", "dirichlet_series",
+        "dirichlet_quadrature", "values-L1", "values-L1-QUADRATURE", "l1_mean_series",
+        "l1_mean_quadrature", "check_quantities-DIRICHLET_ZF", "check_quantities-L1"])
 def test_an_overflowing_route_refuses_without_warnings(route):
     # these returned inf with a RuntimeWarning instead of raising
     with warnings.catch_warnings(record=True) as caught:
@@ -501,14 +502,11 @@ def test_an_overflowing_route_refuses_without_warnings(route):
 
 
 @pytest.mark.parametrize("route,quantity", [
-    (lambda f, r: dirichlet_values(f.inv_series, r), "dirichlet"),
-    (lambda f, r: dirichlet_values(f.inv_series, np.array([r]))[0], "dirichlet"),
+    (lambda f, r: values(f, (ZF,), (r, 2 * r))[0][0, 0], "dirichlet"),
     (lambda f, r: dirichlet_series(f.inv_series, r).value, "dirichlet"),
-    (lambda f, r: l1_mean_values(f, r), "l1"),
-    (lambda f, r: l1_mean_values(f, np.array([r]))[0], "l1"),
+    (lambda f, r: values(f, (L1,), (r, 2 * r))[0][0, 0], "l1"),
     (lambda f, r: l1_mean_series(f, r).value, "l1"),
-], ids=["dirichlet_values", "dirichlet_values-array", "dirichlet_series",
-        "l1_mean_values", "l1_mean_values-array", "l1_mean_series"])
+], ids=["values-DIRICHLET_ZF", "dirichlet_series", "values-L1", "l1_mean_series"])
 def test_a_large_coefficient_at_a_tiny_radius_sums_in_range(route, quantity):
     # the same z/f at r = 1e-100: 2 pi and 2, though |b_2|**2 and r**4 each
     # leave the float range; these raised BadParameter
@@ -523,25 +521,25 @@ def test_a_large_coefficient_at_a_tiny_radius_sums_in_range(route, quantity):
 
 
 def test_f_route_values_over_no_radius_are_empty():
-    assert dirichlet_f_pair_values(build_kp(0.5), []).shape == (2, 0)
+    for part in values(build_kp(0.5), (F, FZ), []):
+        assert part.shape == (2, 0)
 
 
 def test_f_routes_reject_radius_at_or_beyond_pole():
     f = build_kp(0.5)
     for r in (0.5, 0.6, 0.99):
-        with pytest.raises(RadiusBeyondPole):
-            dirichlet_f_over_z_series(f, r)
-        with pytest.raises(RadiusBeyondPole):
-            dirichlet_f_series(f, r)
+        for quantity in (FZ, F):
+            with pytest.raises(RadiusBeyondPole, match=f"radius {r!r} reaches"):
+                values(f, (quantity,), np.array([0.25, r]))
 
 
-@pytest.mark.parametrize("route", [dirichlet_f_series, dirichlet_f_over_z_series])
-def test_f_routes_of_a_pole_free_function_reject_radius_one(route):
+@pytest.mark.parametrize("quantity", [F, FZ], ids=lambda q: q.value)
+def test_f_routes_of_a_pole_free_function_reject_radius_one(quantity):
     # the Koebe map's f and f/z integrals diverge as r -> 1
     f = build_koebe_rotation(0.0)
     with pytest.raises(BadRadius):
-        route(f, 1.0)
-    assert math.isfinite(route(f, 0.9).value)
+        one(f, quantity, 1.0)
+    assert math.isfinite(one(f, quantity, 0.9)[0])
 
 
 def test_f_series_identity_map_any_radius():
@@ -549,14 +547,14 @@ def test_f_series_identity_map_any_radius():
     # Dirichlet integral pi r^2
     f = from_inverse_coefficients([0.0, 0.0])
     for r in (0.3, 0.9, 1.0):
-        assert dirichlet_f_series(f, r).value == pytest.approx(math.pi * r * r, rel=1e-14)
+        assert one(f, F, r)[0] == pytest.approx(math.pi * r * r, rel=1e-14)
 
 
 @pytest.mark.parametrize("r", [0.3, 0.9, 1.0])
 def test_order_zero_identity_map_sums_are_empty(r):
     # f = z stored at order 0: f/z = 1 has zero area and z/f = 1 mean 1
     f = from_inverse_coefficients([])
-    assert dirichlet_f_over_z_series(f, r).value == 0.0
+    assert one(f, FZ, r)[0] == 0.0
     assert l1_mean_series(f, r).value == 1.0
 
 
@@ -612,12 +610,11 @@ def test_l1_tail_estimate():
     # the z/f coefficients are exact, stored by a builder or given as data
     f = build_kp(0.5)
     assert f.inv_series.order == 2
-    assert l1_mean_series(f, 1.0).truncation_tail_estimate == 0.0
+    assert one(f, L1, 1.0)[1] == 0.0
     g = from_inverse_coefficients([0.5, 0.25, 0.125])
     res = l1_mean_series(g, 0.5)
     assert res.value == 1 + 0.25 * 0.25 + 0.0625 * 0.0625 + 0.015625 * 0.015625
-    assert res.truncation_tail_estimate == 0.0
-    assert l1_mean_series(g, 1.0).truncation_tail_estimate == 0.0
+    assert values(g, (L1,), (0.5, 1.0))[1].tolist() == [[0.0, 0.0]]
 
 
 def test_l1_radius_validation():
@@ -626,3 +623,79 @@ def test_l1_radius_validation():
         l1_mean_series(f, 0.0)
     with pytest.raises(BadRadius):
         l1_mean_quadrature(f, 1.2)
+
+
+# ---- values: the one compute path ----------------------------------------------
+
+#: kp, fp, Koebe and f = z stored at order 0, with radii inside every pole
+MEMBERS = {"kp": build_kp(0.5), "fp": build_fp(0.5, 0.5), "koebe": build_koebe_rotation(0.0),
+           "identity": from_inverse_coefficients([])}
+RADII = (0.1, 0.25, 0.4)
+STEIN_ROWS = {(Method.SERIES, F), (Method.SERIES, FZ)}
+
+
+@pytest.mark.parametrize("member", MEMBERS)
+@pytest.mark.parametrize("key", _ROUTES, ids=lambda key: f"{key[0].value}-{key[1].value}")
+def test_values_of_each_route_are_the_same_alone_or_among_other_radii(key, member):
+    method, quantity = key
+    f = MEMBERS[member]
+    computed, errors = values(f, (quantity,), RADII, method)
+    for i, r in enumerate(RADII):
+        alone = values(f, (quantity,), (r,), method)
+        assert alone[0][0, 0] == computed[0, i] and alone[1][0, 0] == errors[0, i]
+    if key in STEIN_ROWS and member != "identity":
+        assert (0.0 < errors).all() and (errors <= 2.0**-52 * computed).all()
+    else:
+        assert (errors == 0.0).all()
+
+
+@pytest.mark.parametrize("member", MEMBERS)
+def test_values_of_the_two_routes_agree_within_the_verify_tolerances(member):
+    f = MEMBERS[member]
+    series = values(f, (ZF, L1), RADII)[0]
+    quadrature = values(f, (ZF, L1), RADII, Method.QUADRATURE)[0]
+    for row, tolerance in ((0, 1e-8), (1, 1e-10)):
+        assert quadrature[row] == pytest.approx(series[row], rel=tolerance)
+
+
+@pytest.mark.parametrize("quantity", [F, FZ], ids=lambda q: q.value)
+def test_values_has_no_quadrature_route_for_the_f_integrals(quantity):
+    with pytest.raises(BadParameter, match=f"no QUADRATURE route for {quantity.value}"):
+        values(build_kp(0.5), (ZF, quantity), RADII, Method.QUADRATURE)
+
+
+def test_values_runs_a_shared_route_once_per_call(monkeypatch):
+    from merobounds import integrals
+
+    calls = []
+    stein_sums = integrals._stein_sums
+
+    def counted(f, radii):
+        calls.append(len(radii))
+        return stein_sums(f, radii)
+
+    monkeypatch.setattr(integrals, "_stein_sums", counted)
+    f = build_kp(0.5)
+    computed, errors = values(f, (F, ZF, FZ, F), RADII)
+    assert calls == [len(RADII)]
+    assert np.array_equal(computed[0], computed[3]) and np.array_equal(errors[0], errors[3])
+    assert np.array_equal(computed[[0, 2]], values(f, (F, FZ), RADII)[0])
+
+
+@pytest.mark.parametrize("quantity,bad,error,message", [
+    (ZF, 1.5, BadRadius, "radius 1.5 outside (0, 1]"),
+    (L1, 0.0, BadRadius, "radius 0.0 outside (0, 1]"),
+    (F, 0.5, RadiusBeyondPole, "radius 0.5 reaches the pole at 0.5"),
+    (FZ, 0.75, RadiusBeyondPole, "radius 0.75 reaches the pole at 0.5"),
+], ids=lambda x: x.value if isinstance(x, BoundQuantity) else None)
+def test_values_names_a_bad_radius_as_a_plain_float(quantity, bad, error, message):
+    with pytest.raises(error) as info:
+        values(build_kp(0.5), (quantity,), np.array([0.25, bad]))
+    assert str(info.value) == message
+
+
+def test_values_refuses_radii_that_are_not_one_dimensional():
+    with pytest.raises(BadParameter, match="one-dimensional"):
+        values(build_kp(0.5), (ZF,), np.array([[0.25, 0.5]]))
+    with pytest.raises(BadParameter, match="one-dimensional"):
+        values(build_kp(0.5), (ZF,), 0.5)
