@@ -357,5 +357,5 @@ def values(f: PoleFunction, quantities, radii,
         route, row = _ROUTES[key]
         if route not in done:
             done[route] = route(f, radii)
-        out[:, i] = [part[row] for part in done[route]]
+        out[0, i], out[1, i] = done[route][0][row], done[route][1][row]
     return out[0], out[1]
