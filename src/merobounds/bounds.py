@@ -4,10 +4,10 @@
 Dirichlet integral of z/f, f or f/z, or L1 mean, over a class of
 :mod:`merobounds.functions` at each of a sequence of radii, read from
 ``_SHARP_MAXIMA``, with each r checked once; :func:`sharp_maximum` is its
-one-radius case.  :func:`check_quantities` compares the series-route values
-of several quantities of one function at a sequence of radii, from one call
-of :func:`merobounds.integrals.values` (whose ``_ROUTES`` table picks the
-code for each quantity), with it.
+one-radius case.  :func:`check_quantities` compares with it the values of
+several quantities of one function at a sequence of radii, which one call
+of :func:`merobounds.integrals.values` forms by the series routes of its
+``_ROUTES`` table.
 Each check produces a BoundReport whose slack is ``bound - computed``; the
 canonical extremal functions land on zero slack up to roundoff.
 """
