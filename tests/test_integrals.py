@@ -45,9 +45,9 @@ ZF, F, FZ, L1 = (BoundQuantity.DIRICHLET_ZF, BoundQuantity.DIRICHLET_F,
                  BoundQuantity.DIRICHLET_F_OVER_Z, BoundQuantity.L1)
 
 
-def one(f, quantity, r, method=Method.SERIES):
+def one(f, quantity, r):
     """``values`` of one quantity at one radius, as (value, error) floats."""
-    computed, errors = values(f, (quantity,), (r,), method)
+    computed, errors = values(f, (quantity,), (r,))
     return float(computed[0, 0]), float(errors[0, 0])
 
 
