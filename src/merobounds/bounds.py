@@ -3,21 +3,26 @@
 :func:`sharp_maxima` is the one public source of a sharp bound: the largest
 Dirichlet integral of z/f, f or f/z, or L1 mean, over a class of
 :mod:`merobounds.functions` at each of a sequence of radii, read from
-``_SHARP_MAXIMA``, with each r checked once; :func:`sharp_maximum` is its
-one-radius case.  :func:`check_quantities` compares with it the values of
-several quantities of one function at a sequence of radii, which one call
-of :func:`merobounds.integrals.values` forms by the series routes of its
-``_ROUTES`` table.
-Each check produces a BoundReport whose slack is ``bound - computed``; the
-canonical extremal functions land on zero slack up to roundoff.
+``_SHARP_MAXIMA``, whose entries resolve their class constants once per
+call, with each r checked once; :func:`sharp_maximum` is its one-radius
+case.  :func:`check_quantities` judges one (Q, R) block of several
+quantities of one function at a sequence of radii at once: the values of
+one call of :func:`merobounds.integrals.values`, by the series routes of
+its ``_ROUTES`` table, against a (Q, R) array of sharp maxima.
+
+Each check produces a BoundReport, an immutable named tuple whose slack is
+``bound - computed``; ``_verdict`` is the one rule for slack, satisfied and
+sharp, on floats in :func:`build_report` and on arrays in
+:func:`check_quantities`.  The canonical extremal functions land on zero
+slack up to roundoff.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from typing import Optional
+from itertools import repeat
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -33,9 +38,8 @@ SATISFACTION_TOL = 1e-9
 SHARPNESS_RTOL = 1e-9
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    """Outcome of one bound check.
+class BoundReport(NamedTuple):
+    """Outcome of one bound check, an immutable named tuple.
 
     ``satisfied`` tolerates slack down to -SATISFACTION_TOL; ``sharp`` means
     satisfied with |slack| within SHARPNESS_RTOL of the bound itself, so a
@@ -52,6 +56,15 @@ class BoundReport:
     class_spec: Optional[ClassSpec] = None
 
 
+def _verdict(computed, bound):
+    """(slack, satisfied, sharp) of computed values against their bounds, as
+    the rule of :class:`BoundReport` reads them: floats give floats and
+    bools, arrays give arrays of the same shape."""
+    slack = bound - computed
+    satisfied = slack >= -SATISFACTION_TOL
+    return slack, satisfied, satisfied & (abs(slack) <= SHARPNESS_RTOL * abs(bound))
+
+
 def build_report(
     quantity: str,
     computed: float,
@@ -59,10 +72,7 @@ def build_report(
     r: float,
     class_spec: Optional[ClassSpec] = None,
 ) -> BoundReport:
-    slack = bound - computed
-    satisfied = slack >= -SATISFACTION_TOL
-    sharp = satisfied and abs(slack) <= SHARPNESS_RTOL * abs(bound)
-    return BoundReport(quantity, computed, bound, slack, satisfied, sharp, r, class_spec)
+    return BoundReport(quantity, computed, bound, *_verdict(computed, bound), r, class_spec)
 
 
 # ---- coefficient inequalities ------------------------------------------------
@@ -143,40 +153,58 @@ def _numerator_f_over_z(rr: float, e: float) -> float:
     return (1.0 - rr * rr) ** 2 + 2.0 * e * (1.0 - rr * rr) + e * e * (1.0 - 2.0 * rr - rr * rr)
 
 
-def _residual_zf(c: ClassSpec, r: float) -> float:
+def _sigma_zf(c: ClassSpec):
+    """pi r**2 ((1/p + p)**2 + 2 r**2)."""
+    a = (1.0 / c.p + c.p) ** 2
+    return lambda r: math.pi * r * r * (a + 2.0 * r * r)
+
+
+def _residual_zf(c: ClassSpec):
     """pi r**2 ((1/p + lam*mu*p)**2 + 2 (lam*mu)**2 r**2)."""
     m = c.lam * mu(c.p)
-    return math.pi * r * r * ((1.0 / c.p + m * c.p) ** 2 + 2.0 * m * m * r * r)
+    a, b = (1.0 / c.p + m * c.p) ** 2, 2.0 * m * m
+    return lambda r: math.pi * r * r * (a + b * r * r)
 
 
-def _residual_l1(c: ClassSpec, r: float) -> float:
+def _sigma_l1(c: ClassSpec):
+    """1 + (1/p + p)**2 r**2 + r**4."""
+    a = (1.0 / c.p + c.p) ** 2
+    return lambda r: 1.0 + a * r * r + r**4
+
+
+def _residual_l1(c: ClassSpec):
     """1 + (1/p + lam*mu*p)**2 r**2 + (lam*mu)**2 r**4."""
     m = c.lam * mu(c.p)
-    return 1.0 + (1.0 / c.p + m * c.p) ** 2 * r * r + m * m * r**4
+    a, b = (1.0 / c.p + m * c.p) ** 2, m * m
+    return lambda r: 1.0 + a * r * r + b * r**4
 
 
-#: Sharp maximum of each (class, quantity) pair the paper gives, as a
-#: function of (class_spec, r).  Each class's form is written out on its
-#: own, so the p -> 1 limit and class-nesting checks of ``verify`` compare
+def _no_maximum(r: float) -> float:
+    """The maximum of a class whose constants leave the float range: NaN."""
+    return math.nan
+
+
+#: Sharp maximum of each (class, quantity) pair the paper gives: a function
+#: of the class_spec that resolves its class constants once and returns the
+#: maximum as a function of r.  Each class's form is written out on its own,
+#: so the p -> 1 limit and class-nesting checks of ``verify`` compare
 #: independent expressions.
 _SHARP_MAXIMA = {
-    (ClassKind.SIGMA_P, BoundQuantity.DIRICHLET_ZF):  # pi r**2 ((1/p + p)**2 + 2 r**2)
-        lambda c, r: math.pi * r * r * ((1.0 / c.p + c.p) ** 2 + 2.0 * r * r),
+    (ClassKind.SIGMA_P, BoundQuantity.DIRICHLET_ZF): _sigma_zf,
     (ClassKind.U_P_LAMBDA, BoundQuantity.DIRICHLET_ZF): _residual_zf,
     (ClassKind.S, BoundQuantity.DIRICHLET_ZF):  # 2 pi r**2 (r**2 + 2)
-        lambda c, r: 2.0 * math.pi * r * r * (r * r + 2.0),
+        lambda c: lambda r: 2.0 * math.pi * r * r * (r * r + 2.0),
     (ClassKind.SIGMA_P, BoundQuantity.DIRICHLET_F):
-        lambda c, r: _inside_pole(c.p, r, _numerator_f),
+        lambda c: lambda r: _inside_pole(c.p, r, _numerator_f),
     (ClassKind.S, BoundQuantity.DIRICHLET_F):  # pi r**2 (r**4 + 4 r**2 + 1) / (1 - r**2)**4
-        lambda c, r: math.pi * r * r * (r**4 + 4.0 * r * r + 1.0) / (1.0 - r * r) ** 4,
+        lambda c: lambda r: math.pi * r * r * (r**4 + 4.0 * r * r + 1.0) / (1.0 - r * r) ** 4,
     (ClassKind.SIGMA_P, BoundQuantity.DIRICHLET_F_OVER_Z):
-        lambda c, r: _inside_pole(c.p, r, _numerator_f_over_z),
+        lambda c: lambda r: _inside_pole(c.p, r, _numerator_f_over_z),
     (ClassKind.S, BoundQuantity.DIRICHLET_F_OVER_Z):  # 2 pi r**2 (r**2 + 2) / (1 - r**2)**4
-        lambda c, r: 2.0 * math.pi * r * r * (r * r + 2.0) / (1.0 - r * r) ** 4,
-    (ClassKind.SIGMA_P, BoundQuantity.L1):
-        lambda c, r: 1.0 + (1.0 / c.p + c.p) ** 2 * r * r + r**4,
+        lambda c: lambda r: 2.0 * math.pi * r * r * (r * r + 2.0) / (1.0 - r * r) ** 4,
+    (ClassKind.SIGMA_P, BoundQuantity.L1): _sigma_l1,
     (ClassKind.U_P_LAMBDA, BoundQuantity.L1): _residual_l1,
-    (ClassKind.S, BoundQuantity.L1): lambda c, r: 1.0 + 4.0 * r * r + r**4,
+    (ClassKind.S, BoundQuantity.L1): lambda c: lambda r: 1.0 + 4.0 * r * r + r**4,
 }
 
 
@@ -186,17 +214,17 @@ def sharp_maxima(class_spec: ClassSpec, quantity: BoundQuantity, radii) -> list[
 
     r lies in (0, 1] for DIRICHLET_ZF and L1; the f and f/z maxima need
     0 < r < p over a pole class and 0 < r < 1 over S.  The (class,
-    quantity) pair and the radius domain are resolved once per call; each
-    radius is then checked before its maximum is formed, so the first
-    radius that fails decides the error.
+    quantity) pair, its class constants and the radius domain are resolved
+    once per call; each radius is then checked before its maximum is
+    formed, so the first radius that fails decides the error.
 
     Raises BadParameter where the paper gives none (Dirichlet integrals of
     f and f/z over U_P_LAMBDA), and where the closed form leaves the float
     range; BadRadius or RadiusBeyondPole for r outside its domain.
     """
     quantity = BoundQuantity(quantity)
-    maximum = _SHARP_MAXIMA.get((class_spec.kind, quantity))
-    if maximum is None:
+    resolve = _SHARP_MAXIMA.get((class_spec.kind, quantity))
+    if resolve is None:
         raise BadParameter(
             f"no sharp bound for {quantity.value} over class {class_spec.kind.value}")
     p = class_spec.p
@@ -207,13 +235,14 @@ def sharp_maxima(class_spec: ClassSpec, quantity: BoundQuantity, radii) -> list[
     else:
         def check(r):
             check_inside_pole(r, p)
+    try:
+        maximum = resolve(class_spec)
+    except ArithmeticError:  # (1/p + p)**2 overflows at a tiny pole
+        maximum = _no_maximum
     maxima = []
     for r in radii:
         check(r)
-        try:
-            value = maximum(class_spec, r)
-        except ArithmeticError:  # (1/p + p)**2 overflows at a tiny pole
-            value = math.nan
+        value = maximum(r)
         if not math.isfinite(value):
             raise BadParameter(
                 f"sharp maximum of {quantity.value} over class {class_spec.kind.value} at "
@@ -239,18 +268,23 @@ def check_quantities(
 
     Every radius is checked, and every sharp maximum found, before one call
     of :func:`merobounds.integrals.values` runs each route once over all the
-    radii.  Raises ClassMismatch when f and the class disagree on the pole,
-    BadParameter from :func:`sharp_maxima` or a route that overflows, and
-    RadiusBeyondPole for the f and f/z integrals at r >= p or past a root of
-    z/f.
+    radii.  The (Q, R) block is then judged at once, by the rule of
+    :func:`build_report` on arrays, and every report field is a plain
+    Python float or bool.  Raises ClassMismatch when f and the class
+    disagree on the pole, BadParameter from :func:`sharp_maxima` or a route
+    that overflows, and RadiusBeyondPole for the f and f/z integrals at
+    r >= p or past a root of z/f.
     """
     quantities = [BoundQuantity(quantity) for quantity in quantities]
     class_spec.match(f)
     radii = list(radii)
-    if not radii:
+    if not (quantities and radii):
         return [[] for _ in quantities]
-    bounds = [sharp_maxima(class_spec, quantity, radii) for quantity in quantities]
-    computed = values(f, quantities, radii)[0].tolist()
-    return [[build_report(quantity.value, value, bound, r, class_spec)
-             for value, bound, r in zip(row, maxima, radii)]
-            for quantity, row, maxima in zip(quantities, computed, bounds)]
+    bounds = np.array([sharp_maxima(class_spec, quantity, radii) for quantity in quantities])
+    radii = np.asarray(radii, dtype=np.float64)
+    computed = values(f, quantities, radii)[0]
+    # plain floats and bools, row by row: (computed, bound, slack, satisfied, sharp)
+    blocks = [block.tolist() for block in (computed, bounds, *_verdict(computed, bounds))]
+    r = radii.tolist()
+    return [list(map(BoundReport, repeat(quantity.value), *rows, r, repeat(class_spec)))
+            for quantity, *rows in zip(quantities, *blocks)]

@@ -304,17 +304,18 @@ def _dirichlet_f(f: PoleFunction, radii: np.ndarray) -> tuple[np.ndarray, np.nda
 
 def _exact(kernel, quantity: str):
     """The route of an exact quantity from a kernel of (z/f coefficients, radii):
-    radii checked in (0, 1], one row of finite values, and an error row of 0."""
+    radii checked in (0, 1], one row of finite values, and no error bounds."""
     def route(f: PoleFunction, radii: np.ndarray):
         for r in radii.tolist():
             check_radius(r)
         row = np.asarray(kernel(f.inv_series.coefficients, radii), dtype=np.float64)
-        return _finite(row, quantity)[None], np.zeros((1, len(row)))
+        return _finite(row, quantity)[None], None
     return route
 
 
 #: (method, quantity) -> (route, row): the route maps (f, radii) to a (K, R)
-#: array of values and one of error bounds, and the quantity is their row ``row``.
+#: array of values and one of error bounds, or None where every bound is 0,
+#: and the quantity is their row ``row``.
 _ROUTES = {
     (Method.SERIES, BoundQuantity.DIRICHLET_ZF): (_exact(
         lambda c, radii: math.pi * _parseval(c, 1.0, radii, 1), "Dirichlet integral"), 0),
@@ -344,18 +345,23 @@ def values(f: PoleFunction, quantities, radii,
     outside the route's domain, as the one-radius routes and ``_dirichlet_f``.
     """
     method = Method(method)
-    keys = [(method, BoundQuantity(quantity)) for quantity in quantities]
-    for key in keys:
-        if key not in _ROUTES:
-            raise BadParameter(f"no {key[0].value} route for {key[1].value}")
+    routes = []
+    for quantity in quantities:
+        quantity = BoundQuantity(quantity)
+        route = _ROUTES.get((method, quantity))
+        if route is None:
+            raise BadParameter(f"no {method.value} route for {quantity.value}")
+        routes.append(route)
     radii = np.asarray(radii, dtype=np.float64)
     if radii.ndim != 1:
         raise BadParameter(f"radii must be one-dimensional, not {radii.ndim}-dimensional")
-    out = np.empty((2, len(keys), len(radii)))
+    out = np.zeros((2, len(routes), len(radii)))
     done = {}
-    for i, key in enumerate(keys):
-        route, row = _ROUTES[key]
+    for i, (route, row) in enumerate(routes):
         if route not in done:
             done[route] = route(f, radii)
-        out[0, i], out[1, i] = done[route][0][row], done[route][1][row]
+        computed, errors = done[route]
+        out[0, i] = computed[row]
+        if errors is not None:
+            out[1, i] = errors[row]
     return out[0], out[1]

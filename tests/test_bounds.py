@@ -1,4 +1,5 @@
 import math
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -20,10 +21,15 @@ from merobounds.functions import (
     from_inverse_coefficients,
     mu,
 )
+from merobounds.cli import _fmt
 from merobounds.integrals import dirichlet_series, l1_mean_series, values
 from merobounds.bounds import (
     _SHARP_MAXIMA,
+    SATISFACTION_TOL,
+    SHARPNESS_RTOL,
     BoundQuantity,
+    BoundReport,
+    _verdict,
     build_report,
     check_quantities,
     gronwall_check,
@@ -287,6 +293,61 @@ def test_report_random_invariants():
             assert rep.satisfied
 
 
+def _verdict_edges():
+    """(computed, bound, satisfied, sharp) at the edges of the verdict rule,
+    each slack formed exactly: computed - bound at SATISFACTION_TOL and one
+    ulp past it, |slack| at SHARPNESS_RTOL |bound| and one ulp past it, on
+    both sides of the bound, and computed == bound."""
+    cases = []
+    for bound in (0.0, 2.0**-40, 2.0**-32):
+        computed = bound + SATISFACTION_TOL
+        assert computed - bound == SATISFACTION_TOL
+        cases += [(computed, bound, True, False),
+                  (math.nextafter(computed, math.inf), bound, False, False)]
+    for k in range(-40, 6):
+        # SHARPNESS_RTOL 1e9 2^k rounds to 2^k, and 1e9 2^k -/+ 2^k are exact
+        bound, edge = 1e9 * 2.0**k, 2.0**k
+        assert SHARPNESS_RTOL * bound == edge
+        below, above = bound - edge, bound + edge
+        assert bound - below == edge and above - bound == edge
+        # past SATISFACTION_TOL (k >= -29) a relatively sharp slack is unsatisfied
+        within = edge <= SATISFACTION_TOL
+        cases += [(below, bound, True, True),
+                  (math.nextafter(below, -math.inf), bound, True, False),
+                  (above, bound, within, within),
+                  (math.nextafter(above, math.inf), bound, within, False)]
+    return cases + [(bound, bound, True, True) for bound in (0.0, 2.0**-40, 0.5, 1e9, 1e300)]
+
+
+def test_verdict_rule_at_its_edges_on_floats_and_on_arrays():
+    cases = _verdict_edges()
+    computed, bound = np.array([case[:2] for case in cases]).T
+    # one (1, N) block, as check_quantities judges its (Q, R) blocks
+    slack, satisfied, sharp = (block.tolist()[0] for block in _verdict(computed[None], bound[None]))
+    for i, (c, b, want_satisfied, want_sharp) in enumerate(cases):
+        rep = build_report("X", c, b, r=0.5)
+        assert (rep.satisfied, rep.sharp) == (want_satisfied, want_sharp), (c, b)
+        assert (rep.slack, rep.satisfied, rep.sharp) == (slack[i], satisfied[i], sharp[i])
+        assert type(rep.satisfied) is bool and type(rep.sharp) is bool
+
+
+def test_bound_report_is_an_immutable_named_tuple():
+    assert BoundReport._fields == ("quantity", "computed", "bound", "slack", "satisfied",
+                                   "sharp", "r", "class_spec")
+    assert BoundReport._field_defaults == {"class_spec": None}
+    rep = BoundReport("X", 1.0, 2.0, 1.0, True, False, 0.5)
+    assert rep.class_spec is None
+    assert rep == build_report("X", 1.0, 2.0, r=0.5)
+    assert rep == BoundReport(quantity="X", computed=1.0, bound=2.0, slack=1.0, satisfied=True,
+                              sharp=False, r=0.5, class_spec=None)
+    assert hash(rep) == hash(build_report("X", 1.0, 2.0, r=0.5))
+    assert rep != rep._replace(sharp=True) and rep != rep._replace(class_spec=S)
+    with pytest.raises(AttributeError):
+        rep.sharp = True
+    with pytest.raises(AttributeError):
+        rep.extra = 1
+
+
 # ---- dispatching check ----------------------------------------------------------------------
 
 def test_check_bound_sharp_cases():
@@ -403,6 +464,20 @@ def test_check_bound_reports_sharp_for_every_dispatch_pair():
         assert all(type(rep.computed) is float for rep in reports)
         assert [rep.r for rep in reports] == list(radii)
         assert check_quantities(f, spec, (quantity,), ()) == [[]]
+
+
+def test_check_quantities_reports_hold_plain_floats_and_bools():
+    # cli._fmt prints a numpy bool as 1, where a bool prints true
+    for kind, (spec, f) in EXTREMALS.items():
+        quantities = [q for q in BoundQuantity if (kind, q) in _SHARP_MAXIMA]
+        for radii in ((0.1, 0.25, 0.4), np.array([0.1, 0.25, 0.4])):
+            for reports in check_quantities(f, spec, quantities, radii):
+                for rep in reports:
+                    assert type(rep.quantity) is str and rep.class_spec is spec
+                    floats = (rep.computed, rep.bound, rep.slack, rep.r)
+                    assert all(type(x) is float for x in floats)
+                    assert type(rep.satisfied) is bool and type(rep.sharp) is bool
+                    assert _fmt(rep.sharp) == "true" and _fmt(rep.satisfied) == "true"
 
 
 def test_check_quantities_equals_check_bounds_for_each_quantity():
@@ -531,3 +606,88 @@ def test_check_bound_refuses_an_overflowing_bound():
 
 def test_sharp_maximum_keeps_a_finite_zero():
     assert sharp_maximum(S, ZF, 1e-200) == 0.0
+
+
+# ---- sharp_maxima: class constants resolved once, every maximum's bits kept ----
+
+def _parent_inside_pole(p, r, numerator):
+    pp, rr = p * p, r * r
+    e = (p - r) * (p + r)
+    lead = math.pi * pp * rr / ((1.0 - rr) * (1.0 - pp * rr)) ** 2
+    gap = e * e
+    if min(lead, gap) < sys.float_info.min:
+        return math.nan
+    return lead * (numerator(rr, e) / gap)
+
+
+def _parent_numerator_f(rr, e):
+    return (rr * (1.0 - rr * rr) ** 2
+            + e * (1.0 + rr * (2.0 + rr * (-2.0 + rr * (-2.0 + rr))))
+            - 2.0 * rr * rr * e * e)
+
+
+def _parent_numerator_f_over_z(rr, e):
+    return (1.0 - rr * rr) ** 2 + 2.0 * e * (1.0 - rr * rr) + e * e * (1.0 - 2.0 * rr - rr * rr)
+
+
+def _parent_residual_zf(c, r):
+    m = c.lam * mu(c.p)
+    return math.pi * r * r * ((1.0 / c.p + m * c.p) ** 2 + 2.0 * m * m * r * r)
+
+
+def _parent_residual_l1(c, r):
+    m = c.lam * mu(c.p)
+    return 1.0 + (1.0 / c.p + m * c.p) ** 2 * r * r + m * m * r**4
+
+
+#: the per-radius forms of every sharp maximum as they were before the class
+#: constants were resolved once per call, each kept operation for operation
+PER_RADIUS_MAXIMA = {
+    (ClassKind.SIGMA_P, ZF): lambda c, r: math.pi * r * r * ((1.0 / c.p + c.p) ** 2 + 2.0 * r * r),
+    (ClassKind.U_P_LAMBDA, ZF): _parent_residual_zf,
+    (ClassKind.S, ZF): lambda c, r: 2.0 * math.pi * r * r * (r * r + 2.0),
+    (ClassKind.SIGMA_P, F): lambda c, r: _parent_inside_pole(c.p, r, _parent_numerator_f),
+    (ClassKind.S, F):
+        lambda c, r: math.pi * r * r * (r**4 + 4.0 * r * r + 1.0) / (1.0 - r * r) ** 4,
+    (ClassKind.SIGMA_P, FZ): lambda c, r: _parent_inside_pole(c.p, r, _parent_numerator_f_over_z),
+    (ClassKind.S, FZ): lambda c, r: 2.0 * math.pi * r * r * (r * r + 2.0) / (1.0 - r * r) ** 4,
+    (ClassKind.SIGMA_P, L1): lambda c, r: 1.0 + (1.0 / c.p + c.p) ** 2 * r * r + r**4,
+    (ClassKind.U_P_LAMBDA, L1): _parent_residual_l1,
+    (ClassKind.S, L1): lambda c, r: 1.0 + 4.0 * r * r + r**4,
+}
+
+SHARP_KEYS = sorted(_SHARP_MAXIMA, key=lambda k: (k[0].value, k[1].value))
+
+
+@pytest.mark.parametrize("key", SHARP_KEYS, ids=lambda k: f"{k[0].value}-{k[1].value}")
+def test_sharp_maxima_keep_the_bits_of_their_per_radius_forms(key):
+    assert set(PER_RADIUS_MAXIMA) == set(_SHARP_MAXIMA)
+    kind, quantity = key
+    specs = {ClassKind.SIGMA_P: [sigma(p) for p in (0.05, 0.37, 0.93)],
+             ClassKind.U_P_LAMBDA: [residual(p, lam) for p in (0.05, 0.37, 0.93)
+                                    for lam in (0.3, 1.0)],
+             ClassKind.S: [S]}[kind]
+    rng = np.random.default_rng([7, SHARP_KEYS.index(key)])
+    # 200 radii: half uniform, half log-uniform down to 1e-6 of the domain's top
+    unit = np.concatenate((rng.uniform(0.0, 1.0, 100), 10.0 ** rng.uniform(-6.0, 0.0, 100)))
+    for spec in specs:
+        top = spec.p if quantity in F_ROUTES and spec.p is not None else 1.0
+        radii = [r for r in (top * unit).tolist() if 0.0 < r < top]
+        assert len(radii) == 200
+        got = sharp_maxima(spec, quantity, radii)
+        want = [PER_RADIUS_MAXIMA[key](spec, r) for r in radii]
+        assert [x.hex() for x in got] == [x.hex() for x in want], (spec, quantity)
+
+
+@pytest.mark.parametrize("spec", [sigma(1e-155), residual(1e-155, 0.5)],
+                         ids=["SIGMA_P", "U_P_LAMBDA"])
+@pytest.mark.parametrize("quantity", [ZF, L1], ids=lambda q: q.value)
+def test_sharp_maxima_check_each_radius_before_an_overflowing_class_constant(spec, quantity):
+    # (1/p + p)**2 and (1/p + lam*mu*p)**2 overflow at p = 1e-155
+    for bad in (0.0, 1.5, math.nan):
+        with pytest.raises(BadRadius):
+            sharp_maxima(spec, quantity, [bad, 0.5])
+        with pytest.raises(BadParameter, match="exceeds the float range") as info:
+            sharp_maxima(spec, quantity, [0.25, bad])
+        assert not isinstance(info.value, BadRadius)
+        assert "r = 0.25" in str(info.value) and "p = 1e-155" in str(info.value)
