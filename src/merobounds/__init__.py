@@ -16,7 +16,6 @@ from .bounds import (
     jenkins_bound,
     lemma1_check,
     sharp_maxima,
-    sharp_maximum,
 )
 from .criteria import (
     CriterionVerdict,
@@ -102,7 +101,6 @@ __all__ = [
     "lemma1_check",
     "mu",
     "sharp_maxima",
-    "sharp_maximum",
     "to_csv_row",
     "univalence_criterion",
     "up_lambda_membership",

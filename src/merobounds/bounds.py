@@ -4,9 +4,9 @@
 Dirichlet integral of z/f, f or f/z, or L1 mean, over a class of
 :mod:`merobounds.functions` at each of a sequence of radii, read from
 ``_SHARP_MAXIMA``, whose entries resolve their class constants once per
-call, with each r checked once; :func:`sharp_maximum` is its one-radius
-case.  :func:`check_quantities` judges one (Q, R) block of several
-quantities of one function at a sequence of radii at once: the values of
+call, with the radii checked in one pass.  :func:`check_quantities`
+judges one (Q, R) block of several quantities of one function at a
+sequence of radii at once: the values of
 one call of :func:`merobounds.integrals.values`, by the series routes of
 its ``_ROUTES`` table, against a (Q, R) array of sharp maxima.
 
@@ -26,10 +26,10 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import (BadParameter, NoPole, check_count, check_inside_pole, check_lambda,
-                     check_open_radius, check_pole, check_radius)
+from .errors import (BadParameter, NoPole, check_count, check_lambda, check_pole, check_radii,
+                     check_radius)
 from .functions import ClassKind, ClassSpec, PoleFunction, mu
-from .integrals import BoundQuantity, values
+from .integrals import INSIDE_POLE, BoundQuantity, values
 
 #: Absolute slack below which a bound still counts as satisfied.
 SATISFACTION_TOL = 1e-9
@@ -179,11 +179,6 @@ def _residual_l1(c: ClassSpec):
     return lambda r: 1.0 + a * r * r + b * r**4
 
 
-def _no_maximum(r: float) -> float:
-    """The maximum of a class whose constants leave the float range: NaN."""
-    return math.nan
-
-
 #: Sharp maximum of each (class, quantity) pair the paper gives: a function
 #: of the class_spec that resolves its class constants once and returns the
 #: maximum as a function of r.  Each class's form is written out on its own,
@@ -212,11 +207,11 @@ def sharp_maxima(class_spec: ClassSpec, quantity: BoundQuantity, radii) -> list[
     """The paper's sharp maximum of a quantity over a class at each of a
     sequence of radii, in their order.
 
-    r lies in (0, 1] for DIRICHLET_ZF and L1; the f and f/z maxima need
-    0 < r < p over a pole class and 0 < r < 1 over S.  The (class,
-    quantity) pair, its class constants and the radius domain are resolved
-    once per call; each radius is then checked before its maximum is
-    formed, so the first radius that fails decides the error.
+    r lies in (0, 1], or below p for ``integrals.INSIDE_POLE`` (below 1
+    over S).  The (class, quantity) pair and its class constants are
+    resolved once per call.  The maxima are formed in order up to the first
+    that is not finite, and the radii up to it then checked in one pass, so
+    the first radius that fails either way decides the error.
 
     Raises BadParameter where the paper gives none (Dirichlet integrals of
     f and f/z over U_P_LAMBDA), and where the closed form leaves the float
@@ -227,33 +222,27 @@ def sharp_maxima(class_spec: ClassSpec, quantity: BoundQuantity, radii) -> list[
     if resolve is None:
         raise BadParameter(
             f"no sharp bound for {quantity.value} over class {class_spec.kind.value}")
-    p = class_spec.p
-    if quantity in (BoundQuantity.DIRICHLET_ZF, BoundQuantity.L1):
-        check = check_radius
-    elif p is None:
-        check = check_open_radius
-    else:
-        def check(r):
-            check_inside_pole(r, p)
     try:
         maximum = resolve(class_spec)
-    except ArithmeticError:  # (1/p + p)**2 overflows at a tiny pole
-        maximum = _no_maximum
+    except ArithmeticError:  # (1/p + p)**2 overflows at a tiny pole: no maximum is finite
+        maximum = lambda r: math.nan
+    radii = np.asarray(radii, dtype=np.float64)
     maxima = []
-    for r in radii:
-        check(r)
-        value = maximum(r)
+    for r in radii.tolist() if radii.ndim == 1 else ():  # check_radii refuses any other
+        try:  # a radius outside the domain may raise here; check_radii refuses it
+            value = maximum(r)
+        except ArithmeticError:
+            value = math.nan
         if not math.isfinite(value):
-            raise BadParameter(
-                f"sharp maximum of {quantity.value} over class {class_spec.kind.value} at "
-                f"p = {p!r}, r = {r!r} exceeds the float range")
+            radii = radii[: len(maxima) + 1]
+            break
         maxima.append(value)
+    check_radii(radii, quantity in INSIDE_POLE, class_spec.p)
+    if len(maxima) < len(radii):
+        raise BadParameter(
+            f"sharp maximum of {quantity.value} over class {class_spec.kind.value} at "
+            f"p = {class_spec.p!r}, r = {float(radii[-1])!r} exceeds the float range")
     return maxima
-
-
-def sharp_maximum(class_spec: ClassSpec, quantity: BoundQuantity, r: float) -> float:
-    """:func:`sharp_maxima` at the one radius r."""
-    return sharp_maxima(class_spec, quantity, (r,))[0]
 
 
 # ---- dispatching check ---------------------------------------------------------------
@@ -271,17 +260,16 @@ def check_quantities(
     radii.  The (Q, R) block is then judged at once, by the rule of
     :func:`build_report` on arrays, and every report field is a plain
     Python float or bool.  Raises ClassMismatch when f and the class
-    disagree on the pole, BadParameter from :func:`sharp_maxima` or a route
-    that overflows, and RadiusBeyondPole for the f and f/z integrals at
-    r >= p or past a root of z/f.
+    disagree on the pole; BadParameter, BadRadius or RadiusBeyondPole from
+    :func:`sharp_maxima`, for the first quantity that fails; BadParameter
+    for a route that overflows, and RadiusBeyondPole past a root of z/f.
     """
     quantities = [BoundQuantity(quantity) for quantity in quantities]
     class_spec.match(f)
-    radii = list(radii)
-    if not (quantities and radii):
+    radii = np.asarray(radii, dtype=np.float64)
+    if not (quantities and radii.size):
         return [[] for _ in quantities]
     bounds = np.array([sharp_maxima(class_spec, quantity, radii) for quantity in quantities])
-    radii = np.asarray(radii, dtype=np.float64)
     computed = values(f, quantities, radii)[0]
     # plain floats and bools, row by row: (computed, bound, slack, satisfied, sharp)
     blocks = [block.tolist() for block in (computed, bounds, *_verdict(computed, bounds))]

@@ -22,10 +22,10 @@ from functools import cache
 from operator import itemgetter
 
 from .bounds import (BoundQuantity, check_quantities, gronwall_check, jenkins_bound, lemma1_check,
-                     sharp_maximum)
+                     sharp_maxima)
 from .criteria import (SUP_TOL, aksentiev_criterion, injectivity_oracle, univalence_criterion,
                        up_lambda_membership)
-from .errors import MeroboundsError, check_radius
+from .errors import MeroboundsError, check_radii
 from .functions import (
     ClassKind,
     ClassSpec,
@@ -36,7 +36,7 @@ from .functions import (
     from_csv_row,
     from_inverse_coefficients,
 )
-from .integrals import Method, dirichlet_quadrature, values
+from .integrals import INSIDE_POLE, Method, dirichlet_quadrature, values
 
 P_GRID = (0.2, 0.35, 0.5, 0.65, 0.8)
 R_GRID = tuple(k / 20.0 for k in range(1, 21))
@@ -52,10 +52,6 @@ _TABLE_CLASSES = {
     BoundQuantity.DIRICHLET_F_OVER_Z: (ClassKind.SIGMA_P,),
     BoundQuantity.L1: (ClassKind.SIGMA_P, ClassKind.U_P_LAMBDA, ClassKind.S),
 }
-
-#: The quantities whose series converge only inside the pole: ``table``
-#: skips every radius r >= p for them.
-_INSIDE_POLE = (BoundQuantity.DIRICHLET_F, BoundQuantity.DIRICHLET_F_OVER_Z)
 
 
 def _fmt(x) -> str:
@@ -115,8 +111,8 @@ def _suite_sharpness():
             checks.append((f"sharpness/{name}-kp p={_fmt(p)}", worst <= 1e-8,
                            f"max rel slack {_fmt(worst)}"))
     zf = BoundQuantity.DIRICHLET_ZF
-    margin = min(sharp_maximum(ClassSpec(ClassKind.SIGMA_P, p=p), zf, r)
-                 - sharp_maximum(ClassSpec(ClassKind.U_P_LAMBDA, p=p, lam=1.0), zf, r)
+    margin = min(sharp_maxima(ClassSpec(ClassKind.SIGMA_P, p=p), zf, (r,))[0]
+                 - sharp_maxima(ClassSpec(ClassKind.U_P_LAMBDA, p=p, lam=1.0), zf, (r,))[0]
                  for p in P_GRID for r in R_GRID)
     checks.append(("sharpness/class-nesting", margin > 1e-12,
                    f"min bound gap {_fmt(margin)}"))
@@ -139,7 +135,7 @@ def _suite_oracles():
         spec, f = _kp_member(p)
         r = 0.5 * p
         quad = dirichlet_quadrature(f_over_z_series(f, 128), r).value
-        gap = _rel(quad, sharp_maximum(spec, BoundQuantity.DIRICHLET_F_OVER_Z, r))
+        gap = _rel(quad, sharp_maxima(spec, BoundQuantity.DIRICHLET_F_OVER_Z, (r,))[0])
         checks.append((f"oracles/f-over-z-quadrature-kp p={_fmt(p)}", gap <= 1e-8,
                        f"rel gap {_fmt(gap)} at r={_fmt(r)}"))
     for p in P_GRID:
@@ -200,7 +196,7 @@ def _suite_limits():
                                       ("f-over-z", BoundQuantity.DIRICHLET_F_OVER_Z, 1e-2),
                                       ("f", BoundQuantity.DIRICHLET_F, 1e-2),
                                       ("l1", BoundQuantity.L1, 1e-5)):
-        gap = _rel(sharp_maximum(pole_class, quantity, r), sharp_maximum(analytic, quantity, r))
+        gap = _rel(*(sharp_maxima(spec, quantity, (r,))[0] for spec in (pole_class, analytic)))
         checks.append((f"limits/{name}-approaches-analytic-class", gap <= tolerance,
                        f"rel gap {_fmt(gap)} at p={_fmt(p)}"))
     return checks
@@ -252,14 +248,13 @@ def _cmd_table(args) -> int:
             members.append(_kp_member(p))
             members.extend(_fp_member(p, lam) for lam in args.lam)
         members.append((ClassSpec(ClassKind.S), build_koebe_rotation(0.0)))
-        for r in args.r:
-            check_radius(r)
+        check_radii(args.r)
         rows = []
         skipped = Counter()
         for spec, f in members:
             swept = [q for q in quantities if spec.kind in _TABLE_CLASSES[q]]
-            outside = [q for q in swept if q not in _INSIDE_POLE]
-            inside = [q for q in swept if q in _INSIDE_POLE]  # only pole classes have any
+            outside = [q for q in swept if q not in INSIDE_POLE]
+            inside = [q for q in swept if q in INSIDE_POLE]  # only pole classes have any
             radii = [r for r in args.r if r < spec.p] if inside else []
             for quantity in inside:
                 skipped[quantity.value] += len(args.r) - len(radii)

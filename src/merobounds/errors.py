@@ -1,6 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the validators that raise them."""
 
 import operator
+
+import numpy as np
 
 
 class MeroboundsError(Exception):
@@ -12,7 +14,7 @@ class BadParameter(MeroboundsError, ValueError):
 
 
 class BadRadius(BadParameter):
-    """A radius argument lies outside (0, 1]."""
+    """A radius lies outside (0, 1], or (0, 1) for the f and f/z integrals without a pole."""
 
 
 class RadiusBeyondPole(BadParameter):
@@ -43,11 +45,6 @@ def check_radius(r: float) -> None:
         raise BadRadius(f"radius {r!r} outside (0, 1]")
 
 
-def check_open_radius(r: float) -> None:
-    if not 0.0 < r < 1.0:
-        raise BadRadius(f"radius {r!r} outside (0, 1)")
-
-
 def check_lambda(lam: float) -> None:
     if not 0.0 < lam <= 1.0:
         raise BadParameter(f"lambda {lam!r} outside (0, 1]")
@@ -63,9 +60,21 @@ def check_count(count: int, minimum: int, message: str) -> None:
         raise BadParameter(message)
 
 
-def check_inside_pole(r: float, p: float) -> None:
-    """A radius in (0, 1] strictly inside the pole, where expansions of f converge."""
-    check_pole(p)
-    check_radius(r)
-    if not r < p:
-        raise RadiusBeyondPole(f"radius {r!r} reaches the pole at {p!r}")
+def check_radii(radii, inside: bool = False, pole: float | None = None) -> np.ndarray:
+    """The one radius rule: ``radii`` as a one-dimensional float64 array, each
+    in (0, 1] or, if ``inside``, below the pole (below 1 without one), checked
+    in one pass.  The pole is not checked again: its class spec or function
+    checked it.  BadParameter unless one-dimensional; else, for the first
+    radius that fails, RadiusBeyondPole if it lies in (0, 1], BadRadius if not."""
+    radii = np.asarray(radii, dtype=np.float64)
+    if radii.ndim != 1:
+        raise BadParameter(f"radii must be one-dimensional, not {radii.ndim}-dimensional")
+    beyond = inside and pole is not None  # the radius must stay below the pole
+    top = pole if beyond else 1.0
+    # a plain loop: numpy's elementwise tests cost twice as much on a short grid
+    for r in radii.tolist():
+        if not (0.0 < r < top if inside else 0.0 < r <= 1.0):
+            if beyond and 0.0 < r <= 1.0:
+                raise RadiusBeyondPole(f"radius {r!r} reaches the pole at {pole!r}")
+            raise BadRadius(f"radius {r!r} outside (0, 1{')' if inside and pole is None else ']'}")
+    return radii

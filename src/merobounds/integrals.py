@@ -42,8 +42,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (BadParameter, RadiusBeyondPole, check_count, check_inside_pole,
-                     check_open_radius, check_radius)
+from .errors import BadParameter, RadiusBeyondPole, check_count, check_radii, check_radius
 from .functions import PoleFunction
 from .series import TruncatedSeries, _parseval, degree
 
@@ -58,6 +57,11 @@ class BoundQuantity(str, Enum):
     DIRICHLET_F = "DIRICHLET_F"
     DIRICHLET_F_OVER_Z = "DIRICHLET_F_OVER_Z"
     L1 = "L1"
+
+
+#: The quantities whose series converge only inside the pole, 0 < r < p (0 < r < 1
+#: over S): the Dirichlet integrals of f and f/z.  The others take every r in (0, 1].
+INSIDE_POLE = frozenset({BoundQuantity.DIRICHLET_F, BoundQuantity.DIRICHLET_F_OVER_Z})
 
 
 @dataclass(frozen=True)
@@ -280,20 +284,13 @@ def _stein_sums(f: PoleFunction, radii) -> tuple[np.ndarray, np.ndarray]:
     raise RadiusBeyondPole(f"radius {r!r} reaches a root of z/f, where the f/z series diverges")
 
 
-def _dirichlet_f(f: PoleFunction, radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _dirichlet_f(f: PoleFunction, radii) -> tuple[np.ndarray, np.ndarray]:
     """Dirichlet integrals of f, pi r^2 (S0 + S1), and of f/z, pi S1, at
     each radius, as the rows of a (2, R) array, and the bounds on their
     remainders (``_stein_sums``) likewise, from one Stein pass.  Each radius
     must lie below the pole, or below 1 without one unless f = z, whose
     f/z = 1 has zero area at every radius."""
-    identity = degree(f.inv_series.coefficients) == 0
-    for r in radii.tolist():
-        if f.pole is not None:
-            check_inside_pole(r, f.pole)
-        elif identity:
-            check_radius(r)
-        else:
-            check_open_radius(r)
+    radii = check_radii(radii, degree(f.inv_series.coefficients) != 0, f.pole)
     sums, tails = _stein_sums(f, radii)
     scale = math.pi * radii**2
     return (np.stack((scale * sums.sum(axis=1), math.pi * sums[:, 1])),
@@ -305,10 +302,8 @@ def _dirichlet_f(f: PoleFunction, radii: np.ndarray) -> tuple[np.ndarray, np.nda
 def _exact(kernel, quantity: str):
     """The route of an exact quantity from a kernel of (z/f coefficients, radii):
     radii checked in (0, 1], one row of finite values, and no error bounds."""
-    def route(f: PoleFunction, radii: np.ndarray):
-        for r in radii.tolist():
-            check_radius(r)
-        row = np.asarray(kernel(f.inv_series.coefficients, radii), dtype=np.float64)
+    def route(f: PoleFunction, radii):
+        row = np.asarray(kernel(f.inv_series.coefficients, check_radii(radii)), dtype=np.float64)
         return _finite(row, quantity)[None], None
     return route
 
@@ -341,8 +336,9 @@ def values(f: PoleFunction, quantities, radii,
 
     Raises BadParameter for a pair without a route (the f and f/z integrals
     have no quadrature), radii that are not one-dimensional, and a value
-    beyond the float range; BadRadius or RadiusBeyondPole for a radius
-    outside the route's domain, as the one-radius routes and ``_dirichlet_f``.
+    beyond the float range; BadRadius or RadiusBeyondPole for the first
+    radius outside a route's domain (``errors.check_radii``), the routes
+    checked in the order of the quantities.
     """
     method = Method(method)
     routes = []
@@ -352,10 +348,8 @@ def values(f: PoleFunction, quantities, radii,
         if route is None:
             raise BadParameter(f"no {method.value} route for {quantity.value}")
         routes.append(route)
-    radii = np.asarray(radii, dtype=np.float64)
-    if radii.ndim != 1:
-        raise BadParameter(f"radii must be one-dimensional, not {radii.ndim}-dimensional")
-    out = np.zeros((2, len(routes), len(radii)))
+    radii = np.asarray(radii, dtype=np.float64)  # each route checks its shape and domain
+    out = np.zeros((2, len(routes), radii.size))
     done = {}
     for i, (route, row) in enumerate(routes):
         if route not in done:

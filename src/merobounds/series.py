@@ -13,7 +13,7 @@ from typing import Iterable, Union
 
 import numpy as np
 
-from .errors import BadParameter, check_count, check_radius
+from .errors import BadParameter, check_count, check_radii
 
 ComplexLike = Union[complex, float, int]
 
@@ -130,8 +130,7 @@ class TruncatedSeries:
         if radii.ndim > 1:
             raise BadParameter(f"radii must be a scalar or a one-dimensional array, "
                                f"not {radii.ndim}-dimensional")
-        for radius in radii.ravel().tolist():
-            check_radius(radius)
+        check_radii(radii.reshape(-1))
         if not np.isfinite(t):
             raise BadParameter(f"exponent t {t!r} is not finite")
         if type(start_index) is not int or not 0 <= start_index <= self.order + 1:
@@ -151,14 +150,15 @@ def _parseval(c: np.ndarray, t: float, radii, start: int):
     and summed as x . x, so the sum is finite wherever it is; overflow reads
     inf, silently.  Only where n**(t/2) overflows is x_n formed from
     logarithms, so every other sum keeps its bits.  A radius alone and each
-    row of an array take the same steps and give the same bits: ``float_power``
-    is libm's pow everywhere, where ``**`` squares a broadcast exponent of 2."""
+    row of an array take the same steps and give the same bits on every CPU:
+    r**n and n**(t/2) are libm's pow by ``float_power`` (n**0.5 is sqrt),
+    where ``**`` squares an exponent of 2 and may take a CPU-dependent SIMD pow."""
     n = np.arange(start, c.size, dtype=np.float64)
     radii = np.asarray(radii)[..., None]
     with np.errstate(all="ignore"):
         x = np.abs(c[start:]) * np.float_power(radii, n)
         if t != 0:
-            weights = n ** (0.5 * t)
+            weights = np.sqrt(n) if t == 1 else np.float_power(n, 0.5 * t)
             if start == 0:
                 weights[0] = 0.0
             x *= weights

@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from merobounds.bounds import BoundQuantity, gronwall_check, lemma1_check, sharp_maximum
+from merobounds.bounds import BoundQuantity, gronwall_check, lemma1_check, sharp_maxima
 from merobounds.cli import LAMBDA_GRID, P_GRID, R_GRID, main
 from merobounds.criteria import DiskGrid, injectivity_oracle, univalence_criterion
 from merobounds.errors import BadParameter, RadiusBeyondPole
@@ -35,6 +35,11 @@ from merobounds.integrals import (
     values,
 )
 from pointwise import u_functional
+
+
+def maximum_at(class_spec, quantity, r):
+    """``sharp_maxima`` at the one radius r."""
+    return sharp_maxima(class_spec, quantity, (r,))[0]
 
 
 def rel(value, reference):
@@ -128,10 +133,10 @@ def test_criterion_05_inside_pole_closed_forms():
             worst = max(
                 worst,
                 rel(f_over_z,
-                    sharp_maximum(ClassSpec(ClassKind.SIGMA_P, p=p),
+                    maximum_at(ClassSpec(ClassKind.SIGMA_P, p=p),
                                   BoundQuantity.DIRICHLET_F_OVER_Z, r)),
                 rel(f_itself,
-                    sharp_maximum(ClassSpec(ClassKind.SIGMA_P, p=p),
+                    maximum_at(ClassSpec(ClassKind.SIGMA_P, p=p),
                                   BoundQuantity.DIRICHLET_F, r)))
     assert worst <= 1e-8
     f = build_kp(0.5)
@@ -140,7 +145,7 @@ def test_criterion_05_inside_pole_closed_forms():
     with pytest.raises(RadiusBeyondPole):
         values(f, (BoundQuantity.DIRICHLET_F,), (0.7,))
     with pytest.raises(RadiusBeyondPole):
-        sharp_maximum(ClassSpec(ClassKind.SIGMA_P, p=0.5), BoundQuantity.DIRICHLET_F, 0.5)
+        maximum_at(ClassSpec(ClassKind.SIGMA_P, p=0.5), BoundQuantity.DIRICHLET_F, 0.5)
     print(f"PASS criterion 05: inside-pole closed forms, "
           f"max rel err {worst:.3e}; r >= p rejected")
 
@@ -148,12 +153,12 @@ def test_criterion_05_inside_pole_closed_forms():
 def test_criterion_06_limits_toward_the_analytic_class():
     p, r = 0.999, 0.5
     sigma, s = ClassSpec(ClassKind.SIGMA_P, p=p), ClassSpec(ClassKind.S)
-    zf_gap = rel(sharp_maximum(sigma, BoundQuantity.DIRICHLET_ZF, r),
-                 sharp_maximum(s, BoundQuantity.DIRICHLET_ZF, r))
-    fz_gap = rel(sharp_maximum(sigma, BoundQuantity.DIRICHLET_F_OVER_Z, r),
-                 sharp_maximum(s, BoundQuantity.DIRICHLET_F_OVER_Z, r))
-    f_gap = rel(sharp_maximum(sigma, BoundQuantity.DIRICHLET_F, r),
-                sharp_maximum(s, BoundQuantity.DIRICHLET_F, r))
+    zf_gap = rel(maximum_at(sigma, BoundQuantity.DIRICHLET_ZF, r),
+                 maximum_at(s, BoundQuantity.DIRICHLET_ZF, r))
+    fz_gap = rel(maximum_at(sigma, BoundQuantity.DIRICHLET_F_OVER_Z, r),
+                 maximum_at(s, BoundQuantity.DIRICHLET_F_OVER_Z, r))
+    f_gap = rel(maximum_at(sigma, BoundQuantity.DIRICHLET_F, r),
+                maximum_at(s, BoundQuantity.DIRICHLET_F, r))
     assert zf_gap <= 2e-3
     assert fz_gap <= 1e-2
     assert f_gap <= 1e-2
@@ -234,8 +239,8 @@ def test_criterion_08_criteria_suite(tmp_path):
 
 def test_criterion_09_monotone_nesting():
     margin = min(
-        sharp_maximum(ClassSpec(ClassKind.SIGMA_P, p=p), BoundQuantity.DIRICHLET_ZF, r)
-        - sharp_maximum(ClassSpec(ClassKind.U_P_LAMBDA, p=p, lam=lam),
+        maximum_at(ClassSpec(ClassKind.SIGMA_P, p=p), BoundQuantity.DIRICHLET_ZF, r)
+        - maximum_at(ClassSpec(ClassKind.U_P_LAMBDA, p=p, lam=lam),
                         BoundQuantity.DIRICHLET_ZF, r)
         for p in P_GRID for r in R_GRID for lam in LAMBDA_GRID)
     assert margin > 1e-12

@@ -36,7 +36,6 @@ from merobounds.bounds import (
     jenkins_bound,
     lemma1_check,
     sharp_maxima,
-    sharp_maximum,
 )
 
 P_GRID = (0.2, 0.35, 0.5, 0.65, 0.8)
@@ -53,6 +52,11 @@ def sigma(p):
 
 def residual(p, lam):
     return ClassSpec(ClassKind.U_P_LAMBDA, p=p, lam=lam)
+
+
+def maximum_at(class_spec, quantity, r):
+    """``sharp_maxima`` at the one radius r."""
+    return sharp_maxima(class_spec, quantity, (r,))[0]
 
 
 def check_one(f, class_spec, quantity, r):
@@ -179,7 +183,7 @@ def test_lemma_tail_rejects_a_non_finite_exponent(t):
 # ---- closed-form maxima --------------------------------------------------------------
 
 def test_zf_sigma_bound_hand_value():
-    assert sharp_maximum(sigma(0.5), ZF, 1.0) == pytest.approx(8.25 * math.pi, rel=1e-15)
+    assert maximum_at(sigma(0.5), ZF, 1.0) == pytest.approx(8.25 * math.pi, rel=1e-15)
 
 
 def test_zf_bounds_attained_by_extremal_functions():
@@ -188,17 +192,17 @@ def test_zf_bounds_attained_by_extremal_functions():
         fps = {lam: build_fp(p, lam) for lam in LAMBDAS}
         for r in R_GRID:
             got = dirichlet_series(kp.inv_series, r).value
-            assert got == pytest.approx(sharp_maximum(sigma(p), ZF, r), rel=1e-12)
+            assert got == pytest.approx(maximum_at(sigma(p), ZF, r), rel=1e-12)
             for lam, fp in fps.items():
                 got = dirichlet_series(fp.inv_series, r).value
-                assert got == pytest.approx(sharp_maximum(residual(p, lam), ZF, r), rel=1e-12)
+                assert got == pytest.approx(maximum_at(residual(p, lam), ZF, r), rel=1e-12)
 
 
 def test_up_lambda_bound_nested_inside_sigma_bound():
     for p in P_GRID:
         for lam in LAMBDAS:
             for r in R_GRID:
-                margin = sharp_maximum(sigma(p), ZF, r) - sharp_maximum(residual(p, lam), ZF, r)
+                margin = maximum_at(sigma(p), ZF, r) - maximum_at(residual(p, lam), ZF, r)
                 assert margin > 1e-12
 
 
@@ -208,32 +212,32 @@ def test_f_route_maxima_attained():
         for frac in (0.1, 0.5, 0.8):
             r = frac * p
             got_fz, got_f = values(f, (FZ, F), (r,))[0][:, 0]
-            assert got_fz == pytest.approx(sharp_maximum(sigma(p), FZ, r), rel=1e-8)
-            assert got_f == pytest.approx(sharp_maximum(sigma(p), F, r), rel=1e-8)
+            assert got_fz == pytest.approx(maximum_at(sigma(p), FZ, r), rel=1e-8)
+            assert got_f == pytest.approx(maximum_at(sigma(p), F, r), rel=1e-8)
 
 
 def test_f_route_maxima_reject_radius_beyond_pole():
     with pytest.raises(RadiusBeyondPole):
-        sharp_maximum(sigma(0.5), FZ, 0.5)
+        maximum_at(sigma(0.5), FZ, 0.5)
     with pytest.raises(RadiusBeyondPole):
-        sharp_maximum(sigma(0.5), F, 0.7)
+        maximum_at(sigma(0.5), F, 0.7)
 
 
 def test_large_pole_limits_match_analytic_class():
     # as p -> 1 the pole-class forms collapse to the analytic-class ones
     p, r = 0.999, 0.5
-    assert sharp_maximum(sigma(p), ZF, r) == pytest.approx(sharp_maximum(S, ZF, r), rel=2e-3)
-    assert sharp_maximum(sigma(p), FZ, r) == pytest.approx(
-        sharp_maximum(S, FZ, r), rel=1e-2
+    assert maximum_at(sigma(p), ZF, r) == pytest.approx(maximum_at(S, ZF, r), rel=2e-3)
+    assert maximum_at(sigma(p), FZ, r) == pytest.approx(
+        maximum_at(S, FZ, r), rel=1e-2
     )
-    assert sharp_maximum(sigma(p), F, r) == pytest.approx(sharp_maximum(S, F, r), rel=1e-2)
+    assert maximum_at(sigma(p), F, r) == pytest.approx(maximum_at(S, F, r), rel=1e-2)
 
 
 def test_koebe_attains_analytic_class_zf_bound():
     k = build_koebe_rotation(math.pi / 7)
     for r in (0.3, 0.75, 1.0):
         got = dirichlet_series(k.inv_series, r).value
-        assert got == pytest.approx(sharp_maximum(S, ZF, r), rel=1e-13)
+        assert got == pytest.approx(maximum_at(S, ZF, r), rel=1e-13)
 
 
 # ---- integral-mean bounds --------------------------------------------------------------
@@ -242,11 +246,11 @@ def test_l1_bound_dispatch():
     r = 0.5
     sigma = ClassSpec(ClassKind.SIGMA_P, p=0.5)
     want_sigma = 1.0 + 6.25 * 0.25 + 0.0625
-    assert sharp_maximum(sigma, L1, r) == pytest.approx(want_sigma, rel=1e-15)
-    assert sharp_maximum(ClassSpec(ClassKind.S), L1, r) == pytest.approx(2.0625, rel=1e-15)
+    assert maximum_at(sigma, L1, r) == pytest.approx(want_sigma, rel=1e-15)
+    assert maximum_at(ClassSpec(ClassKind.S), L1, r) == pytest.approx(2.0625, rel=1e-15)
     u = ClassSpec(ClassKind.U_P_LAMBDA, p=0.5, lam=0.5)
     m = 0.5 * mu(0.5)
-    assert sharp_maximum(u, L1, r) == pytest.approx(1 + (2 + 0.5 * m) ** 2 * 0.25 + m * m * 0.0625, rel=1e-14)
+    assert maximum_at(u, L1, r) == pytest.approx(1 + (2 + 0.5 * m) ** 2 * 0.25 + m * m * 0.0625, rel=1e-14)
 
 
 def test_l1_bounds_attained():
@@ -254,12 +258,12 @@ def test_l1_bounds_attained():
         spec = ClassSpec(ClassKind.SIGMA_P, p=p)
         f = build_kp(p)
         for r in (0.3, 0.8, 1.0):
-            assert l1_mean_series(f, r).value == pytest.approx(sharp_maximum(spec, L1, r), rel=1e-13)
+            assert l1_mean_series(f, r).value == pytest.approx(maximum_at(spec, L1, r), rel=1e-13)
     for lam in LAMBDAS:
         spec = ClassSpec(ClassKind.U_P_LAMBDA, p=0.35, lam=lam)
         f = build_fp(0.35, lam)
         for r in (0.3, 0.8, 1.0):
-            assert l1_mean_series(f, r).value == pytest.approx(sharp_maximum(spec, L1, r), rel=1e-13)
+            assert l1_mean_series(f, r).value == pytest.approx(maximum_at(spec, L1, r), rel=1e-13)
 
 
 # ---- report semantics --------------------------------------------------------------------
@@ -399,7 +403,7 @@ def test_inside_pole_maxima_keep_their_digits_at_the_pole():
     for quantity, near, far in ((FZ, lambda p: 1, lambda p: p**4),
                                 (F, lambda p: p * p, lambda p: p * p)):
         want = _mp_inside_pole(p, r, near, far)
-        got = sharp_maximum(sigma(p), quantity, r)
+        got = maximum_at(sigma(p), quantity, r)
         assert abs(got - want) <= 1e-14 * want
 
 
@@ -412,7 +416,7 @@ def test_inside_pole_maxima_keep_their_digits_as_the_pole_nears_one(p):
         for k in range(1, 100):
             r = k * p / 100
             want = _mp_inside_pole(p, r, near, far)
-            got = sharp_maximum(sigma(p), quantity, r)
+            got = maximum_at(sigma(p), quantity, r)
             assert abs(got - want) <= 1e-13 * want, (quantity, p, r)
 
 
@@ -455,7 +459,7 @@ def test_check_bound_reports_sharp_for_every_dispatch_pair():
         for r in radii:
             rep = check_one(f, spec, quantity, r)
             assert rep.quantity == quantity.value and rep.class_spec == spec
-            assert sharp_maximum(spec, quantity, r) == rep.bound
+            assert maximum_at(spec, quantity, r) == rep.bound
             assert rep.computed == SERIES_ROUTES[quantity](f, r)
             assert rep.sharp, (kind, quantity, r, rep)
         # the radius-array path equals the one-radius path field for field
@@ -489,10 +493,10 @@ def test_check_quantities_equals_check_bounds_for_each_quantity():
                 check_quantities(f, spec, (q,), radii)[0] for q in chosen]
             assert check_quantities(f, spec, chosen, ()) == [[] for _ in chosen]
             for q in chosen:
-                assert sharp_maxima(spec, q, radii) == [sharp_maximum(spec, q, r) for r in radii]
+                assert sharp_maxima(spec, q, radii) == [maximum_at(spec, q, r) for r in radii]
 
 
-def test_check_quantities_finds_every_sharp_maximum_before_any_series_route():
+def test_check_quantities_finds_every_sharp_bound_before_any_series_route():
     # z/f = 1 + 1e200 z^2 overflows the z/f route, but the f maximum over S
     # refuses r = 1 before any route runs
     f = from_inverse_coefficients([0.0, 1e200])
@@ -527,14 +531,14 @@ def test_check_bound_has_no_f_route_bound_for_the_residual_class():
                 check_one(f, spec, quantity, r)
             assert not isinstance(info.value, RadiusBeyondPole)
             with pytest.raises(BadParameter) as info:
-                sharp_maximum(spec, quantity, r)
+                maximum_at(spec, quantity, r)
             assert not isinstance(info.value, RadiusBeyondPole)
 
 
 def test_every_public_name_resolves():
     import merobounds
 
-    assert "sharp_maximum" in merobounds.__all__
+    assert "sharp_maxima" in merobounds.__all__
     for name in merobounds.__all__:
         assert hasattr(merobounds, name), name
 
@@ -547,36 +551,36 @@ def test_check_bound_f_routes_refuse_radii_beyond_the_pole():
                 check_one(f, spec, quantity, r)
 
 
-# ---- sharp_maximum: one radius check per quantity, and no non-finite value ----
+# ---- sharp_maxima at one radius: one radius check per quantity, and no non-finite value ----
 
 SPECS = {kind: spec for kind, (spec, _) in EXTREMALS.items()}
 
 
 @pytest.mark.parametrize("key", sorted(_SHARP_MAXIMA, key=lambda k: (k[0].value, k[1].value)),
                          ids=lambda k: f"{k[0].value}-{k[1].value}")
-def test_sharp_maximum_validates_the_radius(key):
+def test_sharp_maxima_validate_a_radius(key):
     kind, quantity = key
     spec = SPECS[kind]
     for r in (math.nan, 0.0, -0.1, 1.5):
         with pytest.raises(BadRadius):
-            sharp_maximum(spec, quantity, r)
+            maximum_at(spec, quantity, r)
     if quantity in F_ROUTES and kind is ClassKind.S:
         with pytest.raises(BadRadius):
-            sharp_maximum(spec, quantity, 1.0)
+            maximum_at(spec, quantity, 1.0)
     elif quantity in F_ROUTES:
         for r in (spec.p, 0.9):
             with pytest.raises(RadiusBeyondPole):
-                sharp_maximum(spec, quantity, r)
+                maximum_at(spec, quantity, r)
     else:
-        assert math.isfinite(sharp_maximum(spec, quantity, 1.0))
+        assert math.isfinite(maximum_at(spec, quantity, 1.0))
 
 
-def test_sharp_maximum_refuses_a_pair_before_checking_the_radius():
+def test_sharp_maxima_refuse_a_pair_before_checking_the_radius():
     spec = SPECS[ClassKind.U_P_LAMBDA]
     for quantity in F_ROUTES:
         for r in (0.2, 0.75, math.nan):
             with pytest.raises(BadParameter, match="no sharp bound") as info:
-                sharp_maximum(spec, quantity, r)
+                maximum_at(spec, quantity, r)
             assert not isinstance(info.value, RadiusBeyondPole)
 
 
@@ -591,9 +595,9 @@ def test_sharp_maximum_refuses_a_pair_before_checking_the_radius():
     (1e-170, F, 0.9e-170),  # p*p - r*r underflows to 0
     (1e-170, FZ, 0.9e-170),
 ])
-def test_sharp_maximum_refuses_values_beyond_the_float_range(p, quantity, r):
+def test_sharp_maxima_refuse_values_beyond_the_float_range(p, quantity, r):
     with pytest.raises(BadParameter, match="exceeds the float range") as info:
-        sharp_maximum(sigma(p), quantity, r)
+        maximum_at(sigma(p), quantity, r)
     message = str(info.value)
     assert quantity.value in message and "SIGMA_P" in message
     assert f"p = {p!r}" in message and f"r = {r!r}" in message
@@ -604,8 +608,8 @@ def test_check_bound_refuses_an_overflowing_bound():
         check_one(build_kp(1e-155), sigma(1e-155), ZF, 0.5)
 
 
-def test_sharp_maximum_keeps_a_finite_zero():
-    assert sharp_maximum(S, ZF, 1e-200) == 0.0
+def test_sharp_maxima_keep_a_finite_zero():
+    assert maximum_at(S, ZF, 1e-200) == 0.0
 
 
 # ---- sharp_maxima: class constants resolved once, every maximum's bits kept ----

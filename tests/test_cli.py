@@ -235,7 +235,7 @@ def test_table_empty_sweep_is_an_error(capsys):
     assert "no rows" in err
 
 
-def test_table_refuses_a_sharp_maximum_beyond_the_float_range(capsys):
+def test_table_refuses_a_sharp_bound_beyond_the_float_range(capsys):
     # at p = 1e-200 the closed form of the sigma_p maximum overflows inside
     # the sweep, after every member has been built
     code, out, err = run_cli(capsys, "table", "--p", "1e-200")

@@ -145,3 +145,51 @@ def test_the_rule_reads_as_the_messages_it_pins():
     with pytest.raises(RadiusBeyondPole, match=r"^radius 0.7 reaches the pole at 0.5$"):
         values(kp, (F, ZF), [0.7, 1.5])
     assert np.isfinite(values(kp, (ZF, L1), [0.1, 1.0])[0]).all()
+
+
+@pytest.mark.parametrize("radii", RADII, ids=ids)
+def test_numpy_radii_are_refused_as_their_list_is(radii):
+    # every path names a radius as a Python float, whatever the input type
+    array = np.array(radii)
+    for kind, (spec, f) in MEMBERS.items():
+        quantities = [q for q in BoundQuantity if (kind, q) in _SHARP_MAXIMA]
+        for quantity in quantities:
+            assert_refused(lambda: sharp_maxima(spec, quantity, array),
+                           refusal(radii, quantity, spec.p))
+            assert_refused(lambda: values(f, (quantity,), array),
+                           refusal(radii, quantity, f.pole))
+        assert_refused(lambda: check_quantities(f, spec, quantities, array),
+                       first_refusal(radii, quantities, spec.p))
+    assert_refused(lambda: TruncatedSeries([1.0, 2.0]).weighted_coefficient_sum(1.0, array),
+                   refusal(radii, ZF, None))
+
+
+def test_numpy_radii_name_an_overflowing_maximum_as_a_python_float():
+    tiny = ClassSpec(ClassKind.SIGMA_P, p=1e-155)
+    for radii in ([0.25, 0.5], np.array([0.25, 0.5])):
+        with pytest.raises(BadParameter) as info:
+            sharp_maxima(tiny, ZF, radii)
+        assert str(info.value) == ("sharp maximum of DIRICHLET_ZF over class SIGMA_P at "
+                                   "p = 1e-155, r = 0.25 exceeds the float range")
+        with pytest.raises(BadParameter) as info:
+            check_quantities(build_kp(1e-155), tiny, (L1,), radii)
+        assert "r = 0.25 exceeds" in str(info.value)
+
+
+@pytest.mark.parametrize("radii", [np.array([[0.1, 0.2]]), np.array([[0.1], [0.2]]),
+                                   np.float64(0.25), 0.25, np.zeros((1, 1, 1))],
+                         ids=["row", "column", "numpy-scalar", "float", "3-d"])
+def test_radii_that_are_not_one_dimensional_are_a_bad_parameter(radii):
+    message = f"radii must be one-dimensional, not {np.ndim(radii)}-dimensional"
+
+    def assert_bad_shape(call):
+        with pytest.raises(BadParameter) as info:
+            call()
+        assert type(info.value) is BadParameter and str(info.value) == message
+
+    for kind, (spec, f) in MEMBERS.items():
+        quantities = [q for q in BoundQuantity if (kind, q) in _SHARP_MAXIMA]
+        assert_bad_shape(lambda: check_quantities(f, spec, quantities, radii))
+        for quantity in quantities:
+            assert_bad_shape(lambda: sharp_maxima(spec, quantity, radii))
+            assert_bad_shape(lambda: values(f, (quantity,), radii))

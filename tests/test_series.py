@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import mpmath as mp
@@ -293,6 +294,16 @@ def test_weighted_sum_of_one_term_is_the_same_alone_or_among_others(t):
         s = TruncatedSeries(coeffs)
         want = [s.weighted_coefficient_sum(t, r, start) for r in radii.tolist()]
         assert s.weighted_coefficient_sum(t, radii, start).tolist() == want
+
+
+@pytest.mark.parametrize("t", [-1.0, 0.5, 1.0, 1.5, 2.0])
+def test_weighted_sum_weights_are_the_same_bits_on_every_cpu(t):
+    # numpy's ** may take a SIMD power whose last bit depends on the CPU;
+    # the weight n**(t/2) is libm's pow, sqrt for t = 1 and n itself for t = 2
+    for n in range(1, 601):
+        w = math.sqrt(n) if t == 1.0 else float(n) if t == 2.0 else math.pow(n, t / 2)
+        unit = TruncatedSeries(np.eye(1, n + 1, n)[0])  # one unit coefficient, at n
+        assert unit.weighted_coefficient_sum(t, 1.0) == w * w, n
 
 
 def test_weighted_sum_over_an_empty_array_of_radii():
