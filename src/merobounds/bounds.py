@@ -2,34 +2,32 @@
 
 :func:`sharp_maxima` is the one public source of a sharp bound: the largest
 Dirichlet integral of z/f, f or f/z, or L1 mean, over a class of
-:mod:`merobounds.functions` at each of a sequence of radii, read from
-``_SHARP_MAXIMA``, whose entries resolve their class constants once per
-call, with the radii checked in one pass.  :func:`check_quantities`
-judges one (Q, R) block of several quantities of one function at a
-sequence of radii at once: the values of
-one call of :func:`merobounds.integrals.values`, by the series routes of
-its ``_ROUTES`` table, against a (Q, R) array of sharp maxima.
+:mod:`merobounds.functions` at each of a sequence of radii, by a closed
+form of ``_SHARP_MAXIMA`` run once on all the radii, checked in one pass.
+``_judge`` judges several quantities of several functions at a sequence of
+radii at once: the (M, Q, R) values of one call of ``integrals._values``,
+by the series routes of its ``_ROUTES`` table, against an (M, Q, R) array
+of sharp maxima.  :func:`check_quantities` is its one-function case.
 
 Each check produces a BoundReport, an immutable named tuple whose slack is
 ``bound - computed``; ``_verdict`` is the one rule for slack, satisfied and
-sharp, on floats in :func:`build_report` and on arrays in
-:func:`check_quantities`.  The canonical extremal functions land on zero
-slack up to roundoff.
+sharp, on floats in :func:`build_report` and on arrays in ``_judge``.  The
+canonical extremal functions land on zero slack up to roundoff.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from itertools import repeat
+from itertools import product, repeat
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import (BadParameter, NoPole, check_count, check_lambda, check_pole, check_radii,
-                     check_radius)
+from .errors import (BadParameter, MeroboundsError, NoPole, check_count, check_lambda, check_pole,
+                     check_radii, check_radius)
 from .functions import ClassKind, ClassSpec, PoleFunction, mu
-from .integrals import INSIDE_POLE, BoundQuantity, values
+from .integrals import INSIDE_POLE, BoundQuantity, _values
 
 #: Absolute slack below which a bound still counts as satisfied.
 SATISFACTION_TOL = 1e-9
@@ -119,7 +117,7 @@ def lemma1_check(f: PoleFunction, lam: float, t: float, r: float) -> BoundReport
 
 # ---- the paper's sharp maxima -------------------------------------------------------
 
-def _inside_pole(p: float, r: float, numerator) -> float:
+def _inside_pole(p, r, numerator):
     """Largest Dirichlet integral of f or f/z over univalent f with pole p,
     at radius r < p.
 
@@ -134,73 +132,76 @@ def _inside_pole(p: float, r: float, numerator) -> float:
     0.  e keeps the digits that P - R would cancel as r nears p."""
     pp, rr = p * p, r * r
     e = (p - r) * (p + r)
-    lead = math.pi * pp * rr / ((1.0 - rr) * (1.0 - pp * rr)) ** 2
+    lead = math.pi * pp * rr / np.float_power((1.0 - rr) * (1.0 - pp * rr), 2)
     gap = e * e
-    if min(lead, gap) < sys.float_info.min:
-        return math.nan
-    return lead * (numerator(rr, e) / gap)
+    return np.where(np.minimum(lead, gap) < sys.float_info.min, math.nan,
+                    lead * (numerator(rr, e) / gap))
 
 
-def _numerator_f(rr: float, e: float) -> float:
+def _numerator_f(rr, e):
     """R (1 - R**2)**2 + e (1 + 2R - 2R**2 - 2R**3 + R**4) - 2 R**2 e**2."""
-    return (rr * (1.0 - rr * rr) ** 2
+    return (rr * np.float_power(1.0 - rr * rr, 2)
             + e * (1.0 + rr * (2.0 + rr * (-2.0 + rr * (-2.0 + rr))))
             - 2.0 * rr * rr * e * e)
 
 
-def _numerator_f_over_z(rr: float, e: float) -> float:
+def _numerator_f_over_z(rr, e):
     """(1 - R**2)**2 + 2e (1 - R**2) + e**2 (1 - 2R - R**2)."""
-    return (1.0 - rr * rr) ** 2 + 2.0 * e * (1.0 - rr * rr) + e * e * (1.0 - 2.0 * rr - rr * rr)
+    return (np.float_power(1.0 - rr * rr, 2) + 2.0 * e * (1.0 - rr * rr)
+            + e * e * (1.0 - 2.0 * rr - rr * rr))
 
 
-def _sigma_zf(c: ClassSpec):
-    """pi r**2 ((1/p + p)**2 + 2 r**2)."""
-    a = (1.0 / c.p + c.p) ** 2
-    return lambda r: math.pi * r * r * (a + 2.0 * r * r)
-
-
-def _residual_zf(c: ClassSpec):
-    """pi r**2 ((1/p + lam*mu*p)**2 + 2 (lam*mu)**2 r**2)."""
-    m = c.lam * mu(c.p)
-    a, b = (1.0 / c.p + m * c.p) ** 2, 2.0 * m * m
-    return lambda r: math.pi * r * r * (a + b * r * r)
-
-
-def _sigma_l1(c: ClassSpec):
-    """1 + (1/p + p)**2 r**2 + r**4."""
-    a = (1.0 / c.p + c.p) ** 2
-    return lambda r: 1.0 + a * r * r + r**4
-
-
-def _residual_l1(c: ClassSpec):
-    """1 + (1/p + lam*mu*p)**2 r**2 + (lam*mu)**2 r**4."""
-    m = c.lam * mu(c.p)
-    a, b = (1.0 / c.p + m * c.p) ** 2, m * m
-    return lambda r: 1.0 + a * r * r + b * r**4
-
-
-#: Sharp maximum of each (class, quantity) pair the paper gives: a function
-#: of the class_spec that resolves its class constants once and returns the
-#: maximum as a function of r.  Each class's form is written out on its own,
-#: so the p -> 1 limit and class-nesting checks of ``verify`` compare
-#: independent expressions.
+#: Sharp maximum of each (class, quantity) pair the paper gives, as a closed
+#: form of (M, 1) columns of class constants p and m = lam * mu(p) and an
+#: array of R radii, giving an (M, R) array, or (R,) where it reads neither.
+#: Each class's form is written out on its own, so the p -> 1 limit and
+#: class-nesting checks of ``verify`` compare independent expressions.  Each
+#: ``**`` is ``np.float_power``, libm's pow as Python's is: the bits are those
+#: of the form in Python floats.
 _SHARP_MAXIMA = {
-    (ClassKind.SIGMA_P, BoundQuantity.DIRICHLET_ZF): _sigma_zf,
-    (ClassKind.U_P_LAMBDA, BoundQuantity.DIRICHLET_ZF): _residual_zf,
+    (ClassKind.SIGMA_P, BoundQuantity.DIRICHLET_ZF):  # pi r**2 ((1/p + p)**2 + 2 r**2)
+        lambda p, m, r: math.pi * r * r * (np.float_power(1.0 / p + p, 2) + 2.0 * r * r),
+    (ClassKind.U_P_LAMBDA, BoundQuantity.DIRICHLET_ZF):  # pi r**2 ((1/p + m p)**2 + 2 m**2 r**2)
+        lambda p, m, r: (math.pi * r * r
+                         * (np.float_power(1.0 / p + m * p, 2) + 2.0 * m * m * r * r)),
     (ClassKind.S, BoundQuantity.DIRICHLET_ZF):  # 2 pi r**2 (r**2 + 2)
-        lambda c: lambda r: 2.0 * math.pi * r * r * (r * r + 2.0),
+        lambda p, m, r: 2.0 * math.pi * r * r * (r * r + 2.0),
     (ClassKind.SIGMA_P, BoundQuantity.DIRICHLET_F):
-        lambda c: lambda r: _inside_pole(c.p, r, _numerator_f),
+        lambda p, m, r: _inside_pole(p, r, _numerator_f),
     (ClassKind.S, BoundQuantity.DIRICHLET_F):  # pi r**2 (r**4 + 4 r**2 + 1) / (1 - r**2)**4
-        lambda c: lambda r: math.pi * r * r * (r**4 + 4.0 * r * r + 1.0) / (1.0 - r * r) ** 4,
+        lambda p, m, r: (math.pi * r * r * (np.float_power(r, 4) + 4.0 * r * r + 1.0)
+                         / np.float_power(1.0 - r * r, 4)),
     (ClassKind.SIGMA_P, BoundQuantity.DIRICHLET_F_OVER_Z):
-        lambda c: lambda r: _inside_pole(c.p, r, _numerator_f_over_z),
+        lambda p, m, r: _inside_pole(p, r, _numerator_f_over_z),
     (ClassKind.S, BoundQuantity.DIRICHLET_F_OVER_Z):  # 2 pi r**2 (r**2 + 2) / (1 - r**2)**4
-        lambda c: lambda r: 2.0 * math.pi * r * r * (r * r + 2.0) / (1.0 - r * r) ** 4,
-    (ClassKind.SIGMA_P, BoundQuantity.L1): _sigma_l1,
-    (ClassKind.U_P_LAMBDA, BoundQuantity.L1): _residual_l1,
-    (ClassKind.S, BoundQuantity.L1): lambda c: lambda r: 1.0 + 4.0 * r * r + r**4,
+        lambda p, m, r: 2.0 * math.pi * r * r * (r * r + 2.0) / np.float_power(1.0 - r * r, 4),
+    (ClassKind.SIGMA_P, BoundQuantity.L1):  # 1 + (1/p + p)**2 r**2 + r**4
+        lambda p, m, r: 1.0 + np.float_power(1.0 / p + p, 2) * r * r + np.float_power(r, 4),
+    (ClassKind.U_P_LAMBDA, BoundQuantity.L1):  # 1 + (1/p + m p)**2 r**2 + m**2 r**4
+        lambda p, m, r: (1.0 + np.float_power(1.0 / p + m * p, 2) * r * r
+                         + m * m * np.float_power(r, 4)),
+    (ClassKind.S, BoundQuantity.L1): lambda p, m, r: 1.0 + 4.0 * r * r + np.float_power(r, 4),
 }
+
+
+def _forms(specs, quantities, radii: np.ndarray) -> np.ndarray:
+    """(M, Q, R) array of the sharp maximum of each quantity over each class
+    at each of the one-dimensional ``radii``, unvalidated, not finite where
+    the paper gives none or the form leaves the float range.  Each form runs
+    once per class kind, on all its classes and radii."""
+    out = np.full((len(specs), len(quantities), radii.size), math.nan)
+    kinds = [spec.kind for spec in specs]
+    with np.errstate(all="ignore"):
+        for kind in dict.fromkeys(kinds):
+            rows = [i for i, k in enumerate(kinds) if k is kind]
+            classes = [specs[i] for i in rows]
+            p = np.array([[c.p] for c in classes], dtype=np.float64)  # NaN over S
+            m = np.array([[c.lam * mu(c.p) if c.lam else math.nan] for c in classes])
+            for j, quantity in enumerate(quantities):
+                form = _SHARP_MAXIMA.get((kind, quantity))
+                if form is not None:
+                    out[rows, j] = form(p, m, radii)
+    return out
 
 
 def sharp_maxima(class_spec: ClassSpec, quantity: BoundQuantity, radii) -> list[float]:
@@ -208,44 +209,63 @@ def sharp_maxima(class_spec: ClassSpec, quantity: BoundQuantity, radii) -> list[
     sequence of radii, in their order.
 
     r lies in (0, 1], or below p for ``integrals.INSIDE_POLE`` (below 1
-    over S).  The (class, quantity) pair and its class constants are
-    resolved once per call.  The maxima are formed in order up to the first
-    that is not finite, and the radii up to it then checked in one pass, so
-    the first radius that fails either way decides the error.
+    over S).  The closed form runs once on all the radii, and the radii up
+    to the first maximum that is not finite are then checked in one pass,
+    so the first radius that fails either way decides the error.
 
     Raises BadParameter where the paper gives none (Dirichlet integrals of
     f and f/z over U_P_LAMBDA), and where the closed form leaves the float
     range; BadRadius or RadiusBeyondPole for r outside its domain.
     """
     quantity = BoundQuantity(quantity)
-    resolve = _SHARP_MAXIMA.get((class_spec.kind, quantity))
-    if resolve is None:
+    if (class_spec.kind, quantity) not in _SHARP_MAXIMA:
         raise BadParameter(
             f"no sharp bound for {quantity.value} over class {class_spec.kind.value}")
-    try:
-        maximum = resolve(class_spec)
-    except ArithmeticError:  # (1/p + p)**2 overflows at a tiny pole: no maximum is finite
-        maximum = lambda r: math.nan
-    radii = np.asarray(radii, dtype=np.float64)
-    maxima = []
-    for r in radii.tolist() if radii.ndim == 1 else ():  # check_radii refuses any other
-        try:  # a radius outside the domain may raise here; check_radii refuses it
-            value = maximum(r)
-        except ArithmeticError:
-            value = math.nan
-        if not math.isfinite(value):
-            radii = radii[: len(maxima) + 1]
-            break
-        maxima.append(value)
-    check_radii(radii, quantity in INSIDE_POLE, class_spec.p)
-    if len(maxima) < len(radii):
+    radii = np.asarray(radii, dtype=np.float64)  # check_radii refuses any but one dimension
+    maxima = _forms([class_spec], [quantity], radii)[0, 0] if radii.ndim == 1 else np.zeros(0)
+    over = np.flatnonzero(~np.isfinite(maxima))[:1]
+    check_radii(radii[: over[0] + 1] if over.size else radii, quantity in INSIDE_POLE,
+                class_spec.p)
+    if over.size:
         raise BadParameter(
             f"sharp maximum of {quantity.value} over class {class_spec.kind.value} at "
-            f"p = {class_spec.p!r}, r = {float(radii[-1])!r} exceeds the float range")
-    return maxima
+            f"p = {class_spec.p!r}, r = {float(radii[over[0]])!r} exceeds the float range")
+    return maxima.tolist()
 
 
 # ---- dispatching check ---------------------------------------------------------------
+
+def _judge(fs, specs, quantities, radii):
+    """The stacked check: the series-route value of each quantity of each
+    function ``fs[i]`` at each radius against the sharp maximum of its
+    class ``specs[i]``, as (M, Q, R) arrays of computed, bound, slack,
+    satisfied and sharp.  The z/f vectors share one length, so each
+    function gets the bits it gets alone.  Every class is matched, and every
+    maximum formed by one ``_forms`` call and checked with the radii in one
+    pass, before one ``integrals._values`` call runs each route once.
+    Raises what :func:`check_quantities` over the functions one by one
+    would raise first."""
+    quantities = [BoundQuantity(quantity) for quantity in quantities]
+    try:
+        for f, spec in zip(fs, specs):
+            spec.match(f)
+        radii = np.asarray(radii, dtype=np.float64)
+        computed = bounds = np.zeros((len(fs), len(quantities), radii.size))
+        if quantities and radii.size:
+            bounds = _forms(specs, quantities, radii) if radii.ndim == 1 else None
+            top = min(1.0 if spec.p is None else spec.p for spec in specs)
+            if bounds is None or not (np.isfinite(bounds).all() and radii.min() > 0.0 and (
+                    radii.max() < top if INSIDE_POLE.intersection(quantities)
+                    else radii.max() <= 1.0)):
+                for spec, quantity in product(specs, quantities):  # raises the first error
+                    sharp_maxima(spec, quantity, radii)
+            computed = _values(fs, quantities, radii)[0]
+    except MeroboundsError:
+        for f, spec in zip(fs, specs) if len(fs) > 1 else ():
+            _judge([f], [spec], quantities, radii)  # the first function that fails alone
+        raise
+    return (computed, bounds, *_verdict(computed, bounds))
+
 
 def check_quantities(
     f: PoleFunction, class_spec: ClassSpec, quantities, radii
@@ -253,26 +273,17 @@ def check_quantities(
     """The series-route value of each of several quantities of f at each of
     a sequence of radii against the sharp maximum of the asserted class:
     one list of reports per quantity, in their order, with one report per
-    radius, in theirs.
+    radius, in theirs; every field a plain Python float or bool.
 
-    Every radius is checked, and every sharp maximum found, before one call
-    of :func:`merobounds.integrals.values` runs each route once over all the
-    radii.  The (Q, R) block is then judged at once, by the rule of
-    :func:`build_report` on arrays, and every report field is a plain
-    Python float or bool.  Raises ClassMismatch when f and the class
-    disagree on the pole; BadParameter, BadRadius or RadiusBeyondPole from
-    :func:`sharp_maxima`, for the first quantity that fails; BadParameter
-    for a route that overflows, and RadiusBeyondPole past a root of z/f.
+    The one-function case of ``_judge``.  Raises ClassMismatch when f and
+    the class disagree on the pole; BadParameter, BadRadius or
+    RadiusBeyondPole from :func:`sharp_maxima`, for the first quantity that
+    fails; BadParameter for a route that overflows, and RadiusBeyondPole
+    past a root of z/f.
     """
     quantities = [BoundQuantity(quantity) for quantity in quantities]
-    class_spec.match(f)
-    radii = np.asarray(radii, dtype=np.float64)
-    if not (quantities and radii.size):
-        return [[] for _ in quantities]
-    bounds = np.array([sharp_maxima(class_spec, quantity, radii) for quantity in quantities])
-    computed = values(f, quantities, radii)[0]
     # plain floats and bools, row by row: (computed, bound, slack, satisfied, sharp)
-    blocks = [block.tolist() for block in (computed, bounds, *_verdict(computed, bounds))]
-    r = radii.tolist()
+    blocks = [block[0].tolist() for block in _judge([f], [class_spec], quantities, radii)]
+    r = np.asarray(radii, dtype=np.float64).ravel().tolist()
     return [list(map(BoundReport, repeat(quantity.value), *rows, r, repeat(class_spec)))
             for quantity, *rows in zip(quantities, *blocks)]

@@ -21,7 +21,7 @@ from collections import Counter
 from functools import cache
 from operator import itemgetter
 
-from .bounds import (BoundQuantity, check_quantities, gronwall_check, jenkins_bound, lemma1_check,
+from .bounds import (BoundQuantity, _judge, gronwall_check, jenkins_bound, lemma1_check,
                      sharp_maxima)
 from .criteria import (SUP_TOL, aksentiev_criterion, injectivity_oracle, univalence_criterion,
                        up_lambda_membership)
@@ -84,9 +84,10 @@ def _fp_member(p: float, lam: float):
 
 def _worst(quantity: BoundQuantity, members, radii) -> float:
     """Largest relative gap between computed value and sharp bound over
-    (class, function) members and radii."""
-    return max(_rel(report.computed, report.bound) for spec, f in members
-               for report in check_quantities(f, spec, (quantity,), radii)[0])
+    (class, function) members and radii, judged in one stacked pass."""
+    specs, fs = zip(*members)
+    computed, bound = _judge(fs, specs, (quantity,), radii)[:2]
+    return max(map(_rel, computed.ravel().tolist(), bound.ravel().tolist()))
 
 
 def _suite_sharpness():
@@ -111,9 +112,9 @@ def _suite_sharpness():
             checks.append((f"sharpness/{name}-kp p={_fmt(p)}", worst <= 1e-8,
                            f"max rel slack {_fmt(worst)}"))
     zf = BoundQuantity.DIRICHLET_ZF
-    margin = min(sharp_maxima(ClassSpec(ClassKind.SIGMA_P, p=p), zf, (r,))[0]
-                 - sharp_maxima(ClassSpec(ClassKind.U_P_LAMBDA, p=p, lam=1.0), zf, (r,))[0]
-                 for p in P_GRID for r in R_GRID)
+    margin = min(a - b for p in P_GRID for a, b in zip(
+        sharp_maxima(ClassSpec(ClassKind.SIGMA_P, p=p), zf, R_GRID),
+        sharp_maxima(ClassSpec(ClassKind.U_P_LAMBDA, p=p, lam=1.0), zf, R_GRID)))
     checks.append(("sharpness/class-nesting", margin > 1e-12,
                    f"min bound gap {_fmt(margin)}"))
     return checks
@@ -226,18 +227,6 @@ def _cmd_verify(args) -> int:
 
 # ---- table ---------------------------------------------------------------------
 
-def _table_rows(quantity: BoundQuantity, spec: ClassSpec, reports):
-    """(block key, r, CSV line) for each report of one (quantity, member)
-    block; the key and the ``quantity,class,p,lambda`` prefix are formed
-    once per block."""
-    key = (quantity.value, spec.kind.value, -1.0 if spec.p is None else spec.p,
-           -1.0 if spec.lam is None else spec.lam)
-    prefix = ",".join((quantity.value, spec.kind.value, _fmt(spec.p), _fmt(spec.lam)))
-    return [(key, rep.r, "%s,%.12g,%.12g,%.12g,%.12g,%s" % (
-        prefix, rep.r, rep.computed, rep.bound, rep.slack, "true" if rep.sharp else "false"))
-        for rep in reports]
-
-
 def _cmd_table(args) -> int:
     quantities = [BoundQuantity(q.upper()) for q in args.quantity]
     # the class specs and builders validate p and lambda; a sharp maximum
@@ -249,31 +238,54 @@ def _cmd_table(args) -> int:
             members.extend(_fp_member(p, lam) for lam in args.lam)
         members.append((ClassSpec(ClassKind.S), build_koebe_rotation(0.0)))
         check_radii(args.r)
-        rows = []
-        skipped = Counter()
+        # blocks of rows (quantities, radii, spec, f), in the order that decides which
+        # error shows; those that share quantities, radii and z/f length are stacked
+        blocks, groups, skipped = [], {}, Counter()
         for spec, f in members:
             swept = [q for q in quantities if spec.kind in _TABLE_CLASSES[q]]
-            outside = [q for q in swept if q not in INSIDE_POLE]
             inside = [q for q in swept if q in INSIDE_POLE]  # only pole classes have any
             radii = [r for r in args.r if r < spec.p] if inside else []
             for quantity in inside:
                 skipped[quantity.value] += len(args.r) - len(radii)
-            for sweep, sweep_radii in ((outside, args.r), (inside, radii)):
-                for quantity, reports in zip(sweep, check_quantities(f, spec, sweep, sweep_radii)):
-                    rows.extend(_table_rows(quantity, spec, reports))
+            for block in (([q for q in swept if q not in INSIDE_POLE], args.r, spec, f),
+                          (inside, radii, spec, f)):
+                if block[0] and block[1]:
+                    blocks.append(block)
+                    key = (tuple(block[0]), tuple(block[1]), len(f.inv_series))
+                    groups.setdefault(key, []).append(block)
+        try:
+            judged = [_judge([b[3] for b in group], [b[2] for b in group], *key[:2])
+                      for key, group in groups.items()]
+        except MeroboundsError:
+            for block in blocks:  # raise what the blocks meet one by one first
+                _judge([block[3]], [block[2]], *block[:2])
+            raise
     except MeroboundsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    for name in sorted(skipped):
-        print(f"note: {name} requires r < p; skipped {skipped[name]} combinations",
-              file=sys.stderr)
-    if not rows:
+    for name, count in sorted(skipped.items()):
+        if count:
+            print(f"note: {name} requires r < p; skipped {count} combinations", file=sys.stderr)
+    if not judged:
         print("error: the sweep produced no rows", file=sys.stderr)
         return 2
 
-    rows.sort(key=itemgetter(0, 1))
-    lines = [_TABLE_HEADER, *(line for _, _, line in rows)]
+    text_r = {r: "%.12g" % r for r in args.r}
+    rows = []  # (quantity, class, p, lambda, r, CSV line), sorted on the key before the line
+    for group, arrays in zip(groups.values(), judged):
+        computed, bound, slack, _, sharp = (array.tolist() for array in arrays)
+        for m, (sweep, radii, spec, _) in enumerate(group):
+            p, lam = -1.0 if spec.p is None else spec.p, -1.0 if spec.lam is None else spec.lam
+            for j, quantity in enumerate(sweep):
+                head = (quantity.value, spec.kind.value, p, lam)
+                prefix = ",".join((quantity.value, spec.kind.value, _fmt(spec.p), _fmt(spec.lam)))
+                rows += [(*head, r, "%s,%s,%.12g,%.12g,%.12g,%s" % (
+                    prefix, text_r[r], c, b, d, "true" if ok else "false"))
+                         for r, c, b, d, ok in zip(radii, computed[m][j], bound[m][j],
+                                                   slack[m][j], sharp[m][j])]
+    rows.sort()  # rows that tie on the key are the same row
+    lines = [_TABLE_HEADER, *map(itemgetter(5), rows)]
     text = "\n".join(lines) + "\n"
     if args.out is None:
         sys.stdout.write(text)

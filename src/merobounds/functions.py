@@ -107,7 +107,7 @@ class PoleFunction:
         if self.pole is not None:
             check_pole(self.pole)
             residual = abs(self.inv_series.evaluate(self.pole))
-            if residual > POLE_RESIDUAL_TOL:
+            if not residual <= POLE_RESIDUAL_TOL:  # NaN, where z/f overflows, fails too
                 raise PoleMismatch(
                     f"z/f evaluates to modulus {residual:.3e} at the declared pole "
                     f"{self.pole!r} (tolerance {POLE_RESIDUAL_TOL:g})"

@@ -23,10 +23,11 @@ normalized function f is carried through its z/f series:
 where b_n are the z/f coefficients (b_0 = 1).
 
 :func:`values` is the one path from (f, quantities, radii, method) to values
-and error bounds.  ``_ROUTES`` maps each (method, quantity) pair to a route
-and the row of its output that holds the quantity, so the one Stein pass
-behind the f and f/z integrals runs once per call.  The one-radius routes
-``dirichlet_series`` and so on call the same kernels directly.
+and error bounds, the one-function case of ``_values`` over a stack of
+functions.  ``_ROUTES`` maps each (method, quantity) pair to a route and the
+row of its output that holds the quantity, so each route runs once per call
+and the f and f/z integrals of a function share one Stein pass.  The
+one-radius routes ``dirichlet_series`` and so on call the same kernels.
 
 Both z/f Parseval sums use ``series._parseval``, which forms each term
 scaled, as (n^(t/2) |c_n| r^n)^2, and sums by one reduction shared by every
@@ -284,44 +285,47 @@ def _stein_sums(f: PoleFunction, radii) -> tuple[np.ndarray, np.ndarray]:
     raise RadiusBeyondPole(f"radius {r!r} reaches a root of z/f, where the f/z series diverges")
 
 
-def _dirichlet_f(f: PoleFunction, radii) -> tuple[np.ndarray, np.ndarray]:
-    """Dirichlet integrals of f, pi r^2 (S0 + S1), and of f/z, pi S1, at
-    each radius, as the rows of a (2, R) array, and the bounds on their
-    remainders (``_stein_sums``) likewise, from one Stein pass.  Each radius
-    must lie below the pole, or below 1 without one unless f = z, whose
-    f/z = 1 has zero area at every radius."""
-    radii = check_radii(radii, degree(f.inv_series.coefficients) != 0, f.pole)
-    sums, tails = _stein_sums(f, radii)
-    scale = math.pi * radii**2
-    return (np.stack((scale * sums.sum(axis=1), math.pi * sums[:, 1])),
-            np.stack((scale * tails.sum(axis=1), math.pi * tails[:, 1])))
+def _dirichlet_f(fs, radii) -> tuple[np.ndarray, np.ndarray]:
+    """Dirichlet integrals of each f, pi r^2 (S0 + S1), and of f/z, pi S1,
+    at each radius, as an (M, 2, R) array, and the bounds on their
+    remainders (``_stein_sums``) likewise, from one Stein pass per f.  Each
+    radius must lie below the pole, or below 1 without one unless f = z,
+    whose f/z = 1 has zero area at every radius."""
+    out = []
+    for f in fs:
+        r = check_radii(radii, degree(f.inv_series.coefficients) != 0, f.pole)
+        out.append([(math.pi * r**2 * s.sum(1), math.pi * s[:, 1]) for s in _stein_sums(f, r)])
+    out = np.array(out)  # (M, values or bounds, row, R)
+    return out[:, 0], out[:, 1]
 
 
 # ---- the one compute path -----------------------------------------------------------
 
 def _exact(kernel, quantity: str):
-    """The route of an exact quantity from a kernel of (z/f coefficients, radii):
-    radii checked in (0, 1], one row of finite values, and no error bounds."""
-    def route(f: PoleFunction, radii):
-        row = np.asarray(kernel(f.inv_series.coefficients, check_radii(radii)), dtype=np.float64)
-        return _finite(row, quantity)[None], None
+    """The route of an exact quantity from a kernel of (an (M, N) stack of
+    z/f coefficients, radii): radii checked in (0, 1], one row of finite
+    values per function, and no error bounds."""
+    def route(fs, radii):
+        c = np.array([f.inv_series.coefficients for f in fs])
+        rows = np.asarray(kernel(c, check_radii(radii)), dtype=np.float64)
+        return _finite(rows, quantity)[:, None], None
     return route
 
 
-#: (method, quantity) -> (route, row): the route maps (f, radii) to a (K, R)
-#: array of values and one of error bounds, or None where every bound is 0,
-#: and the quantity is their row ``row``.
+#: (method, quantity) -> (route, row): the route maps (M functions, radii)
+#: to an (M, K, R) array of values and one of error bounds, or None where
+#: every bound is 0, and the quantity is their row ``row``.
 _ROUTES = {
     (Method.SERIES, BoundQuantity.DIRICHLET_ZF): (_exact(
-        lambda c, radii: math.pi * _parseval(c, 1.0, radii, 1), "Dirichlet integral"), 0),
+        lambda c, radii: math.pi * _parseval(c[:, None], 1.0, radii, 1), "Dirichlet integral"), 0),
     (Method.SERIES, BoundQuantity.DIRICHLET_F): (_dirichlet_f, 0),
     (Method.SERIES, BoundQuantity.DIRICHLET_F_OVER_Z): (_dirichlet_f, 1),
     (Method.SERIES, BoundQuantity.L1): (_exact(
-        lambda c, radii: 1.0 + _parseval(c, 0.0, radii, 1), "L1 mean"), 0),
-    (Method.QUADRATURE, BoundQuantity.DIRICHLET_ZF): (_exact(
-        lambda c, radii: [_area_quadrature(c, r) for r in radii.tolist()], "Dirichlet integral"), 0),
-    (Method.QUADRATURE, BoundQuantity.L1): (_exact(
-        lambda c, radii: [_l1_quadrature(c, r) for r in radii.tolist()], "L1 mean"), 0),
+        lambda c, radii: 1.0 + _parseval(c[:, None], 0.0, radii, 1), "L1 mean"), 0),
+    (Method.QUADRATURE, BoundQuantity.DIRICHLET_ZF): (_exact(lambda c, radii: [
+        [_area_quadrature(b, r) for r in radii.tolist()] for b in c], "Dirichlet integral"), 0),
+    (Method.QUADRATURE, BoundQuantity.L1): (_exact(lambda c, radii: [
+        [_l1_quadrature(b, r) for r in radii.tolist()] for b in c], "L1 mean"), 0),
 }
 
 
@@ -340,6 +344,13 @@ def values(f: PoleFunction, quantities, radii,
     radius outside a route's domain (``errors.check_radii``), the routes
     checked in the order of the quantities.
     """
+    return tuple(out[0] for out in _values([f], quantities, radii, method))
+
+
+def _values(fs, quantities, radii, method: Method = Method.SERIES):
+    """:func:`values` of M functions whose z/f vectors share one length, as
+    (M, Q, R) arrays, each route run once over all of them, each function
+    with the bits it gets alone.  Raises as :func:`values` does for any."""
     method = Method(method)
     routes = []
     for quantity in quantities:
@@ -349,13 +360,13 @@ def values(f: PoleFunction, quantities, radii,
             raise BadParameter(f"no {method.value} route for {quantity.value}")
         routes.append(route)
     radii = np.asarray(radii, dtype=np.float64)  # each route checks its shape and domain
-    out = np.zeros((2, len(routes), radii.size))
+    out = np.zeros((2, len(fs), len(routes), radii.size))
     done = {}
     for i, (route, row) in enumerate(routes):
         if route not in done:
-            done[route] = route(f, radii)
+            done[route] = route(fs, radii)
         computed, errors = done[route]
-        out[0, i] = computed[row]
+        out[0, :, i] = computed[:, row]
         if errors is not None:
-            out[1, i] = errors[row]
+            out[1, :, i] = errors[:, row]
     return out[0], out[1]

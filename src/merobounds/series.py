@@ -88,13 +88,20 @@ class TruncatedSeries:
 
         Horner starts at the degree: trailing zero coefficients would only
         hold the accumulator at zero, so a zero-padded vector costs what its
-        degree costs.  Arrays of two or more points are stepped in place.  A
-        single point keeps the out-of-place step: numpy can round a
-        one-element product differently in place, and the result must not
-        change in the last bit.
+        degree costs.  A single point is stepped in Python complex
+        arithmetic, faster than numpy and free of its SIMD kernels.  Arrays
+        of two or more points are stepped in place; a one-element array
+        keeps the out-of-place step, as numpy can round a one-element
+        product differently in place.
         """
-        pts = np.asarray(z, dtype=np.complex128)
         d = max(degree(self._coeffs), 0)
+        if np.ndim(z) == 0:
+            z, coeffs = complex(z), self._coeffs[: d + 1].tolist()
+            acc = coeffs.pop()
+            for c in reversed(coeffs):
+                acc = acc * z + c
+            return acc
+        pts = np.asarray(z, dtype=np.complex128)
         acc = np.full(pts.shape, self._coeffs[d])
         if pts.size == 1:
             for c in self._coeffs[:d][::-1]:
@@ -103,8 +110,6 @@ class TruncatedSeries:
             for c in self._coeffs[:d][::-1]:
                 acc *= pts
                 acc += c
-        if np.ndim(z) == 0:
-            return complex(acc)
         return acc
 
     def weighted_coefficient_sum(self, t: float, r, start_index: int = 0):
@@ -144,19 +149,21 @@ class TruncatedSeries:
 
 def _parseval(c: np.ndarray, t: float, radii, start: int):
     """``sum_{n >= start} n**t |c[n]|**2 r**(2n)``, unvalidated, at a radius
-    (a numpy float) or at each of a one-dimensional array of radii.
+    (a numpy float) or at each of a one-dimensional array of radii, for a
+    coefficient vector c or an (M, 1, N) stack of them, giving (M, R).
 
     Terms are formed scaled, x_n = n**(t/2) |c[n]| r**n (x_0 = 0 if t != 0),
     and summed as x . x, so the sum is finite wherever it is; overflow reads
     inf, silently.  Only where n**(t/2) overflows is x_n formed from
     logarithms, so every other sum keeps its bits.  A radius alone and each
-    row of an array take the same steps and give the same bits on every CPU:
-    r**n and n**(t/2) are libm's pow by ``float_power`` (n**0.5 is sqrt),
-    where ``**`` squares an exponent of 2 and may take a CPU-dependent SIMD pow."""
-    n = np.arange(start, c.size, dtype=np.float64)
+    row of an array or stack take the same steps and give the same bits on
+    every CPU: r**n and n**(t/2) are libm's pow by ``float_power`` (n**0.5
+    is sqrt), where ``**`` squares an exponent of 2 and may take a
+    CPU-dependent SIMD pow."""
+    n = np.arange(start, c.shape[-1], dtype=np.float64)
     radii = np.asarray(radii)[..., None]
     with np.errstate(all="ignore"):
-        x = np.abs(c[start:]) * np.float_power(radii, n)
+        x = np.abs(c[..., start:]) * np.float_power(radii, n)
         if t != 0:
             weights = np.sqrt(n) if t == 1 else np.float_power(n, 0.5 * t)
             if start == 0:
@@ -165,6 +172,6 @@ def _parseval(c: np.ndarray, t: float, radii, start: int):
             if weights.size and weights[-1] == np.inf:  # the largest, if t > 0
                 huge = np.isinf(weights)  # inf times an underflowed r**n reads NaN
                 x[..., huge] = np.exp(0.5 * t * np.log(n[huge]) + n[huge] * np.log(radii)
-                                      + np.log(np.abs(c[start:][huge])))
+                                      + np.log(np.abs(c[..., start:][..., huge])))
         x *= x
         return np.add.reduce(x, axis=-1)

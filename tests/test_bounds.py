@@ -9,6 +9,7 @@ from merobounds.errors import (
     BadParameter,
     BadRadius,
     ClassMismatch,
+    MeroboundsError,
     NoPole,
     RadiusBeyondPole,
 )
@@ -25,6 +26,8 @@ from merobounds.cli import _fmt
 from merobounds.integrals import dirichlet_series, l1_mean_series, values
 from merobounds.bounds import (
     _SHARP_MAXIMA,
+    _forms,
+    _judge,
     SATISFACTION_TOL,
     SHARPNESS_RTOL,
     BoundQuantity,
@@ -695,3 +698,105 @@ def test_sharp_maxima_check_each_radius_before_an_overflowing_class_constant(spe
             sharp_maxima(spec, quantity, [0.25, bad])
         assert not isinstance(info.value, BadRadius)
         assert "r = 0.25" in str(info.value) and "p = 1e-155" in str(info.value)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+
+def test_stacked_maxima_keep_the_bits_of_their_per_radius_forms_at_the_edges():
+    # every form over a stack of classes of every kind at once, at about 1000
+    # (p, lambda, r): radii just below p, p = 1 - 1e-12 and p near 1e-155,
+    # where (1/p + p)**2 leaves the float range and every maximum with it
+    poles = (1e-155, 3e-155, 1e-150, 1e-8, 0.05, 0.37, 0.93, 1.0 - 1e-12)
+    specs = [S, *(sigma(p) for p in poles),
+             *(residual(p, lam) for p in poles for lam in (0.3, 1.0))]
+    rng = np.random.default_rng(11)
+    tops = np.array([1.0, *poles])
+    radii = np.concatenate((rng.uniform(0.0, 1.0, 20), 10.0 ** rng.uniform(-160.0, 0.0, 10),
+                            np.nextafter(tops, 0.0), tops * (1.0 - 1e-9)))
+    got = _forms(specs, list(BoundQuantity), radii)
+    assert got.shape == (len(specs), len(BoundQuantity), len(radii))
+    compared = 0
+    for i, spec in enumerate(specs):
+        for j, quantity in enumerate(BoundQuantity):
+            form = PER_RADIUS_MAXIMA.get((spec.kind, quantity))
+            for k, r in enumerate(radii.tolist()):
+                try:
+                    want = math.nan if form is None else form(spec, r)
+                except ArithmeticError:  # the scalar form's ** raises where float_power gives inf
+                    want = math.nan
+                if math.isfinite(want):
+                    assert _bits(got[i, j, k]) == _bits(want), (spec, quantity, r)
+                    compared += 1
+                else:
+                    assert not np.isfinite(got[i, j, k]), (spec, quantity, r)
+    assert compared > 1000
+
+
+def _random_member(rng, kind, degree):
+    """A function of the given z/f degree whose pole suits a class of ``kind``:
+    (1 - z/p) h(z), or h(z) alone over S, with h = 1 + a small random tail."""
+    tail = (0.1 * (rng.standard_normal(degree) + 1j * rng.standard_normal(degree))
+            * 0.5 ** np.arange(degree))
+    if kind is ClassKind.S:
+        return S, from_inverse_coefficients(tail)
+    p = float(rng.uniform(0.3, 0.9))
+    b = np.convolve([1.0, -1.0 / p], np.concatenate(([1.0], tail[:-1])))[1:]
+    spec = sigma(p) if kind is ClassKind.SIGMA_P else residual(p, float(rng.uniform(0.2, 1.0)))
+    return spec, from_inverse_coefficients(b, pole=p)
+
+
+def test_stacked_judge_matches_check_quantities_bit_for_bit():
+    rng = np.random.default_rng(23)
+    kinds = list(ClassKind)
+    for _ in range(60):
+        degree = int(rng.integers(1, 13))
+        drawn = [kinds[k] for k in rng.integers(0, 3, size=int(rng.integers(1, 7)))]
+        members = [_random_member(rng, kind, degree) for kind in drawn]
+        specs, fs = [spec for spec, _ in members], [f for _, f in members]
+        quantities = [ZF, L1][:: 1 if rng.random() < 0.5 else -1][: int(rng.integers(1, 3))]
+        top = 1.0
+        if ClassKind.U_P_LAMBDA not in drawn and rng.random() < 0.5:
+            quantities = [FZ, *quantities, F]  # the f routes need every radius inside every pole
+            top = 0.9 * min(1.0 if spec.p is None else spec.p for spec in specs)
+        radii = np.sort(rng.uniform(0.0, top, int(rng.integers(1, 25))))
+        radii = radii[:: int(rng.choice([1, -1]))]
+        judged = _judge(fs, specs, quantities, radii)
+        assert [a.shape for a in judged] == [(len(fs), len(quantities), len(radii))] * 5
+        for i, (spec, f) in enumerate(members):
+            reports = check_quantities(f, spec, quantities, radii)
+            for field, array in zip(("computed", "bound", "slack"), judged):
+                want = [[getattr(rep, field) for rep in row] for row in reports]
+                assert np.array_equal(_bits(array[i]), _bits(want)), (field, spec)
+            assert judged[3][i].tolist() == [[rep.satisfied for rep in row] for row in reports]
+            assert judged[4][i].tolist() == [[rep.sharp for rep in row] for row in reports]
+
+
+@pytest.mark.parametrize("members, quantities, radii", [
+    # the second member's maximum overflows; the third's would too
+    ([(sigma(0.5), build_kp(0.5)), (sigma(1e-160), build_kp(1e-160)),
+      (residual(1e-155, 1.0), build_fp(1e-155, 1.0))], [L1, ZF], [0.5, 1e-200]),
+    # a radius beyond the second pole and the third
+    ([(sigma(0.8), build_kp(0.8)), (sigma(0.3), build_kp(0.3)), (sigma(0.2), build_kp(0.2))],
+     [F, FZ], [0.1, 0.32]),
+    # the first member's Stein pass fails before the second's maximum
+    ([(sigma(0.9999999), build_kp(0.9999999)), (sigma(1e-160), build_kp(1e-160))],
+     [ZF, F], [0.99999989]),
+    # a class that does not match its function, after one whose bound is missing
+    ([(S, build_koebe_rotation(0.0)), (residual(0.5, 1.0), build_fp(0.5, 1.0)),
+      (sigma(0.4), build_kp(0.5))], [L1, F], [0.1]),
+])
+def test_stacked_judge_raises_what_the_first_failing_member_raises_alone(
+        members, quantities, radii):
+    first = None
+    for spec, f in members:
+        try:
+            check_quantities(f, spec, quantities, radii)
+        except MeroboundsError as exc:
+            first = exc
+            break
+    assert first is not None
+    with pytest.raises(type(first)) as info:
+        _judge([f for _, f in members], [spec for spec, _ in members], quantities, radii)
+    assert str(info.value) == str(first)

@@ -245,6 +245,37 @@ def test_table_refuses_a_sharp_bound_beyond_the_float_range(capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    # the L1 block of kp(1e-160) comes before any f block
+    (("--p", "1e-160", "0.2", "--r", "1e-200", "0.5", "--quantity", "l1", "dirichlet_f"),
+     "sharp maximum of L1 over class SIGMA_P at p = 1e-160, r = 1e-200 "
+     "exceeds the float range"),
+    # the f/z block of kp(0.2) fails before every member at p = 1e-155
+    (("--p", "0.2", "1e-155", "--r", "0.1", "1e-300",
+      "--quantity", "dirichlet_f_over_z", "l1", "dirichlet_zf"),
+     "sharp maximum of DIRICHLET_F_OVER_Z over class SIGMA_P at p = 0.2, r = 1e-300 "
+     "exceeds the float range"),
+    # the Stein pass of kp(0.9999999) fails before the maxima at p = 1e-160
+    (("--p", "0.9999999", "1e-160", "--r", "0.99999989"),
+     "radius 0.99999989 reaches a root of z/f, where the f/z series diverges"),
+])
+def test_table_raises_the_error_of_the_first_failing_block(capsys, argv, message):
+    # the blocks of rows are judged in stacked groups, but the error shown is
+    # the one the blocks meet first in member order; each message was
+    # recorded from a table that judged the blocks one by one
+    code, out, err = run_cli(capsys, "table", *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_table_prints_no_note_when_nothing_is_skipped(capsys):
+    code, out, err = run_cli(capsys, "table", "--p", "0.5", "--r", "0.3")
+    assert code == 0
+    assert err == ""
+    assert len(out.splitlines()) == 1 + 2 * (1 + len(LAMBDA_GRID)) + 1 + 2
+
+
 def test_table_writes_a_file(tmp_path, capsys):
     target = tmp_path / "sweep.csv"
     code, out, _ = run_cli(capsys, "table", "--p", "0.5", "--r", "0.5",

@@ -142,6 +142,14 @@ def test_pole_residual_check():
         from_inverse_coefficients([-1.0], pole=0.5)
 
 
+@pytest.mark.parametrize("b", [[1e308] * 3, [-1e308] * 6])
+def test_pole_residual_that_overflows_to_nan_is_refused(b):
+    # z/f overflows on the way to the pole and reads nan+nanj there; a NaN
+    # residual fails the tolerance as any other that does not meet it
+    with pytest.raises(PoleMismatch, match="modulus nan"):
+        from_inverse_coefficients(b, pole=0.9)
+
+
 def test_pole_range_check():
     with pytest.raises(BadParameter):
         from_inverse_coefficients([-2.0], pole=1.5)
