@@ -24,10 +24,11 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import (BadParameter, MeroboundsError, NoPole, check_count, check_lambda, check_pole,
-                     check_radii, check_radius)
+from .errors import (BadParameter, NoPole, check_count, check_lambda, check_pole, check_radii,
+                     check_radius)
 from .functions import ClassKind, ClassSpec, PoleFunction, mu
 from .integrals import INSIDE_POLE, BoundQuantity, _values
+from .series import _parseval
 
 #: Absolute slack below which a bound still counts as satisfied.
 SATISFACTION_TOL = 1e-9
@@ -93,10 +94,7 @@ def gronwall_check(f: PoleFunction) -> BoundReport:
     coefficients (the empty sum 0 below order 2).  A violation certifies
     that f is not univalent on the disk, whatever its pole situation; a sum
     that overflows reads inf, which exceeds 1 as the true sum does."""
-    coeffs = f.inv_series.coefficients
-    weights = np.arange(1, len(coeffs) - 1, dtype=np.float64)
-    with np.errstate(over="ignore"):
-        computed = float(np.sum(weights * np.abs(coeffs[2:]) ** 2))
+    computed = float(_parseval(f.inv_series.coefficients[1:], 1.0, 1.0, 1))
     return build_report("GRONWALL", computed, 1.0, r=1.0)
 
 
@@ -242,28 +240,22 @@ def _judge(fs, specs, quantities, radii):
     satisfied and sharp.  The z/f vectors share one length, so each
     function gets the bits it gets alone.  Every class is matched, and every
     maximum formed by one ``_forms`` call and checked with the radii in one
-    pass, before one ``integrals._values`` call runs each route once.
-    Raises what :func:`check_quantities` over the functions one by one
-    would raise first."""
+    pass, before one ``integrals._values`` call runs each route once; the
+    first step that fails raises."""
     quantities = [BoundQuantity(quantity) for quantity in quantities]
-    try:
-        for f, spec in zip(fs, specs):
-            spec.match(f)
-        radii = np.asarray(radii, dtype=np.float64)
-        computed = bounds = np.zeros((len(fs), len(quantities), radii.size))
-        if quantities and radii.size:
-            bounds = _forms(specs, quantities, radii) if radii.ndim == 1 else None
-            top = min(1.0 if spec.p is None else spec.p for spec in specs)
-            if bounds is None or not (np.isfinite(bounds).all() and radii.min() > 0.0 and (
-                    radii.max() < top if INSIDE_POLE.intersection(quantities)
-                    else radii.max() <= 1.0)):
-                for spec, quantity in product(specs, quantities):  # raises the first error
-                    sharp_maxima(spec, quantity, radii)
-            computed = _values(fs, quantities, radii)[0]
-    except MeroboundsError:
-        for f, spec in zip(fs, specs) if len(fs) > 1 else ():
-            _judge([f], [spec], quantities, radii)  # the first function that fails alone
-        raise
+    for f, spec in zip(fs, specs):
+        spec.match(f)
+    radii = np.asarray(radii, dtype=np.float64)
+    computed = bounds = np.zeros((len(fs), len(quantities), radii.size))
+    if quantities and radii.size:
+        bounds = _forms(specs, quantities, radii) if radii.ndim == 1 else None
+        top = min(1.0 if spec.p is None else spec.p for spec in specs)
+        if bounds is None or not (np.isfinite(bounds).all() and radii.min() > 0.0 and (
+                radii.max() < top if INSIDE_POLE.intersection(quantities)
+                else radii.max() <= 1.0)):
+            for spec, quantity in product(specs, quantities):  # raises the first error
+                sharp_maxima(spec, quantity, radii)
+        computed = _values(fs, quantities, radii)[0]
     return (computed, bounds, *_verdict(computed, bounds))
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import BadParameter, NoPole, check_count, check_lambda, check_pole
 from .functions import NO_POLE, PoleFunction, mu
-from .series import degree
+from .series import _circle_values, _exact_count, degree
 
 SUP_TOL = 1e-12
 #: Guard band a ``DiskGrid`` keeps around a pole.
@@ -86,12 +86,11 @@ class CriterionVerdict:
 
 
 @lru_cache(maxsize=8)
-def _samples(conj_q: bytes, m: int) -> np.ndarray:
+def _samples(q: bytes, m: int) -> np.ndarray:
     """|Q| at the ``m`` roots of unity ``exp(2 pi i k / m)``, read-only, from
-    the bytes of conj(q) as complex128.  Kept for the last few calls, so
-    the checks that bound one polynomial take its FFT once."""
-    # the fft of conj(q) is conj(Q) at exp(2 pi i k / m)
-    samples = np.abs(np.fft.fft(np.frombuffer(conj_q, dtype=np.complex128), m))
+    the bytes of q as complex128.  Kept for the last few calls, so the
+    checks that bound one polynomial take its FFT once."""
+    samples = np.abs(_circle_values(np.frombuffer(q, dtype=np.complex128), 1.0, m))
     samples.flags.writeable = False
     return samples
 
@@ -114,10 +113,10 @@ def _circle_sup(q, threshold: float = math.inf) -> tuple[float, complex | None]:
     d = degree(q)
     if d < 0:
         return 0.0, None
-    m = 1 if d == 0 else 1 << (_OVERSAMPLING * d - 1).bit_length()
-    conj_q = np.conj(q[:d + 1]).astype(np.complex128).tobytes()
+    m = _exact_count(_OVERSAMPLING * d)
+    q = q[:d + 1].astype(np.complex128).tobytes()
     while True:
-        samples = _samples(conj_q, m)
+        samples = _samples(q, m)
         k = int(np.argmax(samples))
         bound = samples[k] / np.sqrt(1.0 - 0.5 * (np.pi * d / m) ** 2)
         if bound <= threshold or samples[k] > threshold or m >= _MAX_SAMPLES:

@@ -37,17 +37,17 @@ class ClassMismatch(MeroboundsError, ValueError):
 
 def check_pole(p: float) -> None:
     if not 0.0 < p < 1.0:
-        raise BadParameter(f"pole location {p!r} outside (0, 1)")
+        raise BadParameter(f"pole location {float(p)!r} outside (0, 1)")
 
 
 def check_radius(r: float) -> None:
     if not 0.0 < r <= 1.0:
-        raise BadRadius(f"radius {r!r} outside (0, 1]")
+        check_radii((r,))
 
 
 def check_lambda(lam: float) -> None:
     if not 0.0 < lam <= 1.0:
-        raise BadParameter(f"lambda {lam!r} outside (0, 1]")
+        raise BadParameter(f"lambda {float(lam)!r} outside (0, 1]")
 
 
 def check_count(count: int, minimum: int, message: str) -> None:
@@ -75,6 +75,6 @@ def check_radii(radii, inside: bool = False, pole: float | None = None) -> np.nd
     for r in radii.tolist():
         if not (0.0 < r < top if inside else 0.0 < r <= 1.0):
             if beyond and 0.0 < r <= 1.0:
-                raise RadiusBeyondPole(f"radius {r!r} reaches the pole at {pole!r}")
+                raise RadiusBeyondPole(f"radius {r!r} reaches the pole at {float(pole)!r}")
             raise BadRadius(f"radius {r!r} outside (0, 1{')' if inside and pole is None else ']'}")
     return radii

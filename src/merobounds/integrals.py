@@ -31,7 +31,8 @@ one-radius routes ``dirichlet_series`` and so on call the same kernels.
 
 Both z/f Parseval sums use ``series._parseval``, which forms each term
 scaled, as (n^(t/2) |c_n| r^n)^2, and sums by one reduction shared by every
-radius: z/f = 1 + 1e200 z^2 at r = 1e-100 gives 2 pi and 2.
+radius: z/f = 1 + 1e200 z^2 at r = 1e-100 gives 2 pi and 2.  Both
+quadrature routes sample their circle by ``series._circle_values``.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ import numpy as np
 
 from .errors import BadParameter, RadiusBeyondPole, check_count, check_radii, check_radius
 from .functions import PoleFunction
-from .series import TruncatedSeries, _parseval, degree
+from .series import TruncatedSeries, _circle_values, _exact_count, _parseval, degree
 
 
 class Method(str, Enum):
@@ -96,36 +97,6 @@ class IntegralResult:
     """The value of one integral at one radius by one route."""
 
     value: float
-
-
-def _exact_count(n: int) -> int:
-    """The smallest power of two that is at least 16 and at least n.
-
-    An m-point trapezoid rule integrates e^(ik theta) exactly for |k| < m,
-    so m >= n nodes are exact for a trigonometric polynomial of degree
-    below n.  Powers of two are the sizes the FFT is fastest at.
-    """
-    return max(16, 1 << (n - 1).bit_length())
-
-
-def _circle_values(c: np.ndarray, r: float, m: int) -> np.ndarray:
-    """Values of sum_n c_n z^n at the nodes r e^(2 pi i k / m), k along the
-    last axis, for each row of coefficients along the last axis of c.
-
-    These are the m-point DFT, with positive exponent, of the sequence
-    c_n r^n, so one inverse FFT without normalisation gives the whole
-    circle.  e^(2 pi i k n / m) depends on n only modulo m, so a series
-    longer than m is folded modulo m first and samples the same nodes as
-    direct evaluation, aliasing included.  r^n is libm's pow by
-    ``float_power``, as in ``series._parseval``: ``**`` may take a SIMD
-    power whose last bit depends on the CPU.
-    """
-    n = c.shape[-1]
-    x = c * np.float_power(r, np.arange(n, dtype=np.float64))
-    for k in range(m, n, m):
-        width = min(m, n - k)
-        x[..., :width] += x[..., k : k + width]
-    return np.fft.ifft(x[..., :m], m, norm="forward")
 
 
 def _finite(values, quantity: str):

@@ -2,7 +2,8 @@
 
 A series is a finite coefficient vector ``c[0..N]`` standing for the
 polynomial ``sum_n c[n] z**n``; z/f is stored exactly so, at its degree.
-The module evaluates a polynomial, forms its weighted Parseval sums and
+The module evaluates a polynomial, forms its weighted Parseval sums
+(``_parseval``), samples it on a circle by one FFT (``_circle_values``) and
 finds its degree.  Derivatives and products are formed on the coefficient
 vectors where they are needed.
 """
@@ -175,3 +176,33 @@ def _parseval(c: np.ndarray, t: float, radii, start: int):
                                       + np.log(np.abs(c[..., start:][..., huge])))
         x *= x
         return np.add.reduce(x, axis=-1)
+
+
+def _exact_count(n: int) -> int:
+    """The smallest power of two that is at least 16 and at least n.
+
+    An m-point trapezoid rule integrates e^(ik theta) exactly for |k| < m,
+    so m >= n nodes are exact for a trigonometric polynomial of degree
+    below n.  Powers of two are the sizes the FFT is fastest at.
+    """
+    return max(16, 1 << (n - 1).bit_length())
+
+
+def _circle_values(c: np.ndarray, r: float, m: int) -> np.ndarray:
+    """Values of sum_n c_n z^n at the nodes r e^(2 pi i k / m), k along the
+    last axis, for each row of coefficients along the last axis of c.
+
+    These are the m-point DFT, with positive exponent, of the sequence
+    c_n r^n, so one inverse FFT without normalisation gives the whole
+    circle.  e^(2 pi i k n / m) depends on n only modulo m, so a series
+    longer than m is folded modulo m first and samples the same nodes as
+    direct evaluation, aliasing included.  r^n is libm's pow by
+    ``float_power``, as in ``_parseval``: ``**`` may take a SIMD power
+    whose last bit depends on the CPU.
+    """
+    n = c.shape[-1]
+    x = c * np.float_power(r, np.arange(n, dtype=np.float64))
+    for k in range(m, n, m):
+        width = min(m, n - k)
+        x[..., :width] += x[..., k : k + width]
+    return np.fft.ifft(x[..., :m], m, norm="forward")

@@ -9,7 +9,6 @@ from merobounds.errors import (
     BadParameter,
     BadRadius,
     ClassMismatch,
-    MeroboundsError,
     NoPole,
     RadiusBeyondPole,
 )
@@ -121,7 +120,7 @@ def test_jenkins_attained_by_extremal_coefficients():
 def test_gronwall_sharp_for_extremal_pole_map():
     for p in P_GRID:
         rep = gronwall_check(build_kp(p))
-        assert rep.computed == pytest.approx(1.0, abs=1e-15)
+        assert rep.computed == 1.0
         assert rep.satisfied and rep.sharp
 
 
@@ -142,6 +141,29 @@ def test_gronwall_short_series():
     rep = gronwall_check(from_inverse_coefficients([-2.0], pole=0.5))
     assert rep.computed == 0.0
     assert rep.satisfied
+
+
+@pytest.mark.parametrize("f", [*map(build_kp, (*P_GRID, 1e-13)), build_fp(0.3, 0.7),
+                               build_fp(0.9, 1.0), build_koebe_rotation(0.0),
+                               build_koebe_rotation(math.pi / 5)])
+def test_gronwall_reads_the_exact_sum_of_the_extremal_functions(f):
+    # z/f = 1 + b_1 z + b_2 z**2, so the sum is the one term |b_2|**2: 1 for
+    # kp, (lam mu)**2 for fp, |e^(2 i theta)|**2 for the Koebe map
+    b2 = float(np.abs(f.inv_series.coefficients[2]))
+    assert gronwall_check(f).computed == b2 * b2
+
+
+def test_gronwall_sum_lies_within_rounding_of_the_exact_sum():
+    rng = np.random.default_rng(31)
+    eps = sys.float_info.epsilon
+    for _ in range(200):
+        order = int(rng.integers(1, 65))
+        b = ((rng.standard_normal(order) + 1j * rng.standard_normal(order))
+             * 10.0 ** rng.uniform(-3, 2, order))
+        got = gronwall_check(from_inverse_coefficients(b)).computed
+        with mp.workdps(50):
+            exact = mp.fsum((n - 1) * abs(mp.mpc(c)) ** 2 for n, c in enumerate(b.tolist(), 1))
+            assert abs(got - exact) <= 4 * order * eps * exact
 
 
 # ---- weighted tail inequality ------------------------------------------------------
@@ -771,32 +793,3 @@ def test_stacked_judge_matches_check_quantities_bit_for_bit():
                 assert np.array_equal(_bits(array[i]), _bits(want)), (field, spec)
             assert judged[3][i].tolist() == [[rep.satisfied for rep in row] for row in reports]
             assert judged[4][i].tolist() == [[rep.sharp for rep in row] for row in reports]
-
-
-@pytest.mark.parametrize("members, quantities, radii", [
-    # the second member's maximum overflows; the third's would too
-    ([(sigma(0.5), build_kp(0.5)), (sigma(1e-160), build_kp(1e-160)),
-      (residual(1e-155, 1.0), build_fp(1e-155, 1.0))], [L1, ZF], [0.5, 1e-200]),
-    # a radius beyond the second pole and the third
-    ([(sigma(0.8), build_kp(0.8)), (sigma(0.3), build_kp(0.3)), (sigma(0.2), build_kp(0.2))],
-     [F, FZ], [0.1, 0.32]),
-    # the first member's Stein pass fails before the second's maximum
-    ([(sigma(0.9999999), build_kp(0.9999999)), (sigma(1e-160), build_kp(1e-160))],
-     [ZF, F], [0.99999989]),
-    # a class that does not match its function, after one whose bound is missing
-    ([(S, build_koebe_rotation(0.0)), (residual(0.5, 1.0), build_fp(0.5, 1.0)),
-      (sigma(0.4), build_kp(0.5))], [L1, F], [0.1]),
-])
-def test_stacked_judge_raises_what_the_first_failing_member_raises_alone(
-        members, quantities, radii):
-    first = None
-    for spec, f in members:
-        try:
-            check_quantities(f, spec, quantities, radii)
-        except MeroboundsError as exc:
-            first = exc
-            break
-    assert first is not None
-    with pytest.raises(type(first)) as info:
-        _judge([f for _, f in members], [spec for spec, _ in members], quantities, radii)
-    assert str(info.value) == str(first)

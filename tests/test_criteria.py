@@ -304,6 +304,47 @@ def test_circle_sup_stops_refining_at_the_cap():
     assert bound > 0.5 + 1e-12
 
 
+
+def conjugate_fft_sup(q, threshold=math.inf):
+    """Reference for ``_circle_sup``: the rule it followed before it sampled
+    by ``series._circle_values``, |Q| as the modulus of the forward FFT of
+    conj(q) at 1 sample for a constant and else at the power of two at
+    least 64 d, doubled as ``_circle_sup`` doubles."""
+    d = int(np.flatnonzero(q)[-1]) if np.any(q) else -1
+    if d < 0:
+        return 0.0, None
+    m = 1 if d == 0 else 1 << (64 * d - 1).bit_length()
+    while True:
+        samples = np.abs(np.fft.fft(np.conj(q[:d + 1]).astype(np.complex128), m))
+        k = int(np.argmax(samples))
+        bound = samples[k] / np.sqrt(1.0 - 0.5 * (np.pi * d / m) ** 2)
+        if bound <= threshold or samples[k] > threshold or m >= criteria._MAX_SAMPLES:
+            return float(bound), complex(np.exp(2j * np.pi * k / m))
+        m *= 2
+
+
+def test_circle_sup_keeps_the_bits_of_the_conjugate_fft():
+    rng = np.random.default_rng(41)
+    for case in range(1000):
+        degree = int(rng.integers(0, 81))
+        q = (rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)) \
+            * 10.0 ** rng.uniform(-3, 3)
+        q[rng.random(degree + 1) < 0.2] = 0.0  # some zero coefficients, some trailing
+        # the first bound clears the first threshold, the first samples exceed the second
+        top = conjugate_fft_sup(q)[0]
+        thresholds = [math.inf, 0.5 * top]
+        if case % 16 == 0:
+            # the samples of some doubling exceed the third; the fourth lies
+            # above every sample, so only the cap at _MAX_SAMPLES stops it
+            fine = float(np.max(np.abs(np.fft.fft(q, criteria._MAX_SAMPLES))))
+            thresholds += [fine * (1 - 1e-9), fine * (1 + 1e-12)]
+        for threshold in thresholds:
+            want = conjugate_fft_sup(q, threshold)
+            got = _circle_sup(q, threshold)
+            assert got == want, (degree, threshold)
+            assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
+
+
 # --- Aksentiev's criterion ---
 
 @pytest.mark.parametrize("f,value", [

@@ -36,10 +36,8 @@ from merobounds.integrals import (
     l1_mean_quadrature,
     l1_mean_series,
     values,
-    _circle_values,
-    _exact_count,
 )
-from merobounds.series import TruncatedSeries
+from merobounds.series import TruncatedSeries, _circle_values, _exact_count
 
 ZF, F, FZ, L1 = (BoundQuantity.DIRICHLET_ZF, BoundQuantity.DIRICHLET_F,
                  BoundQuantity.DIRICHLET_F_OVER_Z, BoundQuantity.L1)

@@ -13,12 +13,13 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from merobounds.bounds import _SHARP_MAXIMA, check_quantities, sharp_maxima
+from merobounds.bounds import _SHARP_MAXIMA, check_quantities, lemma1_check, sharp_maxima
 from merobounds.cli import main
 from merobounds.errors import BadParameter, BadRadius, RadiusBeyondPole
 from merobounds.functions import (ClassKind, ClassSpec, build_fp, build_koebe_rotation,
                                   build_kp)
-from merobounds.integrals import _ROUTES, BoundQuantity, Method, values
+from merobounds.integrals import (_ROUTES, BoundQuantity, Method, dirichlet_quadrature,
+                                  dirichlet_series, l1_mean_quadrature, l1_mean_series, values)
 from merobounds.series import TruncatedSeries
 
 ZF, F, FZ, L1 = (BoundQuantity.DIRICHLET_ZF, BoundQuantity.DIRICHLET_F,
@@ -193,3 +194,27 @@ def test_radii_that_are_not_one_dimensional_are_a_bad_parameter(radii):
         for quantity in quantities:
             assert_bad_shape(lambda: sharp_maxima(spec, quantity, radii))
             assert_bad_shape(lambda: values(f, (quantity,), radii))
+
+
+BAD = np.float64(1.5)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: dirichlet_series(MEMBERS[ClassKind.S][1].inv_series, BAD),
+     BadRadius, "radius 1.5 outside (0, 1]"),
+    (lambda: dirichlet_quadrature(MEMBERS[ClassKind.S][1].inv_series, BAD),
+     BadRadius, "radius 1.5 outside (0, 1]"),
+    (lambda: l1_mean_series(MEMBERS[ClassKind.S][1], BAD), BadRadius, "radius 1.5 outside (0, 1]"),
+    (lambda: l1_mean_quadrature(MEMBERS[ClassKind.S][1], BAD),
+     BadRadius, "radius 1.5 outside (0, 1]"),
+    (lambda: lemma1_check(build_kp(P), 1.0, 1.0, BAD), BadRadius, "radius 1.5 outside (0, 1]"),
+    (lambda: ClassSpec(ClassKind.SIGMA_P, p=BAD), BadParameter, "pole location 1.5 outside (0, 1)"),
+    (lambda: build_fp(P, BAD), BadParameter, "lambda 1.5 outside (0, 1]"),
+    (lambda: values(build_kp(np.float64(P)), (F,), [0.7]),
+     RadiusBeyondPole, "radius 0.7 reaches the pole at 0.5"),
+], ids=["dirichlet_series", "dirichlet_quadrature", "l1_mean_series", "l1_mean_quadrature",
+        "lemma1_check", "class-pole", "lambda", "values-pole"])
+def test_numpy_scalars_are_named_as_python_floats(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message
