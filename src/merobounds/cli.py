@@ -44,6 +44,9 @@ LAMBDA_GRID = (0.25, 0.5, 1.0)
 
 _TABLE_HEADER = "quantity,class,p,lambda,r,computed,bound,slack,sharp"
 
+#: The text of False and True, read by index.
+_BOOL_TEXT = ("false", "true")
+
 #: The classes whose extremal function ``table`` sweeps for each quantity:
 #: U_P_LAMBDA has no f or f/z maximum, and the analytic class S is shown for L1 only.
 _TABLE_CLASSES = {
@@ -60,7 +63,7 @@ def _fmt(x) -> str:
     if x is None:
         return ""
     if isinstance(x, bool):
-        return "true" if x else "false"
+        return _BOOL_TEXT[x]
     return "%.12g" % x
 
 
@@ -279,9 +282,9 @@ def _cmd_table(args) -> int:
             p, lam = -1.0 if spec.p is None else spec.p, -1.0 if spec.lam is None else spec.lam
             for j, quantity in enumerate(sweep):
                 head = (quantity.value, spec.kind.value, p, lam)
-                prefix = ",".join((quantity.value, spec.kind.value, _fmt(spec.p), _fmt(spec.lam)))
-                rows += [(*head, r, "%s,%s,%.12g,%.12g,%.12g,%s" % (
-                    prefix, text_r[r], c, b, d, "true" if ok else "false"))
+                line = ",".join((quantity.value, spec.kind.value, _fmt(spec.p), _fmt(spec.lam),
+                                 "%s,%.12g,%.12g,%.12g,%s"))  # the block's prefix baked in
+                rows += [(*head, r, line % (text_r[r], c, b, d, _BOOL_TEXT[ok]))
                          for r, c, b, d, ok in zip(radii, computed[m][j], bound[m][j],
                                                    slack[m][j], sharp[m][j])]
     rows.sort()  # rows that tie on the key are the same row

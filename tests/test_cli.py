@@ -126,6 +126,19 @@ def test_table_default_matches_the_golden_output(capsys):
                    "note: DIRICHLET_F_OVER_Z requires r < p; skipped 55 combinations\n")
 
 
+def test_table_f_route_sweep_near_one_matches_the_golden_output(capsys):
+    # the f and f/z rows of kp at poles 0.95 and 0.99, whose Stein sums take
+    # the most doublings of any golden sweep; every row is sharp
+    code, out, err = run_cli(capsys, "table", "--p", "0.95", "0.99",
+                             "--quantity", "dirichlet_f", "dirichlet_f_over_z")
+    assert code == 0
+    assert out == (Path(__file__).parent / "data" / "table_near_one.txt").read_text()
+    assert err == ("note: DIRICHLET_F requires r < p; skipped 3 combinations\n"
+                   "note: DIRICHLET_F_OVER_Z requires r < p; skipped 3 combinations\n")
+    rows = out.splitlines()[1:]
+    assert len(rows) == 74 and all(row.endswith(",true") for row in rows)
+
+
 def test_table_output_does_not_depend_on_the_argument_order(capsys):
     # the golden sweep with every argument list reversed
     code, out, err = run_cli(capsys, "table", "--p", "0.8", "0.35",

@@ -37,7 +37,7 @@ from merobounds.integrals import (
     l1_mean_series,
     values,
 )
-from merobounds.series import TruncatedSeries, _circle_values, _exact_count
+from merobounds.series import TruncatedSeries, _circle_values, _exact_count, degree
 
 ZF, F, FZ, L1 = (BoundQuantity.DIRICHLET_ZF, BoundQuantity.DIRICHLET_F,
                  BoundQuantity.DIRICHLET_F_OVER_Z, BoundQuantity.L1)
@@ -461,6 +461,127 @@ def test_f_routes_refuse_a_second_root_of_z_over_f_inside_r():
             check_quantities(f, ClassSpec(ClassKind.SIGMA_P, p=0.5), (quantity,), (0.3,))
     s0, s1 = mp_f_over_z_sums(b, 0.05, 0.5)
     assert abs(one(f, FZ, 0.05)[0] - mp.pi * s1) <= 1e-14 * mp.pi * s1
+
+
+def test_f_routes_name_the_diverging_radius_beside_one_that_settles_late():
+    # z/f = (1 - z/0.8)(1 - z/0.5): at 0.79 the Stein sums overflow to NaN
+    # long before those at 0.4999 settle; a NaN radius must not keep the
+    # other from being tested (skipping on the NaN minimum of the norms of A
+    # raised BadParameter naming 0.4999 instead)
+    f = from_inverse_coefficients(np.convolve([1.0, -1.25], [1.0, -2.0])[1:], pole=0.8)
+    for radii in ([0.4999, 0.79], [0.79, 0.4999]):
+        with pytest.raises(RadiusBeyondPole) as info:
+            values(f, (F,), radii)
+        assert str(info.value) == (
+            "radius 0.79 reaches a root of z/f, where the f/z series diverges")
+    assert np.isfinite(one(f, F, 0.4999)).all()
+
+
+def _stein_sums_testing_every_doubling(f, radii):
+    """``integrals._stein_sums`` as it ran when every doubling ran the stop
+    test as one array pass over the radii left."""
+    radii = np.asarray(radii, dtype=np.float64)
+    sums = np.zeros((len(radii), 2))
+    tails = np.zeros((len(radii), 2))
+    b = f.inv_series.coefficients
+    d = degree(b)
+    if d == 0 or not len(radii):
+        sums[:, 0] = 1.0
+        return sums, tails
+    if not np.any(b.imag):
+        b = b.real
+    c = np.eye(d, k=-1, dtype=b.dtype)
+    c[0] = -b[1 : d + 1]
+    a = radii[:, None, None] * c
+    p = np.zeros((len(radii), 2, d, d), dtype=b.dtype)
+    p[:, 0, 0, 0] = 1.0
+    left = np.arange(len(radii))
+    terms = 1.0
+    with np.errstate(all="ignore"):
+        for _ in range(64):
+            q = a[:, None] @ p @ a.conj().swapaxes(1, 2)[:, None]
+            q[:, 1] += terms * q[:, 0]
+            p += q
+            a = a @ a
+            terms *= 2.0
+            norm_a = np.square(a.view(np.float64)).sum(axis=(1, 2))
+            norm_p = np.sqrt(np.square(p.view(np.float64)).sum(axis=(2, 3)))
+            s = norm_a / (1.0 - norm_a)
+            bound = s[:, None] * norm_p
+            bound[:, 1] += terms * (1.0 + s) * bound[:, 0]
+            value = p[:, :, 0, 0].real
+            done = (norm_a < 1.0) & (bound <= 2.0**-52 * value).all(axis=1)
+            if done.any():
+                sums[left[done]] = value[done]
+                tails[left[done]] = bound[done]
+                left, a, p = left[~done], a[~done], p[~done]
+                if not len(left):
+                    return sums, tails
+    r = float(radii[left[0]])
+    if r * np.max(np.abs(np.linalg.eigvals(c))) < 1.0 - 2.0**-26:
+        raise BadParameter(f"the f/z coefficient sums at radius {r!r} do not settle in floats")
+    raise RadiusBeyondPole(f"radius {r!r} reaches a root of z/f, where the f/z series diverges")
+
+
+def _stein_cases(count):
+    """``count`` seeded (f, radii) pairs: kp and fp with p up to 1 - 1e-5,
+    random complex z/f up to degree 64, (1 - z/rho)^k for k up to 16, and
+    z/f with a second root q inside the disk, each at up to 8 radii below the pole (below q on three cases
+    in four), every third reversed."""
+    rng = np.random.default_rng(2024)
+    for n in range(count):
+        kind = n % 4
+        p = min(1.0 - 10.0 ** -rng.uniform(0.0, 5.0), 1.0 - 1e-5) if n % 8 else 1.0 - 1e-5
+        top = p
+        if kind == 0:
+            f = build_kp(p)
+        elif kind == 1:
+            f = build_fp(p, rng.uniform(0.01, 1.0))
+        elif kind == 2 and n % 40 == 6:  # a root of order k, whose sums may not settle
+            rho = rng.uniform(0.5, 2.0)
+            k = int(rng.integers(4, 17))
+            f = from_inverse_coefficients([math.comb(k, j) * (-1.0 / rho) ** j
+                                           for j in range(1, k + 1)], pole=None)
+            top = min(rho, 1.0)
+        elif kind == 2:  # a random tail, of degree up to 64 on one case in 25
+            d = int(rng.integers(1, 65 if n % 100 == 2 else 9))
+            rho = rng.uniform(0.5, 2.0)
+            b = (rng.normal(size=d) + 1j * rng.normal(size=d)) * rho ** -np.arange(1.0, d + 1)
+            f = from_inverse_coefficients(b / d, pole=None)
+            top = 1.0
+        else:  # a second root of z/f at q below the declared pole
+            q = p * rng.uniform(0.05, 1.0)
+            f = from_inverse_coefficients(np.convolve([1.0, -1.0 / p], [1.0, -1.0 / q])[1:],
+                                          pole=p)
+            top = p if n % 16 == 3 else q
+        r = np.sort(top * np.concatenate((rng.uniform(0.0, 1.0, int(rng.integers(0, 7))),
+                                          1.0 - 10.0 ** -rng.uniform(1.0, 6.0, 2))))
+        r = r[(r > 0.0) & (r < p)]
+        yield f, r[::-1] if n % 3 == 0 else r
+
+
+def _outcome(kernel, f, radii):
+    try:
+        sums, tails = kernel(f, radii)
+    except (BadParameter, RadiusBeyondPole) as exc:
+        return type(exc), str(exc)
+    return sums.tobytes(), tails.tobytes()
+
+
+def test_stein_sums_keep_the_bits_of_testing_every_doubling():
+    # no radius can pass the stop test while |A|_F^2 >= 2^-51, so testing
+    # only on doublings where some radius lies below 2^-50 changes no sum,
+    # no tail and no error
+    from merobounds.integrals import _stein_sums
+
+    raised = []
+    for f, radii in _stein_cases(2000):
+        want = _outcome(_stein_sums_testing_every_doubling, f, radii)
+        assert _outcome(_stein_sums, f, radii) == want, (f.inv_series.coefficients, radii)
+        raised += [want[0]] if isinstance(want[0], type) else []
+    # sums that settle, and both errors, are all covered
+    assert len(raised) < 400
+    assert raised.count(RadiusBeyondPole) >= 100 and raised.count(BadParameter) >= 10
 
 
 def test_f_route_close_to_a_large_pole_is_finite_without_warnings():
