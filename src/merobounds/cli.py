@@ -10,6 +10,14 @@ Three subcommands:
   ``to_csv_row``) and test an asserted class membership.  Exit code 1 is
   reserved for genuine disproofs of univalence (a coefficient-sum
   violation or a detected collision); failed class inequalities only warn.
+
+``main`` hands the arguments after a command name straight to that
+command's parser.  The top-level parser reads the whole line only when it
+is empty, starts with an option, names no command or leaves arguments
+over, so each help text and usage error is the one a top-level parse
+gives.  ``table`` stacks its blocks of rows on radii and z/f length, so a
+sweep over one pole makes two judged passes: the z/f and L1 rows of kp,
+fp and the Koebe map, and the f and f/z rows of kp below the pole.
 """
 
 from __future__ import annotations
@@ -242,7 +250,10 @@ def _cmd_table(args) -> int:
         members.append((ClassSpec(ClassKind.S), build_koebe_rotation(0.0)))
         check_radii(args.r)
         # blocks of rows (quantities, radii, spec, f), in the order that decides which
-        # error shows; those that share quantities, radii and z/f length are stacked
+        # error shows; those that share radii and z/f length are stacked, and each
+        # stack is judged over the union of its blocks' quantities.  The f and f/z
+        # blocks stack apart: their radii stop at the pole, and only SIGMA_P has
+        # their maxima.
         blocks, groups, skipped = [], {}, Counter()
         for spec, f in members:
             swept = [q for q in quantities if spec.kind in _TABLE_CLASSES[q]]
@@ -250,15 +261,19 @@ def _cmd_table(args) -> int:
             radii = [r for r in args.r if r < spec.p] if inside else []
             for quantity in inside:
                 skipped[quantity.value] += len(args.r) - len(radii)
-            for block in (([q for q in swept if q not in INSIDE_POLE], args.r, spec, f),
-                          (inside, radii, spec, f)):
+            for side, block in enumerate((
+                    ([q for q in swept if q not in INSIDE_POLE], args.r, spec, f),
+                    (inside, radii, spec, f))):
                 if block[0] and block[1]:
                     blocks.append(block)
-                    key = (tuple(block[0]), tuple(block[1]), len(f.inv_series))
+                    key = (side, tuple(block[1]), len(f.inv_series))
                     groups.setdefault(key, []).append(block)
+        # each stack's quantities in --quantity order
+        unions = [[q for q in dict.fromkeys(quantities) if any(q in b[0] for b in group)]
+                  for group in groups.values()]
         try:
-            judged = [_judge([b[3] for b in group], [b[2] for b in group], *key[:2])
-                      for key, group in groups.items()]
+            judged = [_judge([b[3] for b in group], [b[2] for b in group], union, group[0][1])
+                      for group, union in zip(groups.values(), unions)]
         except MeroboundsError:
             for block in blocks:  # raise what the blocks meet one by one first
                 _judge([block[3]], [block[2]], *block[:2])
@@ -276,11 +291,12 @@ def _cmd_table(args) -> int:
 
     text_r = {r: "%.12g" % r for r in args.r}
     rows = []  # (quantity, class, p, lambda, r, CSV line), sorted on the key before the line
-    for group, arrays in zip(groups.values(), judged):
-        computed, bound, slack, _, sharp = (array.tolist() for array in arrays)
+    for group, union, arrays in zip(groups.values(), unions, judged):
+        computed, bound, slack, sharp = (arrays[k].tolist() for k in (0, 1, 2, 4))
         for m, (sweep, radii, spec, _) in enumerate(group):
             p, lam = -1.0 if spec.p is None else spec.p, -1.0 if spec.lam is None else spec.lam
-            for j, quantity in enumerate(sweep):
+            for quantity in sweep:
+                j = union.index(quantity)
                 head = (quantity.value, spec.kind.value, p, lam)
                 line = ",".join((quantity.value, spec.kind.value, _fmt(spec.p), _fmt(spec.lam),
                                  "%s,%.12g,%.12g,%.12g,%s"))  # the block's prefix baked in
@@ -387,9 +403,10 @@ def _cmd_check(args) -> int:
 # ---- parser --------------------------------------------------------------------
 
 @cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The one parser of the process; its defaults are tuples, so no call
-    can change what the next one parses."""
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The one top-level parser of the process, and beside it the parser of
+    each command by name; their defaults are tuples, so no call can change
+    what the next one parses."""
     parser = argparse.ArgumentParser(
         prog="merobounds",
         description="Verify sharp integral and coefficient bounds for disk "
@@ -419,13 +436,20 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("--p", type=float, default=None)
     check.add_argument("--lambda", dest="lam", type=float, default=None)
     check.set_defaults(func=_cmd_check)
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    """Run one command line, parsed as the module docstring says, and return
+    its exit code."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, commands = _build_parser()
+    command = commands.get(argv[0]) if argv else None
     try:
-        args = parser.parse_args(argv)
+        if command is not None:
+            args, extra = command.parse_known_args(argv[1:])
+        if command is None or extra:
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return 0 if code in (0, None) else 2

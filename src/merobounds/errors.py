@@ -41,8 +41,17 @@ def check_pole(p: float) -> None:
 
 
 def check_radius(r: float) -> None:
-    if not 0.0 < r <= 1.0:
-        check_radii((r,))
+    """One radius in (0, 1], as a number: an array, even of one element, is
+    BadParameter.  The range test runs first, so a float in range pays for
+    one comparison and one type test."""
+    try:
+        if 0.0 < r <= 1.0 and not isinstance(r, np.ndarray):
+            return
+    except ValueError:  # an array of several radii has no one truth value
+        pass
+    if isinstance(r, np.ndarray):
+        raise BadParameter(f"a radius must be a number, not an array of shape {r.shape}")
+    check_radii((r,))
 
 
 def check_lambda(lam: float) -> None:

@@ -282,6 +282,23 @@ def test_table_raises_the_error_of_the_first_failing_block(capsys, argv, message
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("argv, calls", [
+    (("--p", "0.5"), 2),  # the z/f and L1 rows of kp, fp and the Koebe map; f and f/z
+    ((), 6),  # one stack of z/f and L1 rows, and the f and f/z rows of each pole
+    (("--p", "0.5", "--quantity", "l1"), 1),
+])
+def test_table_judges_each_stack_of_blocks_once(capsys, monkeypatch, argv, calls):
+    judge, judged = cli._judge, []
+
+    def counted(*args):
+        judged.append(args)
+        return judge(*args)
+
+    monkeypatch.setattr(cli, "_judge", counted)
+    assert run_cli(capsys, "table", *argv)[0] == 0
+    assert len(judged) == calls
+
+
 def test_table_prints_no_note_when_nothing_is_skipped(capsys):
     code, out, err = run_cli(capsys, "table", "--p", "0.5", "--r", "0.3")
     assert code == 0
@@ -523,6 +540,38 @@ def test_unknown_quantity_is_a_usage_error(capsys):
     assert main(["table", "--quantity", "volume"]) == 2
 
 
+def top_level_main(argv):
+    """``main`` as it was before the command parsers read their own
+    arguments: one parse of the whole command line by the top-level parser."""
+    try:
+        args = cli._build_parser()[0].parse_args(argv)
+    except SystemExit as exc:
+        return 0 if exc.code in (0, None) else 2
+    return args.func(args)
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["nope"], ["-h"], ["table", "-h"],
+    ["table", "--bogus", "1"], ["table", "--p", "0.5", "--bogus"], ["table", "--p", "x"],
+    ["check", "--class", "s"], ["verify", "--suite", "nope"],
+], ids=" ".join)
+def test_usage_errors_and_help_keep_their_text(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    code = main(argv)
+    captured = capsys.readouterr()
+    want = top_level_main(argv)
+    assert (code, captured.out, captured.err) == (want, *capsys.readouterr())
+
+
+def test_leftover_arguments_are_the_top_level_parser_error(capsys):
+    # the table parser reads --bogus 1 as two unknown arguments; the error
+    # names them with the top-level usage, as a single top-level parse does
+    code, out, err = run_cli(capsys, "table", "--bogus", "1")
+    assert (code, out) == (2, "")
+    assert err.splitlines() == ["usage: merobounds [-h] {verify,table,check} ...",
+                                "merobounds: error: unrecognized arguments: --bogus 1"]
+
+
 def test_cached_parser_behaves_like_a_fresh_one(capsys):
     assert cli._build_parser() is cli._build_parser()
     argv = ("table", "--r", "0.5", "--quantity", "l1", "--lambda", "1.0")
@@ -530,10 +579,10 @@ def test_cached_parser_behaves_like_a_fresh_one(capsys):
     assert code == 0 and narrow.count("\n") == 4   # header, kp, fp and S rows
     assert main(list(argv)) == 0
     cached = capsys.readouterr().out
-    args = cli._build_parser.__wrapped__().parse_args(argv)
+    args = cli._build_parser.__wrapped__()[0].parse_args(argv)
     assert args.func(args) == 0
     assert cached == capsys.readouterr().out
-    defaults = cli._build_parser().parse_args(["table"])
+    defaults = cli._build_parser()[0].parse_args(["table"])
     assert (defaults.p, defaults.r, defaults.lam) == (P_GRID, R_GRID, LAMBDA_GRID)
 
 

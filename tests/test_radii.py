@@ -218,3 +218,26 @@ def test_numpy_scalars_are_named_as_python_floats(call, error, message):
     with pytest.raises(error) as info:
         call()
     assert type(info.value) is error and str(info.value) == message
+
+
+ONE_RADIUS = {
+    "dirichlet_series": lambda r: dirichlet_series(MEMBERS[ClassKind.S][1].inv_series, r).value,
+    "dirichlet_quadrature":
+        lambda r: dirichlet_quadrature(MEMBERS[ClassKind.S][1].inv_series, r).value,
+    "l1_mean_series": lambda r: l1_mean_series(MEMBERS[ClassKind.S][1], r).value,
+    "l1_mean_quadrature": lambda r: l1_mean_quadrature(MEMBERS[ClassKind.S][1], r).value,
+    "lemma1_check": lambda r: lemma1_check(build_kp(P), 1.0, 1.0, r).computed,
+}
+
+
+@pytest.mark.parametrize("call", ONE_RADIUS.values(), ids=ONE_RADIUS)
+def test_one_radius_entry_points_refuse_an_array_of_one_radius(call):
+    # a numpy scalar is a radius, with the bits of its float; an array is not,
+    # whatever its shape
+    assert call(np.float64(0.5)) == call(0.5)
+    for radius in (np.array([0.5]), np.array(0.5), np.array([0.5, 0.25])):
+        with pytest.raises(BadParameter) as info:
+            call(radius)
+        assert type(info.value) is BadParameter
+        assert str(info.value) == (
+            f"a radius must be a number, not an array of shape {radius.shape}")
