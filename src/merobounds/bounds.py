@@ -64,14 +64,8 @@ def _verdict(computed, bound):
     return slack, satisfied, satisfied & (abs(slack) <= SHARPNESS_RTOL * abs(bound))
 
 
-def build_report(
-    quantity: str,
-    computed: float,
-    bound: float,
-    r: float,
-    class_spec: Optional[ClassSpec] = None,
-) -> BoundReport:
-    return BoundReport(quantity, computed, bound, *_verdict(computed, bound), r, class_spec)
+def build_report(quantity: str, computed: float, bound: float, r: float) -> BoundReport:
+    return BoundReport(quantity, computed, bound, *_verdict(computed, bound), r)
 
 
 # ---- coefficient inequalities ------------------------------------------------
@@ -108,7 +102,9 @@ def lemma1_check(f: PoleFunction, lam: float, t: float, r: float) -> BoundReport
     check_radius(r)
     if f.pole is None:
         raise NoPole("the weighted tail bound needs the pole to set its scale")
-    computed = f.inv_series.weighted_coefficient_sum(t, r, start_index=2)
+    if t == -math.inf:
+        raise BadParameter(f"exponent t {t!r} is not finite")
+    computed = float(_parseval(f.inv_series.coefficients, t, r, 2))
     bound = 2.0**t * (lam * mu(f.pole)) ** 2 * r**4
     return build_report("LEMMA_TAIL", computed, bound, r=r)
 

@@ -239,16 +239,19 @@ def _cmd_verify(args) -> int:
 # ---- table ---------------------------------------------------------------------
 
 def _cmd_table(args) -> int:
-    quantities = [BoundQuantity(q.upper()) for q in args.quantity]
+    # each list is read as a set in first-seen order, so a repeated value adds no rows
+    ps, rs, lams, names = (list(dict.fromkeys(values))
+                           for values in (args.p, args.r, args.lam, args.quantity))
+    quantities = [BoundQuantity(q.upper()) for q in names]
     # the class specs and builders validate p and lambda; a sharp maximum
     # may still leave the float range
     try:
         members = []
-        for p in args.p:
+        for p in ps:
             members.append(_kp_member(p))
-            members.extend(_fp_member(p, lam) for lam in args.lam)
+            members.extend(_fp_member(p, lam) for lam in lams)
         members.append((ClassSpec(ClassKind.S), build_koebe_rotation(0.0)))
-        check_radii(args.r)
+        check_radii(rs)
         # blocks of rows (quantities, radii, spec, f), in the order that decides which
         # error shows; those that share radii and z/f length are stacked, and each
         # stack is judged over the union of its blocks' quantities.  The f and f/z
@@ -258,18 +261,18 @@ def _cmd_table(args) -> int:
         for spec, f in members:
             swept = [q for q in quantities if spec.kind in _TABLE_CLASSES[q]]
             inside = [q for q in swept if q in INSIDE_POLE]  # only pole classes have any
-            radii = [r for r in args.r if r < spec.p] if inside else []
+            radii = [r for r in rs if r < spec.p] if inside else []
             for quantity in inside:
-                skipped[quantity.value] += len(args.r) - len(radii)
+                skipped[quantity.value] += len(rs) - len(radii)
             for side, block in enumerate((
-                    ([q for q in swept if q not in INSIDE_POLE], args.r, spec, f),
+                    ([q for q in swept if q not in INSIDE_POLE], rs, spec, f),
                     (inside, radii, spec, f))):
                 if block[0] and block[1]:
                     blocks.append(block)
                     key = (side, tuple(block[1]), len(f.inv_series))
                     groups.setdefault(key, []).append(block)
         # each stack's quantities in --quantity order
-        unions = [[q for q in dict.fromkeys(quantities) if any(q in b[0] for b in group)]
+        unions = [[q for q in quantities if any(q in b[0] for b in group)]
                   for group in groups.values()]
         try:
             judged = [_judge([b[3] for b in group], [b[2] for b in group], union, group[0][1])
@@ -289,7 +292,7 @@ def _cmd_table(args) -> int:
         print("error: the sweep produced no rows", file=sys.stderr)
         return 2
 
-    text_r = {r: "%.12g" % r for r in args.r}
+    text_r = {r: "%.12g" % r for r in rs}
     rows = []  # (quantity, class, p, lambda, r, CSV line), sorted on the key before the line
     for group, union, arrays in zip(groups.values(), unions, judged):
         computed, bound, slack, sharp = (arrays[k].tolist() for k in (0, 1, 2, 4))

@@ -2,10 +2,11 @@
 
 A series is a finite coefficient vector ``c[0..N]`` standing for the
 polynomial ``sum_n c[n] z**n``; z/f is stored exactly so, at its degree.
-The module evaluates a polynomial, forms its weighted Parseval sums
-(``_parseval``), samples it on a circle by one FFT (``_circle_values``) and
-finds its degree.  Derivatives and products are formed on the coefficient
-vectors where they are needed.
+The module evaluates a polynomial, forms the weighted Parseval sums that
+the series routes and the coefficient checks read (``_parseval``), samples
+it on a circle by one FFT (``_circle_values``) and finds its degree.
+Derivatives and products are formed on the coefficient vectors where they
+are needed.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Iterable, Union
 
 import numpy as np
 
-from .errors import BadParameter, check_count, check_radii
+from .errors import BadParameter
 
 ComplexLike = Union[complex, float, int]
 
@@ -82,7 +83,7 @@ class TruncatedSeries:
         tail = ", ..." if self.order > 3 else ""
         return f"TruncatedSeries([{head}{tail}], order={self.order})"
 
-    # ---- evaluation and coefficient functionals -------------------------
+    # ---- evaluation ----------------------------------------------------
 
     def evaluate(self, z):
         """Horner evaluation at a complex point or ndarray of points.
@@ -113,50 +114,16 @@ class TruncatedSeries:
                 acc += c
         return acc
 
-    def weighted_coefficient_sum(self, t: float, r, start_index: int = 0):
-        """``sum_{n >= start_index} n**t |c[n]|**2 r**(2n)``, by ``_parseval``.
-
-        The n = 0 term is taken to be ``|c[0]|**2`` when t = 0 and zero for
-        any other t (the only finite reading of ``0**t`` for t < 0, and the
-        standard convention for t > 0).  ``start_index = order + 1`` gives
-        the empty sum, 0.
-
-        r is a radius, giving a float, or a one-dimensional array of radii,
-        giving an array with one sum per radius, the same bits alone or
-        among others.  Terms are formed scaled, so the sum is finite wherever
-        it is, however large |c[n]|**2, n**t or small r**(2n) is alone.  A
-        sum that overflows reads inf, without a warning.
-
-        Raises:
-            BadRadius: if r, or any radius in it, is outside (0, 1].
-            BadParameter: if r has more than one dimension, t is not finite
-                or ``start_index`` is not an integer in [0, order + 1].
-        """
-        radii = np.asarray(r, dtype=np.float64)
-        if radii.ndim > 1:
-            raise BadParameter(f"radii must be a scalar or a one-dimensional array, "
-                               f"not {radii.ndim}-dimensional")
-        check_radii(radii.reshape(-1))
-        if not np.isfinite(t):
-            raise BadParameter(f"exponent t {t!r} is not finite")
-        if type(start_index) is not int or not 0 <= start_index <= self.order + 1:
-            message = f"start index {start_index} outside [0, {self.order + 1}]"
-            check_count(start_index, 0, message)
-            if start_index > self.order + 1:
-                raise BadParameter(message)
-        sums = _parseval(self._coeffs, t, radii, start_index)
-        return float(sums) if radii.ndim == 0 else sums
-
 
 def _parseval(c: np.ndarray, t: float, radii, start: int):
-    """``sum_{n >= start} n**t |c[n]|**2 r**(2n)``, unvalidated, at a radius
-    (a numpy float) or at each of a one-dimensional array of radii, for a
-    coefficient vector c or an (M, 1, N) stack of them, giving (M, R).
+    """``sum_{n >= start} n**t |c[n]|**2 r**(2n)``, unvalidated, for t <= 2
+    and start >= 1, at a radius (a numpy float) or at each of a
+    one-dimensional array of radii, for a coefficient vector c or an
+    (M, 1, N) stack of them, giving (M, R).
 
-    Terms are formed scaled, x_n = n**(t/2) |c[n]| r**n (x_0 = 0 if t != 0),
-    and summed as x . x, so the sum is finite wherever it is; overflow reads
-    inf, silently.  Only where n**(t/2) overflows is x_n formed from
-    logarithms, so every other sum keeps its bits.  A radius alone and each
+    Terms are formed scaled, x_n = n**(t/2) |c[n]| r**n, and summed as
+    x . x, so the sum is finite wherever it is; overflow reads inf,
+    silently.  With t <= 2 no weight exceeds n.  A radius alone and each
     row of an array or stack take the same steps and give the same bits on
     every CPU: r**n and n**(t/2) are libm's pow by ``float_power`` (n**0.5
     is sqrt), where ``**`` squares an exponent of 2 and may take a
@@ -166,14 +133,7 @@ def _parseval(c: np.ndarray, t: float, radii, start: int):
     with np.errstate(all="ignore"):
         x = np.abs(c[..., start:]) * np.float_power(radii, n)
         if t != 0:
-            weights = np.sqrt(n) if t == 1 else np.float_power(n, 0.5 * t)
-            if start == 0:
-                weights[0] = 0.0
-            x *= weights
-            if weights.size and weights[-1] == np.inf:  # the largest, if t > 0
-                huge = np.isinf(weights)  # inf times an underflowed r**n reads NaN
-                x[..., huge] = np.exp(0.5 * t * np.log(n[huge]) + n[huge] * np.log(radii)
-                                      + np.log(np.abs(c[..., start:][..., huge])))
+            x *= np.sqrt(n) if t == 1 else np.float_power(n, 0.5 * t)
         x *= x
         return np.add.reduce(x, axis=-1)
 

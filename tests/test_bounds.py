@@ -199,7 +199,7 @@ def test_lemma_tail_validation():
         lemma1_check(build_koebe_rotation(0.0), 1.0, 1.0, 0.5)
 
 
-@pytest.mark.parametrize("t", [math.nan, math.inf])
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
 def test_lemma_tail_rejects_a_non_finite_exponent(t):
     with pytest.raises(BadParameter):
         lemma1_check(build_fp(0.5, 0.5), 0.5, t, 0.5)

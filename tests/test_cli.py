@@ -233,6 +233,20 @@ def test_table_rows_are_sorted_and_stable(capsys):
     assert keys == sorted(keys)
 
 
+@pytest.mark.parametrize("repeated, once", [
+    (("--quantity", "l1", "l1"), ("--quantity", "l1")),
+    (("--r", "0.5", "0.5"), ("--r", "0.5")),
+    (("--lambda", "1", "1.0"), ("--lambda", "1")),
+    (("--p", "0.5", "0.5"), ("--p", "0.5")),
+    # the note counts each skipped radius once
+    (("--r", "0.25", "0.75", "0.75", "0.25", "--quantity", "dirichlet_f", "l1", "dirichlet_f"),
+     ("--r", "0.25", "0.75", "--quantity", "dirichlet_f", "l1")),
+], ids=["quantity", "r", "lambda", "p", "skipped"])
+def test_table_reads_a_repeated_value_once(capsys, repeated, once):
+    base = ("table", "--p", "0.5", "--quantity", "l1")
+    assert run_cli(capsys, *base, *repeated) == run_cli(capsys, *base, *once)
+
+
 def test_table_f_route_skips_radii_beyond_the_pole(capsys):
     code, out, err = run_cli(capsys, "table", "--p", "0.5", "--r", "0.25", "0.75",
                              "--quantity", "dirichlet_f")

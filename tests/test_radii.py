@@ -20,7 +20,6 @@ from merobounds.functions import (ClassKind, ClassSpec, build_fp, build_koebe_ro
                                   build_kp)
 from merobounds.integrals import (_ROUTES, BoundQuantity, Method, dirichlet_quadrature,
                                   dirichlet_series, l1_mean_quadrature, l1_mean_series, values)
-from merobounds.series import TruncatedSeries
 
 ZF, F, FZ, L1 = (BoundQuantity.DIRICHLET_ZF, BoundQuantity.DIRICHLET_F,
                  BoundQuantity.DIRICHLET_F_OVER_Z, BoundQuantity.L1)
@@ -111,13 +110,12 @@ def test_check_quantities_refuses_the_first_radius_of_the_first_quantity(radii):
 
 
 @pytest.mark.parametrize("radii", RADII, ids=ids)
-def test_weighted_coefficient_sum_refuses_the_first_radius_outside_the_disk(radii):
-    s = TruncatedSeries([1.0, -2.5, 1.0])
-    want = refusal(radii, ZF, None)
+def test_z_over_f_sums_refuse_the_first_radius_outside_the_disk(radii):
+    kp = build_kp(P)
+    assert_refused(lambda: values(kp, (ZF, L1), radii), refusal(radii, ZF, None))
     for t in (0.0, 2.0):
-        assert_refused(lambda: s.weighted_coefficient_sum(t, radii), want)
-    for r in radii:
-        assert_refused(lambda: s.weighted_coefficient_sum(1.0, r), refusal([r], ZF, None))
+        for r in radii:
+            assert_refused(lambda: lemma1_check(kp, 1.0, t, r), refusal([r], ZF, None))
 
 
 @pytest.mark.parametrize("radii", RADII, ids=ids)
@@ -161,8 +159,8 @@ def test_numpy_radii_are_refused_as_their_list_is(radii):
                            refusal(radii, quantity, f.pole))
         assert_refused(lambda: check_quantities(f, spec, quantities, array),
                        first_refusal(radii, quantities, spec.p))
-    assert_refused(lambda: TruncatedSeries([1.0, 2.0]).weighted_coefficient_sum(1.0, array),
-                   refusal(radii, ZF, None))
+    for r, value in zip(array, radii):
+        assert_refused(lambda: lemma1_check(build_kp(P), 1.0, 1.0, r), refusal([value], ZF, None))
 
 
 def test_numpy_radii_name_an_overflowing_maximum_as_a_python_float():

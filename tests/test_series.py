@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import mpmath as mp
 import numpy as np
@@ -7,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from merobounds.errors import BadParameter, BadRadius
+from merobounds.bounds import lemma1_check
+from merobounds.errors import BadParameter
 from merobounds.functions import PoleFunction, f_over_z_series, from_inverse_coefficients
-from merobounds.series import TruncatedSeries, degree
+from merobounds.integrals import BoundQuantity, dirichlet_series, l1_mean_series, values
+from merobounds.series import TruncatedSeries, _parseval, degree
 
 
 # ---- independent oracles -------------------------------------------------
@@ -19,12 +20,9 @@ def eval_oracle(coeffs, z):
     return sum(c * z**n for n, c in enumerate(coeffs))
 
 
-def wcs_oracle(coeffs, t, r, start):
-    total = 0.0
-    for n in range(start, len(coeffs)):
-        weight = 0.0 if (n == 0 and t != 0) else float(n) ** t
-        total += weight * abs(coeffs[n]) ** 2 * r ** (2 * n)
-    return total
+def parseval_oracle(coeffs, t, r, start):
+    return sum(float(n) ** t * abs(coeffs[n]) ** 2 * r ** (2 * n)
+               for n in range(start, len(coeffs)))
 
 
 bounded_complex = st.complex_numbers(max_magnitude=5.0, allow_nan=False, allow_infinity=False)
@@ -203,186 +201,110 @@ def test_array_input_is_copied_with_the_same_values():
     assert s[0] == 1.0
 
 
-# ---- weighted coefficient sum ------------------------------------------------
+# ---- weighted Parseval sums ------------------------------------------------------
 
-def test_weighted_sum_hand_values():
+def parseval(coeffs, t, r, start):
+    """``_parseval`` of a coefficient vector at one radius, as a float."""
+    return float(_parseval(np.asarray(coeffs, dtype=np.complex128), t, r, start))
+
+
+def test_parseval_hand_values():
     # z/f series of the extremal pole function at p = 0.5: 1 - 2.5 z + z^2.
-    s = TruncatedSeries([1.0, -2.5, 1.0])
-    got = s.weighted_coefficient_sum(1.0, 0.5, start_index=1)
-    assert got == pytest.approx(1.6875, rel=1e-15)
+    assert parseval([1.0, -2.5, 1.0], 1.0, 0.5, 1) == pytest.approx(1.6875, rel=1e-15)
     # degree-2 tail with coefficient 1/9 at t = 2, r = 1.
-    s2 = TruncatedSeries([1.0, -37.0 / 18.0, 1.0 / 9.0])
-    got2 = s2.weighted_coefficient_sum(2.0, 1.0, start_index=2)
-    assert got2 == pytest.approx(4.0 / 81.0, rel=1e-14)
+    assert parseval([1.0, -37.0 / 18.0, 1.0 / 9.0], 2.0, 1.0, 2) == pytest.approx(
+        4.0 / 81.0, rel=1e-14)
 
 
-def test_weighted_sum_against_loop():
+def test_parseval_against_loop():
     rng = np.random.default_rng(13)
     for _ in range(30):
         n = int(rng.integers(1, 40))
         c = rng.normal(size=n) + 1j * rng.normal(size=n)
         t = float(rng.uniform(-2, 2))
         r = float(rng.uniform(0.05, 1.0))
-        start = int(rng.integers(0, n))
-        s = TruncatedSeries(c)
-        want = wcs_oracle(c, t, r, start)
-        assert s.weighted_coefficient_sum(t, r, start) == pytest.approx(want, rel=1e-12, abs=1e-300)
-
-
-def test_weighted_sum_zero_index_conventions():
-    s = TruncatedSeries([2.0, 3.0])
-    # n = 0 contributes |c0|^2 when t = 0 and nothing otherwise.
-    assert s.weighted_coefficient_sum(0.0, 0.5) == pytest.approx(4.0 + 9.0 * 0.25)
-    assert s.weighted_coefficient_sum(1.0, 0.5) == pytest.approx(9.0 * 0.25)
-    assert s.weighted_coefficient_sum(-1.0, 0.5) == pytest.approx(9.0 * 0.25)
-
-
-@pytest.mark.parametrize("t", [float("nan"), float("inf"), float("-inf")])
-def test_weighted_sum_rejects_a_non_finite_exponent(t):
-    with pytest.raises(BadParameter):
-        TruncatedSeries([1.0, -2.5, 1.0]).weighted_coefficient_sum(t, 0.5)
-
-
-def test_weighted_sum_validation():
-    s = TruncatedSeries([1.0, 1.0])
-    with pytest.raises(BadRadius):
-        s.weighted_coefficient_sum(1.0, 0.0)
-    with pytest.raises(BadRadius):
-        s.weighted_coefficient_sum(1.0, 1.5)
-    with pytest.raises(BadParameter):
-        s.weighted_coefficient_sum(1.0, 0.5, start_index=5)
-    with pytest.raises(BadParameter):
-        s.weighted_coefficient_sum(1.0, 0.5, start_index=-1)
-
-
-@pytest.mark.parametrize("start", [1.5, 1.0, "1"])
-def test_weighted_sum_start_index_must_be_an_integer(start):
-    with pytest.raises(BadParameter, match="not an integer"):
-        TruncatedSeries([1, 2, 3]).weighted_coefficient_sum(1.0, 0.5, start_index=start)
-    assert TruncatedSeries([1, 2, 3]).weighted_coefficient_sum(
-        1.0, 0.5, start_index=np.int64(1)) == 1 * 4 * 0.25 + 2 * 9 * 0.0625
+        start = int(rng.integers(1, 3))
+        want = parseval_oracle(c, t, r, start)
+        assert parseval(c, t, r, start) == pytest.approx(want, rel=1e-12, abs=1e-300)
 
 
 @pytest.mark.parametrize("coeffs", [[2.0], [1.0, -2.0], [1.0, 0.5, 0.25]])
 @pytest.mark.parametrize("t", [-1.0, 0.0, 2.0])
-def test_weighted_sum_past_the_order_is_empty(coeffs, t):
-    s = TruncatedSeries(coeffs)
-    assert s.weighted_coefficient_sum(t, 0.5, start_index=s.order + 1) == 0.0
-    with pytest.raises(BadParameter):
-        s.weighted_coefficient_sum(t, 0.5, start_index=s.order + 2)
+def test_parseval_past_the_order_is_empty(coeffs, t):
+    assert parseval(coeffs, t, 0.5, len(coeffs)) == 0.0
+    # the Lemma 1 tail of z/f = 1 - 2z starts past its order
+    assert lemma1_check(from_inverse_coefficients([-2.0], pole=0.5), 1.0, t, 0.5).computed == 0.0
 
 
 @pytest.mark.parametrize("t", [-1.0, 0.0, 1.0, 2.0])
-def test_weighted_sum_over_an_array_of_radii_equals_each_radius(t):
+def test_parseval_over_an_array_of_radii_equals_each_radius(t):
     rng = np.random.default_rng(29)
     radii = np.array([k / 20.0 for k in range(1, 21)] + [0.013, 0.377, 0.9999])
     for size in (1, 3, 40, 513):
         c = rng.normal(size=size) + 1j * rng.normal(size=size)
-        s = TruncatedSeries(c * 1.5 ** -np.arange(size))
-        for start in sorted({0, 1, 2, size // 2, s.order, s.order + 1} - {s.order + 2}):
-            got = s.weighted_coefficient_sum(t, radii, start)
-            assert isinstance(got, np.ndarray) and got.shape == radii.shape
-            want = [s.weighted_coefficient_sum(t, r, start) for r in radii.tolist()]
-            assert all(type(w) is float for w in want)
+        c *= 1.5 ** -np.arange(size)
+        for start in sorted({1, 2, size // 2, size - 1, size} - {0}):
+            got = _parseval(c, t, radii, start)
+            assert got.shape == radii.shape
+            want = [parseval(c, t, r, start) for r in radii.tolist()]
             assert got.tolist() == want
-            # a 0-d array is a radius; a one-element list is an array of one
-            for r, w in zip(radii.tolist(), want):
-                zero_d = s.weighted_coefficient_sum(t, np.array(r), start)
-                assert type(zero_d) is float and zero_d == w
-                one = s.weighted_coefficient_sum(t, [r], start)
-                assert isinstance(one, np.ndarray) and one.tolist() == [w]
+            # a numpy float is a radius, and a stack of one vector gives its row
+            assert [parseval(c, t, np.float64(r), start) for r in radii.tolist()] == want
+            assert _parseval(c[None, None], t, radii, start).tolist() == [want]
+
+
+@pytest.mark.parametrize("size", [1, 3, 40, 513])
+def test_series_routes_over_an_array_of_radii_equal_each_radius(size):
+    rng = np.random.default_rng(size)
+    radii = [k / 20.0 for k in range(1, 21)] + [0.013, 0.377, 0.9999]
+    b = (rng.normal(size=size) + 1j * rng.normal(size=size)) * 1.5 ** -np.arange(1, size + 1)
+    f = from_inverse_coefficients(b)
+    among = values(f, (BoundQuantity.DIRICHLET_ZF, BoundQuantity.L1), radii)[0].tolist()
+    assert among == [[dirichlet_series(f.inv_series, r).value for r in radii],
+                     [l1_mean_series(f, r).value for r in radii]]
 
 
 @pytest.mark.parametrize("t", [-1.0, 0.0, 1.0, 2.0])
-def test_weighted_sum_of_one_term_is_the_same_alone_or_among_others(t):
+def test_parseval_of_one_term_is_the_same_alone_or_among_others(t):
     # numpy's ** squares where a broadcast exponent is 2 and calls pow
     # otherwise, so a single r**2 once read other bits among other radii
     radii = np.random.default_rng(3).uniform(0.05, 1.0, 500)
     for coeffs, start in [([1.0, 0.7 + 0.2j], 1), ([1.0, 0.3, 0.7 + 0.2j], 2)]:
-        s = TruncatedSeries(coeffs)
-        want = [s.weighted_coefficient_sum(t, r, start) for r in radii.tolist()]
-        assert s.weighted_coefficient_sum(t, radii, start).tolist() == want
+        c = np.array(coeffs, dtype=np.complex128)
+        want = [parseval(c, t, r, start) for r in radii.tolist()]
+        assert _parseval(c, t, radii, start).tolist() == want
 
 
 @pytest.mark.parametrize("t", [-1.0, 0.5, 1.0, 1.5, 2.0])
-def test_weighted_sum_weights_are_the_same_bits_on_every_cpu(t):
+def test_parseval_weights_are_the_same_bits_on_every_cpu(t):
     # numpy's ** may take a SIMD power whose last bit depends on the CPU;
     # the weight n**(t/2) is libm's pow, sqrt for t = 1 and n itself for t = 2
     for n in range(1, 601):
         w = math.sqrt(n) if t == 1.0 else float(n) if t == 2.0 else math.pow(n, t / 2)
-        unit = TruncatedSeries(np.eye(1, n + 1, n)[0])  # one unit coefficient, at n
-        assert unit.weighted_coefficient_sum(t, 1.0) == w * w, n
+        unit = np.eye(1, n + 1, n)[0]  # one unit coefficient, at n
+        assert parseval(unit, t, 1.0, 1) == w * w, n
 
 
-def test_weighted_sum_over_an_empty_array_of_radii():
-    got = TruncatedSeries([1.0, 2.0]).weighted_coefficient_sum(1.0, np.array([]))
-    assert got.shape == (0,)
-
-
-@pytest.mark.parametrize("bad", [0.0, -0.5, 1.01, float("nan")])
-@pytest.mark.parametrize("where", [0, 2, 4])
-def test_weighted_sum_refuses_any_bad_radius_in_an_array(bad, where):
-    radii = [0.1, 0.3, 0.5, 0.7, 1.0]
-    radii[where] = bad
-    with pytest.raises(BadRadius):
-        TruncatedSeries([1.0, 2.0, 3.0]).weighted_coefficient_sum(1.0, np.array(radii))
-    with pytest.raises(BadRadius):
-        TruncatedSeries([1.0, 2.0, 3.0]).weighted_coefficient_sum(1.0, radii)
-
-
-def test_weighted_sum_refuses_a_two_dimensional_array_of_radii():
-    with pytest.raises(BadParameter, match="one-dimensional"):
-        TruncatedSeries([1.0, 2.0, 3.0]).weighted_coefficient_sum(
-            1.0, np.array([[0.25, 0.5], [0.75, 1.0]]))
-
-
-def mp_weighted_sum(coeffs, t, r, start):
+def mp_parseval(coeffs, t, r, start):
     """``sum_{n >= start} n**t |c[n]|**2 r**(2n)`` at 50 digits over the
     exact values of the float data."""
     with mp.workdps(50):
         r = mp.mpf(float(r))
-        return mp.fsum((0 if n == 0 and t != 0 else mp.mpf(n) ** mp.mpf(t))
-                       * abs(mp.mpc(complex(coeffs[n]))) ** 2 * r ** (2 * n)
+        return mp.fsum(mp.mpf(n) ** mp.mpf(t) * abs(mp.mpc(complex(coeffs[n]))) ** 2 * r ** (2 * n)
                        for n in range(start, len(coeffs)))
 
 
-def test_weighted_sum_of_a_large_coefficient_at_a_tiny_radius_is_finite():
+def test_parseval_of_a_large_coefficient_at_a_tiny_radius_is_finite():
     # |c_2|**2 = 1e400 and r**4 = 1e-400 each leave the float range; this
     # raised BadParameter in the Dirichlet and L1 routes
-    s = TruncatedSeries([1.0, 0.0, 1e200])
-    for t, start in [(1.0, 1), (0.0, 1), (0.0, 0), (2.0, 2)]:
-        want = mp_weighted_sum(s.coefficients, t, 1e-100, start)
-        assert s.weighted_coefficient_sum(t, 1e-100, start) == pytest.approx(float(want), rel=4e-16)
-
-
-def test_weighted_sum_with_a_large_exponent_is_finite():
-    # 299**200 overflows and 0.01**598 underflows; their product read NaN
-    s = TruncatedSeries(np.ones(300))
-    want = mp_weighted_sum(s.coefficients, 200.0, 0.01, 0)
-    assert float(want) == pytest.approx(1.1953e181, rel=1e-4)
-    assert s.weighted_coefficient_sum(200.0, 0.01) == pytest.approx(float(want), rel=1e-13)
-
-
-@pytest.mark.parametrize("size,t,r", [(300, 260.0, 0.01), (5, 2000.0, 1e-145)])
-def test_weighted_sum_past_an_overflowing_weight_is_finite(size, t, r):
-    # n**(t/2) overflows from n = 235 at t = 260, times an r**n that
-    # underflows: this read NaN.  At t = 2000, 3**1000 overflows and its
-    # term, 1.7e84, is the largest; a zero coefficient under an infinite
-    # weight adds 0
-    c = np.ones(size)
-    c[-1] = 0.0
-    s = TruncatedSeries(c)
-    want = float(mp_weighted_sum(c, t, r, 0))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        got = s.weighted_coefficient_sum(t, r)
-        among = s.weighted_coefficient_sum(t, np.array([0.5 * r, r]))
-    assert got == pytest.approx(want, rel=1e-12)
-    assert among[1] == got
+    c = [1.0, 0.0, 1e200]
+    for t, start in [(1.0, 1), (0.0, 1), (2.0, 2)]:
+        want = mp_parseval(c, t, 1e-100, start)
+        assert parseval(c, t, 1e-100, start) == pytest.approx(float(want), rel=4e-16)
 
 
 @pytest.mark.parametrize("t", [-1.0, 0.0, 1.0, 2.0])
-def test_weighted_sum_against_a_50_digit_sum(t):
+def test_parseval_against_a_50_digit_sum(t):
     # scaled terms, each within a few eps, and a pairwise sum of positive
     # terms: 32 eps bounds the relative error at every order up to 300
     rng = np.random.default_rng(31)
@@ -390,25 +312,36 @@ def test_weighted_sum_against_a_50_digit_sum(t):
         size = int(rng.integers(2, 302))
         c = rng.normal(size=size) + 1j * rng.normal(size=size)
         r = float(rng.uniform(0.05, 1.0))
-        start = int(rng.integers(0, 3))
-        want = float(mp_weighted_sum(c, t, r, start))
-        got = TruncatedSeries(c).weighted_coefficient_sum(t, r, start)
+        start = int(rng.integers(1, 3))
+        want = float(mp_parseval(c, t, r, start))
+        assert parseval(c, t, r, start) == pytest.approx(want, rel=32 * np.finfo(float).eps, abs=0.0)
+
+
+@pytest.mark.parametrize("t", [-1.0, 0.0, 1.0, 2.0])
+def test_lemma_tail_against_a_50_digit_sum(t):
+    # z/f = (1 - z/p) q(z) for a random q with q(0) = 1, so f has its pole at p
+    rng = np.random.default_rng(37)
+    for _ in range(12):
+        p = float(rng.uniform(0.2, 0.9))
+        q = np.concatenate(([1.0], rng.normal(size=int(rng.integers(1, 200))) * 0.5))
+        f = from_inverse_coefficients(np.convolve([1.0, -1.0 / p], q)[1:], pole=p)
+        r = float(rng.uniform(0.05, 1.0))
+        want = float(mp_parseval(f.inv_series.coefficients, t, r, 2))
+        got = lemma1_check(f, 1.0, t, r).computed
         assert got == pytest.approx(want, rel=32 * np.finfo(float).eps, abs=0.0)
 
 
-def test_zero_series_weighted_sum():
-    s = TruncatedSeries([0.0] * 6)
-    assert s.weighted_coefficient_sum(2.0, 0.9) == 0.0
+def test_zero_series_parseval():
+    assert parseval([0.0] * 6, 2.0, 0.9, 1) == 0.0
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(bounded_complex, min_size=1, max_size=16),
        st.floats(min_value=0.05, max_value=1.0))
-def test_weighted_sum_t0_is_scaled_l2_norm(xs, r):
-    s = TruncatedSeries(xs)
+def test_parseval_t0_is_scaled_l2_norm(xs, r):
     scaled = [c * r**n for n, c in enumerate(xs)]
-    want = float(np.linalg.norm(scaled)) ** 2
-    assert s.weighted_coefficient_sum(0.0, r) == pytest.approx(want, rel=1e-11, abs=1e-13)
+    want = float(np.linalg.norm(scaled[1:])) ** 2
+    assert parseval(xs, 0.0, r, 1) == pytest.approx(want, rel=1e-11, abs=1e-13)
 
 
 @pytest.mark.parametrize("coeffs,want", [
