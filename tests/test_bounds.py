@@ -205,6 +205,15 @@ def test_lemma_tail_rejects_a_non_finite_exponent(t):
         lemma1_check(build_fp(0.5, 0.5), 0.5, t, 0.5)
 
 
+@pytest.mark.parametrize("t", [math.nextafter(2.0, math.inf), 200.0, 260.0, 2000.0])
+def test_lemma_tail_refuses_an_exponent_above_two(t):
+    # the tail sum has no route past t = 2, where the bound stops holding
+    f = build_fp(0.5, 0.5)
+    with pytest.raises(BadParameter, match="t <= 2"):
+        lemma1_check(f, 0.5, t, 0.5)
+    assert lemma1_check(f, 0.5, 2.0, 0.5).satisfied
+
+
 # ---- closed-form maxima --------------------------------------------------------------
 
 def test_zf_sigma_bound_hand_value():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from merobounds.bounds import lemma1_check
-from merobounds.errors import BadParameter
+from merobounds.errors import BadParameter, BadRadius
 from merobounds.functions import PoleFunction, f_over_z_series, from_inverse_coefficients
 from merobounds.integrals import BoundQuantity, dirichlet_series, l1_mean_series, values
 from merobounds.series import TruncatedSeries, _parseval, degree
@@ -283,6 +283,27 @@ def test_parseval_weights_are_the_same_bits_on_every_cpu(t):
         w = math.sqrt(n) if t == 1.0 else float(n) if t == 2.0 else math.pow(n, t / 2)
         unit = np.eye(1, n + 1, n)[0]  # one unit coefficient, at n
         assert parseval(unit, t, 1.0, 1) == w * w, n
+
+
+def test_z_over_f_values_over_no_radius_are_empty():
+    f = from_inverse_coefficients([-2.5, 1.0])
+    for part in values(f, (BoundQuantity.DIRICHLET_ZF, BoundQuantity.L1), np.array([])):
+        assert part.shape == (2, 0)
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.5, 1.01, float("nan")])
+@pytest.mark.parametrize("where", [0, 2, 4])
+def test_z_over_f_sums_refuse_any_bad_radius_in_an_array(bad, where):
+    radii = [0.1, 0.3, 0.5, 0.7, 1.0]
+    radii[where] = bad
+    f = from_inverse_coefficients([-2.5, 1.0], pole=0.5)  # z/f = (1 - 2z)(1 - z/2)
+    for quantity in (BoundQuantity.DIRICHLET_ZF, BoundQuantity.L1):
+        with pytest.raises(BadRadius):
+            values(f, (quantity,), np.array(radii))
+        with pytest.raises(BadRadius):
+            values(f, (quantity,), radii)
+    with pytest.raises(BadRadius):
+        lemma1_check(f, 1.0, 1.0, bad)
 
 
 def mp_parseval(coeffs, t, r, start):
