@@ -3,7 +3,7 @@
 :func:`sharp_maxima` is the one public source of a sharp bound: the largest
 Dirichlet integral of z/f, f or f/z, or L1 mean, over a class of
 :mod:`merobounds.functions` at each of a sequence of radii, by a closed
-form of ``_SHARP_MAXIMA`` run once on all the radii, checked in one pass.
+form of ``_SHARP_MAXIMA`` in Python floats, the radii checked in one pass.
 ``_judge`` judges several quantities of several functions at a sequence of
 radii at once: the (M, Q, R) values of one call of ``integrals._values``,
 by the series routes of its ``_ROUTES`` table, against an (M, Q, R) array
@@ -111,20 +111,9 @@ def lemma1_check(f: PoleFunction, lam: float, t: float, r: float) -> BoundReport
 
 # ---- the paper's sharp maxima -------------------------------------------------------
 
-def _inside_pole_terms(p, r):
-    """The terms that both inside-pole maxima share, as ``_inside_pole``
-    takes them: R = r**2, e, the lead pi P R / ((1 - R) (1 - P R))**2, e**2
-    and where either of the last two underflows."""
-    pp, rr = p * p, r * r
-    e = (p - r) * (p + r)
-    lead = math.pi * pp * rr / np.float_power((1.0 - rr) * (1.0 - pp * rr), 2)
-    gap = e * e
-    return rr, e, lead, gap, np.minimum(lead, gap) < sys.float_info.min
-
-
-def _inside_pole(terms, numerator):
+def _inside_pole(p, r, numerator):
     """Largest Dirichlet integral of f or f/z over univalent f with pole p,
-    at radius r < p, from the ``_inside_pole_terms`` of p and r.
+    at radius r < p.
 
     With P = p**2, R = r**2 and e = (p - r)(p + r), both maxima are
     pi P R N / (e (1 - R) (1 - P R))**2, N the ``numerator`` of (R, e).
@@ -135,82 +124,79 @@ def _inside_pole(terms, numerator):
     once pi P R / ((1 - R) (1 - P R))**2 or e**2 falls below the normal
     float range, where their digits are lost and the value could round to
     0.  e keeps the digits that P - R would cancel as r nears p."""
-    rr, e, lead, gap, lost = terms
-    return np.where(lost, math.nan, lead * (numerator(rr, e) / gap))
+    pp, rr = p * p, r * r
+    e = (p - r) * (p + r)
+    lead = math.pi * pp * rr / ((1.0 - rr) * (1.0 - pp * rr)) ** 2
+    gap = e * e
+    if lead < sys.float_info.min or gap < sys.float_info.min:
+        return math.nan
+    return lead * (numerator(rr, e) / gap)
 
 
 def _numerator_f(rr, e):
     """R (1 - R**2)**2 + e (1 + 2R - 2R**2 - 2R**3 + R**4) - 2 R**2 e**2."""
-    return (rr * np.float_power(1.0 - rr * rr, 2)
+    return (rr * (1.0 - rr * rr) ** 2
             + e * (1.0 + rr * (2.0 + rr * (-2.0 + rr * (-2.0 + rr))))
             - 2.0 * rr * rr * e * e)
 
 
 def _numerator_f_over_z(rr, e):
     """(1 - R**2)**2 + 2e (1 - R**2) + e**2 (1 - 2R - R**2)."""
-    return (np.float_power(1.0 - rr * rr, 2) + 2.0 * e * (1.0 - rr * rr)
-            + e * e * (1.0 - 2.0 * rr - rr * rr))
+    return (1.0 - rr * rr) ** 2 + 2.0 * e * (1.0 - rr * rr) + e * e * (1.0 - 2.0 * rr - rr * rr)
 
 
 #: Sharp maximum of each (class, quantity) pair the paper gives, as a closed
-#: form of (M, 1) columns of class constants p and m = lam * mu(p), an array
-#: of R radii and ``inside``, their ``_inside_pole_terms`` over SIGMA_P,
-#: giving an (M, R) array, or (R,) where it reads neither p nor m.
-#: Each class's form is written out on its own, so the p -> 1 limit and
-#: class-nesting checks of ``verify`` compare independent expressions.  Each
-#: ``**`` is ``np.float_power``, libm's pow as Python's is: the bits are those
-#: of the form in Python floats.
+#: form of three Python floats: the class constants p and m = lam * mu(p)
+#: and a radius r.  Each class's form is written out on its own, so the
+#: p -> 1 limit and class-nesting checks of ``verify`` compare independent
+#: expressions.  A form whose ``**`` overflows or that divides by zero
+#: raises ArithmeticError, which ``_maximum`` reads as inf.
 _SHARP_MAXIMA = {
     (ClassKind.SIGMA_P, BoundQuantity.DIRICHLET_ZF):  # pi r**2 ((1/p + p)**2 + 2 r**2)
-        lambda p, m, r, inside: (math.pi * r * r
-                                 * (np.float_power(1.0 / p + p, 2) + 2.0 * r * r)),
+        lambda p, m, r: math.pi * r * r * ((1.0 / p + p) ** 2 + 2.0 * r * r),
     (ClassKind.U_P_LAMBDA, BoundQuantity.DIRICHLET_ZF):  # pi r**2 ((1/p + m p)**2 + 2 m**2 r**2)
-        lambda p, m, r, inside: (math.pi * r * r
-                                 * (np.float_power(1.0 / p + m * p, 2) + 2.0 * m * m * r * r)),
+        lambda p, m, r: math.pi * r * r * ((1.0 / p + m * p) ** 2 + 2.0 * m * m * r * r),
     (ClassKind.S, BoundQuantity.DIRICHLET_ZF):  # 2 pi r**2 (r**2 + 2)
-        lambda p, m, r, inside: 2.0 * math.pi * r * r * (r * r + 2.0),
+        lambda p, m, r: 2.0 * math.pi * r * r * (r * r + 2.0),
     (ClassKind.SIGMA_P, BoundQuantity.DIRICHLET_F):
-        lambda p, m, r, inside: _inside_pole(inside, _numerator_f),
+        lambda p, m, r: _inside_pole(p, r, _numerator_f),
     (ClassKind.S, BoundQuantity.DIRICHLET_F):  # pi r**2 (r**4 + 4 r**2 + 1) / (1 - r**2)**4
-        lambda p, m, r, inside: (math.pi * r * r * (np.float_power(r, 4) + 4.0 * r * r + 1.0)
-                                 / np.float_power(1.0 - r * r, 4)),
+        lambda p, m, r: math.pi * r * r * (r**4 + 4.0 * r * r + 1.0) / (1.0 - r * r) ** 4,
     (ClassKind.SIGMA_P, BoundQuantity.DIRICHLET_F_OVER_Z):
-        lambda p, m, r, inside: _inside_pole(inside, _numerator_f_over_z),
+        lambda p, m, r: _inside_pole(p, r, _numerator_f_over_z),
     (ClassKind.S, BoundQuantity.DIRICHLET_F_OVER_Z):  # 2 pi r**2 (r**2 + 2) / (1 - r**2)**4
-        lambda p, m, r, inside: (2.0 * math.pi * r * r * (r * r + 2.0)
-                                 / np.float_power(1.0 - r * r, 4)),
+        lambda p, m, r: 2.0 * math.pi * r * r * (r * r + 2.0) / (1.0 - r * r) ** 4,
     (ClassKind.SIGMA_P, BoundQuantity.L1):  # 1 + (1/p + p)**2 r**2 + r**4
-        lambda p, m, r, inside: (1.0 + np.float_power(1.0 / p + p, 2) * r * r
-                                 + np.float_power(r, 4)),
+        lambda p, m, r: 1.0 + (1.0 / p + p) ** 2 * r * r + r**4,
     (ClassKind.U_P_LAMBDA, BoundQuantity.L1):  # 1 + (1/p + m p)**2 r**2 + m**2 r**4
-        lambda p, m, r, inside: (1.0 + np.float_power(1.0 / p + m * p, 2) * r * r
-                                 + m * m * np.float_power(r, 4)),
+        lambda p, m, r: 1.0 + (1.0 / p + m * p) ** 2 * r * r + m * m * r**4,
     (ClassKind.S, BoundQuantity.L1):
-        lambda p, m, r, inside: 1.0 + 4.0 * r * r + np.float_power(r, 4),
+        lambda p, m, r: 1.0 + 4.0 * r * r + r**4,
 }
+
+
+def _maximum(form, p, m, r):
+    """``form(p, m, r)``, or inf where a Python float ``**`` overflows or a
+    division by zero raises."""
+    try:
+        return form(p, m, r)
+    except ArithmeticError:
+        return math.inf
 
 
 def _forms(specs, quantities, radii: np.ndarray) -> np.ndarray:
     """(M, Q, R) array of the sharp maximum of each quantity over each class
     at each of the one-dimensional ``radii``, unvalidated, not finite where
-    the paper gives none or the form leaves the float range.  Each form runs
-    once per class kind, on all its classes and radii, and the f and f/z
-    maxima over SIGMA_P share one set of ``_inside_pole_terms``."""
+    the paper gives none or the form leaves the float range.  m = lam * mu(p)
+    is formed once per class, and each form runs once per radius."""
     out = np.full((len(specs), len(quantities), radii.size), math.nan)
-    kinds = [spec.kind for spec in specs]
-    with np.errstate(all="ignore"):
-        for kind in dict.fromkeys(kinds):
-            rows = [i for i, k in enumerate(kinds) if k is kind]
-            classes = [specs[i] for i in rows]
-            p = np.array([[c.p] for c in classes], dtype=np.float64)  # NaN over S
-            m = np.array([[c.lam * mu(c.p) if c.lam else math.nan] for c in classes])
-            inside = (_inside_pole_terms(p, radii)
-                      if kind is ClassKind.SIGMA_P and INSIDE_POLE.intersection(quantities)
-                      else None)
-            for j, quantity in enumerate(quantities):
-                form = _SHARP_MAXIMA.get((kind, quantity))
-                if form is not None:
-                    out[rows, j] = form(p, m, radii, inside)
+    rs = radii.tolist()
+    for i, spec in enumerate(specs):
+        m = spec.lam * mu(spec.p) if spec.lam else math.nan
+        for j, quantity in enumerate(quantities):
+            form = _SHARP_MAXIMA.get((spec.kind, quantity))
+            if form is not None:
+                out[i, j] = [_maximum(form, spec.p, m, r) for r in rs]
     return out
 
 
@@ -219,9 +205,9 @@ def sharp_maxima(class_spec: ClassSpec, quantity: BoundQuantity, radii) -> list[
     sequence of radii, in their order.
 
     r lies in (0, 1], or below p for ``integrals.INSIDE_POLE`` (below 1
-    over S).  The closed form runs once on all the radii, and the radii up
-    to the first maximum that is not finite are then checked in one pass,
-    so the first radius that fails either way decides the error.
+    over S).  The closed form runs at every radius, and the radii up to
+    the first maximum that is not finite are then checked in one pass, so
+    the first radius that fails either way decides the error.
 
     Raises BadParameter where the paper gives none (Dirichlet integrals of
     f and f/z over U_P_LAMBDA), and where the closed form leaves the float

@@ -255,12 +255,12 @@ def injectivity_oracle(f: PoleFunction, grid: DiskGrid | None = None) -> Criteri
     ``value`` is exactly ``min |f(z1) - f(z2)| / |z1 - z2|`` over distinct
     grid pairs, and the witness pair is the minimising pair of grid indices
     (i, j), i < j, that comes first in lexicographic order.  The oracle
-    holds when that floor stays above ``COLLISION_TOL``.
-    The tolerance is calibrated on the default grid for poles in
-    roughly [0.1, 0.95]: univalent extremal functions floor near 4e-4
-    there while a function with an actual collision drops below 5e-5.
-    Poles close to 0 push genuine floors under it, so refine the
-    grid before trusting a failure in that regime.
+    holds when that floor stays above ``COLLISION_TOL``: no collision
+    shows at the grid's resolution, which proves nothing.  Near a small
+    pole, where the images are small, the absolute tolerance errs both
+    ways: genuine floors fall under it, and a function with a collision
+    f(z1) = f(z2) inside the grid can floor above it
+    (``tests/data/scan_false_pass.csv``: pole 0.0836, floor 2.28e-4).
 
     The floor is found by branch and bound rather than a full pair scan.
     The grid is tiled into ``_BLOCK`` x ``_BLOCK`` blocks, and the pairs

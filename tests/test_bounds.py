@@ -755,7 +755,7 @@ def test_stacked_maxima_keep_the_bits_of_their_per_radius_forms_at_the_edges():
             for k, r in enumerate(radii.tolist()):
                 try:
                     want = math.nan if form is None else form(spec, r)
-                except ArithmeticError:  # the scalar form's ** raises where float_power gives inf
+                except ArithmeticError:  # the form raises where _forms reads inf
                     want = math.nan
                 if math.isfinite(want):
                     assert _bits(got[i, j, k]) == _bits(want), (spec, quantity, r)

@@ -4,6 +4,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import mpmath as mp
 import pytest
 
 from merobounds import cli
@@ -485,6 +486,40 @@ def test_check_certifies_extremals_at_small_poles(p, tmp_path, capsys, monkeypat
     assert "row 1 PASS injectivity: implied by Aksentiev, sup |U_f/z^2| 1 <= 1" in out
     assert (f"row 2 PASS injectivity: implied by Aksentiev, sup |U_f/z^2| "
             f"{_fmt(0.7 * mu(p))} <= 1") in out
+
+
+#: a perturbed member (1 - z/p) h(z) of order 37 with pole p = 0.0836...,
+#: row k = 342 of the default_rng(7) stream of perturbed members that
+#: benchmarks/workloads.py draws, written by its csv_row: it is not univalent
+#: on |z| <= 0.97, yet its grid-scan floor sits just above COLLISION_TOL
+SCAN_FALSE_PASS = Path(__file__).parent / "data" / "scan_false_pass.csv"
+SCAN_FALSE_PASS_POLE = "0.08363477025623639"
+
+
+def test_scan_false_pass_row_has_a_collision_inside_the_grid():
+    fields = SCAN_FALSE_PASS.read_text().strip().split(",")
+    assert fields[0] == SCAN_FALSE_PASS_POLE and fields[1] == "37"
+    values = [float(x) for x in fields[2:]]
+    with mp.workdps(40):
+        b = [mp.mpf(1)] + [mp.mpc(re, im) for re, im in zip(values[::2], values[1::2])]
+
+        def f(z):
+            return z / mp.polyval(b[::-1], z)
+
+        z1 = mp.mpf("0.97")
+        z2 = mp.findroot(lambda z: f(z) - f(z1),
+                         mp.mpc(0.93853520003093812, -0.21757664868833617))
+        assert abs(z2) < 0.97 and abs(z1 - z2) > 0.2
+        assert abs(f(z1) - f(z2)) < mp.mpf("1e-35")
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "the grid scan reads PASS: its quotient floor 2.28e-4 lies above the absolute "
+    "COLLISION_TOL = 1e-4, though f(z1) = f(z2) at |z1| = 0.97, |z2| = 0.9634"))
+def test_check_fails_the_scan_false_pass_row(capsys):
+    code, _, _ = run_cli(capsys, "check", "--in", str(SCAN_FALSE_PASS),
+                         "--class", "sigma_p", "--p", SCAN_FALSE_PASS_POLE)
+    assert code == 1
 
 
 def test_check_s_class_skips_pole_criteria(tmp_path, capsys):
