@@ -6,8 +6,8 @@ Dirichlet integral of z/f, f or f/z, or L1 mean, over a class of
 form of ``_SHARP_MAXIMA`` in Python floats, the radii checked in one pass.
 ``_judge`` judges several quantities of several functions at a sequence of
 radii at once: the (M, Q, R) values of one call of ``integrals._values``,
-by the series routes of its ``_ROUTES`` table, against an (M, Q, R) array
-of sharp maxima.  :func:`check_quantities` is its one-function case.
+by the series routes of its ``_ROUTES`` table, against the maxima of
+:func:`sharp_maxima`.  :func:`check_quantities` is its one-function case.
 
 Each check produces a BoundReport, an immutable named tuple whose slack is
 ``bound - computed``; ``_verdict`` is the one rule for slack, satisfied and
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import sys
-from itertools import product, repeat
+from itertools import repeat
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -76,6 +76,7 @@ def jenkins_bound(n: int, p: float) -> float:
     (1 + p**2 + ... + p**(2n-2)) / p**(n-1) in closed form."""
     check_count(n, 2, "coefficient bounds start at n = 2")
     check_pole(p)
+    n, p = int(n), float(p)
     denominator = (1.0 - p * p) * p ** (n - 1)
     bound = (1.0 - p ** (2 * n)) / denominator if denominator > 0.0 else math.inf
     if bound == math.inf:
@@ -104,6 +105,7 @@ def lemma1_check(f: PoleFunction, lam: float, t: float, r: float) -> BoundReport
         raise NoPole("the weighted tail bound needs the pole to set its scale")
     if t == -math.inf:
         raise BadParameter(f"exponent t {t!r} is not finite")
+    t, lam, r = float(t), float(lam), float(r)
     computed = float(_parseval(f.inv_series.coefficients, t, r, 2))
     bound = 2.0**t * (lam * mu(f.pole)) ** 2 * r**4
     return build_report("LEMMA_TAIL", computed, bound, r=r)
@@ -184,22 +186,6 @@ def _maximum(form, p, m, r):
         return math.inf
 
 
-def _forms(specs, quantities, radii: np.ndarray) -> np.ndarray:
-    """(M, Q, R) array of the sharp maximum of each quantity over each class
-    at each of the one-dimensional ``radii``, unvalidated, not finite where
-    the paper gives none or the form leaves the float range.  m = lam * mu(p)
-    is formed once per class, and each form runs once per radius."""
-    out = np.full((len(specs), len(quantities), radii.size), math.nan)
-    rs = radii.tolist()
-    for i, spec in enumerate(specs):
-        m = spec.lam * mu(spec.p) if spec.lam else math.nan
-        for j, quantity in enumerate(quantities):
-            form = _SHARP_MAXIMA.get((spec.kind, quantity))
-            if form is not None:
-                out[i, j] = [_maximum(form, spec.p, m, r) for r in rs]
-    return out
-
-
 def sharp_maxima(class_spec: ClassSpec, quantity: BoundQuantity, radii) -> list[float]:
     """The paper's sharp maximum of a quantity over a class at each of a
     sequence of radii, in their order.
@@ -214,19 +200,22 @@ def sharp_maxima(class_spec: ClassSpec, quantity: BoundQuantity, radii) -> list[
     range; BadRadius or RadiusBeyondPole for r outside its domain.
     """
     quantity = BoundQuantity(quantity)
-    if (class_spec.kind, quantity) not in _SHARP_MAXIMA:
+    form = _SHARP_MAXIMA.get((class_spec.kind, quantity))
+    if form is None:
         raise BadParameter(
             f"no sharp bound for {quantity.value} over class {class_spec.kind.value}")
+    m = class_spec.lam * mu(class_spec.p) if class_spec.lam else math.nan
     radii = np.asarray(radii, dtype=np.float64)  # check_radii refuses any but one dimension
-    maxima = _forms([class_spec], [quantity], radii)[0, 0] if radii.ndim == 1 else np.zeros(0)
-    over = np.flatnonzero(~np.isfinite(maxima))[:1]
-    check_radii(radii[: over[0] + 1] if over.size else radii, quantity in INSIDE_POLE,
-                class_spec.p)
-    if over.size:
-        raise BadParameter(
-            f"sharp maximum of {quantity.value} over class {class_spec.kind.value} at "
-            f"p = {class_spec.p!r}, r = {float(radii[over[0]])!r} exceeds the float range")
-    return maxima.tolist()
+    rs = radii.tolist() if radii.ndim == 1 else []
+    maxima = [_maximum(form, class_spec.p, m, r) for r in rs]
+    for k, maximum in enumerate(maxima):
+        if not math.isfinite(maximum):
+            check_radii(radii[: k + 1], quantity in INSIDE_POLE, class_spec.p)
+            raise BadParameter(
+                f"sharp maximum of {quantity.value} over class {class_spec.kind.value} at "
+                f"p = {class_spec.p!r}, r = {rs[k]!r} exceeds the float range")
+    check_radii(radii, quantity in INSIDE_POLE, class_spec.p)
+    return maxima
 
 
 # ---- dispatching check ---------------------------------------------------------------
@@ -237,22 +226,17 @@ def _judge(fs, specs, quantities, radii):
     class ``specs[i]``, as (M, Q, R) arrays of computed, bound, slack,
     satisfied and sharp.  The z/f vectors share one length, so each
     function gets the bits it gets alone.  Every class is matched, and every
-    maximum formed by one ``_forms`` call and checked with the radii in one
-    pass, before one ``integrals._values`` call runs each route once; the
-    first step that fails raises."""
+    maximum taken from :func:`sharp_maxima`, class by class and quantity by
+    quantity, before one ``integrals._values`` call runs each route once;
+    the first step that fails raises."""
     quantities = [BoundQuantity(quantity) for quantity in quantities]
     for f, spec in zip(fs, specs):
         spec.match(f)
     radii = np.asarray(radii, dtype=np.float64)
     computed = bounds = np.zeros((len(fs), len(quantities), radii.size))
     if quantities and radii.size:
-        bounds = _forms(specs, quantities, radii) if radii.ndim == 1 else None
-        top = min(1.0 if spec.p is None else spec.p for spec in specs)
-        if bounds is None or not (np.isfinite(bounds).all() and radii.min() > 0.0 and (
-                radii.max() < top if INSIDE_POLE.intersection(quantities)
-                else radii.max() <= 1.0)):
-            for spec, quantity in product(specs, quantities):  # raises the first error
-                sharp_maxima(spec, quantity, radii)
+        bounds = np.array([[sharp_maxima(spec, quantity, radii) for quantity in quantities]
+                           for spec in specs])
         computed = _values(fs, quantities, radii)[0]
     return (computed, bounds, *_verdict(computed, bounds))
 

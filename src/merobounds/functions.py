@@ -70,12 +70,14 @@ class ClassSpec:
             if self.p is None:
                 raise BadParameter(f"class {kind.value} needs a pole location")
             check_pole(self.p)
+            object.__setattr__(self, "p", float(self.p))
         elif self.p is not None:
             raise BadParameter("class S admits no pole parameter")
         if kind is ClassKind.U_P_LAMBDA:
             if self.lam is None:
                 raise BadParameter("class U_P_LAMBDA needs lambda")
             check_lambda(self.lam)
+            object.__setattr__(self, "lam", float(self.lam))
         elif self.lam is not None:
             raise BadParameter(f"class {kind.value} admits no lambda parameter")
 
@@ -106,6 +108,7 @@ class PoleFunction:
             raise BadParameter("z/f series must start with constant term 1")
         if self.pole is not None:
             check_pole(self.pole)
+            object.__setattr__(self, "pole", float(self.pole))
             residual = abs(self.inv_series.evaluate(self.pole))
             if not residual <= POLE_RESIDUAL_TOL:  # NaN, where z/f overflows, fails too
                 raise PoleMismatch(

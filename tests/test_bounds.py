@@ -25,7 +25,6 @@ from merobounds.cli import _fmt
 from merobounds.integrals import dirichlet_series, l1_mean_series, values
 from merobounds.bounds import (
     _SHARP_MAXIMA,
-    _forms,
     _judge,
     SATISFACTION_TOL,
     SHARPNESS_RTOL,
@@ -164,6 +163,23 @@ def test_gronwall_sum_lies_within_rounding_of_the_exact_sum():
         with mp.workdps(50):
             exact = mp.fsum((n - 1) * abs(mp.mpc(c)) ** 2 for n, c in enumerate(b.tolist(), 1))
             assert abs(got - exact) <= 4 * order * eps * exact
+
+
+def test_coefficient_reports_hold_plain_floats_and_bools():
+    # numpy inputs leave no numpy scalar in a report: cli._fmt prints a numpy
+    # bool as 0, where a bool prints false
+    f = build_kp(0.5)
+    want = lemma1_check(f, 0.5, 2.0, 0.5)
+    for lam, t, r in ((np.float64(0.5), 2.0, np.float64(0.5)),
+                      (np.float64(0.5), np.float64(2.0), np.float64(0.5))):
+        rep = lemma1_check(f, lam, t, r)
+        assert [x.hex() for x in rep[1:4] + (rep.r,)] == [x.hex() for x in want[1:4] + (want.r,)]
+        assert all(type(x) is float for x in (rep.computed, rep.bound, rep.slack, rep.r))
+        assert type(rep.satisfied) is bool and type(rep.sharp) is bool
+        assert (_fmt(rep.satisfied), _fmt(rep.sharp)) == ("false", "false")
+    for n, p in ((np.int64(3), 0.5), (3, np.float64(0.5)), (np.int64(3), np.float64(0.5))):
+        assert type(jenkins_bound(n, p)) is float
+        assert jenkins_bound(n, p).hex() == jenkins_bound(3, 0.5).hex()
 
 
 # ---- weighted tail inequality ------------------------------------------------------
@@ -717,11 +733,13 @@ def test_sharp_maxima_keep_the_bits_of_their_per_radius_forms(key):
         assert [x.hex() for x in got] == [x.hex() for x in want], (spec, quantity)
 
 
-@pytest.mark.parametrize("spec", [sigma(1e-155), residual(1e-155, 0.5)],
-                         ids=["SIGMA_P", "U_P_LAMBDA"])
+@pytest.mark.parametrize("spec", [sigma(1e-155), residual(1e-155, 0.5), sigma(np.float64(1e-155)),
+                                  residual(np.float64(1e-155), np.float64(0.5))],
+                         ids=["SIGMA_P", "U_P_LAMBDA", "SIGMA_P-numpy", "U_P_LAMBDA-numpy"])
 @pytest.mark.parametrize("quantity", [ZF, L1], ids=lambda q: q.value)
 def test_sharp_maxima_check_each_radius_before_an_overflowing_class_constant(spec, quantity):
-    # (1/p + p)**2 and (1/p + lam*mu*p)**2 overflow at p = 1e-155
+    # (1/p + p)**2 and (1/p + lam*mu*p)**2 overflow at p = 1e-155, a numpy
+    # pole too: its class stores it as a Python float, whose ** raises
     for bad in (0.0, 1.5, math.nan):
         with pytest.raises(BadRadius):
             sharp_maxima(spec, quantity, [bad, 0.5])
@@ -735,10 +753,10 @@ def _bits(x):
     return np.asarray(x, dtype=np.float64).view(np.uint64)
 
 
-def test_stacked_maxima_keep_the_bits_of_their_per_radius_forms_at_the_edges():
-    # every form over a stack of classes of every kind at once, at about 1000
-    # (p, lambda, r): radii just below p, p = 1 - 1e-12 and p near 1e-155,
-    # where (1/p + p)**2 leaves the float range and every maximum with it
+def test_maxima_keep_the_bits_of_their_per_radius_forms_at_the_edges():
+    # every (class, quantity, r) through sharp_maxima at 4,800 points:
+    # radii just below p, p = 1 - 1e-12 and p near 1e-155, where
+    # (1/p + p)**2 leaves the float range and every maximum with it
     poles = (1e-155, 3e-155, 1e-150, 1e-8, 0.05, 0.37, 0.93, 1.0 - 1e-12)
     specs = [S, *(sigma(p) for p in poles),
              *(residual(p, lam) for p in poles for lam in (0.3, 1.0))]
@@ -746,22 +764,34 @@ def test_stacked_maxima_keep_the_bits_of_their_per_radius_forms_at_the_edges():
     tops = np.array([1.0, *poles])
     radii = np.concatenate((rng.uniform(0.0, 1.0, 20), 10.0 ** rng.uniform(-160.0, 0.0, 10),
                             np.nextafter(tops, 0.0), tops * (1.0 - 1e-9)))
-    got = _forms(specs, list(BoundQuantity), radii)
-    assert got.shape == (len(specs), len(BoundQuantity), len(radii))
+    assert len(specs) == 25 and len(radii) == 48
     compared = 0
-    for i, spec in enumerate(specs):
-        for j, quantity in enumerate(BoundQuantity):
+    for spec in specs:
+        for quantity in BoundQuantity:
             form = PER_RADIUS_MAXIMA.get((spec.kind, quantity))
-            for k, r in enumerate(radii.tolist()):
+            top = spec.p if quantity in F_ROUTES and spec.p is not None else 1.0
+            for r in radii.tolist():
+                if form is None:
+                    with pytest.raises(BadParameter, match="no sharp bound"):
+                        sharp_maxima(spec, quantity, [r])
+                    continue
+                if not (0.0 < r < top if quantity in F_ROUTES else 0.0 < r <= 1.0):
+                    with pytest.raises((BadRadius, RadiusBeyondPole)):
+                        sharp_maxima(spec, quantity, [r])
+                    continue
                 try:
-                    want = math.nan if form is None else form(spec, r)
-                except ArithmeticError:  # the form raises where _forms reads inf
+                    want = form(spec, r)
+                except ArithmeticError:  # the form raises where sharp_maxima refuses
                     want = math.nan
                 if math.isfinite(want):
-                    assert _bits(got[i, j, k]) == _bits(want), (spec, quantity, r)
+                    assert _bits(sharp_maxima(spec, quantity, [r])) == _bits([want]), (
+                        spec, quantity, r)
                     compared += 1
                 else:
-                    assert not np.isfinite(got[i, j, k]), (spec, quantity, r)
+                    with pytest.raises(BadParameter, match="exceeds the float range") as info:
+                        sharp_maxima(spec, quantity, [r])
+                    assert not isinstance(info.value, BadRadius)
+                    assert f"r = {r!r} " in str(info.value), (spec, quantity, r)
     assert compared > 1000
 
 

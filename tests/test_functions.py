@@ -275,6 +275,19 @@ def test_csv_roundtrip_with_pole():
     assert to_csv_row(g) == row
 
 
+def test_csv_roundtrip_with_a_numpy_pole():
+    # a numpy pole and class parameters are stored as Python floats, so the
+    # row of a function built from one reads back as the row of a float pole
+    f = build_kp(np.float64(0.5))
+    assert type(f.pole) is float
+    row = to_csv_row(f)
+    assert row == to_csv_row(build_kp(0.5))
+    assert to_csv_row(from_csv_row(row)) == row
+    spec = ClassSpec(ClassKind.U_P_LAMBDA, p=np.float64(0.5), lam=np.float64(0.25))
+    assert type(spec.p) is float and type(spec.lam) is float
+    assert spec == ClassSpec(ClassKind.U_P_LAMBDA, p=0.5, lam=0.25)
+
+
 def test_csv_roundtrip_without_pole():
     f = build_koebe_rotation(math.pi / 3)
     row = to_csv_row(f)
