@@ -70,8 +70,6 @@ def _fmt(x) -> str:
     or reaches 1e12."""
     if x is None:
         return ""
-    if isinstance(x, bool):
-        return _BOOL_TEXT[x]
     return "%.12g" % x
 
 
@@ -332,7 +330,7 @@ def _cmd_check(args) -> int:
     try:
         with open(args.infile, newline="") as fh:
             raw = [row for row in csv.reader(fh) if row]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         print(f"error: cannot read {args.infile}: {exc}", file=sys.stderr)
         return 2
     if not raw:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -85,16 +84,6 @@ class CriterionVerdict:
     pairs: int = 0
 
 
-@lru_cache(maxsize=8)
-def _samples(q: bytes, m: int) -> np.ndarray:
-    """|Q| at the ``m`` roots of unity ``exp(2 pi i k / m)``, read-only, from
-    the bytes of q as complex128.  Kept for the last few calls, so the
-    checks that bound one polynomial take its FFT once."""
-    samples = np.abs(_circle_values(np.frombuffer(q, dtype=np.complex128), 1.0, m))
-    samples.flags.writeable = False
-    return samples
-
-
 def _circle_sup(q, threshold: float = math.inf) -> tuple[float, complex | None]:
     """Upper bound of max |Q| on |z| = 1 for ``Q(z) = sum q[n] z**n``, and
     the sample where |Q| peaks; (0.0, None) for Q = 0, exact for a constant.
@@ -108,15 +97,19 @@ def _circle_sup(q, threshold: float = math.inf) -> tuple[float, complex | None]:
     A bound above ``threshold`` with no sample above it says nothing about
     which side max |Q| lies on.  Then M doubles until a sample exceeds the
     threshold or the bound clears it, or M reaches ``_MAX_SAMPLES``, where
-    the bound above the threshold stands.
+    the bound above the threshold stands.  Each M takes one FFT of q.  A
+    coefficient beyond the float range gives NaN samples, read as inf, so
+    the first FFT settles the bound at inf.
     """
     d = degree(q)
     if d < 0:
         return 0.0, None
     m = _exact_count(_OVERSAMPLING * d)
-    q = q[:d + 1].astype(np.complex128).tobytes()
+    q = q[:d + 1].astype(np.complex128)
     while True:
-        samples = _samples(q, m)
+        with np.errstate(all="ignore"):
+            samples = np.abs(_circle_values(q, 1.0, m))
+        samples[np.isnan(samples)] = np.inf
         k = int(np.argmax(samples))
         bound = samples[k] / np.sqrt(1.0 - 0.5 * (np.pi * d / m) ** 2)
         if bound <= threshold or samples[k] > threshold or m >= _MAX_SAMPLES:
@@ -128,7 +121,8 @@ def _u_over_z2(f: PoleFunction) -> np.ndarray:
     """Coefficients of the polynomial ``U_f(z) / z**2 = sum_{n>=2} (1 - n) b_n
     z**(n-2)``, z/f = ``sum b_n z**n``."""
     b = f.inv_series.coefficients
-    return (1 - np.arange(2, b.size)) * b[2:]
+    with np.errstate(over="ignore"):  # an overflow reads inf, as does the bound
+        return (1 - np.arange(2, b.size)) * b[2:]
 
 
 def up_lambda_membership(f: PoleFunction, lam: float) -> CriterionVerdict:
@@ -152,7 +146,7 @@ def aksentiev_criterion(f: PoleFunction) -> CriterionVerdict:
     the disk with f(0) = 0 = f'(0) - 1, is univalent if |U_f| < 1 there.
 
     ``value`` is the :func:`_circle_sup` bound of the polynomial U_f/z**2,
-    whose FFT :func:`up_lambda_membership` shares, and the check holds iff
+    which :func:`up_lambda_membership` bounds too, and the check holds iff
     ``value <= 1``.  By the maximum principle |U_f(z)| <= value |z|**2 < 1
     for |z| < 1.  The comparison is exact, since ``SUP_TOL`` would let a
     value above 1 pass, and rounding cannot pass one either.  Sample
@@ -183,7 +177,8 @@ def univalence_criterion(f: PoleFunction) -> CriterionVerdict:
     b = f.inv_series.coefficients
     n = np.arange(2, b.size)
     bound = mu(f.pole)
-    value, witness = _circle_sup(n * (n - 1) * b[2:], bound + SUP_TOL)
+    with np.errstate(over="ignore"):  # an overflow reads inf, as does the bound
+        value, witness = _circle_sup(n * (n - 1) * b[2:], bound + SUP_TOL)
     return CriterionVerdict(holds=bool(value <= bound + SUP_TOL), value=value,
                             threshold=bound, witness=witness)
 

@@ -91,10 +91,8 @@ class TruncatedSeries:
         Horner starts at the degree: trailing zero coefficients would only
         hold the accumulator at zero, so a zero-padded vector costs what its
         degree costs.  A single point is stepped in Python complex
-        arithmetic, faster than numpy and free of its SIMD kernels.  Arrays
-        of two or more points are stepped in place; a one-element array
-        keeps the out-of-place step, as numpy can round a one-element
-        product differently in place.
+        arithmetic, faster than numpy and free of its SIMD kernels; an array
+        of any size takes the out-of-place step ``acc * pts + c``.
         """
         d = max(degree(self._coeffs), 0)
         if np.ndim(z) == 0:
@@ -105,13 +103,8 @@ class TruncatedSeries:
             return acc
         pts = np.asarray(z, dtype=np.complex128)
         acc = np.full(pts.shape, self._coeffs[d])
-        if pts.size == 1:
-            for c in self._coeffs[:d][::-1]:
-                acc = acc * pts + c
-        else:
-            for c in self._coeffs[:d][::-1]:
-                acc *= pts
-                acc += c
+        for c in self._coeffs[:d][::-1]:
+            acc = acc * pts + c
         return acc
 
 

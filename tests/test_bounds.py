@@ -21,7 +21,6 @@ from merobounds.functions import (
     from_inverse_coefficients,
     mu,
 )
-from merobounds.cli import _fmt
 from merobounds.integrals import dirichlet_series, l1_mean_series, values
 from merobounds.bounds import (
     _SHARP_MAXIMA,
@@ -166,8 +165,7 @@ def test_gronwall_sum_lies_within_rounding_of_the_exact_sum():
 
 
 def test_coefficient_reports_hold_plain_floats_and_bools():
-    # numpy inputs leave no numpy scalar in a report: cli._fmt prints a numpy
-    # bool as 0, where a bool prints false
+    # numpy inputs leave no numpy scalar in a report
     f = build_kp(0.5)
     want = lemma1_check(f, 0.5, 2.0, 0.5)
     for lam, t, r in ((np.float64(0.5), 2.0, np.float64(0.5)),
@@ -176,7 +174,7 @@ def test_coefficient_reports_hold_plain_floats_and_bools():
         assert [x.hex() for x in rep[1:4] + (rep.r,)] == [x.hex() for x in want[1:4] + (want.r,)]
         assert all(type(x) is float for x in (rep.computed, rep.bound, rep.slack, rep.r))
         assert type(rep.satisfied) is bool and type(rep.sharp) is bool
-        assert (_fmt(rep.satisfied), _fmt(rep.sharp)) == ("false", "false")
+        assert (rep.satisfied, rep.sharp) == (False, False)
     for n, p in ((np.int64(3), 0.5), (3, np.float64(0.5)), (np.int64(3), np.float64(0.5))):
         assert type(jenkins_bound(n, p)) is float
         assert jenkins_bound(n, p).hex() == jenkins_bound(3, 0.5).hex()
@@ -521,7 +519,6 @@ def test_check_bound_reports_sharp_for_every_dispatch_pair():
 
 
 def test_check_quantities_reports_hold_plain_floats_and_bools():
-    # cli._fmt prints a numpy bool as 1, where a bool prints true
     for kind, (spec, f) in EXTREMALS.items():
         quantities = [q for q in BoundQuantity if (kind, q) in _SHARP_MAXIMA]
         for radii in ((0.1, 0.25, 0.4), np.array([0.1, 0.25, 0.4])):
@@ -531,7 +528,7 @@ def test_check_quantities_reports_hold_plain_floats_and_bools():
                     floats = (rep.computed, rep.bound, rep.slack, rep.r)
                     assert all(type(x) is float for x in floats)
                     assert type(rep.satisfied) is bool and type(rep.sharp) is bool
-                    assert _fmt(rep.sharp) == "true" and _fmt(rep.satisfied) == "true"
+                    assert rep.sharp and rep.satisfied
 
 
 def test_check_quantities_equals_check_bounds_for_each_quantity():

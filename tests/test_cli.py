@@ -42,8 +42,6 @@ def test_fmt_keeps_twelve_significant_digits():
 
 def test_fmt_special_values():
     assert _fmt(None) == ""
-    assert _fmt(True) == "true"
-    assert _fmt(False) == "false"
 
 
 # --- verify ---
@@ -573,6 +571,19 @@ def test_check_rejects_empty_input(tmp_path, capsys):
     code, _, err = run_cli(capsys, "check", "--in", str(path), "--class", "s")
     assert code == 2
     assert "no function rows" in err
+
+
+@pytest.mark.parametrize("content", [
+    b"0.5,1,\xff,0\n",  # not UTF-8
+    b"0.5,1," + b"1" * 200_000 + b",0\n",  # a field over csv's 131,072 characters
+], ids=["undecodable", "oversized-field"])
+def test_check_reports_an_unreadable_file_as_a_usage_error(content, tmp_path, capsys):
+    path = tmp_path / "f.csv"
+    path.write_bytes(content)
+    code, out, err = run_cli(capsys, "check", "--in", str(path), "--class", "s")
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot read {path}: ")
 
 
 # --- argparse plumbing ---

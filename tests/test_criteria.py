@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -345,6 +346,24 @@ def test_circle_sup_keeps_the_bits_of_the_conjugate_fft():
             assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
 
 
+def test_circle_checks_read_a_z_over_f_beyond_the_float_range_as_inf(monkeypatch):
+    # z/f = 1 - 1e307 z**64 vanishes at p = 1e-307**(1/64): U_f / z**2 and
+    # (z/f)'' overflow, and the FFT meets inf * 0, which reads NaN
+    p = 1e-307 ** (1 / 64)
+    f = from_inverse_coefficients([0.0] * 63 + [-1e307], pole=p)
+    sizes = []
+    sample = criteria._circle_values
+    monkeypatch.setattr(criteria, "_circle_values",
+                        lambda c, r, m: sizes.append(m) or sample(c, r, m))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        verdicts = [up_lambda_membership(f, 1.0), univalence_criterion(f), aksentiev_criterion(f)]
+    for verdict in verdicts:
+        assert verdict.value == math.inf
+        assert not verdict.holds
+    assert sizes == [4096] * 3  # each bound stands after its first FFT, of degree 62
+
+
 # --- Aksentiev's criterion ---
 
 @pytest.mark.parametrize("f,value", [
@@ -376,12 +395,9 @@ def test_aksentiev_rejects_the_scan_only_collision():
     assert 1.0 < 2 * abs(b3) <= verdict.value < 1.04
 
 
-def test_aksentiev_shares_the_fft_with_membership():
+def test_aksentiev_bounds_the_polynomial_that_membership_bounds():
     f = perturbed_member(0.4, np.random.default_rng(5))
-    criteria._samples.cache_clear()
     member, certificate = up_lambda_membership(f, 1.0), aksentiev_criterion(f)
-    info = criteria._samples.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
     assert certificate.value == member.value
     assert certificate.holds
 
