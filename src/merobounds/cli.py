@@ -31,7 +31,7 @@ from operator import itemgetter
 
 from .bounds import (BoundQuantity, _judge, gronwall_check, jenkins_bound, lemma1_check,
                      sharp_maxima)
-from .criteria import (SUP_TOL, aksentiev_criterion, injectivity_oracle, univalence_criterion,
+from .criteria import (SUP_TOL, _row_verdicts, injectivity_oracle, univalence_criterion,
                        up_lambda_membership)
 from .errors import MeroboundsError, check_radii
 from .functions import (
@@ -350,6 +350,7 @@ def _cmd_check(args) -> int:
     disproved = False
     for i, f in enumerate(functions, start=1):
         report = gronwall_check(f)
+        member, aksentiev, crit = _row_verdicts(f, spec.lam, report.satisfied)
         if report.satisfied:
             sharp_note = " (sharp)" if report.sharp else ""
             print(f"row {i} PASS coefficient-sum: {_fmt(report.computed)} <= 1{sharp_note}")
@@ -365,15 +366,13 @@ def _cmd_check(args) -> int:
             else:
                 print(f"row {i} WARN tail-inequality: {_fmt(lemma.computed)} > "
                       f"{_fmt(lemma.bound)}, class claim dubious")
-            member = up_lambda_membership(f, spec.lam)
             if member.holds:
                 print(f"row {i} PASS membership: sup ratio {_fmt(member.value)} <= "
                       f"{_fmt(member.threshold)}")
             else:
                 print(f"row {i} WARN membership: sup ratio {_fmt(member.value)} > "
                       f"{_fmt(member.threshold)} near {_fmtc(member.witness)}")
-        if spec.p is not None:
-            crit = univalence_criterion(f)
+        if crit is not None:
             if crit.holds:
                 near = " [at-threshold]" if abs(crit.value - crit.threshold) <= SUP_TOL else ""
                 print(f"row {i} PASS univalence-criterion: sup {_fmt(crit.value)} <= "
@@ -386,7 +385,6 @@ def _cmd_check(args) -> int:
         if not report.satisfied:
             print(f"row {i} FAIL injectivity: implied by coefficient-sum")
             continue
-        aksentiev = aksentiev_criterion(f)
         if aksentiev.holds:
             print(f"row {i} PASS injectivity: implied by Aksentiev, sup |U_f/z^2| "
                   f"{_fmt(aksentiev.value)} <= 1")

@@ -1,15 +1,18 @@
 """Class membership, univalence certificates and a collision scan.
 
-The membership, criterion and Aksentiev statistics are polynomials in z,
-so their suprema over the disk are maxima on |z| = 1, bounded from above
-by one FFT of the coefficients (:func:`_circle_sup`).  The injectivity
+The statistic U_f/z**2 of the membership check and Aksent'ev's
+certificate and the statistic (z/f)'' of the criterion are polynomials in
+z of one degree, so their suprema over the disk are maxima on |z| = 1,
+bounded from above by one FFT of a stack of their coefficients
+(:func:`_circle_sup`).  ``check`` takes all three verdicts of a row from
+one such pass (:func:`_row_verdicts`), which reads U_f/z**2 once for both
+of its thresholds.  The injectivity
 scan samples a polar grid inside the disk and is an oracle, not a proof:
 ``holds=True`` means no collision at the grid resolution.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,61 +87,100 @@ class CriterionVerdict:
     pairs: int = 0
 
 
-def _circle_sup(q, threshold: float = math.inf) -> tuple[float, complex | None]:
-    """Upper bound of max |Q| on |z| = 1 for ``Q(z) = sum q[n] z**n``, and
-    the sample where |Q| peaks; (0.0, None) for Q = 0, exact for a constant.
+def _circle_sup(q: np.ndarray, thresholds) -> list[list[tuple[float, complex | None]]]:
+    """Upper bounds of max |Q_k| on |z| = 1 for the rows ``Q_k(z) = sum q[k, n]
+    z**n`` of a (K, N) stack whose rows share one degree d: for each row k,
+    one (bound, sample where |Q_k| peaks) per threshold in ``thresholds[k]``;
+    (0.0, None) for Q_k = 0, exact for a constant.
 
-    Q of degree d is sampled at M >= ``_OVERSAMPLING * d`` roots of unity.
-    T = |Q|**2 is a trigonometric polynomial of degree d, so |T''| <= d**2
-    max T (Bernstein twice); T' = 0 at the maximum, within pi/M of a
-    sample, so the largest sample s has s**2 >= (1 - (pi d/M)**2 / 2) max T:
-    the bound exceeds max |Q| by at most 0.06%.
+    Q_k is sampled at M >= ``_OVERSAMPLING * d`` roots of unity.  T = |Q_k|**2
+    is a trigonometric polynomial of degree d, so |T''| <= d**2 max T
+    (Bernstein twice); T' = 0 at the maximum, within pi/M of a sample, so the
+    largest sample s has s**2 >= (1 - (pi d/M)**2 / 2) max T: the bound
+    exceeds max |Q_k| by at most 0.06%.
 
-    A bound above ``threshold`` with no sample above it says nothing about
-    which side max |Q| lies on.  Then M doubles until a sample exceeds the
-    threshold or the bound clears it, or M reaches ``_MAX_SAMPLES``, where
-    the bound above the threshold stands.  Each M takes one FFT of q.  A
-    coefficient beyond the float range gives NaN samples, read as inf, so
-    the first FFT settles the bound at inf.
+    A bound above a threshold with no sample above it says nothing about
+    which side max |Q_k| lies on.  Then that threshold stays open: M doubles
+    until a sample exceeds it or the bound clears it, or M reaches
+    ``_MAX_SAMPLES``, where the bound above it stands.  Each M takes one FFT
+    of the rows that still have an open threshold, and a row's samples, so
+    its bounds, are those of the same FFT of that row alone.  A coefficient
+    beyond the float range gives NaN samples, read as inf, so the first FFT
+    settles the row's bounds at inf; a bound that the divisor lifts beyond
+    the float range reads inf too.
     """
-    d = degree(q)
+    d = max(map(degree, q), default=-1)
+    sups = [[(0.0, None)] * len(row) for row in thresholds]
     if d < 0:
-        return 0.0, None
+        return sups
     m = _exact_count(_OVERSAMPLING * d)
-    q = q[:d + 1].astype(np.complex128)
-    while True:
+    q = q[:, :d + 1].astype(np.complex128)
+    todo = [list(range(len(row))) for row in thresholds]  # the open thresholds
+    while any(todo):
+        rows = [k for k, open_ in enumerate(todo) if open_]
+        # NaN samples, and a bound beyond the float range, read inf
         with np.errstate(all="ignore"):
-            samples = np.abs(_circle_values(q, 1.0, m))
-        samples[np.isnan(samples)] = np.inf
-        k = int(np.argmax(samples))
-        bound = samples[k] / np.sqrt(1.0 - 0.5 * (np.pi * d / m) ** 2)
-        if bound <= threshold or samples[k] > threshold or m >= _MAX_SAMPLES:
-            return float(bound), complex(np.exp(2j * np.pi * k / m))
+            samples = np.abs(_circle_values(q if len(rows) == len(q) else q[rows], 1.0, m))
+            samples[np.isnan(samples)] = np.inf
+            divisor = np.sqrt(1.0 - 0.5 * (np.pi * d / m) ** 2)
+            for k, row, i in zip(rows, samples, np.argmax(samples, axis=1).tolist()):
+                bound, witness = row[i] / divisor, complex(np.exp(2j * np.pi * i / m))
+                still_open = []
+                for j in todo[k]:
+                    threshold = thresholds[k][j]
+                    if bound <= threshold or row[i] > threshold or m >= _MAX_SAMPLES:
+                        sups[k][j] = (float(bound), witness)
+                    else:
+                        still_open.append(j)
+                todo[k] = still_open
         m *= 2
+    return sups
 
 
-def _u_over_z2(f: PoleFunction) -> np.ndarray:
-    """Coefficients of the polynomial ``U_f(z) / z**2 = sum_{n>=2} (1 - n) b_n
-    z**(n-2)``, z/f = ``sum b_n z**n``."""
+#: Rows of the stack that :func:`_circle_verdicts` bounds.
+_U_ROW, _CRITERION_ROW = 0, 1
+
+
+def _circle_verdicts(f: PoleFunction, checks) -> list[CriterionVerdict]:
+    """One verdict per ``(row, bound, tol)`` of ``checks``, in order, from one
+    :func:`_circle_sup` pass over the stack of two polynomials formed from
+    z/f = ``sum b_n z**n``:
+
+    - row ``_U_ROW``: ``U_f(z) / z**2 = sum_{n>=2} (1 - n) b_n z**(n-2)``;
+    - row ``_CRITERION_ROW``: ``(z/f)'' = sum_{n>=2} n (n - 1) b_n z**(n-2)``.
+
+    Both are b_n times a nonzero integer for n >= 2, so they share a degree;
+    a row without a check takes no FFT.  A check holds when its bound stays
+    within ``tol`` of ``bound``, which it reports as the threshold.
+    """
     b = f.inv_series.coefficients
+    b = b[:degree(b) + 1]  # each row then ends in a nonzero, so its degree reads at once
+    n = np.arange(2, b.size)
     with np.errstate(over="ignore"):  # an overflow reads inf, as does the bound
-        return (1 - np.arange(2, b.size)) * b[2:]
+        stack = np.multiply((1 - n, n * (n - 1)), b[2:])
+    thresholds = ([], [])
+    for row, bound, tol in checks:
+        thresholds[row].append(bound + tol)
+    sups = [iter(row) for row in _circle_sup(stack, thresholds)]
+    verdicts = []
+    for row, bound, tol in checks:
+        value, witness = next(sups[row])
+        verdicts.append(CriterionVerdict(holds=bool(value <= bound + tol), value=value,
+                                         threshold=bound, witness=witness))
+    return verdicts
 
 
 def up_lambda_membership(f: PoleFunction, lam: float) -> CriterionVerdict:
     """Check whether ``|U_f(z)| <= lam * mu(p) * |z|**2`` on the disk.
 
     ``value`` is the :func:`_circle_sup` bound of the polynomial U_f/z**2
-    (:func:`_u_over_z2`); holds when it stays within ``SUP_TOL`` of the
-    class bound.
+    (:func:`_circle_verdicts`); holds when it stays within ``SUP_TOL`` of
+    the class bound.
     """
     if f.pole is NO_POLE:
         raise NoPole("membership scan needs a declared pole")
     check_lambda(lam)
-    bound = lam * mu(f.pole)
-    value, witness = _circle_sup(_u_over_z2(f), bound + SUP_TOL)
-    return CriterionVerdict(holds=bool(value <= bound + SUP_TOL), value=value,
-                            threshold=bound, witness=witness)
+    return _circle_verdicts(f, [(_U_ROW, lam * mu(f.pole), SUP_TOL)])[0]
 
 
 def aksentiev_criterion(f: PoleFunction) -> CriterionVerdict:
@@ -157,9 +199,7 @@ def aksentiev_criterion(f: PoleFunction) -> CriterionVerdict:
     rounds by about 1e-15 sqrt(d) of the maximum.  For d = 0 the value is
     exact: 1 for kp and the Koebe map, lam * mu(p) for fp.
     """
-    value, witness = _circle_sup(_u_over_z2(f), 1.0)
-    return CriterionVerdict(holds=bool(value <= 1.0), value=value, threshold=1.0,
-                            witness=witness)
+    return _circle_verdicts(f, [(_U_ROW, 1.0, 0.0)])[0]
 
 
 def univalence_criterion(f: PoleFunction) -> CriterionVerdict:
@@ -174,13 +214,22 @@ def univalence_criterion(f: PoleFunction) -> CriterionVerdict:
     """
     if f.pole is NO_POLE:
         raise NoPole("the univalence criterion needs a declared pole")
-    b = f.inv_series.coefficients
-    n = np.arange(2, b.size)
-    bound = mu(f.pole)
-    with np.errstate(over="ignore"):  # an overflow reads inf, as does the bound
-        value, witness = _circle_sup(n * (n - 1) * b[2:], bound + SUP_TOL)
-    return CriterionVerdict(holds=bool(value <= bound + SUP_TOL), value=value,
-                            threshold=bound, witness=witness)
+    return _circle_verdicts(f, [(_CRITERION_ROW, mu(f.pole), SUP_TOL)])[0]
+
+
+def _row_verdicts(f: PoleFunction, lam: float | None, aksentiev: bool):
+    """The verdicts of :func:`up_lambda_membership` at ``lam``,
+    :func:`aksentiev_criterion` and :func:`univalence_criterion` for one
+    ``check`` row, from one :func:`_circle_verdicts` pass, with the same
+    bits.  Each is None where it does not apply: membership without
+    ``lam``, Aksent'ev's certificate unless ``aksentiev``, the criterion
+    without a pole.  The inputs are taken as validated.
+    """
+    checks = [(_U_ROW, lam * mu(f.pole), SUP_TOL) if lam is not None else None,
+              (_U_ROW, 1.0, 0.0) if aksentiev else None,
+              (_CRITERION_ROW, mu(f.pole), SUP_TOL) if f.pole is not NO_POLE else None]
+    verdicts = iter(_circle_verdicts(f, [check for check in checks if check]))
+    return tuple(None if check is None else next(verdicts) for check in checks)
 
 
 def _block_members(radial: int, angular: int) -> np.ndarray:
@@ -275,7 +324,7 @@ def injectivity_oracle(f: PoleFunction, grid: DiskGrid | None = None) -> Criteri
     z = grid.points()
     if z.size < 2:
         return CriterionVerdict(holds=True, value=float("inf"), threshold=COLLISION_TOL)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         w = z / f.inv_series.evaluate(z)
 
     # each block lists its points in increasing order; a padded repeat gives 0/0

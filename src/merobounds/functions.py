@@ -197,12 +197,12 @@ def from_csv_row(fields: Sequence[str]) -> PoleFunction:
     try:
         pole = None if fields[0].strip() == "" else float(fields[0])
         order = int(fields[1])
-        values = [float(x) for x in fields[2:]]
+        values = np.array([float(x) for x in fields[2:]], dtype=np.float64)
     except ValueError as exc:
         raise BadParameter(f"unparseable function row: {exc}") from exc
-    if order < 0 or len(values) != 2 * order:
+    if order < 0 or values.size != 2 * order:
         raise BadParameter(
-            f"function row declares order {order} but carries {len(values)} coefficient fields"
+            f"function row declares order {order} but carries {values.size} coefficient fields"
         )
-    b = [complex(values[2 * k], values[2 * k + 1]) for k in range(order)]
-    return from_inverse_coefficients(b, pole=pole)
+    # Re b1, Im b1, Re b2, ... is the memory layout of complex128
+    return from_inverse_coefficients(values.view(np.complex128), pole=pole)

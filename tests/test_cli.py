@@ -432,6 +432,20 @@ def test_check_warns_of_an_overflowing_tail_sum_without_warnings(tmp_path, capsy
     assert lines[1].startswith("row 1 WARN tail-inequality: inf > ")
 
 
+def test_check_scans_an_overflowing_image_without_warnings(tmp_path, capsys):
+    # z/f = 1 + 1.5e308 (1 + i) z + 0.6 z**3 overflows on the outer grid
+    # radii, which once escaped the scan as a warning; near 0, f is nearly
+    # the constant 1 / b1, so the scan finds a collision there
+    path = write_rows(tmp_path / "f.csv", [["", "3", "1.5e308", "1.5e308", "0", "0", "0.6", "0"]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, _ = run_cli(capsys, "check", "--in", path, "--class", "s")
+    assert code == 1
+    assert out == ("row 1 PASS coefficient-sum: 0.72 <= 1\n"
+                   "row 1 FAIL injectivity: collision between 0.0309375+0i and "
+                   "0.0307885+0.00303241i\n")
+
+
 def test_check_disproves_univalence_via_collision(tmp_path, capsys):
     # z/f = 1 + 5z^2 has coefficient sum 25, which settles injectivity
     path = write_rows(tmp_path / "f.csv", [["", "2", "0", "0", "5", "0"]])

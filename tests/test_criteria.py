@@ -260,38 +260,72 @@ def test_sups_match_dense_samples_on_the_unit_circle(p):
 
 # --- circle bound ---
 
+def one_row_sup(q, threshold):
+    """Reference for ``_circle_sup``: its one-row rule before it took a
+    stack, |Q| sampled by ``series._circle_values`` at the power of two at
+    least 16 and 64 d, doubled until a sample exceeds the threshold or the
+    bound clears it, or the samples reach ``_MAX_SAMPLES``."""
+    d = int(np.flatnonzero(q)[-1]) if np.any(q) else -1
+    if d < 0:
+        return 0.0, None
+    m = max(16, 1 << (64 * d - 1).bit_length())
+    q = q[:d + 1].astype(np.complex128)
+    while True:
+        with np.errstate(all="ignore"):
+            samples = np.abs(criteria._circle_values(q, 1.0, m))
+        samples[np.isnan(samples)] = np.inf
+        k = int(np.argmax(samples))
+        bound = samples[k] / np.sqrt(1.0 - 0.5 * (np.pi * d / m) ** 2)
+        if bound <= threshold or samples[k] > threshold or m >= criteria._MAX_SAMPLES:
+            return float(bound), complex(np.exp(2j * np.pi * k / m))
+        m *= 2
+
+
+def fft_sizes(monkeypatch):
+    """Record the (rows, samples) shape of every FFT that ``_circle_sup`` takes."""
+    shapes = []
+    sample = criteria._circle_values
+    monkeypatch.setattr(criteria, "_circle_values",
+                        lambda c, r, m: shapes.append((len(c), m)) or sample(c, r, m))
+    return shapes
+
+
 @given(st.integers(min_value=1, max_value=64), st.integers(min_value=0, max_value=2**32 - 1))
 @settings(max_examples=40, deadline=None)
 def test_circle_sup_is_a_tight_upper_bound(degree, seed):
     rng = np.random.default_rng(seed)
     q = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
     fine = float(np.max(np.abs(np.fft.fft(q, 1 << 18))))
-    bound, witness = _circle_sup(q)
+    [[(bound, witness)]] = _circle_sup(q[None], [[math.inf]])
     assert fine <= bound <= 1.0007 * fine
     assert abs(abs(witness) - 1.0) < 1e-15
 
 
 def test_circle_sup_of_a_constant_is_exact():
-    assert _circle_sup(np.array([-0.25 + 0j, 0.0, 0.0])) == (0.25, 1 + 0j)
+    assert _circle_sup(np.array([[-0.25 + 0j, 0.0, 0.0]]), [[math.inf]]) == [[(0.25, 1 + 0j)]]
 
 
 def test_circle_sup_of_zero_is_zero():
-    assert _circle_sup(np.zeros(3, dtype=np.complex128)) == (0.0, None)
-    assert _circle_sup(np.zeros(0, dtype=np.complex128)) == (0.0, None)
+    assert _circle_sup(np.zeros((1, 3), dtype=np.complex128), [[math.inf]]) == [[(0.0, None)]]
+    assert _circle_sup(np.zeros((1, 0), dtype=np.complex128), [[math.inf]]) == [[(0.0, None)]]
+    assert _circle_sup(np.zeros((2, 3), dtype=np.complex128), [[1.0, 2.0], []]) \
+        == [[(0.0, None), (0.0, None)], []]
 
 
-def test_circle_sup_takes_one_fft_away_from_the_threshold():
-    q = np.array([0.3, -0.2j, 0.1, 0.05])
-    bound, witness = _circle_sup(q)
-    assert _circle_sup(q, 0.5 * bound) == (bound, witness)   # a sample exceeds it
-    assert _circle_sup(q, bound) == (bound, witness)         # the bound clears it
+def test_circle_sup_takes_one_fft_away_from_the_threshold(monkeypatch):
+    q = np.array([[0.3, -0.2j, 0.1, 0.05]])
+    [[(bound, witness)]] = _circle_sup(q, [[math.inf]])
+    shapes = fft_sizes(monkeypatch)
+    # a sample exceeds the first, the bound clears the second
+    assert _circle_sup(q, [[0.5 * bound, bound]]) == [[(bound, witness)] * 2]
+    assert shapes == [(1, 256)]
 
 
 def test_circle_sup_refines_until_the_bound_clears_the_threshold():
-    q = np.array([1.0, 0.0, 0.0, 0.5])
-    bound, _ = _circle_sup(q)
+    q = np.array([[1.0, 0.0, 0.0, 0.5]])
+    [[(bound, _)]] = _circle_sup(q, [[math.inf]])
     assert bound > 1.5
-    refined, witness = _circle_sup(q, 1.5)
+    [[(refined, witness)]] = _circle_sup(q, [[1.5]])
     assert 1.5 <= refined <= 1.5 * (1 + 1e-6)
     assert abs(witness - 1.0) < 1e-15
 
@@ -299,11 +333,40 @@ def test_circle_sup_refines_until_the_bound_clears_the_threshold():
 def test_circle_sup_stops_refining_at_the_cap():
     # |z**2 / 2| is 1/2 at every sample, so no doubling settles a threshold
     # just above 1/2
-    bound, _ = _circle_sup(np.array([0.0, 0.0, 0.5]), 0.5 + 1e-12)
+    [[(bound, _)]] = _circle_sup(np.array([[0.0, 0.0, 0.5]]), [[0.5 + 1e-12]])
     assert bound == pytest.approx(
         0.5 / np.sqrt(1.0 - 0.5 * (2 * np.pi / criteria._MAX_SAMPLES) ** 2), rel=1e-15)
     assert bound > 0.5 + 1e-12
 
+
+def test_circle_sup_reads_a_bound_beyond_the_float_range_as_inf():
+    # the largest sample is finite, the Bernstein divisor below 1 lifts it past
+    # the float range
+    q = np.array([[1.797e308, 0.0, 1e300]])
+    # z/f = 1 - 1.797e308 z**2 + 1e300 z**4 has U_f / z**2 = -q
+    f = from_inverse_coefficients([0.0, -1.797e308, 0.0, 1e300])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        [[(bound, witness)]] = _circle_sup(q, [[math.inf]])
+        certificate = aksentiev_criterion(f)
+    assert bound == math.inf
+    assert witness == 1 + 0j
+    assert certificate.value == math.inf
+    assert not certificate.holds
+
+
+def test_circle_sup_settles_each_threshold_at_its_own_sample_count(monkeypatch):
+    # the first bound of Q = 1 + z**3 / 2 clears inf; 1.5 needs doublings, and
+    # the row of (z/f)''-like 3 z**3 leaves the FFT once its one threshold settles
+    q = np.array([[1.0, 0.0, 0.0, 0.5], [0.0, 0.0, 0.0, 3.0]])
+    thresholds = [[math.inf, 1.5], [10.0]]
+    want = [[one_row_sup(q[0], t) for t in thresholds[0]], [one_row_sup(q[1], 10.0)]]
+    shapes = fft_sizes(monkeypatch)
+    got = _circle_sup(q, thresholds)
+    assert got == want
+    assert shapes[:2] == [(2, 256), (1, 512)]
+    assert len(shapes) > 2 and all(rows == 1 for rows, _ in shapes[1:])
+    assert got[0][0] != got[0][1]
 
 
 def conjugate_fft_sup(q, threshold=math.inf):
@@ -339,11 +402,76 @@ def test_circle_sup_keeps_the_bits_of_the_conjugate_fft():
             # above every sample, so only the cap at _MAX_SAMPLES stops it
             fine = float(np.max(np.abs(np.fft.fft(q, criteria._MAX_SAMPLES))))
             thresholds += [fine * (1 - 1e-9), fine * (1 + 1e-12)]
-        for threshold in thresholds:
+        [row] = _circle_sup(q[None], [thresholds])
+        for threshold, got in zip(thresholds, row, strict=True):
             want = conjugate_fft_sup(q, threshold)
-            got = _circle_sup(q, threshold)
             assert got == want, (degree, threshold)
             assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
+
+
+def test_circle_sup_of_a_stack_keeps_the_bits_of_the_one_row_rule():
+    # about 200 rows in stacks of 1 to 3 rows of one degree, each row with up
+    # to four thresholds: ones the first FFT settles, ones that take doublings
+    # and ones that run to the cap
+    rng = np.random.default_rng(36)
+    stacks = []
+    for case in range(100):
+        degree, count = int(rng.integers(0, 65)), 1 + case % 3
+        q = (rng.standard_normal((count, degree + 1))
+             + 1j * rng.standard_normal((count, degree + 1))) * 10.0 ** rng.uniform(-3, 3)
+        q[rng.random(q.shape) < 0.2] = 0.0
+        q[:, degree] += 1.0  # every row keeps the degree
+        q = np.pad(q, ((0, 0), (0, int(rng.integers(0, 3)))))  # trailing zeros
+        if case == 7:
+            q[1 % count, 0] = np.inf  # a coefficient beyond the float range
+        thresholds = []
+        for row in q:
+            top = one_row_sup(row, math.inf)[0]
+            choices = [math.inf, 0.5 * top, top * (1 - 1e-5), top * (1 + 1e-14)]
+            thresholds.append([choices[j] for j in rng.permutation(4)[:rng.integers(0, 5)]])
+        stacks.append((q, thresholds))
+    stacks.append((np.array([[1.0, 0.0, 0.0, 0.5], [0.0, 0.0, 0.0, 3.0]]),
+                   [[math.inf, 1.5], [10.0]]))
+    assert sum(len(q) for q, _ in stacks) == 201
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for q, thresholds in stacks:
+            got = _circle_sup(q, thresholds)
+            want = [[one_row_sup(row, t) for t in ts] for row, ts in zip(q, thresholds)]
+            assert got == want
+            assert [np.float64(b).tobytes() for row in got for b, _ in row] \
+                == [np.float64(b).tobytes() for row in want for b, _ in row]
+
+
+ROW_FUNCTIONS = [
+    build_kp(0.5), build_fp(0.3, 0.7), build_koebe_rotation(1.0), from_inverse_coefficients([]),
+    perturbed_member(0.4, np.random.default_rng(5)),
+    perturbed_member(0.8, np.random.default_rng(6), scale=0.3, order=40),
+    from_inverse_coefficients([0.0] * 63 + [-1e307], pole=1e-307 ** (1 / 64))]
+
+
+@pytest.mark.parametrize("f,lam", [(f, None) for f in ROW_FUNCTIONS]
+                         + [(f, 0.6) for f in ROW_FUNCTIONS if f.pole is not None])
+@pytest.mark.parametrize("aksentiev", [False, True])
+def test_row_verdicts_are_the_three_public_verdicts(f, lam, aksentiev, monkeypatch):
+    # each statistic formed on its own, as the one-statistic checks once did
+    b = f.inv_series.coefficients
+    n = np.arange(2, b.size)
+    with np.errstate(over="ignore"):
+        u, second = (1 - n) * b[2:], n * (n - 1) * b[2:]
+    shapes = fft_sizes(monkeypatch)
+    member, certificate, crit = criteria._row_verdicts(f, lam, aksentiev)
+    assert len({m for _, m in shapes}) == len(shapes)  # one FFT per sample count
+    assert member == (None if lam is None else up_lambda_membership(f, lam))
+    assert certificate == (aksentiev_criterion(f) if aksentiev else None)
+    assert crit == (None if f.pole is None else univalence_criterion(f))
+    monkeypatch.undo()
+    for verdict, q, tol in ((member, u, criteria.SUP_TOL), (certificate, u, 0.0),
+                            (crit, second, criteria.SUP_TOL)):
+        if verdict is not None:
+            want = one_row_sup(q, verdict.threshold + tol)
+            assert (verdict.value, verdict.witness) == want
+            assert np.float64(verdict.value).tobytes() == np.float64(want[0]).tobytes()
 
 
 def test_circle_checks_read_a_z_over_f_beyond_the_float_range_as_inf(monkeypatch):

@@ -320,6 +320,30 @@ def test_csv_rejects_malformed(fields):
         from_csv_row(fields)
 
 
+def test_csv_roundtrip_keeps_every_bit():
+    f = from_inverse_coefficients([complex(-0.0, 5e-324), complex(1.5e308, -1.5e308),
+                                   complex(0.1, -0.0), complex(-2.5, 1e-310)])
+    g = from_csv_row(to_csv_row(f))
+    assert g.inv_series.coefficients.tobytes() == f.inv_series.coefficients.tobytes()
+    assert g.inv_series.coefficients.dtype == np.complex128
+    identity = from_csv_row(["", "0"])
+    assert identity.inv_series.coefficients.tobytes() == np.array([1.0 + 0j]).tobytes()
+
+
+@pytest.mark.parametrize("fields,message", [
+    (["0.5", "2", "1.0", "x", "0", "0"],
+     "unparseable function row: could not convert string to float: 'x'"),
+    (["0.5", "2.0", "1.0", "0"], "unparseable function row: invalid literal for int() with "
+                                 "base 10: '2.0'"),
+    (["0.5", "2", "1.0"], "function row declares order 2 but carries 1 coefficient fields"),
+    (["", "-1"], "function row declares order -1 but carries 0 coefficient fields"),
+])
+def test_csv_malformed_row_messages(fields, message):
+    with pytest.raises(BadParameter) as err:
+        from_csv_row(fields)
+    assert str(err.value) == message
+
+
 def test_csv_roundtrip_of_the_identity_map():
     f = from_inverse_coefficients([])
     row = to_csv_row(f)
