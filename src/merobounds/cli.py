@@ -7,17 +7,18 @@ Three subcommands:
 * ``table``   -- sweep computed values against sharp bounds over grids of
   pole locations, radii and lambda values, emitting CSV.
 * ``check``   -- read functions from a CSV file (rows as produced by
-  ``to_csv_row``) and test an asserted class membership.  Exit code 1 is
-  reserved for genuine disproofs of univalence (a coefficient-sum
-  violation or a detected collision); failed class inequalities only warn.
+  ``to_csv_row``) and test an asserted class membership.  Exit code 1 says
+  f cannot be univalent, certified by a coefficient-sum violation but not
+  by a collision that the grid scan detects; failed class inequalities only warn.
 
 ``main`` hands the arguments after a command name straight to that
 command's parser.  The top-level parser reads the whole line only when it
 is empty, starts with an option, names no command or leaves arguments
 over, so each help text and usage error is the one a top-level parse
-gives.  ``table`` stacks its blocks of rows on radii and z/f length, so a
-sweep over one pole makes two judged passes: the z/f and L1 rows of kp,
-fp and the Koebe map, and the f and f/z rows of kp below the pole.
+gives.  ``table`` stacks its blocks of rows on side (z/f and L1, or f and
+f/z) and radii, so a sweep over one pole makes two judged passes: the z/f
+and L1 rows of kp, fp and the Koebe map, and the f and f/z rows of kp
+below the pole.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from collections import Counter
 from functools import cache
 from operator import itemgetter
 
@@ -44,7 +44,7 @@ from .functions import (
     from_csv_row,
     from_inverse_coefficients,
 )
-from .integrals import INSIDE_POLE, Method, dirichlet_quadrature, values
+from .integrals import INSIDE_POLE, Method, _area_quadrature, values
 
 P_GRID = (0.2, 0.35, 0.5, 0.65, 0.8)
 R_GRID = tuple(k / 20.0 for k in range(1, 21))
@@ -144,7 +144,7 @@ def _suite_oracles():
     for p in P_GRID:
         spec, f = _kp_member(p)
         r = 0.5 * p
-        quad = dirichlet_quadrature(f_over_z_series(f, 128), r).value
+        quad = _area_quadrature(f_over_z_series(f, 128).coefficients, r)
         gap = _rel(quad, sharp_maxima(spec, BoundQuantity.DIRICHLET_F_OVER_Z, (r,))[0])
         checks.append((f"oracles/f-over-z-quadrature-kp p={_fmt(p)}", gap <= 1e-8,
                        f"rel gap {_fmt(gap)} at r={_fmt(r)}"))
@@ -251,30 +251,27 @@ def _cmd_table(args) -> int:
         members.append((ClassSpec(ClassKind.S), build_koebe_rotation(0.0)))
         check_radii(rs)
         # blocks of rows (quantities, radii, spec, f), in the order that decides which
-        # error shows; those that share radii and z/f length are stacked, and each
-        # stack is judged over the union of its blocks' quantities.  The f and f/z
-        # blocks stack apart: their radii stop at the pole, and only SIGMA_P has
-        # their maxima.
-        blocks, groups, skipped = [], {}, Counter()
+        # error shows, stacked on (side, radii): side 0 holds the z/f and L1 rows, side 1
+        # the f and f/z rows, whose radii stop at the pole.  Every member's z/f has
+        # length 3, so the blocks of one side and radii stack, and kp sweeps all four
+        # quantities, so each stack holds a kp block and is judged over its side's
+        # quantities, in --quantity order.
+        sides = ([q for q in quantities if q not in INSIDE_POLE],
+                 [q for q in quantities if q in INSIDE_POLE])
+        blocks, groups, skipped = [], {}, 0
         for spec, f in members:
-            swept = [q for q in quantities if spec.kind in _TABLE_CLASSES[q]]
-            inside = [q for q in swept if q in INSIDE_POLE]  # only pole classes have any
-            radii = [r for r in rs if r < spec.p] if inside else []
-            for quantity in inside:
-                skipped[quantity.value] += len(rs) - len(radii)
-            for side, block in enumerate((
-                    ([q for q in swept if q not in INSIDE_POLE], rs, spec, f),
-                    (inside, radii, spec, f))):
-                if block[0] and block[1]:
-                    blocks.append(block)
-                    key = (side, tuple(block[1]), len(f.inv_series))
-                    groups.setdefault(key, []).append(block)
-        # each stack's quantities in --quantity order
-        unions = [[q for q in quantities if any(q in b[0] for b in group)]
-                  for group in groups.values()]
+            for side, side_quantities in enumerate(sides):
+                sweep = [q for q in side_quantities if spec.kind in _TABLE_CLASSES[q]]
+                radii = rs
+                if side and sweep:  # only SIGMA_P has f and f/z maxima
+                    radii = [r for r in rs if r < spec.p]
+                    skipped += len(rs) - len(radii)
+                if sweep and radii:
+                    blocks.append((sweep, radii, spec, f))
+                    groups.setdefault((side, tuple(radii)), []).append(blocks[-1])
         try:
-            judged = [_judge([b[3] for b in group], [b[2] for b in group], union, group[0][1])
-                      for group, union in zip(groups.values(), unions)]
+            judged = [_judge([b[3] for b in group], [b[2] for b in group], sides[side],
+                             group[0][1]) for (side, _), group in groups.items()]
         except MeroboundsError:
             for block in blocks:  # raise what the blocks meet one by one first
                 _judge([block[3]], [block[2]], *block[:2])
@@ -283,21 +280,22 @@ def _cmd_table(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    for name, count in sorted(skipped.items()):
-        if count:
-            print(f"note: {name} requires r < p; skipped {count} combinations", file=sys.stderr)
+    if skipped:  # each kp skips the same radii for f as for f/z
+        for name in sorted(q.value for q in sides[1]):
+            print(f"note: {name} requires r < p; skipped {skipped} combinations", file=sys.stderr)
     if not judged:
         print("error: the sweep produced no rows", file=sys.stderr)
         return 2
 
     text_r = {r: "%.12g" % r for r in rs}
     rows = []  # (quantity, class, p, lambda, r, CSV line), sorted on the key before the line
-    for group, union, arrays in zip(groups.values(), unions, judged):
+    for ((side, _), group), arrays in zip(groups.items(), judged):
         computed, bound, slack, sharp = (arrays[k].tolist() for k in (0, 1, 2, 4))
         for m, (sweep, radii, spec, _) in enumerate(group):
             p, lam = -1.0 if spec.p is None else spec.p, -1.0 if spec.lam is None else spec.lam
-            for quantity in sweep:
-                j = union.index(quantity)
+            for j, quantity in enumerate(sides[side]):
+                if quantity not in sweep:
+                    continue
                 head = (quantity.value, spec.kind.value, p, lam)
                 line = ",".join((quantity.value, spec.kind.value, _fmt(spec.p), _fmt(spec.lam),
                                  "%s,%.12g,%.12g,%.12g,%s"))  # the block's prefix baked in
@@ -350,7 +348,7 @@ def _cmd_check(args) -> int:
     disproved = False
     for i, f in enumerate(functions, start=1):
         report = gronwall_check(f)
-        member, aksentiev, crit = _row_verdicts(f, spec.lam, report.satisfied)
+        member, aksentiev, crit = _row_verdicts(f, spec.lam)
         if report.satisfied:
             sharp_note = " (sharp)" if report.sharp else ""
             print(f"row {i} PASS coefficient-sum: {_fmt(report.computed)} <= 1{sharp_note}")

@@ -120,7 +120,7 @@ def _circle_sup(q: np.ndarray, thresholds) -> list[list[tuple[float, complex | N
         rows = [k for k, open_ in enumerate(todo) if open_]
         # NaN samples, and a bound beyond the float range, read inf
         with np.errstate(all="ignore"):
-            samples = np.abs(_circle_values(q if len(rows) == len(q) else q[rows], 1.0, m))
+            samples = np.abs(_circle_values(q[rows], 1.0, m))
             samples[np.isnan(samples)] = np.inf
             divisor = np.sqrt(1.0 - 0.5 * (np.pi * d / m) ** 2)
             for k, row, i in zip(rows, samples, np.argmax(samples, axis=1).tolist()):
@@ -217,16 +217,16 @@ def univalence_criterion(f: PoleFunction) -> CriterionVerdict:
     return _circle_verdicts(f, [(_CRITERION_ROW, mu(f.pole), SUP_TOL)])[0]
 
 
-def _row_verdicts(f: PoleFunction, lam: float | None, aksentiev: bool):
+def _row_verdicts(f: PoleFunction, lam: float | None):
     """The verdicts of :func:`up_lambda_membership` at ``lam``,
     :func:`aksentiev_criterion` and :func:`univalence_criterion` for one
     ``check`` row, from one :func:`_circle_verdicts` pass, with the same
-    bits.  Each is None where it does not apply: membership without
-    ``lam``, Aksent'ev's certificate unless ``aksentiev``, the criterion
-    without a pole.  The inputs are taken as validated.
+    bits.  Aksent'ev's threshold rides on the U_f/z**2 stack row of every
+    ``check`` row, which membership samples too.  Membership is None without
+    ``lam``, the criterion without a pole.  The inputs are taken as validated.
     """
     checks = [(_U_ROW, lam * mu(f.pole), SUP_TOL) if lam is not None else None,
-              (_U_ROW, 1.0, 0.0) if aksentiev else None,
+              (_U_ROW, 1.0, 0.0),
               (_CRITERION_ROW, mu(f.pole), SUP_TOL) if f.pole is not NO_POLE else None]
     verdicts = iter(_circle_verdicts(f, [check for check in checks if check]))
     return tuple(None if check is None else next(verdicts) for check in checks)

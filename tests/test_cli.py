@@ -8,10 +8,12 @@ import mpmath as mp
 import pytest
 
 from merobounds import cli
+from merobounds.bounds import BoundQuantity
 from merobounds.cli import LAMBDA_GRID, P_GRID, R_GRID, _fmt, _fmtc, main
 from merobounds.criteria import DiskGrid
-from merobounds.functions import (build_fp, build_koebe_rotation, build_kp,
+from merobounds.functions import (ClassKind, build_fp, build_koebe_rotation, build_kp,
                                   from_inverse_coefficients, mu, to_csv_row)
+from merobounds.integrals import INSIDE_POLE
 
 
 def run_cli(capsys, *argv):
@@ -299,6 +301,9 @@ def test_table_raises_the_error_of_the_first_failing_block(capsys, argv, message
     (("--p", "0.5"), 2),  # the z/f and L1 rows of kp, fp and the Koebe map; f and f/z
     ((), 6),  # one stack of z/f and L1 rows, and the f and f/z rows of each pole
     (("--p", "0.5", "--quantity", "l1"), 1),
+    (("--quantity", "dirichlet_zf"), 1),  # no Koebe member
+    (("--p", "0.3", "0.5", "--quantity", "dirichlet_f"), 2),  # each pole cuts its own radii
+    (("--quantity", "l1", "dirichlet_f_over_z", "dirichlet_f", "dirichlet_zf"), 6),
 ])
 def test_table_judges_each_stack_of_blocks_once(capsys, monkeypatch, argv, calls):
     judge, judged = cli._judge, []
@@ -310,6 +315,28 @@ def test_table_judges_each_stack_of_blocks_once(capsys, monkeypatch, argv, calls
     monkeypatch.setattr(cli, "_judge", counted)
     assert run_cli(capsys, "table", *argv)[0] == 0
     assert len(judged) == calls
+    names = argv[argv.index("--quantity") + 1:] if "--quantity" in argv else [
+        q.value.lower() for q in BoundQuantity]
+    requested = [BoundQuantity(name.upper()) for name in names]
+    # each stack is judged over its side's quantities, in --quantity order
+    for _, _, quantities, _ in judged:
+        inside = quantities[0] in INSIDE_POLE
+        assert list(quantities) == [q for q in requested if (q in INSIDE_POLE) == inside]
+    has_koebe = any(spec.kind is ClassKind.S for _, specs, *_ in judged for spec in specs)
+    assert has_koebe == (BoundQuantity.L1 in requested)
+
+
+@pytest.mark.parametrize("quantities, rows", [
+    (("dirichlet_zf",), 400), (("l1", "dirichlet_f"), 465), (("dirichlet_f_over_z",), 45)])
+def test_table_sweeps_a_subset_of_quantities_as_the_default_does(capsys, quantities, rows):
+    # a stack judged over fewer quantities gives each row the bits of the default sweep
+    code, out, _ = run_cli(capsys, "table", "--quantity", *quantities)
+    assert code == 0
+    default = (Path(__file__).parent / "data" / "table_default.txt").read_text().splitlines()
+    names = tuple(q.upper() + "," for q in quantities)
+    want = [default[0], *(line for line in default[1:] if line.startswith(names))]
+    assert len(want) == 1 + rows
+    assert out.splitlines() == want
 
 
 def test_table_prints_no_note_when_nothing_is_skipped(capsys):

@@ -449,6 +449,32 @@ def test_f_routes_agree_with_mpmath_on_a_degree_8_z_over_f():
     assert abs(one(f, F, r)[0] - want) <= 1e-14 * want
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 3: next to the pole of kp(0.5), the Stein sums of the f and f/z "
+    "integrals lose 58% of the exact sum at r = 0.49999999999999994 and 1.2e-8 at "
+    "r = 0.49999999, while the error row claims 2^-52 of the value"))
+def test_f_routes_bound_their_error_next_to_the_pole_of_kp():
+    # the exact sums over the stored z/f = (1 - z/p)(1 - z/q) at 60 digits: with
+    # u = 1/p, v = 1/q and x = r^2, f/z = sum (u^(n+1) - v^(n+1))/(u - v) z^n, so
+    # S0 = sum |a_n|^2 x^n and S1 = sum n |a_n|^2 x^n are three geometric series
+    f = build_kp(0.5)
+    b = f.inv_series.coefficients
+    for r in (0.49999999999999994, 0.49999999):
+        try:
+            got, error = values(f, (F, FZ), (r,))
+        except BadParameter:
+            continue
+        with mp.workdps(60):
+            u, v = (1 / root for root in mp.polyroots([mp.mpc(complex(c)) for c in b[::-1]]))
+            x = mp.mpf(r) ** 2
+            terms = ((abs(u) ** 2, 1), (u * mp.conj(v), -2), (abs(v) ** 2, 1))
+            s0 = mp.re(sum(k * w / (1 - w * x) for w, k in terms)) / abs(u - v) ** 2
+            s1 = mp.re(sum(k * w * w * x / (1 - w * x) ** 2 for w, k in terms)) / abs(u - v) ** 2
+            want = (mp.pi * x * (s0 + s1), mp.pi * s1)
+        for value, bound, exact in zip(got[:, 0].tolist(), error[:, 0].tolist(), want):
+            assert abs(value - exact) <= bound
+
+
 def test_f_routes_refuse_a_second_root_of_z_over_f_inside_r():
     # z/f = (1 - z/0.1)(1 - z/0.5) declares its pole at 0.5, but its f/z
     # series diverges past 0.1
