@@ -5,14 +5,15 @@ import warnings
 from pathlib import Path
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from merobounds import cli
-from merobounds.bounds import BoundQuantity
+from merobounds.bounds import BoundQuantity, gronwall_check
 from merobounds.cli import LAMBDA_GRID, P_GRID, R_GRID, _fmt, _fmtc, main
-from merobounds.criteria import DiskGrid
+from merobounds.criteria import DiskGrid, aksentiev_criterion
 from merobounds.functions import (ClassKind, build_fp, build_koebe_rotation, build_kp,
-                                  from_inverse_coefficients, mu, to_csv_row)
+                                  from_csv_row, from_inverse_coefficients, mu, to_csv_row)
 from merobounds.integrals import INSIDE_POLE
 
 
@@ -525,6 +526,41 @@ def test_check_certifies_extremals_at_small_poles(p, tmp_path, capsys, monkeypat
     assert "row 1 PASS injectivity: implied by Aksentiev, sup |U_f/z^2| 1 <= 1" in out
     assert (f"row 2 PASS injectivity: implied by Aksentiev, sup |U_f/z^2| "
             f"{_fmt(0.7 * mu(p))} <= 1") in out
+
+
+@pytest.mark.parametrize("f, argv", [
+    (build_kp(0.5), ("--class", "sigma_p", "--p", "0.5")),
+    (build_fp(0.3, 0.7), ("--class", "u_p_lambda", "--p", "0.3", "--lambda", "0.7")),
+    (build_fp(0.5, 1.0), ("--class", "u_p_lambda", "--p", "0.5", "--lambda", "1")),
+    (build_koebe_rotation(1.0), ("--class", "s")),
+    (from_inverse_coefficients([]), ("--class", "s")),
+    # z/f = 1 + 0.6 z^3: coefficient sum 0.72, sup |U_f/z^2| = 1.2, so the scan decides
+    (from_inverse_coefficients([0.0, 0.0, 0.6]), ("--class", "s")),
+    # z/f = (1 - 2z)(1 - 0.9z)(1 + 0.5z): coefficient sum 1.74
+    (from_inverse_coefficients(np.convolve(np.convolve([1.0, -2.0], [1.0, -0.9]),
+                                           [1.0, 0.5])[1:], pole=0.5),
+     ("--class", "sigma_p", "--p", "0.5")),
+])
+def test_check_prints_aksentiev_only_where_the_coefficient_sum_holds(
+        f, argv, tmp_path, capsys, monkeypatch):
+    # every row carries Aksent'ev's verdict; check prints it, and skips the
+    # scan on its strength, only on a row whose coefficient sum holds
+    scans, oracle = [], cli.injectivity_oracle
+
+    def counted(*args, **kwargs):
+        scans.append(args)
+        return oracle(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "injectivity_oracle", counted)
+    row = to_csv_row(f)
+    g = from_csv_row(row)
+    summed, certificate = gronwall_check(g).satisfied, aksentiev_criterion(g)
+    _, out, _ = run_cli(capsys, "check", "--in", write_rows(tmp_path / "f.csv", [row]), *argv)
+    lines = out.splitlines()
+    assert (f"row 1 PASS injectivity: implied by Aksentiev, sup |U_f/z^2| "
+            f"{_fmt(certificate.value)} <= 1" in lines) == (summed and certificate.holds)
+    assert ("row 1 FAIL injectivity: implied by coefficient-sum" in lines) == (not summed)
+    assert len(scans) == (summed and not certificate.holds)
 
 
 #: a perturbed member (1 - z/p) h(z) of order 37 with pole p = 0.0836...,
