@@ -217,16 +217,17 @@ def univalence_criterion(f: PoleFunction) -> CriterionVerdict:
     return _circle_verdicts(f, [(_CRITERION_ROW, mu(f.pole), SUP_TOL)])[0]
 
 
-def _row_verdicts(f: PoleFunction, lam: float | None):
+def _row_verdicts(f: PoleFunction, lam: float | None, aksentiev: bool):
     """The verdicts of :func:`up_lambda_membership` at ``lam``,
     :func:`aksentiev_criterion` and :func:`univalence_criterion` for one
     ``check`` row, from one :func:`_circle_verdicts` pass, with the same
-    bits.  Aksent'ev's threshold rides on the U_f/z**2 stack row of every
-    ``check`` row, which membership samples too.  Membership is None without
-    ``lam``, the criterion without a pole.  The inputs are taken as validated.
+    bits.  Each is None where it does not apply: membership without
+    ``lam``, Aksent'ev's certificate unless ``aksentiev``, the criterion
+    without a pole.  Without ``lam``, Aksent'ev's threshold has the
+    U_f/z**2 row's FFT to itself.  The inputs are taken as validated.
     """
     checks = [(_U_ROW, lam * mu(f.pole), SUP_TOL) if lam is not None else None,
-              (_U_ROW, 1.0, 0.0),
+              (_U_ROW, 1.0, 0.0) if aksentiev else None,
               (_CRITERION_ROW, mu(f.pole), SUP_TOL) if f.pole is not NO_POLE else None]
     verdicts = iter(_circle_verdicts(f, [check for check in checks if check]))
     return tuple(None if check is None else next(verdicts) for check in checks)

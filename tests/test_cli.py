@@ -8,7 +8,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from merobounds import cli
+from merobounds import cli, criteria
 from merobounds.bounds import BoundQuantity, gronwall_check
 from merobounds.cli import LAMBDA_GRID, P_GRID, R_GRID, _fmt, _fmtc, main
 from merobounds.criteria import DiskGrid, aksentiev_criterion
@@ -540,27 +540,34 @@ def test_check_certifies_extremals_at_small_poles(p, tmp_path, capsys, monkeypat
     (from_inverse_coefficients(np.convolve(np.convolve([1.0, -2.0], [1.0, -0.9]),
                                            [1.0, 0.5])[1:], pole=0.5),
      ("--class", "sigma_p", "--p", "0.5")),
+    # z/f = 1 + 1.2 z^2: coefficient sum 1.44, and no threshold rides on its stack
+    (from_inverse_coefficients([0.0, 1.2]), ("--class", "s")),
 ])
 def test_check_prints_aksentiev_only_where_the_coefficient_sum_holds(
         f, argv, tmp_path, capsys, monkeypatch):
-    # every row carries Aksent'ev's verdict; check prints it, and skips the
-    # scan on its strength, only on a row whose coefficient sum holds
+    # check asks for Aksent'ev's verdict, prints it and skips the scan on its
+    # strength only on a row whose coefficient sum holds: elsewhere a row
+    # without --lambda would sample U_f/z^2 for a verdict nobody reads
     scans, oracle = [], cli.injectivity_oracle
+    asked, verdicts = [], criteria._circle_verdicts
 
     def counted(*args, **kwargs):
         scans.append(args)
         return oracle(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "injectivity_oracle", counted)
     row = to_csv_row(f)
     g = from_csv_row(row)
     summed, certificate = gronwall_check(g).satisfied, aksentiev_criterion(g)
+    monkeypatch.setattr(cli, "injectivity_oracle", counted)
+    monkeypatch.setattr(criteria, "_circle_verdicts",
+                        lambda g, checks: asked.extend(checks) or verdicts(g, checks))
     _, out, _ = run_cli(capsys, "check", "--in", write_rows(tmp_path / "f.csv", [row]), *argv)
     lines = out.splitlines()
     assert (f"row 1 PASS injectivity: implied by Aksentiev, sup |U_f/z^2| "
             f"{_fmt(certificate.value)} <= 1" in lines) == (summed and certificate.holds)
     assert ("row 1 FAIL injectivity: implied by coefficient-sum" in lines) == (not summed)
     assert len(scans) == (summed and not certificate.holds)
+    assert ((criteria._U_ROW, 1.0, 0.0) in asked) == summed
 
 
 #: a perturbed member (1 - z/p) h(z) of order 37 with pole p = 0.0836...,

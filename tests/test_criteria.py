@@ -449,24 +449,28 @@ ROW_FUNCTIONS = [
     perturbed_member(0.8, np.random.default_rng(6), scale=0.3, order=40),
     from_inverse_coefficients([0.0] * 63 + [-1e307], pole=1e-307 ** (1 / 64)),
     # z/f = (1 - 2z)(1 - 0.9z)(1 + 0.5z) has a Gronwall sum of 1.74, so ``check``
-    # prints no Aksent'ev line for it, yet its row carries Aksent'ev's threshold
+    # asks for no Aksent'ev verdict on it, but the verdict still matches
     from_inverse_coefficients(np.convolve(np.convolve([1.0, -2.0], [1.0, -0.9]),
                                           [1.0, 0.5])[1:], pole=0.5)]
 
 
 @pytest.mark.parametrize("f,lam", [(f, None) for f in ROW_FUNCTIONS]
                          + [(f, 0.6) for f in ROW_FUNCTIONS if f.pole is not None])
-def test_row_verdicts_are_the_three_public_verdicts(f, lam, monkeypatch):
+@pytest.mark.parametrize("aksentiev", [False, True])
+def test_row_verdicts_are_the_three_public_verdicts(f, lam, aksentiev, monkeypatch):
     # each statistic formed on its own, as the one-statistic checks once did
     b = f.inv_series.coefficients
     n = np.arange(2, b.size)
     with np.errstate(over="ignore"):
         u, second = (1 - n) * b[2:], n * (n - 1) * b[2:]
     shapes = fft_sizes(monkeypatch)
-    member, certificate, crit = criteria._row_verdicts(f, lam)
+    member, certificate, crit = criteria._row_verdicts(f, lam, aksentiev)
     assert len({m for _, m in shapes}) == len(shapes)  # one FFT per sample count
+    # a stack row takes an FFT only when a threshold rides on it
+    sampled = (lam is not None or aksentiev) + (f.pole is not None)
+    assert [k for k, _ in shapes[:1]] == ([sampled] if sampled and u.size else [])
     assert member == (None if lam is None else up_lambda_membership(f, lam))
-    assert certificate == aksentiev_criterion(f)
+    assert certificate == (aksentiev_criterion(f) if aksentiev else None)
     assert crit == (None if f.pole is None else univalence_criterion(f))
     monkeypatch.undo()
     for verdict, q, tol in ((member, u, criteria.SUP_TOL), (certificate, u, 0.0),

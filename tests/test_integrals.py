@@ -449,7 +449,7 @@ def test_f_routes_agree_with_mpmath_on_a_degree_8_z_over_f():
     assert abs(one(f, F, r)[0] - want) <= 1e-14 * want
 
 
-@pytest.mark.xfail(strict=True, reason=(
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
     "ROADMAP item 3: next to the pole of kp(0.5), the Stein sums of the f and f/z "
     "integrals lose 58% of the exact sum at r = 0.49999999999999994 and 1.2e-8 at "
     "r = 0.49999999, while the error row claims 2^-52 of the value"))
