@@ -196,8 +196,9 @@ def sharp_maxima(class_spec: ClassSpec, quantity: BoundQuantity, radii) -> list[
     the first radius that fails either way decides the error.
 
     Raises BadParameter where the paper gives none (Dirichlet integrals of
-    f and f/z over U_P_LAMBDA), and where the closed form leaves the float
-    range; BadRadius or RadiusBeyondPole for r outside its domain.
+    f and f/z over U_P_LAMBDA), where the closed form exceeds the float
+    range, and where a term of it underflows, so that it cannot be formed
+    in floats; BadRadius or RadiusBeyondPole for r outside its domain.
     """
     quantity = BoundQuantity(quantity)
     form = _SHARP_MAXIMA.get((class_spec.kind, quantity))
@@ -211,9 +212,12 @@ def sharp_maxima(class_spec: ClassSpec, quantity: BoundQuantity, radii) -> list[
     for k, maximum in enumerate(maxima):
         if not math.isfinite(maximum):
             check_radii(radii[: k + 1], quantity in INSIDE_POLE, class_spec.p)
+            # inf is an overflow; NaN, from _inside_pole or inf * 0, an underflow
+            problem = ("exceeds the float range" if maximum == math.inf else
+                       "cannot be formed in floats, since a term of its closed form underflows")
             raise BadParameter(
                 f"sharp maximum of {quantity.value} over class {class_spec.kind.value} at "
-                f"p = {class_spec.p!r}, r = {rs[k]!r} exceeds the float range")
+                f"p = {class_spec.p!r}, r = {rs[k]!r} {problem}")
     check_radii(radii, quantity in INSIDE_POLE, class_spec.p)
     return maxima
 

@@ -4,11 +4,12 @@ The statistic U_f/z**2 of the membership check and Aksent'ev's
 certificate and the statistic (z/f)'' of the criterion are polynomials in
 z of one degree, so their suprema over the disk are maxima on |z| = 1,
 bounded from above by one FFT of a stack of their coefficients
-(:func:`_circle_sup`).  ``check`` takes all three verdicts of a row from
-one such pass (:func:`_row_verdicts`), which reads U_f/z**2 once for both
-of its thresholds.  The injectivity
-scan samples a polar grid inside the disk and is an oracle, not a proof:
-``holds=True`` means no collision at the grid resolution.
+(:func:`_circle_sup`).  Each check is a (statistic, threshold) pair of
+such a pass, and ``check`` takes all three verdicts of a row from one pass
+(:func:`_row_verdicts`), in which the membership and Aksent'ev checks share
+the samples of U_f/z**2.  The injectivity scan samples a polar grid
+inside the disk and is an oracle, not a proof: ``holds=True`` means no
+collision at the grid resolution.
 """
 
 from __future__ import annotations
@@ -87,11 +88,11 @@ class CriterionVerdict:
     pairs: int = 0
 
 
-def _circle_sup(q: np.ndarray, thresholds) -> list[list[tuple[float, complex | None]]]:
+def _circle_sup(q: np.ndarray, checks) -> list[tuple[float, complex | None]]:
     """Upper bounds of max |Q_k| on |z| = 1 for the rows ``Q_k(z) = sum q[k, n]
-    z**n`` of a (K, N) stack whose rows share one degree d: for each row k,
-    one (bound, sample where |Q_k| peaks) per threshold in ``thresholds[k]``;
-    (0.0, None) for Q_k = 0, exact for a constant.
+    z**n`` of a (K, N) stack whose rows share one degree d: one (bound,
+    sample where |Q_k| peaks) per ``(k, threshold)`` pair of ``checks``, in
+    order; (0.0, None) for Q_k = 0, exact for a constant.
 
     Q_k is sampled at M >= ``_OVERSAMPLING * d`` roots of unity.  T = |Q_k|**2
     is a trigonometric polynomial of degree d, so |T''| <= d**2 max T
@@ -100,39 +101,38 @@ def _circle_sup(q: np.ndarray, thresholds) -> list[list[tuple[float, complex | N
     exceeds max |Q_k| by at most 0.06%.
 
     A bound above a threshold with no sample above it says nothing about
-    which side max |Q_k| lies on.  Then that threshold stays open: M doubles
-    until a sample exceeds it or the bound clears it, or M reaches
-    ``_MAX_SAMPLES``, where the bound above it stands.  Each M takes one FFT
-    of the rows that still have an open threshold, and a row's samples, so
-    its bounds, are those of the same FFT of that row alone.  A coefficient
-    beyond the float range gives NaN samples, read as inf, so the first FFT
-    settles the row's bounds at inf; a bound that the divisor lifts beyond
-    the float range reads inf too.
+    which side max |Q_k| lies on.  Then that check stays open: M doubles
+    until a sample exceeds its threshold or the bound clears it, or M
+    reaches ``_MAX_SAMPLES``, where the bound above it stands.  Each M takes
+    one FFT of the distinct rows that still have an open check, in
+    ascending order, and a row's samples, so its bounds, are those of the
+    same FFT of that row alone.  A coefficient beyond the float range gives
+    NaN samples, read as inf, so the first FFT settles the row's checks at
+    inf; a bound that the divisor lifts beyond the float range reads inf too.
     """
     d = max(map(degree, q), default=-1)
-    sups = [[(0.0, None)] * len(row) for row in thresholds]
     if d < 0:
-        return sups
+        return [(0.0, None)] * len(checks)
     m = _exact_count(_OVERSAMPLING * d)
     q = q[:, :d + 1].astype(np.complex128)
-    todo = [list(range(len(row))) for row in thresholds]  # the open thresholds
-    while any(todo):
-        rows = [k for k, open_ in enumerate(todo) if open_]
+    sups = [None] * len(checks)
+    todo = range(len(checks))  # the open checks
+    while todo:
+        rows = sorted({checks[j][0] for j in todo})
         # NaN samples, and a bound beyond the float range, read inf
         with np.errstate(all="ignore"):
             samples = np.abs(_circle_values(q[rows], 1.0, m))
             samples[np.isnan(samples)] = np.inf
-            divisor = np.sqrt(1.0 - 0.5 * (np.pi * d / m) ** 2)
-            for k, row, i in zip(rows, samples, np.argmax(samples, axis=1).tolist()):
-                bound, witness = row[i] / divisor, complex(np.exp(2j * np.pi * i / m))
-                still_open = []
-                for j in todo[k]:
-                    threshold = thresholds[k][j]
-                    if bound <= threshold or row[i] > threshold or m >= _MAX_SAMPLES:
-                        sups[k][j] = (float(bound), witness)
-                    else:
-                        still_open.append(j)
-                todo[k] = still_open
+            tops = samples.max(axis=1)
+            bounds = tops / np.sqrt(1.0 - 0.5 * (np.pi * d / m) ** 2)
+        peaks = dict(zip(rows, zip(bounds.tolist(), tops.tolist(),
+                                   samples.argmax(axis=1).tolist())))
+        for j in todo:
+            row, threshold = checks[j]
+            bound, top, i = peaks[row]
+            if bound <= threshold or top > threshold or m >= _MAX_SAMPLES:
+                sups[j] = (bound, complex(np.exp(2j * np.pi * i / m)))
+        todo = [j for j in todo if sups[j] is None]
         m *= 2
     return sups
 
@@ -158,16 +158,10 @@ def _circle_verdicts(f: PoleFunction, checks) -> list[CriterionVerdict]:
     n = np.arange(2, b.size)
     with np.errstate(over="ignore"):  # an overflow reads inf, as does the bound
         stack = np.multiply((1 - n, n * (n - 1)), b[2:])
-    thresholds = ([], [])
-    for row, bound, tol in checks:
-        thresholds[row].append(bound + tol)
-    sups = [iter(row) for row in _circle_sup(stack, thresholds)]
-    verdicts = []
-    for row, bound, tol in checks:
-        value, witness = next(sups[row])
-        verdicts.append(CriterionVerdict(holds=bool(value <= bound + tol), value=value,
-                                         threshold=bound, witness=witness))
-    return verdicts
+    sups = _circle_sup(stack, [(row, bound + tol) for row, bound, tol in checks])
+    return [CriterionVerdict(holds=bool(value <= bound + tol), value=value, threshold=bound,
+                             witness=witness)
+            for (_, bound, tol), (value, witness) in zip(checks, sups)]
 
 
 def up_lambda_membership(f: PoleFunction, lam: float) -> CriterionVerdict:

@@ -631,6 +631,11 @@ def test_sharp_maxima_refuse_a_pair_before_checking_the_radius():
             assert not isinstance(info.value, RadiusBeyondPole)
 
 
+#: the message of a closed form that overflows, and of one that underflows
+OVERFLOW = "exceeds the float range"
+UNDERFLOW = "cannot be formed in floats, since a term of its closed form underflows"
+
+
 @pytest.mark.parametrize("p, quantity, r", [
     (1e-155, ZF, 0.5),  # (1/p + p)**2 raises OverflowError
     (1e-155, L1, 0.5),
@@ -643,7 +648,9 @@ def test_sharp_maxima_refuse_a_pair_before_checking_the_radius():
     (1e-170, FZ, 0.9e-170),
 ])
 def test_sharp_maxima_refuse_values_beyond_the_float_range(p, quantity, r):
-    with pytest.raises(BadParameter, match="exceeds the float range") as info:
+    # the z/f and L1 forms overflow here, the f and f/z forms underflow
+    problem = OVERFLOW if quantity in (ZF, L1) else UNDERFLOW
+    with pytest.raises(BadParameter, match=problem) as info:
         maximum_at(sigma(p), quantity, r)
     message = str(info.value)
     assert quantity.value in message and "SIGMA_P" in message
@@ -762,7 +769,7 @@ def test_maxima_keep_the_bits_of_their_per_radius_forms_at_the_edges():
     radii = np.concatenate((rng.uniform(0.0, 1.0, 20), 10.0 ** rng.uniform(-160.0, 0.0, 10),
                             np.nextafter(tops, 0.0), tops * (1.0 - 1e-9)))
     assert len(specs) == 25 and len(radii) == 48
-    compared = 0
+    compared, refused = 0, {OVERFLOW: 0, UNDERFLOW: 0}
     for spec in specs:
         for quantity in BoundQuantity:
             form = PER_RADIUS_MAXIMA.get((spec.kind, quantity))
@@ -778,18 +785,22 @@ def test_maxima_keep_the_bits_of_their_per_radius_forms_at_the_edges():
                     continue
                 try:
                     want = form(spec, r)
-                except ArithmeticError:  # the form raises where sharp_maxima refuses
-                    want = math.nan
+                except ArithmeticError:  # a ** overflows, where sharp_maxima refuses
+                    want = math.inf
                 if math.isfinite(want):
                     assert _bits(sharp_maxima(spec, quantity, [r])) == _bits([want]), (
                         spec, quantity, r)
                     compared += 1
                 else:
-                    with pytest.raises(BadParameter, match="exceeds the float range") as info:
+                    # an overflow reads inf, an underflowing term NaN
+                    problem = OVERFLOW if want == math.inf else UNDERFLOW
+                    refused[problem] += 1
+                    with pytest.raises(BadParameter, match=problem) as info:
                         sharp_maxima(spec, quantity, [r])
                     assert not isinstance(info.value, BadRadius)
                     assert f"r = {r!r} " in str(info.value), (spec, quantity, r)
     assert compared > 1000
+    assert min(refused.values()) > 10, refused
 
 
 def _random_member(rng, kind, degree):

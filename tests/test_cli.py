@@ -88,6 +88,21 @@ def test_check_matches_the_golden_output(capsys):
     assert out == (data / "check_rows.txt").read_text()
 
 
+@pytest.mark.parametrize("rows, argv, golden", [
+    # the seven rows above as members of Sigma(0.5): no membership lines
+    ("check_rows.csv", ("--class", "sigma_p", "--p", "0.5"), "check_rows_sigma_p.txt"),
+    # pole-less rows, one per injectivity branch: z/f = 1 + 5z**2 fails the
+    # coefficient sum, the Koebe map passes Aksentiev's certificate, and the
+    # scan_fold_pass.csv row reaches the grid scan, whose PASS is wrong
+    ("check_rows_s.csv", ("--class", "s"), "check_rows_s.txt"),
+])
+def test_check_matches_the_golden_output_of_each_class(capsys, rows, argv, golden):
+    data = Path(__file__).parent / "data"
+    code, out, _ = run_cli(capsys, "check", "--in", str(data / rows), *argv)
+    assert code == 1
+    assert out == (data / golden).read_text()
+
+
 def test_grids_cover_the_documented_ranges():
     assert P_GRID == (0.2, 0.35, 0.5, 0.65, 0.8)
     assert len(R_GRID) == 20 and R_GRID[0] == 0.05 and R_GRID[-1] == 1.0
@@ -198,7 +213,7 @@ def test_table_f_route_rows_at_a_pole_near_one_are_sharp(capsys):
     assert all(row[8] == "true" for row in rows if float(row[4]) <= 0.9)
 
 
-@pytest.mark.xfail(strict=True, reason=(
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
     "the Stein sum of kp at p = 0.9999, r = 0.95 is 2.2e-13 relative above the "
     "exact sum over its stored z/f, whose roots p and 1/p nearly coincide; "
     "that is 3e-8 absolute, beyond SATISFACTION_TOL"))
@@ -279,11 +294,17 @@ def test_table_refuses_a_sharp_bound_beyond_the_float_range(capsys):
     (("--p", "1e-160", "0.2", "--r", "1e-200", "0.5", "--quantity", "l1", "dirichlet_f"),
      "sharp maximum of L1 over class SIGMA_P at p = 1e-160, r = 1e-200 "
      "exceeds the float range"),
-    # the f/z block of kp(0.2) fails before every member at p = 1e-155
+    # the f/z block of kp(0.2) fails before every member at p = 1e-155: the
+    # lead of its closed form underflows
     (("--p", "0.2", "1e-155", "--r", "0.1", "1e-300",
       "--quantity", "dirichlet_f_over_z", "l1", "dirichlet_zf"),
      "sharp maximum of DIRICHLET_F_OVER_Z over class SIGMA_P at p = 0.2, r = 1e-300 "
-     "exceeds the float range"),
+     "cannot be formed in floats, since a term of its closed form underflows"),
+    # the z/f maximum of kp(0.5) rounds to 0 and its L1 maximum to 1, but the
+    # lead of its f maximum underflows
+    (("--p", "0.5", "--r", "5e-324"),
+     "sharp maximum of DIRICHLET_F over class SIGMA_P at p = 0.5, r = 5e-324 "
+     "cannot be formed in floats, since a term of its closed form underflows"),
     # the Stein pass of kp(0.9999999) fails before the maxima at p = 1e-160
     (("--p", "0.9999999", "1e-160", "--r", "0.99999989"),
      "radius 0.99999989 reaches a root of z/f, where the f/z series diverges"),
@@ -595,12 +616,48 @@ def test_scan_false_pass_row_has_a_collision_inside_the_grid():
         assert abs(f(z1) - f(z2)) < mp.mpf("1e-35")
 
 
-@pytest.mark.xfail(strict=True, reason=(
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
     "the grid scan reads PASS: its quotient floor 2.28e-4 lies above the absolute "
     "COLLISION_TOL = 1e-4, though f(z1) = f(z2) at |z1| = 0.97, |z2| = 0.9634"))
 def test_check_fails_the_scan_false_pass_row(capsys):
     code, _, _ = run_cli(capsys, "check", "--in", str(SCAN_FALSE_PASS),
                          "--class", "sigma_p", "--p", SCAN_FALSE_PASS_POLE)
+    assert code == 1
+
+
+#: z/f = 1 + 0.6 z**3, with no pole: its coefficient sum (0.72) holds and
+#: sup |U_f/z**2| = 1.2 gives no certificate, so the grid scan decides, and it
+#: steps over the fold of f next to the critical point 1.2**(-1/3) = 0.941
+SCAN_FOLD_PASS = Path(__file__).parent / "data" / "scan_fold_pass.csv"
+
+
+def test_scan_fold_pass_row_has_a_collision_inside_the_grid():
+    assert SCAN_FOLD_PASS.read_text() in (SCAN_FOLD_PASS.parent / "check_rows_s.csv").read_text()
+    fields = SCAN_FOLD_PASS.read_text().strip().split(",")
+    assert fields[:2] == ["", "3"]
+    values = [float(x) for x in fields[2:]]
+    assert values == [0.0, 0.0, 0.0, 0.0, 0.6, 0.0]
+    with mp.workdps(40):
+        b = mp.mpf(values[4])
+
+        def f(z):
+            return z / (1 + b * z**3)
+
+        # f' = (1 - 2b z**3) / (1 + b z**3)**2 vanishes inside the grid's radius
+        critical = mp.cbrt(1 / (2 * b))
+        assert 0.94 < critical < 0.99 and abs(mp.diff(f, critical)) < mp.mpf("1e-35")
+        z1 = mp.mpf("0.93")
+        z2 = mp.findroot(lambda z: f(z) - f(z1), mp.mpf("0.95"))
+        assert z1 < critical < z2 < 0.99
+        assert abs(z2 - mp.mpf("0.95215902260138")) < mp.mpf("1e-14")
+        assert abs(f(z1) - f(z2)) < mp.mpf("1e-35")
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "the grid scan reads PASS: its quotient floor 1.56e-3 lies above COLLISION_TOL = 1e-4, "
+    "though f(0.93) = f(0.9522) across the critical point 0.941"))
+def test_check_fails_the_scan_fold_pass_row(capsys):
+    code, _, _ = run_cli(capsys, "check", "--in", str(SCAN_FOLD_PASS), "--class", "s")
     assert code == 1
 
 

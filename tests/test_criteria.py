@@ -296,36 +296,37 @@ def test_circle_sup_is_a_tight_upper_bound(degree, seed):
     rng = np.random.default_rng(seed)
     q = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
     fine = float(np.max(np.abs(np.fft.fft(q, 1 << 18))))
-    [[(bound, witness)]] = _circle_sup(q[None], [[math.inf]])
+    [(bound, witness)] = _circle_sup(q[None], [(0, math.inf)])
     assert fine <= bound <= 1.0007 * fine
     assert abs(abs(witness) - 1.0) < 1e-15
 
 
 def test_circle_sup_of_a_constant_is_exact():
-    assert _circle_sup(np.array([[-0.25 + 0j, 0.0, 0.0]]), [[math.inf]]) == [[(0.25, 1 + 0j)]]
+    assert _circle_sup(np.array([[-0.25 + 0j, 0.0, 0.0]]), [(0, math.inf)]) == [(0.25, 1 + 0j)]
 
 
 def test_circle_sup_of_zero_is_zero():
-    assert _circle_sup(np.zeros((1, 3), dtype=np.complex128), [[math.inf]]) == [[(0.0, None)]]
-    assert _circle_sup(np.zeros((1, 0), dtype=np.complex128), [[math.inf]]) == [[(0.0, None)]]
-    assert _circle_sup(np.zeros((2, 3), dtype=np.complex128), [[1.0, 2.0], []]) \
-        == [[(0.0, None), (0.0, None)], []]
+    assert _circle_sup(np.zeros((1, 3), dtype=np.complex128), [(0, math.inf)]) == [(0.0, None)]
+    assert _circle_sup(np.zeros((1, 0), dtype=np.complex128), [(0, math.inf)]) == [(0.0, None)]
+    assert _circle_sup(np.zeros((2, 3), dtype=np.complex128), [(0, 1.0), (0, 2.0)]) \
+        == [(0.0, None), (0.0, None)]
+    assert _circle_sup(np.zeros((2, 3), dtype=np.complex128), []) == []
 
 
 def test_circle_sup_takes_one_fft_away_from_the_threshold(monkeypatch):
     q = np.array([[0.3, -0.2j, 0.1, 0.05]])
-    [[(bound, witness)]] = _circle_sup(q, [[math.inf]])
+    [(bound, witness)] = _circle_sup(q, [(0, math.inf)])
     shapes = fft_sizes(monkeypatch)
     # a sample exceeds the first, the bound clears the second
-    assert _circle_sup(q, [[0.5 * bound, bound]]) == [[(bound, witness)] * 2]
+    assert _circle_sup(q, [(0, 0.5 * bound), (0, bound)]) == [(bound, witness)] * 2
     assert shapes == [(1, 256)]
 
 
 def test_circle_sup_refines_until_the_bound_clears_the_threshold():
     q = np.array([[1.0, 0.0, 0.0, 0.5]])
-    [[(bound, _)]] = _circle_sup(q, [[math.inf]])
+    [(bound, _)] = _circle_sup(q, [(0, math.inf)])
     assert bound > 1.5
-    [[(refined, witness)]] = _circle_sup(q, [[1.5]])
+    [(refined, witness)] = _circle_sup(q, [(0, 1.5)])
     assert 1.5 <= refined <= 1.5 * (1 + 1e-6)
     assert abs(witness - 1.0) < 1e-15
 
@@ -333,7 +334,7 @@ def test_circle_sup_refines_until_the_bound_clears_the_threshold():
 def test_circle_sup_stops_refining_at_the_cap():
     # |z**2 / 2| is 1/2 at every sample, so no doubling settles a threshold
     # just above 1/2
-    [[(bound, _)]] = _circle_sup(np.array([[0.0, 0.0, 0.5]]), [[0.5 + 1e-12]])
+    [(bound, _)] = _circle_sup(np.array([[0.0, 0.0, 0.5]]), [(0, 0.5 + 1e-12)])
     assert bound == pytest.approx(
         0.5 / np.sqrt(1.0 - 0.5 * (2 * np.pi / criteria._MAX_SAMPLES) ** 2), rel=1e-15)
     assert bound > 0.5 + 1e-12
@@ -347,7 +348,7 @@ def test_circle_sup_reads_a_bound_beyond_the_float_range_as_inf():
     f = from_inverse_coefficients([0.0, -1.797e308, 0.0, 1e300])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        [[(bound, witness)]] = _circle_sup(q, [[math.inf]])
+        [(bound, witness)] = _circle_sup(q, [(0, math.inf)])
         certificate = aksentiev_criterion(f)
     assert bound == math.inf
     assert witness == 1 + 0j
@@ -359,14 +360,14 @@ def test_circle_sup_settles_each_threshold_at_its_own_sample_count(monkeypatch):
     # the first bound of Q = 1 + z**3 / 2 clears inf; 1.5 needs doublings, and
     # the row of (z/f)''-like 3 z**3 leaves the FFT once its one threshold settles
     q = np.array([[1.0, 0.0, 0.0, 0.5], [0.0, 0.0, 0.0, 3.0]])
-    thresholds = [[math.inf, 1.5], [10.0]]
-    want = [[one_row_sup(q[0], t) for t in thresholds[0]], [one_row_sup(q[1], 10.0)]]
+    checks = [(0, math.inf), (0, 1.5), (1, 10.0)]
+    want = [one_row_sup(q[row], t) for row, t in checks]
     shapes = fft_sizes(monkeypatch)
-    got = _circle_sup(q, thresholds)
+    got = _circle_sup(q, checks)
     assert got == want
     assert shapes[:2] == [(2, 256), (1, 512)]
     assert len(shapes) > 2 and all(rows == 1 for rows, _ in shapes[1:])
-    assert got[0][0] != got[0][1]
+    assert got[0] != got[1]
 
 
 def conjugate_fft_sup(q, threshold=math.inf):
@@ -402,7 +403,7 @@ def test_circle_sup_keeps_the_bits_of_the_conjugate_fft():
             # above every sample, so only the cap at _MAX_SAMPLES stops it
             fine = float(np.max(np.abs(np.fft.fft(q, criteria._MAX_SAMPLES))))
             thresholds += [fine * (1 - 1e-9), fine * (1 + 1e-12)]
-        [row] = _circle_sup(q[None], [thresholds])
+        row = _circle_sup(q[None], [(0, threshold) for threshold in thresholds])
         for threshold, got in zip(thresholds, row, strict=True):
             want = conjugate_fft_sup(q, threshold)
             assert got == want, (degree, threshold)
@@ -412,8 +413,9 @@ def test_circle_sup_keeps_the_bits_of_the_conjugate_fft():
 def test_circle_sup_of_a_stack_keeps_the_bits_of_the_one_row_rule():
     # about 200 rows in stacks of 1 to 3 rows of one degree, each row with up
     # to four thresholds: ones the first FFT settles, ones that take doublings
-    # and ones that run to the cap
-    rng = np.random.default_rng(36)
+    # and ones that run to the cap; each stack's (row, threshold) pairs come
+    # in shuffled order, so the rows of a stack interleave
+    rng, shuffle = np.random.default_rng(36), np.random.default_rng(38)
     stacks = []
     for case in range(100):
         degree, count = int(rng.integers(0, 65)), 1 + case % 3
@@ -424,23 +426,26 @@ def test_circle_sup_of_a_stack_keeps_the_bits_of_the_one_row_rule():
         q = np.pad(q, ((0, 0), (0, int(rng.integers(0, 3)))))  # trailing zeros
         if case == 7:
             q[1 % count, 0] = np.inf  # a coefficient beyond the float range
-        thresholds = []
-        for row in q:
+        checks = []
+        for k, row in enumerate(q):
             top = one_row_sup(row, math.inf)[0]
             choices = [math.inf, 0.5 * top, top * (1 - 1e-5), top * (1 + 1e-14)]
-            thresholds.append([choices[j] for j in rng.permutation(4)[:rng.integers(0, 5)]])
-        stacks.append((q, thresholds))
+            checks += [(k, choices[j]) for j in rng.permutation(4)[:rng.integers(0, 5)]]
+        stacks.append((q, [checks[j] for j in shuffle.permutation(len(checks))]))
+    # row 1, row 0, then row 1's pair again: a repeated pair has its own answer
     stacks.append((np.array([[1.0, 0.0, 0.0, 0.5], [0.0, 0.0, 0.0, 3.0]]),
-                   [[math.inf, 1.5], [10.0]]))
+                   [(1, 10.0), (0, 1.5), (1, 10.0), (0, math.inf)]))
     assert sum(len(q) for q, _ in stacks) == 201
+    assert sum(len({k for k, _ in checks}) > 1 and checks != sorted(checks, key=lambda c: c[0])
+               for _, checks in stacks) > 10
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for q, thresholds in stacks:
-            got = _circle_sup(q, thresholds)
-            want = [[one_row_sup(row, t) for t in ts] for row, ts in zip(q, thresholds)]
+        for q, checks in stacks:
+            got = _circle_sup(q, checks)
+            want = [one_row_sup(q[k], t) for k, t in checks]
             assert got == want
-            assert [np.float64(b).tobytes() for row in got for b, _ in row] \
-                == [np.float64(b).tobytes() for row in want for b, _ in row]
+            assert [np.float64(b).tobytes() for b, _ in got] \
+                == [np.float64(b).tobytes() for b, _ in want]
 
 
 ROW_FUNCTIONS = [
