@@ -96,7 +96,8 @@ def gronwall_check(f: PoleFunction) -> BoundReport:
 def lemma1_check(f: PoleFunction, lam: float, t: float, r: float) -> BoundReport:
     """Weighted tail inequality sum_{n>=2} n**t |b_n|**2 r**(2n) <= 2**t
     (lam*mu)**2 r**4, valid for t <= 2 whenever the residual functional of
-    f stays below lam*mu on the disk."""
+    f stays below lam*mu on the disk.  BadParameter where that bound
+    underflows the normal float range, as it would round to 0."""
     if not t <= 2.0:
         raise BadParameter("the weighted tail bound only holds for t <= 2")
     check_lambda(lam)
@@ -106,8 +107,11 @@ def lemma1_check(f: PoleFunction, lam: float, t: float, r: float) -> BoundReport
     if t == -math.inf:
         raise BadParameter(f"exponent t {t!r} is not finite")
     t, lam, r = float(t), float(lam), float(r)
-    computed = float(_parseval(f.inv_series.coefficients, t, r, 2))
     bound = 2.0**t * (lam * mu(f.pole)) ** 2 * r**4
+    if bound < sys.float_info.min:  # a bound rounded to 0 would read any tail as sharp
+        raise BadParameter(f"weighted tail bound at t = {t!r}, r = {r!r} cannot be formed "
+                           "in floats, since it underflows")
+    computed = float(_parseval(f.inv_series.coefficients, t, r, 2))
     return build_report("LEMMA_TAIL", computed, bound, r=r)
 
 
@@ -191,9 +195,8 @@ def sharp_maxima(class_spec: ClassSpec, quantity: BoundQuantity, radii) -> list[
     sequence of radii, in their order.
 
     r lies in (0, 1], or below p for ``integrals.INSIDE_POLE`` (below 1
-    over S).  The closed form runs at every radius, and the radii up to
-    the first maximum that is not finite are then checked in one pass, so
-    the first radius that fails either way decides the error.
+    over S).  Every radius is checked in one pass before any closed form
+    runs, and the first maximum that is not finite then raises.
 
     Raises BadParameter where the paper gives none (Dirichlet integrals of
     f and f/z over U_P_LAMBDA), where the closed form exceeds the float
@@ -205,20 +208,17 @@ def sharp_maxima(class_spec: ClassSpec, quantity: BoundQuantity, radii) -> list[
     if form is None:
         raise BadParameter(
             f"no sharp bound for {quantity.value} over class {class_spec.kind.value}")
+    rs = check_radii(radii, quantity in INSIDE_POLE, class_spec.p).tolist()
     m = class_spec.lam * mu(class_spec.p) if class_spec.lam else math.nan
-    radii = np.asarray(radii, dtype=np.float64)  # check_radii refuses any but one dimension
-    rs = radii.tolist() if radii.ndim == 1 else []
     maxima = [_maximum(form, class_spec.p, m, r) for r in rs]
-    for k, maximum in enumerate(maxima):
+    for r, maximum in zip(rs, maxima):
         if not math.isfinite(maximum):
-            check_radii(radii[: k + 1], quantity in INSIDE_POLE, class_spec.p)
             # inf is an overflow; NaN, from _inside_pole or inf * 0, an underflow
             problem = ("exceeds the float range" if maximum == math.inf else
                        "cannot be formed in floats, since a term of its closed form underflows")
             raise BadParameter(
                 f"sharp maximum of {quantity.value} over class {class_spec.kind.value} at "
-                f"p = {class_spec.p!r}, r = {rs[k]!r} {problem}")
-    check_radii(radii, quantity in INSIDE_POLE, class_spec.p)
+                f"p = {class_spec.p!r}, r = {r!r} {problem}")
     return maxima
 
 

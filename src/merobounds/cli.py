@@ -18,7 +18,9 @@ over, so each help text and usage error is the one a top-level parse
 gives.  ``table`` stacks its blocks of rows on side (z/f and L1, or f and
 f/z) and radii, so a sweep over one pole makes two judged passes: the z/f
 and L1 rows of kp, fp and the Koebe map, and the f and f/z rows of kp
-below the pole.
+below the pole.  A command checks each input before the value it guards
+is formed, and ``main`` alone turns the first MeroboundsError raised into
+an ``error:`` line on stderr and exit code 2.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .bounds import (BoundQuantity, _judge, gronwall_check, jenkins_bound, lemma
                      sharp_maxima)
 from .criteria import (SUP_TOL, _row_verdicts, injectivity_oracle, univalence_criterion,
                        up_lambda_membership)
-from .errors import MeroboundsError, check_radii
+from .errors import BadParameter, MeroboundsError, check_radii
 from .functions import (
     ClassKind,
     ClassSpec,
@@ -241,51 +243,39 @@ def _cmd_table(args) -> int:
     ps, rs, lams, names = (list(dict.fromkeys(values))
                            for values in (args.p, args.r, args.lam, args.quantity))
     quantities = [BoundQuantity(q.upper()) for q in names]
-    # the class specs and builders validate p and lambda; a sharp maximum
-    # may still leave the float range
-    try:
-        members = []
-        for p in ps:
-            members.append(_kp_member(p))
-            members.extend(_fp_member(p, lam) for lam in lams)
-        members.append((ClassSpec(ClassKind.S), build_koebe_rotation(0.0)))
-        check_radii(rs)
-        # blocks of rows (quantities, radii, spec, f), in the order that decides which
-        # error shows, stacked on (side, radii): side 0 holds the z/f and L1 rows, side 1
-        # the f and f/z rows, whose radii stop at the pole.  Every member's z/f has
-        # length 3, so the blocks of one side and radii stack, and kp sweeps all four
-        # quantities, so each stack holds a kp block and is judged over its side's
-        # quantities, in --quantity order.
-        sides = ([q for q in quantities if q not in INSIDE_POLE],
-                 [q for q in quantities if q in INSIDE_POLE])
-        blocks, groups, skipped = [], {}, 0
-        for spec, f in members:
-            for side, side_quantities in enumerate(sides):
-                sweep = [q for q in side_quantities if spec.kind in _TABLE_CLASSES[q]]
-                radii = rs
-                if side and sweep:  # only SIGMA_P has f and f/z maxima
-                    radii = [r for r in rs if r < spec.p]
-                    skipped += len(rs) - len(radii)
-                if sweep and radii:
-                    blocks.append((sweep, radii, spec, f))
-                    groups.setdefault((side, tuple(radii)), []).append(blocks[-1])
-        try:
-            judged = [_judge([b[3] for b in group], [b[2] for b in group], sides[side],
-                             group[0][1]) for (side, _), group in groups.items()]
-        except MeroboundsError:
-            for block in blocks:  # raise what the blocks meet one by one first
-                _judge([block[3]], [block[2]], *block[:2])
-            raise
-    except MeroboundsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    # the class specs and builders validate p and lambda
+    members = []
+    for p in ps:
+        members.append(_kp_member(p))
+        members.extend(_fp_member(p, lam) for lam in lams)
+    members.append((ClassSpec(ClassKind.S), build_koebe_rotation(0.0)))
+    check_radii(rs)
+    # blocks of rows (quantities, radii, spec, f), stacked on (side, radii) in first-seen
+    # order: side 0 holds the z/f and L1 rows, side 1 the f and f/z rows, whose radii stop
+    # at the pole.  Every member's z/f has length 3, so the blocks of one side and radii
+    # stack, and kp sweeps all four quantities, so each stack holds a kp block and is
+    # judged over its side's quantities, in --quantity order.  The first stack to fail
+    # raises: the z/f and L1 stack, then each pole's f and f/z stack in --p order.
+    sides = ([q for q in quantities if q not in INSIDE_POLE],
+             [q for q in quantities if q in INSIDE_POLE])
+    groups, skipped = {}, 0
+    for spec, f in members:
+        for side, side_quantities in enumerate(sides):
+            sweep = [q for q in side_quantities if spec.kind in _TABLE_CLASSES[q]]
+            radii = rs
+            if side and sweep:  # only SIGMA_P has f and f/z maxima
+                radii = [r for r in rs if r < spec.p]
+                skipped += len(rs) - len(radii)
+            if sweep and radii:
+                groups.setdefault((side, tuple(radii)), []).append((sweep, radii, spec, f))
+    judged = [_judge([b[3] for b in group], [b[2] for b in group], sides[side], group[0][1])
+              for (side, _), group in groups.items()]
 
     if skipped:  # each kp skips the same radii for f as for f/z
         for name in sorted(q.value for q in sides[1]):
             print(f"note: {name} requires r < p; skipped {skipped} combinations", file=sys.stderr)
     if not judged:
-        print("error: the sweep produced no rows", file=sys.stderr)
-        return 2
+        raise BadParameter("the sweep produced no rows")
 
     text_r = {r: "%.12g" % r for r in rs}
     rows = []  # (quantity, class, p, lambda, r, CSV line), sorted on the key before the line
@@ -320,11 +310,7 @@ def _cmd_table(args) -> int:
 # ---- check ---------------------------------------------------------------------
 
 def _cmd_check(args) -> int:
-    try:
-        spec = ClassSpec(ClassKind(args.klass.upper()), p=args.p, lam=args.lam)
-    except (ValueError, MeroboundsError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    spec = ClassSpec(ClassKind(args.klass.upper()), p=args.p, lam=args.lam)
     try:
         with open(args.infile, newline="") as fh:
             raw = [row for row in csv.reader(fh) if row]
@@ -332,8 +318,7 @@ def _cmd_check(args) -> int:
         print(f"error: cannot read {args.infile}: {exc}", file=sys.stderr)
         return 2
     if not raw:
-        print("error: no function rows in input", file=sys.stderr)
-        return 2
+        raise BadParameter("no function rows in input")
 
     functions = []
     for i, row in enumerate(raw, start=1):
@@ -450,7 +435,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         code = exc.code
         return 0 if code in (0, None) else 2
-    return args.func(args)
+    try:
+        return args.func(args)
+    except MeroboundsError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 def entry() -> None:

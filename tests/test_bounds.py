@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 
 import mpmath as mp
@@ -226,6 +227,19 @@ def test_lemma_tail_refuses_an_exponent_above_two(t):
     with pytest.raises(BadParameter, match="t <= 2"):
         lemma1_check(f, 0.5, t, 0.5)
     assert lemma1_check(f, 0.5, 2.0, 0.5).satisfied
+
+
+def test_lemma_tail_refuses_a_bound_that_underflows():
+    # kp's tail is 81 times its bound at every radius; a bound rounded to 0
+    # met a tail rounded to 0 and read sharp
+    f = build_kp(0.5)
+    for t, r in ((2.0, 1e-200), (2.0, 1e-90), (-2000.0, 0.5), (2.0, 1e-77)):
+        with pytest.raises(BadParameter, match="cannot be formed in floats, since it underflows"):
+            lemma1_check(f, 1.0, t, r)
+    # the last normal bound is formed, and kp's tail exceeds it 81 times
+    rep = lemma1_check(f, 1.0, 2.0, 1e-76)
+    assert sys.float_info.min < rep.bound < 1e-305
+    assert rep.computed / rep.bound == pytest.approx(81.0, rel=1e-12)
 
 
 # ---- closed-form maxima --------------------------------------------------------------
@@ -743,14 +757,32 @@ def test_sharp_maxima_keep_the_bits_of_their_per_radius_forms(key):
 @pytest.mark.parametrize("quantity", [ZF, L1], ids=lambda q: q.value)
 def test_sharp_maxima_check_each_radius_before_an_overflowing_class_constant(spec, quantity):
     # (1/p + p)**2 and (1/p + lam*mu*p)**2 overflow at p = 1e-155, a numpy
-    # pole too: its class stores it as a Python float, whose ** raises
+    # pole too: its class stores it as a Python float, whose ** raises.  A bad
+    # radius is refused wherever it stands, before any maximum is formed
     for bad in (0.0, 1.5, math.nan):
-        with pytest.raises(BadRadius):
-            sharp_maxima(spec, quantity, [bad, 0.5])
-        with pytest.raises(BadParameter, match="exceeds the float range") as info:
-            sharp_maxima(spec, quantity, [0.25, bad])
-        assert not isinstance(info.value, BadRadius)
-        assert "r = 0.25" in str(info.value) and "p = 1e-155" in str(info.value)
+        for radii in ([bad, 0.5], [0.25, bad]):
+            with pytest.raises(BadRadius, match=re.escape(f"radius {bad!r} outside (0, 1]")):
+                sharp_maxima(spec, quantity, radii)
+    with pytest.raises(BadParameter, match="exceeds the float range") as info:
+        sharp_maxima(spec, quantity, [0.25, 0.5])
+    assert not isinstance(info.value, BadRadius)
+    assert "r = 0.25" in str(info.value) and "p = 1e-155" in str(info.value)
+
+
+@pytest.mark.xfail(strict=True, raises=BadParameter, reason=(
+    "(1/p + p)**2 and (1/p + lam mu p)**2 overflow at p = 1e-155, though each "
+    "maximum at r = 1e-100 is near 1e110"))
+def test_sharp_maxima_in_range_survive_an_overflowing_class_constant():
+    p, r = 1e-155, 1e-100
+    with mp.workdps(50):
+        pp, rr = mp.mpf(p), mp.mpf(r)
+        for spec in (sigma(p), residual(p, 0.5)):
+            m = 1 if spec.lam is None else mp.mpf(spec.lam) * ((1 - pp) / (1 + pp)) ** 2
+            exact = {ZF: mp.pi * rr**2 * ((1 / pp + m * pp) ** 2 + 2 * m**2 * rr**2),
+                     L1: 1 + (1 / pp + m * pp) ** 2 * rr**2 + m**2 * rr**4}
+            for quantity, want in exact.items():
+                got = sharp_maxima(spec, quantity, [r])[0]
+                assert abs(got - want) <= 1e-14 * want, (spec, quantity)
 
 
 def _bits(x):

@@ -12,6 +12,7 @@ from merobounds import cli, criteria
 from merobounds.bounds import BoundQuantity, gronwall_check
 from merobounds.cli import LAMBDA_GRID, P_GRID, R_GRID, _fmt, _fmtc, main
 from merobounds.criteria import DiskGrid, aksentiev_criterion
+from merobounds.errors import BadParameter
 from merobounds.functions import (ClassKind, build_fp, build_koebe_rotation, build_kp,
                                   from_csv_row, from_inverse_coefficients, mu, to_csv_row)
 from merobounds.integrals import INSIDE_POLE
@@ -289,34 +290,65 @@ def test_table_refuses_a_sharp_bound_beyond_the_float_range(capsys):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("argv, message", [
-    # the L1 block of kp(1e-160) comes before any f block
+@pytest.mark.parametrize("argv, message, stacks", [
+    # the z/f and L1 stack fails at the L1 maximum of kp(1e-160), before any f stack
     (("--p", "1e-160", "0.2", "--r", "1e-200", "0.5", "--quantity", "l1", "dirichlet_f"),
      "sharp maximum of L1 over class SIGMA_P at p = 1e-160, r = 1e-200 "
-     "exceeds the float range"),
-    # the f/z block of kp(0.2) fails before every member at p = 1e-155: the
-    # lead of its closed form underflows
+     "exceeds the float range", [9]),
+    # the z/f and L1 stack comes before the f/z stack of kp(0.2), whose lead
+    # underflows at r = 1e-300
     (("--p", "0.2", "1e-155", "--r", "0.1", "1e-300",
       "--quantity", "dirichlet_f_over_z", "l1", "dirichlet_zf"),
-     "sharp maximum of DIRICHLET_F_OVER_Z over class SIGMA_P at p = 0.2, r = 1e-300 "
-     "cannot be formed in floats, since a term of its closed form underflows"),
-    # the z/f maximum of kp(0.5) rounds to 0 and its L1 maximum to 1, but the
-    # lead of its f maximum underflows
+     "sharp maximum of L1 over class SIGMA_P at p = 1e-155, r = 0.1 "
+     "exceeds the float range", [9]),
+    # the z/f maximum of kp(0.5) rounds to 0 and its L1 maximum to 1, so the
+    # z/f and L1 stack passes, but the lead of its f maximum underflows
     (("--p", "0.5", "--r", "5e-324"),
      "sharp maximum of DIRICHLET_F over class SIGMA_P at p = 0.5, r = 5e-324 "
-     "cannot be formed in floats, since a term of its closed form underflows"),
-    # the Stein pass of kp(0.9999999) fails before the maxima at p = 1e-160
+     "cannot be formed in floats, since a term of its closed form underflows", [5, 1]),
+    # the z/f and L1 stack fails at p = 1e-160 before the Stein pass of
+    # kp(0.9999999) meets the root of its z/f
     (("--p", "0.9999999", "1e-160", "--r", "0.99999989"),
-     "radius 0.99999989 reaches a root of z/f, where the f/z series diverges"),
+     "sharp maximum of DIRICHLET_ZF over class SIGMA_P at p = 1e-160, r = 0.99999989 "
+     "exceeds the float range", [9]),
 ])
-def test_table_raises_the_error_of_the_first_failing_block(capsys, argv, message):
-    # the blocks of rows are judged in stacked groups, but the error shown is
-    # the one the blocks meet first in member order; each message was
-    # recorded from a table that judged the blocks one by one
+def test_table_raises_the_error_of_the_first_failing_stack(capsys, monkeypatch, argv, message,
+                                                           stacks):
+    # each stack is judged once, in first-seen order, and the first error shows:
+    # ``stacks`` holds the member count of each judged stack, so no stack after
+    # the failing one runs, and no block is judged again on its own
+    judge, judged = cli._judge, []
+
+    def counted(fs, *args):
+        judged.append(len(fs))
+        return judge(fs, *args)
+
+    monkeypatch.setattr(cli, "_judge", counted)
     code, out, err = run_cli(capsys, "table", *argv)
     assert code == 2
     assert out == ""
     assert err == f"error: {message}\n"
+    assert judged == stacks
+
+
+@pytest.mark.parametrize("command, patched", [
+    (("check", "--in", str(Path(__file__).parent / "data" / "check_rows.csv"),
+      "--class", "sigma_p", "--p", "0.5"), "_row_verdicts"),
+    (("table", "--p", "0.5"), "_judge"),
+])
+def test_main_alone_turns_an_error_into_exit_2(capsys, monkeypatch, command, patched):
+    def boom(*args):
+        raise BadParameter("boom")
+
+    def bug(*args):
+        raise RuntimeError("bug")
+
+    monkeypatch.setattr(cli, patched, boom)
+    assert run_cli(capsys, *command) == (2, "", "error: boom\n")
+    # an error the package did not raise deliberately is no usage error
+    monkeypatch.setattr(cli, patched, bug)
+    with pytest.raises(RuntimeError, match="bug"):
+        main(list(command))
 
 
 @pytest.mark.parametrize("argv, calls", [

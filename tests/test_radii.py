@@ -4,7 +4,9 @@ Two radius domains cover the paper's four quantities: the Dirichlet
 integral of z/f and the L1 mean take 0 < r <= 1; the Dirichlet integrals of
 f and f/z take 0 < r < p, or 0 < r < 1 over S.  The first radius in order
 that leaves its domain decides the error, and where several quantities are
-asked for, their domains are checked in the order of the quantities.
+asked for, their domains are checked in the order of the quantities.  Every
+radius is checked before a sharp maximum is formed, so a bad radius is
+refused even where the maximum at an earlier one leaves the float range.
 """
 
 import math
@@ -30,6 +32,12 @@ MEMBERS = {
     ClassKind.S: (ClassSpec(ClassKind.S), build_koebe_rotation(0.0)),
 }
 
+#: members whose z/f and L1 maxima all leave the float range, since
+#: (1/p + p)**2 and (1/p + lam mu p)**2 overflow at p = 1e-155
+TINY = 1e-155
+OVERFLOWING = ((ClassSpec(ClassKind.SIGMA_P, p=TINY), build_kp(TINY)),
+               (ClassSpec(ClassKind.U_P_LAMBDA, p=TINY, lam=0.5), build_fp(TINY, 0.5)))
+
 VALID = [0.1, 0.2, 0.3]
 BADS = [0.0, 1.5, math.nan, 1.0, P]
 #: each bad radius at each position among the valid ones, and each ordered
@@ -53,6 +61,13 @@ def refusal(radii, quantity, pole):
 def first_refusal(radii, quantities, pole):
     """The refusal of the first quantity whose domain some radius leaves."""
     return next(filter(None, (refusal(radii, q, pole) for q in quantities)), None)
+
+
+def overflow(radii, quantity, spec):
+    """(type, message) of the error for a maximum that overflows at every
+    radius: the first radius names it."""
+    return BadParameter, (f"sharp maximum of {quantity.value} over class {spec.kind.value} at "
+                          f"p = {spec.p!r}, r = {radii[0]!r} exceeds the float range")
 
 
 def assert_refused(call, want):
@@ -98,6 +113,11 @@ def test_sharp_maxima_refuses_the_first_radius_outside_the_domain(radii):
         spec = MEMBERS[kind][0]
         assert_refused(lambda: sharp_maxima(spec, quantity, radii),
                        refusal(radii, quantity, spec.p))
+    # every radius is checked before any maximum overflows
+    for spec, _ in OVERFLOWING:
+        for quantity in (ZF, L1):
+            assert_refused(lambda: sharp_maxima(spec, quantity, radii),
+                           refusal(radii, quantity, spec.p) or overflow(radii, quantity, spec))
 
 
 @pytest.mark.parametrize("radii", RADII, ids=ids)
@@ -107,6 +127,11 @@ def test_check_quantities_refuses_the_first_radius_of_the_first_quantity(radii):
         for chosen in (quantities, quantities[::-1]):
             assert_refused(lambda: check_quantities(f, spec, chosen, radii),
                            first_refusal(radii, chosen, spec.p))
+    for spec, f in OVERFLOWING:
+        for chosen in ((ZF, L1), (L1, ZF)):
+            assert_refused(lambda: check_quantities(f, spec, chosen, radii),
+                           first_refusal(radii, chosen, spec.p)
+                           or overflow(radii, chosen[0], spec))
 
 
 @pytest.mark.parametrize("radii", RADII, ids=ids)
