@@ -156,7 +156,7 @@ def _numerator_f_over_z(rr, e):
 #: and a radius r.  Each class's form is written out on its own, so the
 #: p -> 1 limit and class-nesting checks of ``verify`` compare independent
 #: expressions.  A form whose ``**`` overflows or that divides by zero
-#: raises ArithmeticError, which ``_maximum`` reads as inf.
+#: raises ArithmeticError, which :func:`sharp_maxima` reads as inf.
 _SHARP_MAXIMA = {
     (ClassKind.SIGMA_P, BoundQuantity.DIRICHLET_ZF):  # pi r**2 ((1/p + p)**2 + 2 r**2)
         lambda p, m, r: math.pi * r * r * ((1.0 / p + p) ** 2 + 2.0 * r * r),
@@ -181,15 +181,6 @@ _SHARP_MAXIMA = {
 }
 
 
-def _maximum(form, p, m, r):
-    """``form(p, m, r)``, or inf where a Python float ``**`` overflows or a
-    division by zero raises."""
-    try:
-        return form(p, m, r)
-    except ArithmeticError:
-        return math.inf
-
-
 def sharp_maxima(class_spec: ClassSpec, quantity: BoundQuantity, radii) -> list[float]:
     """The paper's sharp maximum of a quantity over a class at each of a
     sequence of radii, in their order.
@@ -210,8 +201,12 @@ def sharp_maxima(class_spec: ClassSpec, quantity: BoundQuantity, radii) -> list[
             f"no sharp bound for {quantity.value} over class {class_spec.kind.value}")
     rs = check_radii(radii, quantity in INSIDE_POLE, class_spec.p).tolist()
     m = class_spec.lam * mu(class_spec.p) if class_spec.lam else math.nan
-    maxima = [_maximum(form, class_spec.p, m, r) for r in rs]
-    for r, maximum in zip(rs, maxima):
+    maxima = []
+    for r in rs:
+        try:
+            maximum = form(class_spec.p, m, r)
+        except ArithmeticError:
+            maximum = math.inf
         if not math.isfinite(maximum):
             # inf is an overflow; NaN, from _inside_pole or inf * 0, an underflow
             problem = ("exceeds the float range" if maximum == math.inf else
@@ -219,6 +214,7 @@ def sharp_maxima(class_spec: ClassSpec, quantity: BoundQuantity, radii) -> list[
             raise BadParameter(
                 f"sharp maximum of {quantity.value} over class {class_spec.kind.value} at "
                 f"p = {class_spec.p!r}, r = {r!r} {problem}")
+        maxima.append(maximum)
     return maxima
 
 

@@ -15,12 +15,13 @@ Three subcommands:
 command's parser.  The top-level parser reads the whole line only when it
 is empty, starts with an option, names no command or leaves arguments
 over, so each help text and usage error is the one a top-level parse
-gives.  ``table`` stacks its blocks of rows on side (z/f and L1, or f and
-f/z) and radii, so a sweep over one pole makes two judged passes: the z/f
-and L1 rows of kp, fp and the Koebe map, and the f and f/z rows of kp
-below the pole.  A command checks each input before the value it guards
-is formed, and ``main`` alone turns the first MeroboundsError raised into
-an ``error:`` line on stderr and exit code 2.
+gives.  ``table`` judges one stack of the z/f and L1 rows of kp, fp and the
+Koebe map over all radii, then one stack of the f and f/z rows of each kp
+below its pole, so a sweep over one pole makes two judged passes.
+``check`` writes its lines once every row is judged, and exits 1 iff one
+reads FAIL.  A command checks each input before the value it guards is
+formed, and ``main`` alone turns the first MeroboundsError raised into an
+``error:`` line on stderr and exit code 2.
 """
 
 from __future__ import annotations
@@ -250,41 +251,37 @@ def _cmd_table(args) -> int:
         members.extend(_fp_member(p, lam) for lam in lams)
     members.append((ClassSpec(ClassKind.S), build_koebe_rotation(0.0)))
     check_radii(rs)
-    # blocks of rows (quantities, radii, spec, f), stacked on (side, radii) in first-seen
-    # order: side 0 holds the z/f and L1 rows, side 1 the f and f/z rows, whose radii stop
-    # at the pole.  Every member's z/f has length 3, so the blocks of one side and radii
-    # stack, and kp sweeps all four quantities, so each stack holds a kp block and is
-    # judged over its side's quantities, in --quantity order.  The first stack to fail
-    # raises: the z/f and L1 stack, then each pole's f and f/z stack in --p order.
-    sides = ([q for q in quantities if q not in INSIDE_POLE],
-             [q for q in quantities if q in INSIDE_POLE])
-    groups, skipped = {}, 0
-    for spec, f in members:
-        for side, side_quantities in enumerate(sides):
-            sweep = [q for q in side_quantities if spec.kind in _TABLE_CLASSES[q]]
-            radii = rs
-            if side and sweep:  # only SIGMA_P has f and f/z maxima
-                radii = [r for r in rs if r < spec.p]
-                skipped += len(rs) - len(radii)
-            if sweep and radii:
-                groups.setdefault((side, tuple(radii)), []).append((sweep, radii, spec, f))
-    judged = [_judge([b[3] for b in group], [b[2] for b in group], sides[side], group[0][1])
-              for (side, _), group in groups.items()]
-
-    if skipped:  # each kp skips the same radii for f as for f/z
-        for name in sorted(q.value for q in sides[1]):
-            print(f"note: {name} requires r < p; skipped {skipped} combinations", file=sys.stderr)
-    if not judged:
+    # a stack, (quantities, radii, members), is judged in one pass, and the first to fail
+    # raises: first the z/f and L1 rows of every member that has one, over all radii, then
+    # the f and f/z rows of each kp below its pole, in --p order (only SIGMA_P has f and
+    # f/z maxima).  Every member's z/f has length 3, so any members stack; each prints
+    # the quantities that _TABLE_CLASSES gives its class.
+    outside = [q for q in quantities if q not in INSIDE_POLE]
+    inside = [q for q in quantities if q in INSIDE_POLE]
+    stacks = [(outside, rs, [(spec, f) for spec, f in members
+                             if any(spec.kind in _TABLE_CLASSES[q] for q in outside)])]
+    stacks += [(inside, [r for r in rs if r < spec.p], [(spec, f)])
+               for spec, f in members if inside and spec.kind is ClassKind.SIGMA_P]
+    # the z/f and L1 stack skips no radius, and each kp the same radii for f as for f/z
+    skipped = sum(len(rs) - len(radii) for _, radii, _ in stacks)
+    stacks = [stack for stack in stacks if stack[1] and stack[2]]
+    if not stacks:
         raise BadParameter("the sweep produced no rows")
+    judged = [_judge([f for _, f in stack_members], [spec for spec, _ in stack_members],
+                     stack_quantities, radii) for stack_quantities, radii, stack_members in stacks]
+
+    if skipped:
+        for name in sorted(q.value for q in inside):
+            print(f"note: {name} requires r < p; skipped {skipped} combinations", file=sys.stderr)
 
     text_r = {r: "%.12g" % r for r in rs}
     rows = []  # (quantity, class, p, lambda, r, CSV line), sorted on the key before the line
-    for ((side, _), group), arrays in zip(groups.items(), judged):
+    for (stack_quantities, radii, stack_members), arrays in zip(stacks, judged):
         computed, bound, slack, sharp = (arrays[k].tolist() for k in (0, 1, 2, 4))
-        for m, (sweep, radii, spec, _) in enumerate(group):
+        for m, (spec, _) in enumerate(stack_members):
             p, lam = -1.0 if spec.p is None else spec.p, -1.0 if spec.lam is None else spec.lam
-            for j, quantity in enumerate(sides[side]):
-                if quantity not in sweep:
+            for j, quantity in enumerate(stack_quantities):
+                if spec.kind not in _TABLE_CLASSES[quantity]:
                     continue
                 head = (quantity.value, spec.kind.value, p, lam)
                 line = ",".join((quantity.value, spec.kind.value, _fmt(spec.p), _fmt(spec.lam),
@@ -309,6 +306,46 @@ def _cmd_table(args) -> int:
 
 # ---- check ---------------------------------------------------------------------
 
+def _check_row(f, spec) -> list[tuple[str, str, str]]:
+    """The (status, check, detail) records of one row's ``check`` lines, in
+    the order they are written."""
+    report = gronwall_check(f)
+    member, aksentiev, crit = _row_verdicts(f, spec.lam, report.satisfied)
+    total = _fmt(report.computed)
+    records = [("PASS", "coefficient-sum", f"{total} <= 1" + (" (sharp)" if report.sharp else ""))
+               if report.satisfied else
+               ("FAIL", "coefficient-sum", f"{total} > 1, f cannot be univalent")]
+    if spec.kind is ClassKind.U_P_LAMBDA:
+        lemma = lemma1_check(f, spec.lam, t=2.0, r=1.0)
+        tail, bound = _fmt(lemma.computed), _fmt(lemma.bound)
+        records.append(("PASS", "tail-inequality", f"{tail} <= {bound}") if lemma.satisfied else
+                       ("WARN", "tail-inequality", f"{tail} > {bound}, class claim dubious"))
+        ratio, threshold = _fmt(member.value), _fmt(member.threshold)
+        records.append(("PASS", "membership", f"sup ratio {ratio} <= {threshold}")
+                       if member.holds else
+                       ("WARN", "membership",
+                        f"sup ratio {ratio} > {threshold} near {_fmtc(member.witness)}"))
+    if crit is not None:
+        sup, threshold = _fmt(crit.value), _fmt(crit.threshold)
+        at_threshold = crit.holds and abs(crit.value - crit.threshold) <= SUP_TOL
+        near = " [at-threshold]" if at_threshold else ""
+        records.append(("PASS", "univalence-criterion", f"sup {sup} <= {threshold}{near}")
+                       if crit.holds else
+                       ("INCONCLUSIVE", "univalence-criterion",
+                        f"sup {sup} > {threshold}, proves nothing either way"))
+    # a certificate already settles injectivity, so the grid scan is skipped
+    if not report.satisfied:
+        return [*records, ("FAIL", "injectivity", "implied by coefficient-sum")]
+    if aksentiev.holds:
+        return [*records, ("PASS", "injectivity", "implied by Aksentiev, sup |U_f/z^2| "
+                           f"{_fmt(aksentiev.value)} <= 1")]
+    collision = injectivity_oracle(f)
+    if collision.holds:
+        return [*records, ("PASS", "injectivity", f"quotient floor {_fmt(collision.value)}")]
+    return [*records, ("FAIL", "injectivity", f"collision between {_fmtc(collision.witness)} "
+                       f"and {_fmtc(collision.witness_partner)}")]
+
+
 def _cmd_check(args) -> int:
     spec = ClassSpec(ClassKind(args.klass.upper()), p=args.p, lam=args.lam)
     try:
@@ -330,56 +367,12 @@ def _cmd_check(args) -> int:
             return 2
         functions.append(f)
 
-    disproved = False
-    for i, f in enumerate(functions, start=1):
-        report = gronwall_check(f)
-        member, aksentiev, crit = _row_verdicts(f, spec.lam, report.satisfied)
-        if report.satisfied:
-            sharp_note = " (sharp)" if report.sharp else ""
-            print(f"row {i} PASS coefficient-sum: {_fmt(report.computed)} <= 1{sharp_note}")
-        else:
-            disproved = True
-            print(f"row {i} FAIL coefficient-sum: {_fmt(report.computed)} > 1, "
-                  "f cannot be univalent")
-        if spec.kind is ClassKind.U_P_LAMBDA:
-            lemma = lemma1_check(f, spec.lam, t=2.0, r=1.0)
-            if lemma.satisfied:
-                print(f"row {i} PASS tail-inequality: {_fmt(lemma.computed)} <= "
-                      f"{_fmt(lemma.bound)}")
-            else:
-                print(f"row {i} WARN tail-inequality: {_fmt(lemma.computed)} > "
-                      f"{_fmt(lemma.bound)}, class claim dubious")
-            if member.holds:
-                print(f"row {i} PASS membership: sup ratio {_fmt(member.value)} <= "
-                      f"{_fmt(member.threshold)}")
-            else:
-                print(f"row {i} WARN membership: sup ratio {_fmt(member.value)} > "
-                      f"{_fmt(member.threshold)} near {_fmtc(member.witness)}")
-        if crit is not None:
-            if crit.holds:
-                near = " [at-threshold]" if abs(crit.value - crit.threshold) <= SUP_TOL else ""
-                print(f"row {i} PASS univalence-criterion: sup {_fmt(crit.value)} <= "
-                      f"{_fmt(crit.threshold)}{near}")
-            else:
-                print(f"row {i} INCONCLUSIVE univalence-criterion: sup "
-                      f"{_fmt(crit.value)} > {_fmt(crit.threshold)}, "
-                      "proves nothing either way")
-        # a certificate already settles injectivity, so the grid scan is skipped
-        if not report.satisfied:
-            print(f"row {i} FAIL injectivity: implied by coefficient-sum")
-            continue
-        if aksentiev.holds:
-            print(f"row {i} PASS injectivity: implied by Aksentiev, sup |U_f/z^2| "
-                  f"{_fmt(aksentiev.value)} <= 1")
-            continue
-        collision = injectivity_oracle(f)
-        if collision.holds:
-            print(f"row {i} PASS injectivity: quotient floor {_fmt(collision.value)}")
-        else:
-            disproved = True
-            print(f"row {i} FAIL injectivity: collision between "
-                  f"{_fmtc(collision.witness)} and {_fmtc(collision.witness_partner)}")
-    return 1 if disproved else 0
+    # every row is judged before any line is written, so an error leaves stdout empty
+    records = [(i, *record) for i, f in enumerate(functions, start=1)
+               for record in _check_row(f, spec)]
+    sys.stdout.write("".join(f"row {i} {status} {check}: {detail}\n"
+                             for i, status, check, detail in records))
+    return 1 if any(status == "FAIL" for _, status, _, _ in records) else 0
 
 
 # ---- parser --------------------------------------------------------------------

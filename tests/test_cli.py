@@ -273,11 +273,16 @@ def test_table_f_route_skips_radii_beyond_the_pole(capsys):
     assert len(out.strip().splitlines()) == 2  # header plus the r=0.25 row
 
 
-def test_table_empty_sweep_is_an_error(capsys):
-    code, _, err = run_cli(capsys, "table", "--p", "0.3", "--r", "0.5",
-                           "--quantity", "dirichlet_f")
-    assert code == 2
-    assert "no rows" in err
+def test_table_empty_sweep_is_an_error(capsys, monkeypatch):
+    # the empty stack list is refused before any stack is judged and before
+    # the note lines, so stderr holds the one error line
+    def no_judge(*args):
+        raise AssertionError("_judge called on an empty sweep")
+
+    monkeypatch.setattr(cli, "_judge", no_judge)
+    for p, r in (("0.3", "0.5"), ("0.5", "0.6")):
+        assert run_cli(capsys, "table", "--p", p, "--r", r, "--quantity", "dirichlet_f") == (
+            2, "", "error: the sweep produced no rows\n")
 
 
 def test_table_refuses_a_sharp_bound_beyond_the_float_range(capsys):
@@ -357,6 +362,7 @@ def test_main_alone_turns_an_error_into_exit_2(capsys, monkeypatch, command, pat
     (("--p", "0.5", "--quantity", "l1"), 1),
     (("--quantity", "dirichlet_zf"), 1),  # no Koebe member
     (("--p", "0.3", "0.5", "--quantity", "dirichlet_f"), 2),  # each pole cuts its own radii
+    (("--p", "0.33", "0.34", "--quantity", "dirichlet_f"), 2),  # even where the cuts coincide
     (("--quantity", "l1", "dirichlet_f_over_z", "dirichlet_f", "dirichlet_zf"), 6),
 ])
 def test_table_judges_each_stack_of_blocks_once(capsys, monkeypatch, argv, calls):
@@ -378,6 +384,24 @@ def test_table_judges_each_stack_of_blocks_once(capsys, monkeypatch, argv, calls
         assert list(quantities) == [q for q in requested if (q in INSIDE_POLE) == inside]
     has_koebe = any(spec.kind is ClassKind.S for _, specs, *_ in judged for spec in specs)
     assert has_koebe == (BoundQuantity.L1 in requested)
+
+
+def test_table_of_two_poles_prints_the_rows_of_each_pole_once(capsys):
+    # kp(0.33) and kp(0.34) keep the same radii below the pole, each in a stack
+    # of its own; the output is the rows of each one-pole table, the Koebe map's
+    # once, in table's (quantity, class, p, lambda, r) order
+    code, out, _ = run_cli(capsys, "table", "--p", "0.33", "0.34")
+    assert code == 0
+    header, *rows = out.splitlines()
+    alone = {line for p in ("0.33", "0.34")
+             for line in run_cli(capsys, "table", "--p", p)[1].splitlines()[1:]}
+
+    def key(line):
+        quantity, klass, p, lam, r = line.split(",")[:5]
+        return quantity, klass, float(p or -1), float(lam or -1), float(r)
+
+    assert header == "quantity,class,p,lambda,r,computed,bound,slack,sharp"
+    assert rows == sorted(alone, key=key)
 
 
 @pytest.mark.parametrize("quantities, rows", [
@@ -511,6 +535,40 @@ def test_check_warns_of_an_overflowing_tail_sum_without_warnings(tmp_path, capsy
     lines = out.splitlines()
     assert lines[0] == "row 1 FAIL coefficient-sum: inf > 1, f cannot be univalent"
     assert lines[1].startswith("row 1 WARN tail-inequality: inf > ")
+
+
+def _data_rows(name):
+    with open(Path(__file__).parent / "data" / name, newline="") as fh:
+        return [row for row in csv.reader(fh) if row]
+
+
+@pytest.mark.parametrize("row, argv", [
+    *(pytest.param(row, ("--class", "u_p_lambda", "--p", "0.5", "--lambda", "1"),
+                   id=f"u_p_lambda-row{i}")
+      for i, row in enumerate(_data_rows("check_rows.csv"), start=1)),
+    *(pytest.param(row, ("--class", "sigma_p", "--p", "0.5"), id=f"sigma_p-row{i}")
+      for i, row in enumerate(_data_rows("check_rows.csv"), start=1)),
+    *(pytest.param(row, ("--class", "s"), id=f"s-row{i}")
+      for i, row in enumerate(_data_rows("check_rows_s.csv"), start=1)),
+    # z/f = 1 + 1.5e308 (1 + i) z + 0.6 z**3, whose one FAIL is the scan's collision
+    pytest.param(["", "3", "1.5e308", "1.5e308", "0", "0", "0.6", "0"], ("--class", "s"),
+                 id="s-overflow"),
+])
+def test_check_exits_1_iff_a_line_reads_fail(row, argv, tmp_path, capsys):
+    code, out, err = run_cli(capsys, "check", "--in", write_rows(tmp_path / "f.csv", [row]),
+                             *argv)
+    assert err == ""
+    assert code == int(any(line.split()[2] == "FAIL" for line in out.splitlines()))
+
+
+def test_check_writes_no_line_before_an_error(capsys):
+    # lambda mu(0.5) = 1e-160 / 9 squares below the normal float range, so the
+    # first row's tail bound cannot be formed, and no line of that row is written
+    data = Path(__file__).parent / "data"
+    assert run_cli(capsys, "check", "--class", "u_p_lambda", "--lambda", "1e-160",
+                   "--p", "0.5", "--in", str(data / "check_rows.csv")) == (
+        2, "", "error: weighted tail bound at t = 2.0, r = 1.0 cannot be formed in floats, "
+        "since it underflows\n")
 
 
 def test_check_scans_an_overflowing_image_without_warnings(tmp_path, capsys):
