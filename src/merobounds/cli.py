@@ -18,16 +18,18 @@ over, so each help text and usage error is the one a top-level parse
 gives.  ``table`` judges one stack of the z/f and L1 rows of kp, fp and the
 Koebe map over all radii, then one stack of the f and f/z rows of each kp
 below its pole, so a sweep over one pole makes two judged passes.
-``check`` writes its lines once every row is judged, and exits 1 iff one
-reads FAIL.  A command checks each input before the value it guards is
-formed, and ``main`` alone turns the first MeroboundsError raised into an
-``error:`` line on stderr and exit code 2.
+A command checks each input before the value it guards is formed, and
+judges all of its input before it returns its lines and exit code.  ``main``
+alone writes stdout, and turns the first MeroboundsError raised, a full
+stdout included, into one ``error:`` line on stderr and exit code 2; a
+closed stdout ends the command quietly, with the command's own exit code.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 from functools import cache
 from operator import itemgetter
@@ -223,23 +225,17 @@ _SUITES = {
 }
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[list[str], int]:
     names = list(_SUITES) if args.suite == "all" else [args.suite]
-    failures = 0
-    total = 0
-    for name in names:
-        for check, ok, detail in _SUITES[name]():
-            total += 1
-            if not ok:
-                failures += 1
-            print(f"{'PASS' if ok else 'FAIL'} {check}: {detail}")
-    print(f"verify: {total} checks, {failures} failed")
-    return 0 if failures == 0 else 1
+    checks = [check for name in names for check in _SUITES[name]()]
+    failed = sum(not ok for _, ok, _ in checks)
+    return [*(f"{'PASS' if ok else 'FAIL'} {check}: {detail}" for check, ok, detail in checks),
+            f"verify: {len(checks)} checks, {failed} failed"], int(failed > 0)
 
 
 # ---- table ---------------------------------------------------------------------
 
-def _cmd_table(args) -> int:
+def _cmd_table(args) -> tuple[list[str], int]:
     # each list is read as a set in first-seen order, so a repeated value adds no rows
     ps, rs, lams, names = (list(dict.fromkeys(values))
                            for values in (args.p, args.r, args.lam, args.quantity))
@@ -291,17 +287,14 @@ def _cmd_table(args) -> int:
                                                    slack[m][j], sharp[m][j])]
     rows.sort()  # rows that tie on the key are the same row
     lines = [_TABLE_HEADER, *map(itemgetter(5), rows)]
-    text = "\n".join(lines) + "\n"
     if args.out is None:
-        sys.stdout.write(text)
-        return 0
+        return lines, 0
     try:
         with open(args.out, "w") as fh:
-            fh.write(text)
+            fh.write("\n".join(lines) + "\n")
     except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return 2
-    return 0
+        raise MeroboundsError(f"cannot write {args.out}: {exc}") from exc
+    return [], 0
 
 
 # ---- check ---------------------------------------------------------------------
@@ -346,14 +339,13 @@ def _check_row(f, spec) -> list[tuple[str, str, str]]:
                        f"and {_fmtc(collision.witness_partner)}")]
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args) -> tuple[list[str], int]:
     spec = ClassSpec(ClassKind(args.klass.upper()), p=args.p, lam=args.lam)
     try:
         with open(args.infile, newline="") as fh:
             raw = [row for row in csv.reader(fh) if row]
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
-        print(f"error: cannot read {args.infile}: {exc}", file=sys.stderr)
-        return 2
+        raise MeroboundsError(f"cannot read {args.infile}: {exc}") from exc
     if not raw:
         raise BadParameter("no function rows in input")
 
@@ -363,16 +355,13 @@ def _cmd_check(args) -> int:
             f = from_csv_row(row)
             spec.match(f)
         except MeroboundsError as exc:
-            print(f"error: row {i}: {exc}", file=sys.stderr)
-            return 2
+            raise MeroboundsError(f"row {i}: {exc}") from exc
         functions.append(f)
 
-    # every row is judged before any line is written, so an error leaves stdout empty
     records = [(i, *record) for i, f in enumerate(functions, start=1)
                for record in _check_row(f, spec)]
-    sys.stdout.write("".join(f"row {i} {status} {check}: {detail}\n"
-                             for i, status, check, detail in records))
-    return 1 if any(status == "FAIL" for _, status, _, _ in records) else 0
+    return ([f"row {i} {status} {check}: {detail}" for i, status, check, detail in records],
+            int(any(status == "FAIL" for _, status, _, _ in records)))
 
 
 # ---- parser --------------------------------------------------------------------
@@ -415,8 +404,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 
 
 def main(argv=None) -> int:
-    """Run one command line, parsed as the module docstring says, and return
-    its exit code."""
+    """Run one command line, parsed as the module docstring says, write the
+    lines its command returns and return its exit code."""
     argv = sys.argv[1:] if argv is None else list(argv)
     parser, commands = _build_parser()
     command = commands.get(argv[0]) if argv else None
@@ -426,10 +415,21 @@ def main(argv=None) -> int:
         if command is None or extra:
             args = parser.parse_args(argv)
     except SystemExit as exc:
-        code = exc.code
-        return 0 if code in (0, None) else 2
+        return 0 if exc.code in (0, None) else 2
     try:
-        return args.func(args)
+        lines, code = args.func(args)
+        try:
+            sys.stdout.write("\n".join([*lines, ""]))  # each line ends in a newline
+            sys.stdout.flush()
+        except OSError as exc:
+            # the unwritten text stays buffered: the flush at exit sends it to the null device
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, 1)
+            os.close(devnull)
+            if isinstance(exc, BrokenPipeError):  # the reader is gone, so no one is told
+                return code
+            raise MeroboundsError(f"cannot write stdout: {exc}") from exc
+        return code
     except MeroboundsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,4 +1,5 @@
 import csv
+import os
 import subprocess
 import sys
 import warnings
@@ -436,10 +437,11 @@ def test_table_writes_a_file(tmp_path, capsys):
 
 
 def test_table_unwritable_path_fails(capsys):
-    code, _, err = run_cli(capsys, "table", "--p", "0.5", "--r", "0.5",
-                           "--out", "/nonexistent-dir/t.csv")
-    assert code == 2
-    assert "cannot write" in err
+    assert run_cli(capsys, "table", "--p", "0.5", "--r", "0.3",
+                   "--out", "/nonexistent-dir/t.csv") == (
+        2, "", "error: cannot write /nonexistent-dir/t.csv: [Errno 2] No such file or "
+        "directory: '/nonexistent-dir/t.csv'\n")
+    assert not Path("/nonexistent-dir/t.csv").exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -759,6 +761,12 @@ def test_check_s_class_skips_pole_criteria(tmp_path, capsys):
     assert "membership" not in out
 
 
+def test_check_names_a_missing_file(capsys):
+    assert run_cli(capsys, "check", "--in", "/nonexistent.csv", "--class", "s") == (
+        2, "", "error: cannot read /nonexistent.csv: [Errno 2] No such file or directory: "
+        "'/nonexistent.csv'\n")
+
+
 @pytest.mark.parametrize("argv,needle", [
     (("check", "--in", "/nonexistent.csv", "--class", "s"), "cannot read"),
     (("check", "--in", "IN", "--class", "sigma_p"), "error:"),       # missing --p
@@ -768,25 +776,22 @@ def test_check_s_class_skips_pole_criteria(tmp_path, capsys):
 def test_check_rejects_bad_invocations(argv, needle, tmp_path, capsys):
     path = write_rows(tmp_path / "f.csv", [to_csv_row(build_koebe_rotation(0.0))])
     argv = [path if a == "IN" else a for a in argv]
-    code, _, err = run_cli(capsys, *argv)
-    assert code == 2
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err.count("\n")) == (2, "", 1)
     assert needle in err
 
 
 def test_check_rejects_malformed_rows(tmp_path, capsys):
     path = write_rows(tmp_path / "f.csv", [["0.5", "2", "abc", "0", "1", "0"]])
-    code, _, err = run_cli(capsys, "check", "--in", path, "--class", "sigma_p",
-                           "--p", "0.5")
-    assert code == 2
-    assert "row 1" in err
+    assert run_cli(capsys, "check", "--in", path, "--class", "sigma_p", "--p", "0.5") == (
+        2, "", "error: row 1: unparseable function row: could not convert string to float: "
+        "'abc'\n")
 
 
 def test_check_rejects_pole_mismatch(tmp_path, capsys):
     path = write_rows(tmp_path / "f.csv", [to_csv_row(build_kp(0.6))])
-    code, _, err = run_cli(capsys, "check", "--in", path, "--class", "sigma_p",
-                           "--p", "0.5")
-    assert code == 2
-    assert "does not match" in err
+    assert run_cli(capsys, "check", "--in", path, "--class", "sigma_p", "--p", "0.5") == (
+        2, "", "error: row 1: function pole 0.6 does not match class pole 0.5\n")
 
 
 def test_check_rejects_pole_row_for_analytic_class(tmp_path, capsys):
@@ -831,6 +836,13 @@ def test_unknown_quantity_is_a_usage_error(capsys):
     assert main(["table", "--quantity", "volume"]) == 2
 
 
+def run_command(args):
+    """Run a parsed command and write its lines as ``main`` does; return its code."""
+    lines, code = args.func(args)
+    sys.stdout.write("".join(f"{line}\n" for line in lines))
+    return code
+
+
 def top_level_main(argv):
     """``main`` as it was before the command parsers read their own
     arguments: one parse of the whole command line by the top-level parser."""
@@ -838,7 +850,7 @@ def top_level_main(argv):
         args = cli._build_parser()[0].parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
-    return args.func(args)
+    return run_command(args)
 
 
 @pytest.mark.parametrize("argv", [
@@ -871,10 +883,57 @@ def test_cached_parser_behaves_like_a_fresh_one(capsys):
     assert main(list(argv)) == 0
     cached = capsys.readouterr().out
     args = cli._build_parser.__wrapped__()[0].parse_args(argv)
-    assert args.func(args) == 0
+    assert run_command(args) == 0
     assert cached == capsys.readouterr().out
     defaults = cli._build_parser()[0].parse_args(["table"])
     assert (defaults.p, defaults.r, defaults.lam) == (P_GRID, R_GRID, LAMBDA_GRID)
+
+
+# --- one writer of stdout ---
+
+def test_verify_writes_no_line_before_an_error(capsys, monkeypatch):
+    # the sharpness, oracles and criteria suites pass before limits raises
+    def boom():
+        raise BadParameter("boom")
+
+    monkeypatch.setitem(cli._SUITES, "limits", boom)
+    assert run_cli(capsys, "verify") == (2, "", "error: boom\n")
+
+
+CHECK_ROWS = str(Path(__file__).parent / "data" / "check_rows.csv")
+
+
+def run_module(stdout, *argv):
+    """Run ``python -m merobounds`` in a subprocess, with warnings as errors,
+    writing to ``stdout``."""
+    return subprocess.run([sys.executable, "-m", "merobounds", *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, timeout=300,
+                          env={**os.environ, "PYTHONWARNINGS": "error"})
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("verify", "--suite", "limits"), 0),
+    (("table", "--p", "0.5", "--r", "0.3"), 0),
+    (("check", "--in", CHECK_ROWS, "--class", "sigma_p", "--p", "0.5"), 1),
+], ids=lambda value: value[0] if isinstance(value, tuple) else None)
+def test_a_closed_stdout_ends_the_command_quietly(argv, code):
+    # the read end is closed before the command starts, so its first write
+    # meets a broken pipe
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = run_module(write, *argv)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (code, "")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+def test_a_full_stdout_is_one_error_line():
+    with open("/dev/full", "w") as full:
+        proc = run_module(full, "verify", "--suite", "limits")
+    assert (proc.returncode, proc.stderr) == (
+        2, "error: cannot write stdout: [Errno 28] No space left on device\n")
 
 
 def test_module_entry_point_runs():
